@@ -24,12 +24,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError, HypothesisViolated
-from .geometry import (TWO_PI, CarlesonSquare, SawtoothRegion, StolzAngle,
-                       WhitneyBox, angle_mod, carleson_square)
-from .inner import InnerFunction, MuMeasure, ZeroSequence
+from .geometry import TWO_PI, SawtoothRegion, StolzAngle, carleson_square
+from .inner import InnerFunction, ZeroSequence
 from .measures import AtomicMeasure, SingularMeasure
 
 ONE_COMPONENT = "OneComponentEvidence"
@@ -69,38 +66,6 @@ class ClassificationReport:
                 "tests": self.tests,
                 "params": self.params,
                 "notes": self.notes}
-
-
-class _MuIndex:
-    """Vectorized mu queries against a fixed MuMeasure."""
-
-    def __init__(self, mu: MuMeasure):
-        self.mu = mu
-        zs = np.array([z for z, _ in mu.zero_atoms], dtype=np.complex128)
-        self.radii = np.abs(zs) if zs.size else np.empty(0)
-        self.angles = np.mod(np.angle(zs), TWO_PI) if zs.size else np.empty(0)
-        self.weights = np.array([w for _, w in mu.zero_atoms])
-        self.boundary = mu.boundary
-
-    def positive_and_value(self, square: CarlesonSquare,
-                           tol: float = 1e-9) -> tuple[bool, float]:
-        """(certified mu(Q) > 0, lower-bound value)."""
-        if not square.whole_disc and square.side < self.mu.horizon:
-            from .errors import HorizonExceeded
-            raise HorizonExceeded("square side %g below horizon %g"
-                                  % (square.side, self.mu.horizon))
-        total = 0.0
-        if self.radii.size:
-            d = np.abs(np.mod(self.angles - square.center_angle + math.pi,
-                              TWO_PI) - math.pi)
-            mask = (d <= square.half_window) & (self.radii >= square.base_modulus)
-            if np.any(mask):
-                total += float(self.weights[mask].sum())
-        if self.boundary is not None:
-            blo, _ = self.boundary.mass_of_arc_bounds(square.boundary_arc(),
-                                                      closed_ends=True, tol=tol)
-            total += max(0.0, blo)
-        return (total > 0.0, total)
 
 
 def _scan_points(depth_level: int) -> list[complex]:
@@ -161,7 +126,6 @@ def criterion_scan(theta: InnerFunction, depth: int, tol: float = 1e-3,
         if isinstance(sigma, AtomicMeasure) and sigma.tail_mass > 0.0:
             sigma.materialize_until_tail(max(min_side ** 4, 1e-40))
     mu = theta.mu(min_side=min_side)
-    index = _MuIndex(mu)
 
     trace: list[float] = []
     witnesses: list[ScanWitness] = []
@@ -169,9 +133,8 @@ def criterion_scan(theta: InnerFunction, depth: int, tol: float = 1e-3,
     c_star = 0.0
     for level in range(2, depth + 1):
         for z in _scan_points(level):
-            square = carleson_square(z)
-            positive, value = index.positive_and_value(square)
-            if not positive:
+            mu_q, _ = mu.of_square_bounds(carleson_square(z), 1e-9)
+            if not mu_q > 0.0:
                 continue
             bounds = theta.modulus_bounds(z, eval_tol)
             if bounds.lo > 1.0 - tol:
@@ -180,7 +143,7 @@ def criterion_scan(theta: InnerFunction, depth: int, tol: float = 1e-3,
                 c_star = bounds.hi
                 if len(witnesses) >= max_witnesses:
                     witnesses.pop(0)
-                witnesses.append(ScanWitness(z, bounds.lo, bounds.hi, value, level))
+                witnesses.append(ScanWitness(z, bounds.lo, bounds.hi, mu_q, level))
         trace.append(c_star)
 
     verdict, notes = _verdict_from_trace(trace, tol, margin, crossed)

@@ -4,7 +4,8 @@ Commands: eval, classify, levelset, construct, measure, seed-examples.
 Outputs are deterministic for identical inputs (fixed iteration orders, all
 reals printed as 17-digit decimals); the only run-dependent content is the
 isolated metadata.generated_at field.  Exit codes: 0 success, 2 on domain or
-input errors, 3 when a tolerance is unattainable (precision exhausted).
+input errors, 3 when a tolerance is unattainable (precision exhausted, or a
+declared zero tail too large to certify).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .classify import ScanBudget, classify
 from .companion import construct_companion
 from .errors import (BlaschkeConditionError, CurveExhausted, DomainError,
                      HorizonExceeded, HypothesisViolated, PrecisionExhausted,
-                     RadiusSearchExhausted)
+                     RadiusSearchExhausted, TailBoundInsufficient)
 from .families import SEEDED_FAMILY_BUILDERS
 from .geometry import BoundaryArc
 from .inner import dump_zeros_csv
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
         parser.error("a command is required (or --seed-examples)")
     try:
         return args.func(args)
-    except PrecisionExhausted as exc:
+    except (PrecisionExhausted, TailBoundInsufficient) as exc:
         sys.stderr.write("precision exhausted: %s\n" % (exc,))
         return 3
     except _INPUT_ERRORS as exc:

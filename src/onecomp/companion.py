@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
+from .classify import ONE_COMPONENT, ClassificationReport, _scan_points, criterion_scan
 from .errors import (CurveExhausted, DomainError, HypothesisViolated,
                      RadiusSearchExhausted, TailBoundInsufficient)
 from .geometry import TWO_PI, BoundaryArc, carleson_square, pseudo_distance, whitney_arcs
@@ -410,7 +410,6 @@ class CompanionResult:
 
 def _spot_check_b(blaschke: InnerFunction, mu: MuMeasure, depth: int,
                   threshold: float = 12.0 / 21.0) -> SpotCheck:
-    from .classify import _scan_points
     checked = above = 0
     violations: list[complex] = []
     for level in range(2, depth + 1):

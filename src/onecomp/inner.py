@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
                      TailBoundInsufficient)
-from .geometry import (BoundarySupport, CarlesonSquare, PointSupport,
-                       angle_mod, carleson_square, pseudo_distance)
+from .geometry import TWO_PI, BoundarySupport, CarlesonSquare, PointSupport
 from .measures import SingularMeasure
 
 
@@ -76,8 +75,6 @@ class ZeroSequence:
             self._zeros.append(z)
         if tail_blaschke_sum < 0.0:
             raise BlaschkeConditionError("tail Blaschke sum must be nonnegative")
-        if generator is None and tail_blaschke_sum > 0.0 and not zeros:
-            pass  # a pure tail bound with no listed zeros is allowed
         self._gen = generator
         self._tail = float(tail_blaschke_sum)
         self.ordered_by_modulus = bool(ordered_by_modulus)
@@ -213,19 +210,25 @@ class BlaschkeProduct:
                     % (bound, budget, z_abs))
             zs.materialize_count(len(zs) + 16)
 
+    def _log_sum(self, z: complex) -> float:
+        """sum log|w - z| - log|1 - conj(w) z| over the listed zeros w;
+        -inf when z is one of them."""
+        arr = self.zeros.as_array()
+        if arr.size == 0:
+            return 0.0
+        num = np.abs(arr - z)
+        if np.any(num == 0.0):
+            return -math.inf
+        return float(np.sum(np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))))
+
     def log_modulus(self, z: complex, tol: float = 1e-9) -> Interval:
         z = complex(z)
         if abs(z) >= 1.0:
             raise DomainError("log_modulus requires |z| < 1")
         tail_bound = self._ensure_tail(abs(z), 0.5 * tol)
-        arr = self.zeros.as_array()
-        if arr.size == 0:
-            return Interval(-tail_bound, 0.0)
-        num = np.abs(arr - z)
-        den = np.abs(1.0 - np.conj(arr) * z)
-        if np.any(num == 0.0):
+        s = self._log_sum(z)
+        if s == -math.inf:
             return MINUS_INF_INTERVAL
-        s = float(np.sum(np.log(num) - np.log(den)))
         return Interval(s - tail_bound, s)
 
     def modulus_bounds(self, z: complex, tol: float = 1e-9) -> Interval:
@@ -238,28 +241,17 @@ class BlaschkeProduct:
         z = complex(z)
         if abs(z) >= 1.0:
             raise DomainError("modulus bounds require |z| < 1")
-        arr = self.zeros.as_array()
-        if arr.size:
-            num = np.abs(arr - z)
-            if np.any(num == 0.0):
-                return Interval(0.0, 0.0)
-            s = float(np.sum(np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))))
-        else:
-            s = 0.0
+        listed = len(self.zeros)
+        s = self._log_sum(z)
         upper = math.exp(s)
-        if upper <= 0.5 * tol:
+        if s == -math.inf or upper <= 0.5 * tol:
             return Interval(0.0, upper)
         # value-scale budget: a log-width d gives value width <= upper * d
         log_budget = max(1e-15, 0.5 * tol / upper)
         tail_bound = self._ensure_tail(abs(z), log_budget)
-        arr = self.zeros.as_array()
-        if arr.size:
-            num = np.abs(arr - z)
-            if np.any(num == 0.0):
-                return Interval(0.0, 0.0)
-            s = float(np.sum(np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))))
-        upper = math.exp(s)
-        return Interval(math.exp(s - tail_bound), upper)
+        if len(self.zeros) > listed:
+            s = self._log_sum(z)
+        return Interval(math.exp(s - tail_bound), math.exp(s))
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
         """Value of the materialized (tol-truncated) product.
@@ -313,13 +305,22 @@ class SingularInner:
 class MuMeasure:
     """Zero masses (1-|z_n|) delta_{z_n} plus the boundary singular part.
 
-    Queries finer than the recorded materialization horizon raise instead of
-    silently undercounting.
+    Zero radii, angles in [0, 2 pi) and weights are stored as arrays once.
+    A square query masks the zeros within the square's angular half-window
+    of its center and at or above its base modulus, and sums their weights
+    exactly with math.fsum.  Queries finer than the recorded
+    materialization horizon raise instead of silently undercounting.
     """
 
     zero_atoms: list[tuple[complex, float]]
     boundary: Optional[SingularMeasure]
     horizon: float = 0.0
+
+    def __post_init__(self):
+        zs = np.array([z for z, _ in self.zero_atoms], dtype=np.complex128)
+        self._radii = np.abs(zs)
+        self._angles = np.mod(np.angle(zs), TWO_PI)
+        self._weights = np.array([wt for _, wt in self.zero_atoms], dtype=np.float64)
 
     def of_square(self, square: CarlesonSquare, tol: float = 1e-12) -> float:
         lo, hi = self.of_square_bounds(square, tol)
@@ -331,17 +332,17 @@ class MuMeasure:
             raise HorizonExceeded(
                 "square side %g below materialization horizon %g"
                 % (square.side, self.horizon))
-        total = math.fsum(wt for z, wt in self.zero_atoms if square.member(z))
+        total = 0.0
+        if self.zero_atoms:
+            gap = np.abs(np.mod(self._angles - square.center_angle + math.pi,
+                                TWO_PI) - math.pi)
+            inside = (gap <= square.half_window) & (self._radii >= square.base_modulus)
+            total = math.fsum(self._weights[inside].tolist())
         if self.boundary is None:
             return (total, total)
         blo, bhi = self.boundary.mass_of_arc_bounds(square.boundary_arc(),
                                                     closed_ends=True, tol=tol)
         return (total + blo, total + bhi)
-
-    def is_positive_on(self, square: CarlesonSquare, tol: float = 1e-12) -> bool:
-        """Certified mu(Q) > 0 (unknown tail mass never counts)."""
-        lo, _ = self.of_square_bounds(square, tol)
-        return lo > 0.0
 
     def total(self) -> float:
         t = math.fsum(wt for _, wt in self.zero_atoms)

@@ -13,10 +13,12 @@ Three variants are provided:
 - ``CdfMeasure``: a monotone CDF supplied as piecewise-linear samples.
   Singularity of the supplied CDF is asserted by the caller, not verified.
 
-Poisson integrals use adaptive cell subdivision: a cell is split while its
-kernel oscillation times its mass exceeds the remaining error budget, with
-kernel extrema on an arc computed from the closest and farthest points of
-the arc (the kernel is monotone in chord distance).
+Cantor Poisson and Herglotz integrals share one vectorized adaptive cell
+subdivision (``CantorMeasure._cells``): a cell is split while a bound on the
+kernel's oscillation over it times its mass exceeds the error budget.  The
+Poisson kernel's extrema on a cell come from the closest and farthest
+points of the cell (the kernel is monotone in chord distance); the Herglotz
+kernel is bounded through its derivative at the closest point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import cmath
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -68,19 +70,18 @@ def _herglotz_kernel(z: complex, theta: float) -> complex:
     return (z + xi) / (z - xi)
 
 
-def _herglotz_osc_bound(z: complex, lo: float, hi: float) -> float:
-    """Oscillation bound for the Herglotz kernel over [lo, hi].
-
-    |d/dt (z+e^{it})/(z-e^{it})| = 2|z| / |z - e^{it}|^2 <= 2|z| / d_min^2.
-    """
+def _cell_distances2(z: complex, lo: np.ndarray, hi: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of |z - e^{it}|^2 over each cell [lo, hi] (radians)."""
     r = abs(z)
-    if r == 0.0:
-        return 0.0
-    phase = cmath.phase(z)
-    arc = BoundaryArc.from_endpoints(lo, hi)
-    gap_min = arc.angular_distance_to_angle(phase)
-    d2 = (1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * min(gap_min, math.pi)) ** 2
-    return (hi - lo) * 2.0 * r / d2
+    phase = cmath.phase(z) if r > 0.0 else 0.0
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    d = np.abs(np.mod(phase - center + math.pi, TWO_PI) - math.pi)
+    gmin = np.maximum(0.0, d - half)
+    gmax = np.minimum(math.pi, d + half)
+    return ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmin) ** 2,
+            (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmax) ** 2)
 
 
 def _check_interior(z: complex) -> complex:
@@ -397,73 +398,24 @@ class CantorMeasure(SingularMeasure):
 
     # -- Poisson / Herglotz over generation cells --
 
-    def _adaptive_cells(self, z: complex, tol: float,
-                        osc_fn: Callable[[complex, float, float], float],
-                        max_cells: int = 400000):
-        """Split generation intervals while osc * mass >= tol / active-cells.
+    def _cells(self, tol: float, osc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Generation cells (lo, hi, mass) whose errors osc * mass sum below tol.
 
-        When the rule stabilizes every cell error is below tol divided by
-        the cell count, so the summed bracket width is below tol.  Cells are
-        (lo_rad, hi_rad, mass) with masses exactly 2^{-n}; children are
-        derived from parent endpoints directly (float endpoints, exact
-        masses), so deep refinement near the kernel peak stays local and
+        ``osc(lo, hi)`` bounds the integrand's oscillation over each cell of
+        the endpoint arrays (radians).  A cell is split while its error is at
+        least tol divided by the current cell count; when the rule
+        stabilizes, the summed error is below tol.  Children are derived
+        from parent endpoints directly (float endpoints, exact masses
+        2^{-n}), so deep refinement near the kernel peak stays local and
         never materializes a whole generation.
         """
-        cells = []
-        for a, b in self.generation(2):
-            cells.append((2, float(a) * TWO_PI, float(b) * TWO_PI))
-        while True:
-            budget = tol / len(cells)
-            nxt = []
-            split_any = False
-            for n, lo, hi in cells:
-                err = osc_fn(z, lo, hi) * 2.0 ** -n
-                if err < budget or n >= self.max_generation:
-                    nxt.append((n, lo, hi))
-                    continue
-                split_any = True
-                q = float(self._ratio(n))
-                clen = (hi - lo) * q * 0.5
-                nxt.append((n + 1, lo, lo + clen))
-                nxt.append((n + 1, hi - clen, hi))
-            cells = nxt
-            if not split_any:
-                break
-            if len(cells) > max_cells:
-                raise PrecisionExhausted(
-                    "Cantor quadrature needs more than %d cells for tol %g"
-                    % (max_cells, tol))
-        total_err = math.fsum(osc_fn(z, lo, hi) * 2.0 ** -n for n, lo, hi in cells)
-        if total_err > tol:
-            raise PrecisionExhausted(
-                "Cantor quadrature hit the generation cap with error %g > tol %g"
-                % (total_err, tol))
-        return [(lo, hi, 2.0 ** -n) for n, lo, hi in cells]
-
-    def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
-        z = _check_interior(z)
-        r = abs(z)
-        phase = cmath.phase(z) if r > 0.0 else 0.0
-
-        def ranges(lo, hi):
-            center = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            d = np.abs(np.mod(phase - center + math.pi, TWO_PI) - math.pi)
-            gmin = np.maximum(0.0, d - half)
-            gmax = np.minimum(math.pi, d + half)
-            one_minus_r2 = 1.0 - r * r
-            kmax = one_minus_r2 / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmin) ** 2)
-            kmin = one_minus_r2 / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmax) ** 2)
-            return kmin, kmax
-
         base = self.generation(2)
         n = np.full(len(base), 2, dtype=np.int64)
         lo = np.array([float(a) * TWO_PI for a, _ in base])
         hi = np.array([float(b) * TWO_PI for _, b in base])
         max_cells = 400000
         while True:
-            kmin, kmax = ranges(lo, hi)
-            err = (kmax - kmin) * np.exp2(-n.astype(np.float64))
+            err = osc(lo, hi) * np.exp2(-n.astype(np.float64))
             split = (err >= tol / n.size) & (n < self.max_generation)
             if not np.any(split):
                 break
@@ -478,21 +430,40 @@ class CantorMeasure(SingularMeasure):
                 raise PrecisionExhausted(
                     "Cantor quadrature needs more than %d cells for tol %g"
                     % (max_cells, tol))
-        masses = np.exp2(-n.astype(np.float64))
-        total_err = float(np.sum((kmax - kmin) * masses))
+        total_err = float(np.sum(err))
         if total_err > tol:
             raise PrecisionExhausted(
                 "Cantor quadrature hit the generation cap with error %g > tol %g"
                 % (total_err, tol))
+        return lo, hi, np.exp2(-n.astype(np.float64))
+
+    def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
+        z = _check_interior(z)
+        r = abs(z)
+        one_minus_r2 = 1.0 - r * r
+
+        def kernel_range(lo, hi):
+            d2min, d2max = _cell_distances2(z, lo, hi)
+            return one_minus_r2 / d2max, one_minus_r2 / d2min
+
+        def osc(lo, hi):
+            kmin, kmax = kernel_range(lo, hi)
+            return kmax - kmin
+
+        lo, hi, masses = self._cells(tol, osc)
+        kmin, kmax = kernel_range(lo, hi)
         return (float(np.sum(kmin * masses)), float(np.sum(kmax * masses)))
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)
-        cells = self._adaptive_cells(z, tol, _herglotz_osc_bound)
-        val = 0j
-        for lo, hi, m in cells:
-            val += m * _herglotz_kernel(z, 0.5 * (lo + hi))
-        return val
+
+        def osc(lo, hi):
+            # |d/dt (z+e^{it})/(z-e^{it})| = 2|z| / |z - e^{it}|^2
+            return (hi - lo) * 2.0 * abs(z) / _cell_distances2(z, lo, hi)[0]
+
+        lo, hi, masses = self._cells(tol, osc)
+        xi = np.exp(1j * (0.5 * (lo + hi)))
+        return complex(np.sum(masses * (z + xi) / (z - xi)))
 
 
 class CantorSupport(BoundarySupport):

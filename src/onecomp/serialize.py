@@ -135,8 +135,12 @@ def inner_from_json(doc: dict, base_dir: str = ".") -> InnerFunction:
             text = spec
         else:
             path = os.path.join(base_dir, spec)
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise DomainError("zeros_csv %s: %s"
+                                  % (path, exc.strerror or exc)) from exc
         zeros = load_zeros_csv(text)
         tail = _num(doc.get("zeros_tail_blaschke_sum", "0"), "zeros tail")
         acc = [_num(a, "zero accumulation angle")

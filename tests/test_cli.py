@@ -151,6 +151,24 @@ class TestErrorHandling:
                                 "--depth", "6"], capsys)
         assert code == 2
 
+    def test_missing_zeros_csv_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps({"zeros_csv": "nope.csv"}))
+        code, _, err = run_cli(["eval", "--inner", str(path), "--at", "0.9,0"],
+                               capsys)
+        assert code == 2
+        assert "nope.csv" in err and "Traceback" not in err
+
+    def test_uncertifiable_zero_tail_exit_code(self, capsys, tmp_path):
+        (tmp_path / "z.csv").write_text("re,im\n0.5,0\n")
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps({"zeros_csv": "z.csv",
+                                    "zeros_tail_blaschke_sum": "0.3"}))
+        code, _, err = run_cli(["eval", "--inner", str(path), "--at", "0.9,0"],
+                               capsys)
+        assert code == 3
+        assert err.count("\n") == 1 and "tail" in err
+
 
 class TestRoundTrip:
     def test_zeros_csv_reload_identity(self, seeds, capsys, tmp_path):

@@ -4,6 +4,8 @@ import cmath
 import numpy as np
 import pytest
 
+from onecomp.classify import _scan_points
+from onecomp.companion import construct_companion
 from onecomp.errors import (BlaschkeConditionError, DomainError,
                             HorizonExceeded, TailBoundInsufficient)
 from onecomp.families import (finite_blaschke, radial_geometric_zeros,
@@ -167,6 +169,24 @@ class TestMu:
     def test_total(self):
         theta = finite_blaschke([0.9, 0.5])
         assert theta.mu().total() == pytest.approx(0.6)
+
+    def test_window_matches_member_loop(self):
+        # reference: the per-zero loop, fsum of the weights of member zeros
+        companion = construct_companion(single_atom(), horizon=200, depth=6)
+        geometric = radial_geometric_zeros()
+        geometric.materialize_count(50)
+        squares = [carleson_square(0.0)] + [carleson_square(z)
+                                            for level in range(2, 11)
+                                            for z in _scan_points(level)]
+        for zeros in (companion.zeros.zeros, geometric.zeros, []):
+            mu = finite_blaschke(zeros).mu()
+            positive = 0
+            for square in squares:
+                expected = math.fsum(wt for z, wt in mu.zero_atoms
+                                     if square.member(z))
+                assert mu.of_square_bounds(square) == (expected, expected)
+                positive += expected > 0.0
+            assert (positive > 0) == bool(zeros)
 
 
 class TestDiagnostics:

@@ -167,6 +167,25 @@ class TestHerglotz:
                 p = sigma.poisson_integral(z, tol)
                 assert abs(h.real + p) <= 2.0 * tol
 
+    def test_cantor_matches_generation16_midpoint_rule(self):
+        # The measure restricted to a generation interval is symmetric about
+        # its midpoint, so the midpoint rule over the 2^16 generation-16
+        # intervals is second order: its error is far below tol here.
+        lefts = np.zeros(1)
+        for k in range(1, 17):
+            lefts = np.concatenate([lefts, lefts + 2.0 * 3.0 ** -k])
+        xi = np.exp(1j * TWO_PI * (lefts + 0.5 * 3.0 ** -16))
+        sigma = cantor()
+        tol = 1e-4
+        points = [(1.0 - 2.0 ** -9) * cmath.exp(1j * TWO_PI * turn)
+                  for turn in (0.25, 0.1)] + [0.0, 0.5 + 0.3j, -0.7j,
+                                                0.9 * cmath.exp(1j)]
+        for z in points:
+            expected = complex(np.sum((z + xi) / (z - xi))) * 2.0 ** -16
+            h = sigma.herglotz_integral(z, tol)
+            assert abs(h.real - expected.real) <= 2.0 * tol
+            assert abs(h.imag - expected.imag) <= 2.0 * tol
+
 
 class TestDensity:
     def test_atom_dominates(self):
