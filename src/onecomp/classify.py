@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisViolated
 from .geometry import TWO_PI, SawtoothRegion, StolzAngle, carleson_square
-from .inner import InnerFunction, ZeroSequence
+from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
 from .measures import AtomicMeasure, SingularMeasure
 
 ONE_COMPONENT = "OneComponentEvidence"
@@ -229,7 +229,7 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
 
     # consume the generator until the tail cannot move any grid value by tol
     smallest = depth_grid[-1]
-    while _radial_tail_bound(zeros.tail_blaschke_sum, smallest) > 0.5 * tol \
+    while _tail_neg_log_bound(zeros.tail_blaschke_sum, smallest) > 0.5 * tol \
             and not zeros.exhausted:
         zeros.materialize_count(len(zeros) + 16)
 
@@ -237,7 +237,7 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
     sups: list[tuple[float, float]] = []
     for s in depth_grid:
         val = _log_abs_blaschke_radial(zeros, vertex_angle, s, tol)
-        tail_term = _radial_tail_bound(zeros.tail_blaschke_sum, s)
+        tail_term = _tail_neg_log_bound(zeros.tail_blaschke_sum, s)
         upper = math.exp(min(0.0, val))
         lower = math.exp(val - tail_term) if tail_term < math.inf else 0.0
         if lower > 1.0 - tol:
@@ -279,13 +279,6 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
                 "tol": tol, "grid_depths": [depth_grid[0], depth_grid[-1]],
                 "grid_size": len(depth_grid)},
         notes=notes)
-
-
-def _radial_tail_bound(tail: float, s: float) -> float:
-    if tail == 0.0:
-        return 0.0
-    u = 4.0 * tail * 2.0 / s
-    return u / (1.0 - u) if u < 0.5 else math.inf
 
 
 def sawtooth_test(theta: InnerFunction,

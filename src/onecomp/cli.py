@@ -25,7 +25,7 @@ from .families import SEEDED_FAMILY_BUILDERS
 from .geometry import BoundaryArc
 from .inner import dump_zeros_csv
 from .levelset import level_set_components
-from .serialize import dumps, inner_from_json, inner_to_json, measure_from_json
+from .serialize import _num, dumps, inner_from_json, inner_to_json, measure_from_json
 
 _INPUT_ERRORS = (DomainError, HypothesisViolated, BlaschkeConditionError,
                  HorizonExceeded, RadiusSearchExhausted, CurveExhausted)
@@ -63,7 +63,7 @@ def _parse_point(spec: str) -> complex:
     parts = spec.split(",")
     if len(parts) != 2:
         raise DomainError("point must be 're,im', got %r" % (spec,))
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(_num(parts[0], "point re"), _num(parts[1], "point im"))
 
 
 def cmd_eval(args) -> int:
@@ -151,7 +151,7 @@ def cmd_measure(args) -> int:
         parts = args.arc.split(",")
         if len(parts) != 2:
             raise DomainError("--arc must be 'center,half_width'")
-        arc = BoundaryArc(float(parts[0]), float(parts[1]))
+        arc = BoundaryArc(_num(parts[0], "arc center"), _num(parts[1], "arc half_width"))
         doc["arc_mass"] = sigma.mass_of_arc(arc, closed_ends=True, tol=args.tol)
     if args.at:
         z = _parse_point(args.at)

@@ -20,6 +20,7 @@ B * Theta, and the spot check that every scanned point with certified
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -80,13 +81,7 @@ class GammaComponent:
 
     def point(self, s: float) -> complex:
         s = min(max(s, 0.0), self.length)
-        lo, hi = 0, len(self.pieces)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.offsets[mid] <= s:
-                lo = mid
-            else:
-                hi = mid
+        lo = bisect.bisect_right(self.offsets, s, 0, len(self.pieces)) - 1
         return self.pieces[lo].point(s - self.offsets[lo])
 
     def min_modulus_param(self) -> float:
@@ -179,13 +174,9 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc],
                 "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
                 "arc at angle %g; singular set under-described?"
                 % (GRID_MAX_K, eps, arc.center_angle))
-        lo, hi = failing + 1, passing
-        while hi > lo:
-            mid = (lo + hi) // 2
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid + 1
+        # smallest passing k in (failing, passing]
+        hi = failing + 1 + bisect.bisect_left(range(failing + 1, passing), True,
+                                              key=passes)
         radii.append(1.0 - 2.0 ** -hi)
         epsilons.append(eps)
     return WhitneyChain(list(arcs), radii, epsilons)

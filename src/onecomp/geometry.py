@@ -42,11 +42,6 @@ def angular_gap(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
-def chord(angular: float) -> float:
-    """Chord length subtended by an angular gap in [0, pi]."""
-    return 2.0 * math.sin(0.5 * min(angular, math.pi))
-
-
 def pseudo_distance(z: complex, w: complex) -> float:
     """Pseudohyperbolic distance rho(z, w) = |z - w| / |1 - conj(z) w|.
 

@@ -9,9 +9,11 @@ part.  The tail bound uses
     1 - rho(z, w)^2 = (1-|z|^2)(1-|w|^2) / |1 - conj(w) z|^2
                     <= 4 (1-|w|) (1+|z|) / (1-|z|),
 
-so a declared tail Blaschke sum T gives -sum_tail log rho <= u/(1-u) with
-u = 4 T (1+|z|)/(1-|z|); the zero generator is consumed until this is below
-half the requested tolerance.
+so at depth s = 1 - |z| a declared tail Blaschke sum T gives
+-sum_tail log rho <= u/(1-u) with u = 4 T (2 - s)/s (for u < 1/2; otherwise
+no bound is claimed).  The zero generator is consumed until this is below
+half the requested tolerance.  The radial-limit test in ``classify`` uses
+the same bound at each depth of its grid.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class ZeroSequence:
         self._zeros: list[complex] = []
         for z in zeros:
             z = complex(z)
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:
                 raise DomainError("zeros must lie in the open disc")
             self._zeros.append(z)
         if tail_blaschke_sum < 0.0:
@@ -93,7 +95,7 @@ class ZeroSequence:
             self._gen = None
             return False
         z = complex(z)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError("generated zero leaves the open disc")
         if tail_after < 0.0:
             raise BlaschkeConditionError("tail bound went negative")
@@ -181,10 +183,12 @@ def blaschke_factor(w: complex, z: complex) -> complex:
     return (abs(w) / w) * (w - z) / (1.0 - w.conjugate() * z)
 
 
-def _tail_neg_log_bound(tail: float, z_abs: float) -> float:
+def _tail_neg_log_bound(tail: float, depth: float) -> float:
+    """Upper bound for -sum_tail log rho(z, w) at 1 - |z| = depth, given
+    sum_tail (1 - |w|) <= tail; inf when the bound is not informative."""
     if tail == 0.0:
         return 0.0
-    u = 4.0 * tail * (1.0 + z_abs) / (1.0 - z_abs)
+    u = 4.0 * tail * (2.0 - depth) / depth
     if u >= 0.5:
         return math.inf
     return u / (1.0 - u)
@@ -201,7 +205,7 @@ class BlaschkeProduct:
     def _ensure_tail(self, z_abs: float, budget: float) -> float:
         zs = self.zeros
         while True:
-            bound = _tail_neg_log_bound(zs.tail_blaschke_sum, z_abs)
+            bound = _tail_neg_log_bound(zs.tail_blaschke_sum, 1.0 - z_abs)
             if bound <= budget:
                 return bound
             if zs.exhausted:
@@ -223,7 +227,7 @@ class BlaschkeProduct:
 
     def log_modulus(self, z: complex, tol: float = 1e-9) -> Interval:
         z = complex(z)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError("log_modulus requires |z| < 1")
         tail_bound = self._ensure_tail(abs(z), 0.5 * tol)
         s = self._log_sum(z)
@@ -239,7 +243,7 @@ class BlaschkeProduct:
         so (0, exp(sum)) is certified without consuming the generator.
         """
         z = complex(z)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError("modulus bounds require |z| < 1")
         listed = len(self.zeros)
         s = self._log_sum(z)
@@ -261,7 +265,7 @@ class BlaschkeProduct:
         extends analytically.
         """
         z = complex(z)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             if not (self.zeros.exhausted and self.zeros.tail_blaschke_sum == 0.0
                     and abs(z) <= 1.0 + 1e-12):
                 raise DomainError("boundary evaluation needs a finite product")

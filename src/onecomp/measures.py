@@ -23,6 +23,7 @@ kernel is bounded through its derivative at the closest point.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import threading
@@ -41,28 +42,6 @@ _TWO_PI_FRAC = Fraction(TWO_PI)  # the double nearest 2*pi, as an exact rational
 def poisson_kernel(z: complex, theta: float) -> float:
     """(1 - |z|^2) / |z - e^{i theta}|^2."""
     return (1.0 - abs(z) ** 2) / abs(z - cmath.exp(1j * theta)) ** 2
-
-
-def _kernel_from_gap(r: float, gap: float) -> float:
-    # |z - e^{i t}|^2 = (1-r)^2 + 4 r sin^2(gap/2) for gap = |arg z - t|
-    d2 = (1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * min(gap, math.pi)) ** 2
-    return (1.0 - r * r) / d2
-
-
-def _kernel_range_on_arc(z: complex, lo: float, hi: float) -> tuple[float, float]:
-    """Exact (min, max) of the Poisson kernel over the boundary arc [lo, hi].
-
-    The kernel is monotone in the angular gap from arg z, whose extremes
-    over the arc are max(0, d - half) and min(pi, d + half) with d the gap
-    to the arc center (the latter covers arcs containing the antipode).
-    """
-    r = abs(z)
-    phase = cmath.phase(z) if r > 0.0 else 0.0
-    half = 0.5 * (hi - lo)
-    d = angular_gap(phase, 0.5 * (lo + hi))
-    gap_min = max(0.0, d - half)
-    gap_max = min(math.pi, d + half)
-    return (_kernel_from_gap(r, gap_max), _kernel_from_gap(r, gap_min))
 
 
 def _herglotz_kernel(z: complex, theta: float) -> complex:
@@ -86,7 +65,7 @@ def _cell_distances2(z: complex, lo: np.ndarray, hi: np.ndarray
 
 def _check_interior(z: complex) -> complex:
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("integral requires |z| < 1, got |z| = %r" % (abs(z),))
     return z
 
@@ -480,69 +459,16 @@ class CantorSupport(BoundarySupport):
     def is_empty(self) -> bool:
         return False
 
-    def angular_distance_to_arc(self, arc: BoundaryArc) -> tuple[float, float]:
-        lo_best, hi_best = math.inf, math.inf
-        for wlo, whi in _arc_windows(arc):
-            dlo, dhi = self._window_distance(wlo / TWO_PI, whi / TWO_PI)
-            lo_best = min(lo_best, dlo)
-            hi_best = min(hi_best, dhi)
-            if hi_best == 0.0:
-                return (0.0, 0.0)
-        return (lo_best * TWO_PI, hi_best * TWO_PI)
+    def _descend(self, dist, tol: float) -> tuple[float, float]:
+        """Distance bracket from a query to E by generation descent.
 
-    def _window_distance(self, u: float, v: float) -> tuple[float, float]:
-        """Distance bracket from [u, v] (turns) to E, circular metric in turns.
-
-        The descent tracks candidate intervals in double precision; the
-        released bracket therefore carries ~1e-15 turn uncertainty, which
-        the callers' thresholds dominate by many orders of magnitude.
+        ``dist(a, b)`` is the query's distance to the interval [a, b] of
+        turns, and dist(e, e) its distance to the point e.  The nearest
+        generation endpoint seen (a point of E) bounds from above, the
+        nearest surviving interval from below; the descent stops once they
+        are within ``tol``.
         """
-
-        def gap(iv_lo, iv_hi):
-            # circular distance between [u,v] and [iv_lo, iv_hi] in turns
-            if iv_hi >= u and iv_lo <= v:
-                return 0.0
-            d = iv_lo - v if iv_lo > v else u - iv_hi
-            return min(d, max(0.0, 1.0 - (v - u) - (iv_hi - iv_lo) - d))
-
         m = self.measure
-        candidates = [(0.0, 1.0)]
-        best_endpoint = math.inf   # distance to a known point of E
-        lower = 0.0
-        for n in range(1, m.max_generation + 1):
-            q = float(m._ratio_floats[n - 1])
-            nxt = []
-            lower = math.inf
-            for a, b in candidates:
-                clen = (b - a) * q * 0.5
-                for ca, cb in ((a, a + clen), (b - clen, b)):
-                    if ca >= u and cb <= v:
-                        return (0.0, 0.0)      # whole interval (so E points) inside
-                    for e in (ca, cb):
-                        best_endpoint = min(best_endpoint, gap(e, e))
-                    d = gap(ca, cb)
-                    if d <= best_endpoint:
-                        nxt.append((ca, cb))
-                        lower = min(lower, d)
-            candidates = nxt
-            if not candidates:
-                return (best_endpoint, best_endpoint)
-            if best_endpoint - lower <= 1e-15:
-                return (lower, best_endpoint)
-        return (lower, best_endpoint)
-
-    def chord_distance_to_point(self, p: complex, tol: float = 1e-12) -> tuple[float, float]:
-        m = self.measure
-        r = abs(p)
-        phase_turns = angle_mod(cmath.phase(p)) / TWO_PI if r > 0.0 else 0.0
-
-        def chord_to_interval(lo_t: float, hi_t: float) -> float:
-            # Euclidean distance from p to the arc spanning [lo_t, hi_t] turns
-            d = abs((phase_turns - 0.5 * (lo_t + hi_t) + 0.5) % 1.0 - 0.5)
-            gap_turns = max(0.0, d - 0.5 * (hi_t - lo_t))
-            gap = gap_turns * TWO_PI
-            return math.sqrt(max(0.0, r * r + 1.0 - 2.0 * r * math.cos(min(gap, math.pi))))
-
         candidates = [(0.0, 1.0)]
         best_endpoint = math.inf
         lower = 0.0
@@ -553,9 +479,8 @@ class CantorSupport(BoundarySupport):
             for a, b in candidates:
                 clen = (b - a) * q * 0.5
                 for ca, cb in ((a, a + clen), (b - clen, b)):
-                    d = chord_to_interval(ca, cb)
-                    for e in (ca, cb):
-                        best_endpoint = min(best_endpoint, chord_to_interval(e, e))
+                    best_endpoint = min(best_endpoint, dist(ca, ca), dist(cb, cb))
+                    d = dist(ca, cb)
                     if d <= best_endpoint:
                         nxt.append((ca, cb))
                         lower = min(lower, d)
@@ -565,6 +490,39 @@ class CantorSupport(BoundarySupport):
             if best_endpoint - lower <= tol:
                 return (lower, best_endpoint)
         return (lower, best_endpoint)
+
+    def angular_distance_to_arc(self, arc: BoundaryArc) -> tuple[float, float]:
+        lo_best, hi_best = math.inf, math.inf
+        for wlo, whi in _arc_windows(arc):
+            u, v = wlo / TWO_PI, whi / TWO_PI
+
+            def gap(iv_lo, iv_hi):
+                # circular distance between [u, v] and [iv_lo, iv_hi] in turns
+                if iv_hi >= u and iv_lo <= v:
+                    return 0.0
+                d = iv_lo - v if iv_lo > v else u - iv_hi
+                return min(d, max(0.0, 1.0 - (v - u) - (iv_hi - iv_lo) - d))
+
+            # intervals are tracked in double precision: ~1e-15 turn of slack
+            dlo, dhi = self._descend(gap, 1e-15)
+            lo_best = min(lo_best, dlo)
+            hi_best = min(hi_best, dhi)
+            if hi_best == 0.0:
+                return (0.0, 0.0)
+        return (lo_best * TWO_PI, hi_best * TWO_PI)
+
+    def chord_distance_to_point(self, p: complex, tol: float = 1e-12) -> tuple[float, float]:
+        r = abs(p)
+        phase_turns = angle_mod(cmath.phase(p)) / TWO_PI if r > 0.0 else 0.0
+
+        def chord_to_interval(lo_t: float, hi_t: float) -> float:
+            # Euclidean distance from p to the arc spanning [lo_t, hi_t] turns
+            d = abs((phase_turns - 0.5 * (lo_t + hi_t) + 0.5) % 1.0 - 0.5)
+            gap_turns = max(0.0, d - 0.5 * (hi_t - lo_t))
+            gap = gap_turns * TWO_PI
+            return math.sqrt(max(0.0, r * r + 1.0 - 2.0 * r * math.cos(min(gap, math.pi))))
+
+        return self._descend(chord_to_interval, tol)
 
     def cover_arcs(self, scale: float) -> list[BoundaryArc]:
         m = self.measure
@@ -595,6 +553,7 @@ class CdfMeasure(SingularMeasure):
         if pts[0][0] < 0.0 or pts[-1][0] > TWO_PI + 1e-12:
             raise DomainError("CDF samples must lie in [0, 2*pi]")
         self._pts = pts
+        self._ts = [t for t, _ in pts]
 
     def cdf(self, t: float) -> float:
         pts = self._pts
@@ -602,14 +561,8 @@ class CdfMeasure(SingularMeasure):
             return pts[0][1]
         if t >= pts[-1][0]:
             return pts[-1][1]
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        (t0, v0), (t1, v1) = pts[lo], pts[hi]
+        hi = bisect.bisect_right(self._ts, t)
+        (t0, v0), (t1, v1) = pts[hi - 1], pts[hi]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def total_mass(self) -> float:

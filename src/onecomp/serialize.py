@@ -7,6 +7,7 @@ digits, so repeated runs of the same job byte-match.  Angles are radians.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from typing import Any
@@ -44,9 +45,21 @@ def dumps(obj: Any) -> str:
 
 def _num(value, what: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError("%s: expected a decimal string, got %r" % (what, value)) from exc
+    if not math.isfinite(x):
+        raise DomainError("%s: expected a finite number, got %r" % (what, value))
+    return x
+
+
+def _num_field(doc, key: str, what: str) -> float:
+    """The finite number doc[key]; ``what`` names doc in messages."""
+    if not isinstance(doc, dict):
+        raise DomainError("%s: expected an object, got %r" % (what, doc))
+    if key not in doc:
+        raise DomainError("%s: missing field %r" % (what, key))
+    return _num(doc[key], "%s.%s" % (what, key))
 
 
 def measure_from_json(doc: dict) -> SingularMeasure:
@@ -63,11 +76,12 @@ def measure_from_json(doc: dict) -> SingularMeasure:
         raise DomainError("unknown measure fields: %s" % (sorted(extra),))
 
     if kind == "atoms":
-        atoms = [( _num(a["theta"], "atom theta"), _num(a["mass"], "atom mass"))
-                 for a in doc.get("atoms", [])]
-        hull = [BoundaryArc(_num(h["center"], "hull center"),
-                            _num(h["half_width"], "hull half_width"))
-                for h in doc.get("tail_hull", [])]
+        atoms = [(_num_field(a, "theta", "measure.atoms[%d]" % i),
+                  _num_field(a, "mass", "measure.atoms[%d]" % i))
+                 for i, a in enumerate(doc.get("atoms", []))]
+        hull = [BoundaryArc(_num_field(h, "center", "measure.tail_hull[%d]" % i),
+                            _num_field(h, "half_width", "measure.tail_hull[%d]" % i))
+                for i, h in enumerate(doc.get("tail_hull", []))]
         return AtomicMeasure(atoms,
                              tail_mass=_num(doc.get("tail_mass", "0"), "tail_mass"),
                              tail_hull=hull,
@@ -80,8 +94,12 @@ def measure_from_json(doc: dict) -> SingularMeasure:
         if isinstance(delta, dict):
             if set(delta) != {"ratio"}:
                 raise DomainError("cantor delta object supports only 'ratio'")
-            return CantorMeasure.from_removed_fraction(
-                Fraction(str(delta["ratio"])))
+            try:
+                removed = Fraction(str(delta["ratio"]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError("measure.delta.ratio: expected a fraction, got %r"
+                                  % (delta["ratio"],)) from exc
+            return CantorMeasure.from_removed_fraction(removed)
         if isinstance(delta, list):
             return CantorMeasure.from_delta_radians(
                 [_num(d, "delta entry") for d in delta])
@@ -126,8 +144,12 @@ def inner_from_json(doc: dict, base_dir: str = ".") -> InnerFunction:
         raise DomainError("unknown inner-function fields: %s" % (sorted(extra),))
     lam = 1.0 + 0.0j
     if "lambda" in doc:
-        lam = complex(_num(doc["lambda"].get("re", "1"), "lambda re"),
-                      _num(doc["lambda"].get("im", "0"), "lambda im"))
+        lam_doc = doc["lambda"]
+        if not isinstance(lam_doc, dict):
+            raise DomainError("lambda: expected an object with 're' and 'im', got %r"
+                              % (lam_doc,))
+        lam = complex(_num(lam_doc.get("re", "1"), "lambda.re"),
+                      _num(lam_doc.get("im", "0"), "lambda.im"))
     blaschke = None
     if "zeros_csv" in doc:
         spec = doc["zeros_csv"]

@@ -170,6 +170,51 @@ class TestErrorHandling:
         assert err.count("\n") == 1 and "tail" in err
 
 
+NON_FINITE_CASES = {
+    "eval-point": (["eval", "--at", "nan,0"], {"zeros_csv": "re,im\n0.5,0\n"}),
+    "measure-point": (["measure", "--at", "nan,0"],
+                      {"kind": "atoms", "atoms": [{"theta": "0", "mass": "1"}]}),
+    "atom-mass": (["classify", "--depth", "4"],
+                  {"measure": {"kind": "atoms",
+                               "atoms": [{"theta": "0", "mass": "nan"}]}}),
+    "cdf-value": (["classify", "--depth", "4"],
+                  {"measure": {"kind": "cdf",
+                               "samples": [["0", "0"], ["1", "nan"], ["2", "1"]]}}),
+    "zero": (["classify", "--depth", "4"], {"zeros_csv": "re,im\nnan,0\n"}),
+}
+
+MALFORMED_CASES = {
+    "lambda": ({"lambda": 1}, "lambda"),
+    "atom-mass": ({"measure": {"kind": "atoms", "atoms": [{"theta": "0.1"}]}},
+                  "mass"),
+    "cantor-ratio": ({"measure": {"kind": "cantor", "delta": {"ratio": "abc"}}},
+                     "ratio"),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_non_finite_input_exit_code(self, case, capsys, tmp_path):
+        args, doc = NON_FINITE_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        flag = "--measure" if args[0] == "measure" else "--inner"
+        code, out, err = run_cli(args[:1] + [flag, str(path)] + args[1:], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+    def test_malformed_document_names_the_field(self, case, capsys, tmp_path):
+        doc, field = MALFORMED_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["classify", "--inner", str(path),
+                                  "--depth", "4"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and field in err
+
+
 class TestRoundTrip:
     def test_zeros_csv_reload_identity(self, seeds, capsys, tmp_path):
         code, out, _ = run_cli(["construct", "--inner", str(seeds / "atom1.json"),

@@ -1,6 +1,7 @@
 import math
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,6 +136,53 @@ class TestCertifiedTails:
             zs.materialize_count(10)
 
 
+class TestTailBound:
+    """The certified tail bound against -sum log rho computed at 50 digits.
+
+    The bound is read through BlaschkeProduct._ensure_tail with an unlimited
+    budget: it returns the bound log_modulus subtracts at |z| = 1 - s, which
+    is _tail_neg_log_bound(T, s), the bound the radial-limit test uses.
+    """
+
+    @staticmethod
+    def _tails():
+        # finite tails written exactly: (depth exponent j, angle) pairs for
+        # zeros w = (1 - 2^-j) e^{i angle}
+        rng = np.random.default_rng(31)
+        yield [(j, 0.0) for j in range(6, 40)]
+        yield [(j, 0.0) for j in range(30, 80)]
+        yield [(j, 0.0) for j in range(50, 90, 3)]
+        yield [(j, float(rng.normal(0.0, 2.0 ** -k)))
+               for j, k in zip(range(20, 60), rng.integers(0, 30, 40))]
+        yield [(j, TWO_PI * float(rng.random())) for j in range(45, 70)]
+
+    def test_bound_dominates_exact_tail(self):
+        for zeros in self._tails():
+            # the exponents above span under 52 bits, so the float sum is exact
+            tail = sum(2.0 ** -j for j, _ in zeros)
+            product = BlaschkeProduct(ZeroSequence(tail_blaschke_sum=tail))
+            finite = 0
+            for k in range(1, 41):
+                s = 2.0 ** -k
+                bound = product._ensure_tail(1.0 - s, math.inf)
+                if bound == math.inf:
+                    continue
+                finite += 1
+                for phi in (0.0, 1e-9, 0.3, math.pi):
+                    assert bound >= self._exact_neg_log(zeros, s, phi), \
+                        (zeros[0], k, phi)
+            assert finite > 0
+
+    @staticmethod
+    def _exact_neg_log(zeros, s, phi):
+        """-sum log rho(z, w) at z = (1 - s) e^{i phi}, to 50 digits."""
+        with mpmath.workdps(50):
+            z = (1 - mpmath.mpf(s)) * mpmath.expj(phi)
+            ws = [(1 - mpmath.mpf(2) ** -j) * mpmath.expj(a) for j, a in zeros]
+            return -mpmath.fsum(mpmath.log(abs(w - z) / abs(1 - mpmath.conj(w) * z))
+                                for w in ws)
+
+
 class TestMu:
     def test_single_zero_mass(self):
         theta = finite_blaschke([0.9])
@@ -261,6 +309,25 @@ class TestZeroSequence:
     def test_interior_validation(self):
         with pytest.raises(DomainError):
             ZeroSequence([1.0])
+
+    def test_non_finite_points_rejected(self):
+        nan = complex(math.nan, 0.0)
+        with pytest.raises(DomainError):
+            ZeroSequence([nan])
+
+        def gen():
+            yield (nan, 0.0)
+
+        with pytest.raises(DomainError):
+            ZeroSequence(generator=gen(), tail_blaschke_sum=0.5).materialize_count(1)
+        b = BlaschkeProduct([0.5])
+        for query in (b.log_modulus, b.modulus_bounds, b.evaluate):
+            with pytest.raises(DomainError):
+                query(nan)
+        sigma = AtomicMeasure([(0.0, 1.0)])
+        for query in (sigma.poisson_bounds, sigma.herglotz_integral):
+            with pytest.raises(DomainError):
+                query(nan)
 
     def test_materialize_until_depth_requires_order(self):
         def gen():

@@ -1,12 +1,13 @@
 import math
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from onecomp.errors import DomainError, PrecisionExhausted
 from onecomp.families import example1_measure
-from onecomp.geometry import TWO_PI, BoundaryArc
+from onecomp.geometry import TWO_PI, BoundaryArc, angle_mod
 from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
                               poisson_kernel)
 
@@ -115,16 +116,19 @@ class TestPoisson:
         assert lo - 1e-12 <= fine <= hi + 1e-12
 
     def test_kernel_range_brackets_samples(self):
-        # scalar per-arc kernel range is the oracle the adaptive splitter
-        # relies on; verify against dense sampling, including arcs that
-        # contain the antipode of arg z (where the max gap saturates at pi)
-        from onecomp.measures import _kernel_range_on_arc, poisson_kernel
+        # the per-cell chord range is the oracle the adaptive splitter
+        # relies on; verify the kernel range it gives against dense
+        # sampling, including arcs that contain the antipode of arg z
+        # (where the max gap saturates at pi)
+        from onecomp.measures import _cell_distances2
         rng = np.random.default_rng(17)
         for _ in range(200):
             z = 0.95 * math.sqrt(rng.random()) * cmath.exp(1j * TWO_PI * rng.random())
             lo = TWO_PI * rng.random()
             hi = lo + (TWO_PI - 1e-9) * rng.random()
-            kmin, kmax = _kernel_range_on_arc(z, lo, hi)
+            d2min, d2max = _cell_distances2(z, np.array([lo]), np.array([hi]))
+            one_minus_r2 = 1.0 - abs(z) ** 2
+            kmin, kmax = one_minus_r2 / d2max[0], one_minus_r2 / d2min[0]
             for t in np.linspace(lo, hi, 64):
                 val = poisson_kernel(z, t)
                 assert kmin - 1e-12 * kmax <= val <= kmax * (1 + 1e-12)
@@ -247,3 +251,143 @@ class TestCantorVariants:
     def test_nonmonotone_delta_rejected(self):
         with pytest.raises(DomainError):
             CantorMeasure.from_delta_radians([4.0, 5.0])
+
+
+# Reference copies of the two generation descents that CantorSupport had
+# before they were folded into one: the angular descent with its early
+# return for a whole generation interval inside the window, and the chord
+# descent.  The shared descent must reproduce them exactly.
+
+def _reference_window_distance(measure, u, v):
+    def gap(iv_lo, iv_hi):
+        if iv_hi >= u and iv_lo <= v:
+            return 0.0
+        d = iv_lo - v if iv_lo > v else u - iv_hi
+        return min(d, max(0.0, 1.0 - (v - u) - (iv_hi - iv_lo) - d))
+
+    candidates = [(0.0, 1.0)]
+    best_endpoint = math.inf
+    lower = 0.0
+    for n in range(1, measure.max_generation + 1):
+        q = float(measure._ratio_floats[n - 1])
+        nxt = []
+        lower = math.inf
+        for a, b in candidates:
+            clen = (b - a) * q * 0.5
+            for ca, cb in ((a, a + clen), (b - clen, b)):
+                if ca >= u and cb <= v:
+                    return (0.0, 0.0)
+                for e in (ca, cb):
+                    best_endpoint = min(best_endpoint, gap(e, e))
+                d = gap(ca, cb)
+                if d <= best_endpoint:
+                    nxt.append((ca, cb))
+                    lower = min(lower, d)
+        candidates = nxt
+        if not candidates:
+            return (best_endpoint, best_endpoint)
+        if best_endpoint - lower <= 1e-15:
+            return (lower, best_endpoint)
+    return (lower, best_endpoint)
+
+
+def _reference_angular_distance(measure, arc):
+    from onecomp.measures import _arc_windows
+    lo_best, hi_best = math.inf, math.inf
+    for wlo, whi in _arc_windows(arc):
+        dlo, dhi = _reference_window_distance(measure, wlo / TWO_PI, whi / TWO_PI)
+        lo_best = min(lo_best, dlo)
+        hi_best = min(hi_best, dhi)
+        if hi_best == 0.0:
+            return (0.0, 0.0)
+    return (lo_best * TWO_PI, hi_best * TWO_PI)
+
+
+def _reference_chord_distance(measure, p, tol):
+    r = abs(p)
+    phase_turns = angle_mod(cmath.phase(p)) / TWO_PI if r > 0.0 else 0.0
+
+    def chord_to_interval(lo_t, hi_t):
+        d = abs((phase_turns - 0.5 * (lo_t + hi_t) + 0.5) % 1.0 - 0.5)
+        gap_turns = max(0.0, d - 0.5 * (hi_t - lo_t))
+        gap = gap_turns * TWO_PI
+        return math.sqrt(max(0.0, r * r + 1.0 - 2.0 * r * math.cos(min(gap, math.pi))))
+
+    candidates = [(0.0, 1.0)]
+    best_endpoint = math.inf
+    lower = 0.0
+    for n in range(1, measure.max_generation + 1):
+        q = float(measure._ratio_floats[n - 1])
+        nxt = []
+        lower = math.inf
+        for a, b in candidates:
+            clen = (b - a) * q * 0.5
+            for ca, cb in ((a, a + clen), (b - clen, b)):
+                d = chord_to_interval(ca, cb)
+                for e in (ca, cb):
+                    best_endpoint = min(best_endpoint, chord_to_interval(e, e))
+                if d <= best_endpoint:
+                    nxt.append((ca, cb))
+                    lower = min(lower, d)
+        candidates = nxt
+        if not candidates:
+            return (best_endpoint, best_endpoint)
+        if best_endpoint - lower <= tol:
+            return (lower, best_endpoint)
+    return (lower, best_endpoint)
+
+
+CANTOR_VARIANTS = {
+    "middle-thirds": CantorMeasure.middle_thirds,
+    "removed-half": lambda: CantorMeasure.from_removed_fraction(Fraction(1, 2)),
+    "delta-list": lambda: CantorMeasure.from_delta_radians([3.0, 1.2, 0.5, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANTOR_VARIANTS))
+class TestCantorDescent:
+    def test_angular_distance_matches_reference(self, name):
+        measure = CANTOR_VARIANTS[name]()
+        support = measure.support()
+        rng = np.random.default_rng(23)
+        arcs = []
+        for _ in range(400):   # half-widths log-uniform over [1e-12, pi]
+            half = math.exp(rng.uniform(math.log(1e-12), math.log(math.pi)))
+            arcs.append(BoundaryArc(TWO_PI * rng.random(), half))
+        for _ in range(100):   # arcs across the 0 / 2 pi seam
+            half = math.exp(rng.uniform(math.log(1e-6), math.log(1.0)))
+            arcs.append(BoundaryArc(half * (2.0 * rng.random() - 1.0), half))
+        for n in (1, 3, 6):    # arcs holding a whole generation interval
+            for a, b in measure.generation(n)[::max(1, 2 ** n // 4)]:
+                lo, hi = float(a) * TWO_PI, float(b) * TWO_PI
+                pad = (hi - lo) * rng.uniform(0.0, 0.2)
+                arcs.append(BoundaryArc.from_endpoints(lo - pad, hi + pad))
+        # arcs ending just beside a point of E that is no generation
+        # endpoint (the left-right alternating path), where the descent runs
+        # until its bracket is narrower than its tolerance
+        a, b = 0.0, 1.0
+        for n in range(40):
+            clen = (b - a) * float(measure._ratio_floats[n]) * 0.5
+            a, b = (a, a + clen) if n % 2 == 0 else (b - clen, b)
+        for _ in range(100):
+            off = math.exp(rng.uniform(math.log(1e-15), math.log(1e-6))) * TWO_PI
+            half = math.exp(rng.uniform(math.log(1e-12), math.log(1e-6))) * off
+            half = max(half, 1e-12)
+            arcs.append(BoundaryArc(a * TWO_PI + off + half, half))
+            arcs.append(BoundaryArc(a * TWO_PI - off - half, half))
+        arcs.append(BoundaryArc(1.0, math.pi))
+        for arc in arcs:
+            assert support.angular_distance_to_arc(arc) == \
+                _reference_angular_distance(measure, arc), arc
+
+    def test_chord_distance_matches_reference(self, name):
+        measure = CANTOR_VARIANTS[name]()
+        support = measure.support()
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            depth = math.exp(rng.uniform(math.log(1e-14), 0.0))
+            phi = TWO_PI * rng.random()
+            for p in ((1.0 - depth) * cmath.exp(1j * phi), cmath.exp(1j * phi)):
+                for tol in (1e-12, 1e-13 * depth):
+                    assert support.chord_distance_to_point(p, tol) == \
+                        _reference_chord_distance(measure, p, tol), (p, tol)
