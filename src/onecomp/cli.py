@@ -67,11 +67,12 @@ def _parse_point(spec: str) -> complex:
 
 
 def cmd_eval(args) -> int:
+    tol = _num(args.tol, "--tol")
     theta = _load_inner(args.inner)
     z = _parse_point(args.at)
-    value = theta.evaluate(z, args.tol)
-    lm = theta.log_modulus(z, args.tol)
-    mb = theta.modulus_bounds(z, args.tol)
+    value = theta.evaluate(z, tol)
+    lm = theta.log_modulus(z, tol)
+    mb = theta.modulus_bounds(z, tol)
     doc = {"value": value,
            "log_modulus": {"lo": lm.lo, "hi": lm.hi},
            "modulus": {"lo": mb.lo, "hi": mb.hi},
@@ -84,8 +85,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    tol = _num(args.tol, "--tol")
     theta = _load_inner(args.inner)
-    budget = ScanBudget(depth=args.depth, tol=args.tol)
+    budget = ScanBudget(depth=args.depth, tol=tol)
     report = classify(theta, budget)
     doc = report.to_json_dict()
     doc["metadata"] = _metadata(args)
@@ -145,6 +147,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    tol = _num(args.tol, "--tol")
     sigma = measure_from_json(_load_json(args.measure))
     doc = {"total_mass": sigma.total_mass(), "metadata": _metadata(args)}
     if args.arc:
@@ -152,11 +155,11 @@ def cmd_measure(args) -> int:
         if len(parts) != 2:
             raise DomainError("--arc must be 'center,half_width'")
         arc = BoundaryArc(_num(parts[0], "arc center"), _num(parts[1], "arc half_width"))
-        doc["arc_mass"] = sigma.mass_of_arc(arc, closed_ends=True, tol=args.tol)
+        doc["arc_mass"] = sigma.mass_of_arc(arc, closed_ends=True, tol=tol)
     if args.at:
         z = _parse_point(args.at)
-        doc["poisson"] = sigma.poisson_integral(z, args.tol)
-        h = sigma.herglotz_integral(z, args.tol)
+        doc["poisson"] = sigma.poisson_integral(z, tol)
+        h = sigma.herglotz_integral(z, tol)
         doc["herglotz"] = h
     text = dumps(doc)
     if args.out:
@@ -199,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an inner function at a point")
     p.add_argument("--inner", required=True)
     p.add_argument("--at", required=True, help="interior point as 're,im'")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", default="1e-9")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="run the one-component criterion scan")
     p.add_argument("--inner", required=True)
     p.add_argument("--depth", type=int, default=14)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", default="1e-3")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--arc", default=None, help="'center,half_width' in radians")
     p.add_argument("--at", default=None, help="interior point as 're,im'")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", default="1e-9")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_measure)
 

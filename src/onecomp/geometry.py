@@ -49,7 +49,7 @@ def pseudo_distance(z: complex, w: complex) -> float:
     """
     z = complex(z)
     w = complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("pseudo_distance requires interior points, got |z|=%r |w|=%r"
                           % (abs(z), abs(w)))
     return abs(z - w) / abs(1.0 - z.conjugate() * w)
@@ -179,7 +179,7 @@ def carleson_square(z: complex) -> CarlesonSquare:
     """Carleson square Q(z) of an interior point; Q(0) is the closed disc."""
     z = complex(z)
     az = abs(z)
-    if az >= 1.0:
+    if not az < 1.0:
         raise DomainError("carleson_square requires |z| < 1")
     if az == 0.0:
         return CarlesonSquare(0.0, 1.0, whole_disc=True)
@@ -393,7 +393,7 @@ class SawtoothRegion:
         az = abs(z)
         if az == 0.0:
             raise DomainError("sawtooth membership is undefined at z = 0")
-        if az >= 1.0:
+        if not az < 1.0:
             raise DomainError("sawtooth membership requires |z| < 1")
         depth = 1.0 - az
         proj = z / az

@@ -25,6 +25,8 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .geometry import TWO_PI
 from .inner import InnerFunction
@@ -89,25 +91,27 @@ class LevelSetAnalysis:
         return "\n".join(lines) + "\n"
 
     def to_pgm(self, size: int = 512) -> bytes:
-        """Polar raster PGM (P5): rows scan radius outward, columns angle."""
-        depth_maps: dict[int, dict[tuple[int, int], int]] = {}
+        """Polar raster PGM (P5): rows scan radius outward, columns angle.
+
+        A pixel takes the label of the marked cell holding its centre
+        ((i + 0.5) / size, (j + 0.5) / size), cell index int(x 2^d); where
+        cells of several depths hold it, the shallowest wins, so cells are
+        painted deepest first.
+        """
+        by_depth: dict[int, list[tuple[PolarCell, int]]] = {}
         for cell, label in self.cells:
-            depth_maps.setdefault(cell.depth, {})[(cell.k_theta, cell.j_radius)] = label
-        depths = sorted(depth_maps)
-        rows = []
-        for i in range(size):
-            r = (i + 0.5) / size
-            row = bytearray(size)
-            for j in range(size):
-                turn = (j + 0.5) / size
-                for d in depths:
-                    lab = depth_maps[d].get((int(turn * (1 << d)), int(r * (1 << d))))
-                    if lab is not None:
-                        row[j] = 40 + (lab * 37) % 215
-                        break
-            rows.append(bytes(row))
+            by_depth.setdefault(cell.depth, []).append((cell, label))
+        raster = np.zeros((size, size), dtype=np.uint8)
+        centres = (np.arange(size) + 0.5) / size
+        for d in sorted(by_depth, reverse=True):
+            index = (centres * (1 << d)).astype(np.int64)     # non-decreasing
+            cells = by_depth[d]
+            lo = np.searchsorted(index, [(c.j_radius, c.k_theta) for c, _ in cells])
+            hi = np.searchsorted(index, [(c.j_radius + 1, c.k_theta + 1) for c, _ in cells])
+            for (_, label), (i0, j0), (i1, j1) in zip(cells, lo.tolist(), hi.tolist()):
+                raster[i0:i1, j0:j1] = 40 + (label * 37) % 215
         header = ("P5\n%d %d\n255\n" % (size, size)).encode()
-        return header + b"".join(rows)
+        return header + raster.data
 
 
 def _cell_rho_bound(cell: PolarCell, center: complex) -> float:

@@ -62,6 +62,14 @@ def _num_field(doc, key: str, what: str) -> float:
     return _num(doc[key], "%s.%s" % (what, key))
 
 
+def _list_field(doc: dict, key: str, what: str) -> list:
+    """doc[key], or [] when absent; ``what`` names the field in messages."""
+    value = doc.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise DomainError("%s: expected a list, got %r" % (what, value))
+    return value
+
+
 def measure_from_json(doc: dict) -> SingularMeasure:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DomainError("measure document needs a 'kind' field")
@@ -78,15 +86,17 @@ def measure_from_json(doc: dict) -> SingularMeasure:
     if kind == "atoms":
         atoms = [(_num_field(a, "theta", "measure.atoms[%d]" % i),
                   _num_field(a, "mass", "measure.atoms[%d]" % i))
-                 for i, a in enumerate(doc.get("atoms", []))]
+                 for i, a in enumerate(_list_field(doc, "atoms", "measure.atoms"))]
         hull = [BoundaryArc(_num_field(h, "center", "measure.tail_hull[%d]" % i),
                             _num_field(h, "half_width", "measure.tail_hull[%d]" % i))
-                for i, h in enumerate(doc.get("tail_hull", []))]
+                for i, h in enumerate(_list_field(doc, "tail_hull", "measure.tail_hull"))]
         return AtomicMeasure(atoms,
                              tail_mass=_num(doc.get("tail_mass", "0"), "tail_mass"),
                              tail_hull=hull,
-                             accumulation=[_num(a, "accumulation angle")
-                                           for a in doc.get("accumulation", [])])
+                             accumulation=[
+                                 _num(a, "accumulation angle")
+                                 for a in _list_field(doc, "accumulation",
+                                                      "measure.accumulation")])
     if kind == "cantor":
         delta = doc.get("delta", "middle-thirds")
         if delta == "middle-thirds":
@@ -104,8 +114,13 @@ def measure_from_json(doc: dict) -> SingularMeasure:
             return CantorMeasure.from_delta_radians(
                 [_num(d, "delta entry") for d in delta])
         raise DomainError("unsupported cantor delta description %r" % (delta,))
-    samples = [( _num(t, "cdf abscissa"), _num(v, "cdf value"))
-               for t, v in doc.get("samples", [])]
+    samples = []
+    for i, pair in enumerate(_list_field(doc, "samples", "measure.samples")):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise DomainError("measure.samples[%d]: expected a pair [t, value], got %r"
+                              % (i, pair))
+        samples.append((_num(pair[0], "measure.samples[%d][0]" % i),
+                        _num(pair[1], "measure.samples[%d][1]" % i)))
     return CdfMeasure(samples)
 
 
@@ -153,6 +168,9 @@ def inner_from_json(doc: dict, base_dir: str = ".") -> InnerFunction:
     blaschke = None
     if "zeros_csv" in doc:
         spec = doc["zeros_csv"]
+        if not isinstance(spec, str):
+            raise DomainError("zeros_csv: expected CSV text or a file name, got %r"
+                              % (spec,))
         if "\n" in spec:
             text = spec
         else:
@@ -166,7 +184,8 @@ def inner_from_json(doc: dict, base_dir: str = ".") -> InnerFunction:
         zeros = load_zeros_csv(text)
         tail = _num(doc.get("zeros_tail_blaschke_sum", "0"), "zeros tail")
         acc = [_num(a, "zero accumulation angle")
-               for a in doc.get("zero_accumulation_angles", [])]
+               for a in _list_field(doc, "zero_accumulation_angles",
+                                    "zero_accumulation_angles")]
         blaschke = BlaschkeProduct(ZeroSequence(zeros, tail_blaschke_sum=tail,
                                                 accumulation_angles=acc))
     singular = None

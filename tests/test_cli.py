@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -93,6 +94,32 @@ class TestLevelsetCommand:
         assert csv_text.startswith("depth,index,label\n")
         assert (tmp_path / "levelset.pgm").read_bytes().startswith(b"P5\n")
 
+    # sha256 of levelset.csv and levelset.pgm for --depth 7 --epsilon 0.5,
+    # recorded with the per-pixel raster loop that to_pgm replaced
+    GOLDEN = {
+        "re,im\n0.5,0\n": (
+            "2ed55d524a92c9a7c19ff667a4b333e954175402281b5951aa48eaa37c1ae99f",
+            "5f107b66bfa30adb561440911e029190464637bcf609ef1e91c81cd1f5844727"),
+        "re,im\n0.5,0\n0,0.5\n": (
+            "81afa6bb8f4609de0d55adcad8007f03269e588fd770c81414383b15ed38b6d6",
+            "5cd08fa4f078bdf438884b3ab9a500e5c7413fdba977f406b7a95ce6b482717d"),
+        "re,im\n0.5,0\n0,0.5\n-0.5,0\n": (
+            "5b340bca124ecb4700e944173390228af30f0368d6a12611ce5e281959c9c316",
+            "1b53c93a883141fac2b0d7f08d50f9f0af4ac9600735711b8e49155e90daa23f"),
+    }
+
+    @pytest.mark.parametrize("zeros_csv", sorted(GOLDEN))
+    def test_golden_outputs(self, zeros_csv, capsys, tmp_path):
+        inner = tmp_path / "inner.json"
+        inner.write_text(json.dumps({"zeros_csv": zeros_csv}))
+        code, _, _ = run_cli(["levelset", "--inner", str(inner), "--depth", "7",
+                              "--epsilon", "0.5", "--pgm", "--out", str(tmp_path)],
+                             capsys)
+        assert code == 0
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("levelset.csv", "levelset.pgm"))
+        assert digests == self.GOLDEN[zeros_csv]
+
 
 class TestMeasureCommand:
     def test_mass_and_poisson(self, seeds, capsys):
@@ -185,6 +212,13 @@ NON_FINITE_CASES = {
 
 MALFORMED_CASES = {
     "lambda": ({"lambda": 1}, "lambda"),
+    "cdf-sample": ({"measure": {"kind": "cdf", "samples": [["0"], ["1", "1"]]}},
+                   "measure.samples[0]"),
+    "zeros-csv": ({"zeros_csv": 5}, "zeros_csv"),
+    "atoms-list": ({"measure": {"kind": "atoms", "atoms": 5}}, "measure.atoms"),
+    "samples-list": ({"measure": {"kind": "cdf", "samples": 5}}, "measure.samples"),
+    "zero-angles-list": ({"zeros_csv": "re,im\n0.5,0\n",
+                          "zero_accumulation_angles": 5}, "zero_accumulation_angles"),
     "atom-mass": ({"measure": {"kind": "atoms", "atoms": [{"theta": "0.1"}]}},
                   "mass"),
     "cantor-ratio": ({"measure": {"kind": "cantor", "delta": {"ratio": "abc"}}},
@@ -203,6 +237,25 @@ class TestInputValidation:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--at", "0.5,0"], ["classify", "--depth", "4"],
+        ["measure", "--at", "0.5,0"]], ids=["eval", "classify", "measure"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_code(self, command, tol, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        if command[0] == "measure":
+            path.write_text(json.dumps({"kind": "atoms",
+                                        "atoms": [{"theta": "0", "mass": "1"}]}))
+            flag = "--measure"
+        else:
+            path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+            flag = "--inner"
+        code, out, err = run_cli(command[:1] + [flag, str(path)] + command[1:]
+                                 + ["--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--tol" in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
     def test_malformed_document_names_the_field(self, case, capsys, tmp_path):

@@ -34,6 +34,12 @@ class TestPseudoDistance:
         with pytest.raises(DomainError):
             pseudo_distance(1.0, 0.5)
 
+    @pytest.mark.parametrize("z, w", [(complex(math.nan, 0.0), 0.5),
+                                      (0.5, complex(0.0, math.nan))])
+    def test_domain_error_on_nan(self, z, w):
+        with pytest.raises(DomainError):
+            pseudo_distance(z, w)
+
     def test_metric_axioms_and_mobius_invariance(self):
         rng = np.random.default_rng(7)
         zs = random_disc_points(rng, 200)
@@ -86,6 +92,10 @@ class TestCarlesonSquare:
     def test_boundary_point_membership(self):
         q = carleson_square(0.9)
         assert q.member(cmath.exp(0.01j))
+
+    def test_domain_error_on_nan(self):
+        with pytest.raises(DomainError):
+            carleson_square(complex(math.nan, 0.0))
 
 
 class TestWhitneyBox:
@@ -169,6 +179,10 @@ class TestSawtooth:
         region = SawtoothRegion(PointSupport.of([0.0]))
         # dist(e^{0.1i}, 1) = 2 sin(0.05) ~ 0.0999 > (1 - 0.99) / 2
         assert not region.contains(0.99 * cmath.exp(0.1j))
+
+    def test_domain_error_on_nan(self):
+        with pytest.raises(DomainError):
+            SawtoothRegion(PointSupport.of([0.0])).contains(complex(math.nan, 0.0))
 
     def test_two_point_support_imaginary_axis(self):
         region = SawtoothRegion(PointSupport.of([0.0, math.pi]))

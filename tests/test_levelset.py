@@ -6,7 +6,7 @@ import pytest
 from onecomp import families
 from onecomp.errors import DomainError
 from onecomp.inner import InnerFunction, SingularInner
-from onecomp.levelset import level_set_components
+from onecomp.levelset import LevelSetAnalysis, PolarCell, level_set_components
 from onecomp.measures import AtomicMeasure
 
 
@@ -126,3 +126,58 @@ class TestLevelSets:
         data = analysis.to_pgm(size=64)
         assert data.startswith(b"P5\n64 64\n255\n")
         assert len(data) == len(b"P5\n64 64\n255\n") + 64 * 64
+
+
+def first_match_pgm(analysis, size):
+    """The per-pixel raster loop that ``to_pgm`` replaced, kept as reference."""
+    depth_maps = {}
+    for cell, label in analysis.cells:
+        depth_maps.setdefault(cell.depth, {})[(cell.k_theta, cell.j_radius)] = label
+    depths = sorted(depth_maps)
+    rows = []
+    for i in range(size):
+        r = (i + 0.5) / size
+        row = bytearray(size)
+        for j in range(size):
+            turn = (j + 0.5) / size
+            for d in depths:
+                lab = depth_maps[d].get((int(turn * (1 << d)), int(r * (1 << d))))
+                if lab is not None:
+                    row[j] = 40 + (lab * 37) % 215
+                    break
+        rows.append(bytes(row))
+    header = ("P5\n%d %d\n255\n" % (size, size)).encode()
+    return header + b"".join(rows)
+
+
+def hand_built(cells):
+    return LevelSetAnalysis(epsilon=0.5, depth=7, component_count=len(cells),
+                            previous_depth_count=None, cells=cells)
+
+
+class TestPgmRaster:
+    @pytest.fixture(scope="class")
+    def acceptance_analyses(self):
+        return [level_set_components(families.finite_blaschke(zeros), eps, depth=7)
+                for zeros in ([0.5], [0.5, 0.5j], [0.5, 0.5j, -0.5])
+                for eps in (0.1, 0.5, 0.9)]
+
+    # at size 64 the pixel centres (2j + 1) / 128 lie on depth-7 cell edges
+    @pytest.mark.parametrize("size", [512, 64, 100])
+    def test_matches_first_match_loop(self, acceptance_analyses, size):
+        for analysis in acceptance_analyses:
+            assert analysis.to_pgm(size) == first_match_pgm(analysis, size)
+
+    def test_no_cells_is_all_zero(self):
+        data = hand_built([]).to_pgm(64)
+        assert data == first_match_pgm(hand_built([]), 64)
+        assert data == b"P5\n64 64\n255\n" + bytes(64 * 64)
+
+    def test_shallow_cell_wins_over_deep_one(self):
+        shallow, deep = PolarCell(3, 2, 5), PolarCell(6, 17, 41)   # deep lies inside
+        analysis = hand_built([(deep, 1), (shallow, 2)])
+        data = analysis.to_pgm(64)
+        assert data == first_match_pgm(analysis, 64)
+        header = len(b"P5\n64 64\n255\n")
+        raster = np.frombuffer(data[header:], dtype=np.uint8).reshape(64, 64)
+        assert set(np.unique(raster)) == {0, 40 + (2 * 37) % 215}
