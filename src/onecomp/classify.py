@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisViolated
-from .geometry import TWO_PI, SawtoothRegion, StolzAngle, carleson_square
+# carleson_square is not called here; bench/tracer.py counts its calls
+# through this module's name, so the name stays importable from it
+from .geometry import SawtoothRegion, StolzAngle, WhitneyBox, carleson_square  # noqa: F401
 from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
 from .measures import AtomicMeasure, SingularMeasure
 
@@ -66,18 +68,6 @@ class ClassificationReport:
                 "tests": self.tests,
                 "params": self.params,
                 "notes": self.notes}
-
-
-def _scan_points(depth_level: int) -> list[complex]:
-    """Top-half centers and low-edge corners of all boxes at one depth."""
-    scale = 2.0 ** -depth_level
-    r = 1.0 - 0.75 * math.pi * scale
-    count = 1 << depth_level
-    pts = []
-    for k in range(count):
-        pts.append(r * cmath.exp(1j * TWO_PI * k * scale))            # corner
-        pts.append(r * cmath.exp(1j * TWO_PI * (k + 0.5) * scale))    # center
-    return pts
 
 
 def _verdict_from_trace(trace: Sequence[float], tol: float, margin: float,
@@ -132,10 +122,9 @@ def criterion_scan(theta: InnerFunction, depth: int, tol: float = 1e-3,
     crossed = False
     c_star = 0.0
     for level in range(2, depth + 1):
-        for z in _scan_points(level):
-            mu_q, _ = mu.of_square_bounds(carleson_square(z), 1e-9)
-            if not mu_q > 0.0:
-                continue
+        points = WhitneyBox.level_points(level)
+        for i, mu_q in mu.positive_squares(points, 1e-9):
+            z = complex(points[i])
             bounds = theta.modulus_bounds(z, eval_tol)
             if bounds.lo > 1.0 - tol:
                 crossed = True

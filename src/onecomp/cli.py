@@ -66,8 +66,24 @@ def _parse_point(spec: str) -> complex:
     return complex(_num(parts[0], "point re"), _num(parts[1], "point im"))
 
 
+def _positive(value, option: str) -> float:
+    x = _num(value, option)
+    if not x > 0.0:
+        raise DomainError("%s: expected a positive number, got %r" % (option, value))
+    return x
+
+
+def _integer(value, option: str, least: int | None = None) -> int:
+    x = _num(value, option)
+    if x != int(x):
+        raise DomainError("%s: expected an integer, got %r" % (option, value))
+    if least is not None and x < least:
+        raise DomainError("%s: must be at least %d, got %r" % (option, least, value))
+    return int(x)
+
+
 def cmd_eval(args) -> int:
-    tol = _num(args.tol, "--tol")
+    tol = _positive(args.tol, "--tol")
     theta = _load_inner(args.inner)
     z = _parse_point(args.at)
     value = theta.evaluate(z, tol)
@@ -85,9 +101,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    tol = _num(args.tol, "--tol")
+    tol = _positive(args.tol, "--tol")
+    depth = _integer(args.depth, "--depth")
     theta = _load_inner(args.inner)
-    budget = ScanBudget(depth=args.depth, tol=tol)
+    budget = ScanBudget(depth=depth, tol=tol)
     report = classify(theta, budget)
     doc = report.to_json_dict()
     doc["metadata"] = _metadata(args)
@@ -99,8 +116,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_levelset(args) -> int:
+    epsilon = _num(args.epsilon, "--epsilon")
+    depth = _integer(args.depth, "--depth")
     theta = _load_inner(args.inner)
-    analysis = level_set_components(theta, args.epsilon, args.depth)
+    analysis = level_set_components(theta, epsilon, depth)
     doc = {"epsilon": analysis.epsilon, "depth": analysis.depth,
            "component_count": analysis.component_count,
            "previous_depth_count": analysis.previous_depth_count,
@@ -120,8 +139,10 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    horizon = _integer(args.horizon, "--horizon", least=1)
+    depth = _integer(args.depth, "--depth")
     theta = _load_inner(args.inner)
-    result = construct_companion(theta, horizon=args.horizon, depth=args.depth)
+    result = construct_companion(theta, horizon=horizon, depth=depth)
     doc = {
         "zeros_csv": dump_zeros_csv(result.zeros.zeros),
         "separation_delta": result.separation_delta,
@@ -147,7 +168,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    tol = _num(args.tol, "--tol")
+    tol = _positive(args.tol, "--tol")
     sigma = measure_from_json(_load_json(args.measure))
     doc = {"total_mass": sigma.total_mass(), "metadata": _metadata(args)}
     if args.arc:
@@ -190,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="onecomp",
         description="construct, evaluate, and classify inner functions on "
                     "the unit disc")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", default="1",
                         help="cap on internal workers (outputs never depend on it)")
     parser.add_argument("--seed-examples", action="store_true",
                         help="write the example families as input files and exit "
@@ -208,23 +229,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run the one-component criterion scan")
     p.add_argument("--inner", required=True)
-    p.add_argument("--depth", type=int, default=14)
+    p.add_argument("--depth", default="14")
     p.add_argument("--tol", default="1e-3")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("levelset", help="count components of {|Theta| < eps}")
     p.add_argument("--inner", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--epsilon", required=True)
+    p.add_argument("--depth", default="10")
     p.add_argument("--pgm", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_levelset)
 
     p = sub.add_parser("construct", help="build the companion Blaschke product")
     p.add_argument("--inner", required=True)
-    p.add_argument("--horizon", type=int, default=2000)
-    p.add_argument("--depth", type=int, default=14)
+    p.add_argument("--horizon", default="2000")
+    p.add_argument("--depth", default="14")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
@@ -246,14 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if args.seed_examples:
         args.out = args.top_out
         args.func = cmd_seed_examples
     elif args.command is None:
         parser.error("a command is required (or --seed-examples)")
     try:
+        args.threads = _integer(args.threads, "--threads", least=1)
         return args.func(args)
     except (PrecisionExhausted, TailBoundInsufficient) as exc:
         sys.stderr.write("precision exhausted: %s\n" % (exc,))

@@ -14,7 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -171,9 +173,6 @@ class CarlesonSquare:
             raise DomainError("dilation factor must be >= 1")
         return CarlesonSquare(self.center_angle, lam * self.side, self.whole_disc)
 
-    def boundary_arc(self) -> BoundaryArc:
-        return BoundaryArc(self.center_angle, self.half_window)
-
 
 def carleson_square(z: complex) -> CarlesonSquare:
     """Carleson square Q(z) of an interior point; Q(0) is the closed disc."""
@@ -184,6 +183,42 @@ def carleson_square(z: complex) -> CarlesonSquare:
     if az == 0.0:
         return CarlesonSquare(0.0, 1.0, whole_disc=True)
     return CarlesonSquare(cmath.phase(z), 1.0 - az)
+
+
+class SquareArrays(NamedTuple):
+    """Carleson squares as parallel arrays, one entry per square, with the
+    values ``CarlesonSquare`` gives for its fields and properties."""
+
+    side: np.ndarray
+    center_angle: np.ndarray
+    half_window: np.ndarray
+    base_modulus: np.ndarray
+    whole_disc: np.ndarray
+
+    @classmethod
+    def of(cls, square: CarlesonSquare) -> "SquareArrays":
+        return cls(np.array([square.side]), np.array([square.center_angle]),
+                   np.array([square.half_window]), np.array([square.base_modulus]),
+                   np.array([square.whole_disc]))
+
+
+def carleson_squares(points: np.ndarray) -> SquareArrays:
+    """Q(z) for each point of a complex array, bit for bit as carleson_square.
+
+    np.hypot matches abs(complex) exactly and cmath.phase is taken per
+    point: np.abs and np.angle on complex128 differ from them in the last
+    bit at some points.
+    """
+    az = np.hypot(points.real, points.imag)
+    if not np.all(az < 1.0):
+        raise DomainError("carleson_square requires |z| < 1")
+    whole = az == 0.0
+    side = 1.0 - az                      # 1.0 at the origin too
+    center = np.array(list(map(cmath.phase, points.tolist())), dtype=np.float64)
+    center[whole] = 0.0
+    half = np.where(whole, math.pi, np.minimum(0.5 * side, math.pi))
+    base = np.maximum(0.0, 1.0 - side)
+    return SquareArrays(side, center, half, base, whole)
 
 
 @dataclass(frozen=True)
@@ -249,6 +284,15 @@ class WhitneyBox:
         """Point of the top half on the box's low angular edge."""
         r = 1.0 - 0.75 * math.pi * self.scale
         return r * cmath.exp(1j * self.theta_lo)
+
+    @staticmethod
+    def level_points(depth: int) -> np.ndarray:
+        """corner_point and top_center of every box at one depth, in box
+        order (corner first), bit for bit as those methods give them."""
+        scale = 2.0 ** -depth
+        r = 1.0 - 0.75 * math.pi * scale
+        turns = np.arange(2 << depth, dtype=np.float64) * 0.5
+        return r * np.exp(1j * TWO_PI * turns * scale)
 
     def children(self) -> tuple["WhitneyBox", "WhitneyBox"]:
         return (WhitneyBox(self.depth + 1, 2 * self.index, self.top_half),

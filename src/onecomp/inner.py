@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
                      TailBoundInsufficient)
-from .geometry import TWO_PI, BoundarySupport, CarlesonSquare, PointSupport
-from .measures import SingularMeasure
+from .geometry import (TWO_PI, BoundarySupport, CarlesonSquare, PointSupport,
+                       SquareArrays, carleson_squares)
+from .measures import BLOCK_ELEMENTS, SingularMeasure
 
 
 class Interval(NamedTuple):
@@ -314,6 +315,8 @@ class MuMeasure:
     of its center and at or above its base modulus, and sums their weights
     exactly with math.fsum.  Queries finer than the recorded
     materialization horizon raise instead of silently undercounting.
+    Many squares, such as one scan level's, are answered by one batched
+    call; a single square is a one-row batch.
     """
 
     zero_atoms: list[tuple[complex, float]]
@@ -332,20 +335,65 @@ class MuMeasure:
 
     def of_square_bounds(self, square: CarlesonSquare,
                          tol: float = 1e-12) -> tuple[float, float]:
-        if not square.whole_disc and square.side < self.horizon:
+        lo, hi = self._squares_bounds(SquareArrays.of(square), tol)
+        return (float(lo[0]), float(hi[0]))
+
+    def lower_masses(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Lower ends of of_square_bounds(carleson_square(z), tol) for every
+        point z of a complex array, bit for bit, in blocks of points."""
+        lower = np.empty(len(points))
+        for s in range(0, len(points), BLOCK_ELEMENTS):
+            block = points[s:s + BLOCK_ELEMENTS]
+            lower[s:s + len(block)] = self._squares_bounds(carleson_squares(block), tol)[0]
+        return lower
+
+    def positive_squares(self, points: np.ndarray,
+                         tol: float = 1e-12) -> Iterator[tuple[int, float]]:
+        """(index, lower mass) of the points whose Carleson square has
+        certifiably positive mass, in point order.
+
+        The caller may evaluate Theta between items, and that can list more
+        boundary atoms; the masses of the remaining points are then
+        recomputed, so each equals a query made at that moment.
+        """
+        start = 0
+        while start < len(points):
+            atoms = self.boundary.atom_count if self.boundary is not None else 0
+            lower = self.lower_masses(points[start:], tol)
+            for i in np.flatnonzero(lower > 0.0).tolist():
+                yield start + i, float(lower[i])
+                if self.boundary is not None and self.boundary.atom_count != atoms:
+                    start += i + 1
+                    break
+            else:
+                return
+
+    def _squares_bounds(self, sq: SquareArrays,
+                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+        short = np.flatnonzero(~sq.whole_disc & (sq.side < self.horizon))
+        if short.size:
             raise HorizonExceeded(
                 "square side %g below materialization horizon %g"
-                % (square.side, self.horizon))
-        total = 0.0
-        if self.zero_atoms:
-            gap = np.abs(np.mod(self._angles - square.center_angle + math.pi,
-                                TWO_PI) - math.pi)
-            inside = (gap <= square.half_window) & (self._radii >= square.base_modulus)
-            total = math.fsum(self._weights[inside].tolist())
+                % (sq.side[short[0]], self.horizon))
+        total = np.zeros(len(sq.side))
+        # a zero below every square's base modulus is in none of them
+        keep = self._radii >= sq.base_modulus.min(initial=math.inf)
+        if keep.any():
+            radii, angles = self._radii[keep], self._angles[keep]
+            weights = self._weights[keep]
+            step = max(1, BLOCK_ELEMENTS // radii.size)
+            for s in range(0, len(sq.side), step):
+                rows = slice(s, s + step)
+                gap = np.abs(np.mod(angles - sq.center_angle[rows, None] + math.pi,
+                                    TWO_PI) - math.pi)
+                inside = ((gap <= sq.half_window[rows, None])
+                          & (radii >= sq.base_modulus[rows, None]))
+                for i in np.flatnonzero(inside.any(axis=1)).tolist():
+                    total[s + i] = math.fsum(weights[inside[i]].tolist())
         if self.boundary is None:
             return (total, total)
-        blo, bhi = self.boundary.mass_of_arc_bounds(square.boundary_arc(),
-                                                    closed_ends=True, tol=tol)
+        blo, bhi = self.boundary.mass_of_arc_bounds_many(
+            sq.center_angle, sq.half_window, closed_ends=True, tol=tol)
         return (total + blo, total + bhi)
 
     def total(self) -> float:

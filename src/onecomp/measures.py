@@ -34,9 +34,14 @@ import numpy as np
 
 from .errors import DomainError, PrecisionExhausted
 from .geometry import (TWO_PI, ArcSupport, BoundaryArc, BoundarySupport,
-                       PointSupport, angle_mod, angular_gap)
+                       PointSupport, angle_mod)
 
 _TWO_PI_FRAC = Fraction(TWO_PI)  # the double nearest 2*pi, as an exact rational
+
+# Batched queries work through their queries in blocks, and build (query x
+# atom) matrices in row blocks, of about this many elements; that keeps
+# their temporaries small next to the process's peak memory.
+BLOCK_ELEMENTS = 1 << 13
 
 
 def poisson_kernel(z: complex, theta: float) -> float:
@@ -98,6 +103,21 @@ class SingularMeasure:
     def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
                            tol: float = 1e-12) -> tuple[float, float]:
         raise NotImplementedError
+
+    def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
+                                closed_ends: bool = True, tol: float = 1e-12
+                                ) -> tuple[np.ndarray, np.ndarray]:
+        """mass_of_arc_bounds of each arc (centers[i], half_widths[i]), as a
+        lower-end array and an upper-end array."""
+        bounds = [self.mass_of_arc_bounds(BoundaryArc(c, h), closed_ends, tol)
+                  for c, h in zip(centers.tolist(), half_widths.tolist())]
+        lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
+        return lo, hi
+
+    @property
+    def atom_count(self) -> int:
+        """Materialized atoms; it grows only where atoms are listed lazily."""
+        return 0
 
     def poisson_integral(self, z: complex, tol: float = 1e-9) -> float:
         lo, hi = self.poisson_bounds(z, tol)
@@ -199,15 +219,39 @@ class AtomicMeasure(SingularMeasure):
         return PointSupport.of([t for t, _ in self._atoms],
                                accumulation=self._accumulation, hull=self._hull)
 
+    @property
+    def atom_count(self) -> int:
+        return len(self._atoms)
+
     def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
                            tol: float = 1e-12) -> tuple[float, float]:
-        total = 0.0
-        for theta, mass in self._atoms:
-            gap = angular_gap(theta, arc.center_angle)
-            inside = gap <= arc.half_width if closed_ends else gap < arc.half_width
-            if inside or arc.half_width >= math.pi:
-                total += mass
-        return (total, total + self._tail)
+        lo, hi = self.mass_of_arc_bounds_many(np.array([arc.center_angle]),
+                                              np.array([arc.half_width]),
+                                              closed_ends, tol)
+        return (float(lo[0]), float(hi[0]))
+
+    def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
+                                closed_ends: bool = True, tol: float = 1e-12
+                                ) -> tuple[np.ndarray, np.ndarray]:
+        """An arc x atom matrix, in row blocks of about BLOCK_ELEMENTS.
+
+        The gap is geometry.angular_gap elementwise (fmod, then one wrap into
+        (-pi, pi]).  The selected masses are added as a running sum in atom
+        order, the order of a per-atom loop; np.sum would add pairwise.
+        """
+        total = np.zeros(len(centers))
+        if self._atoms:
+            thetas, masses = np.array(self._atoms).T
+            step = max(1, BLOCK_ELEMENTS // thetas.size)
+            for s in range(0, len(centers), step):
+                half = half_widths[s:s + step, None]
+                a = np.fmod(thetas - centers[s:s + step, None], TWO_PI)
+                gap = np.abs(np.where(a > math.pi, a - TWO_PI,
+                                      np.where(a <= -math.pi, a + TWO_PI, a)))
+                inside = (gap <= half) if closed_ends else (gap < half)
+                inside |= half >= math.pi
+                total[s:s + step] = np.cumsum(np.where(inside, masses, 0.0), axis=1)[:, -1]
+        return total, total + self._tail
 
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
         z = _check_interior(z)

@@ -267,6 +267,104 @@ class TestInputValidation:
         assert code == 2
         assert err.count("\n") == 1 and field in err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--at", "0.5,0"], ["classify", "--depth", "4"],
+        ["measure", "--at", "0.5,0"]], ids=["eval", "classify", "measure"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "-0.0"])
+    def test_non_positive_tol_exit_code(self, command, tol, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        if command[0] == "measure":
+            path.write_text(json.dumps({"kind": "atoms",
+                                        "atoms": [{"theta": "0", "mass": "1"}]}))
+            flag = "--measure"
+        else:
+            path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+            flag = "--inner"
+        code, out, err = run_cli(command[:1] + [flag, str(path)] + command[1:]
+                                 + ["--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--tol" in err
+
+    @pytest.mark.parametrize("args, option", [
+        (["levelset", "--epsilon", "abc"], "--epsilon"),
+        (["levelset", "--epsilon", "nan"], "--epsilon"),
+        (["levelset", "--epsilon", "0.5", "--depth", "abc"], "--depth"),
+        (["levelset", "--epsilon", "0.5", "--depth", "4.5"], "--depth"),
+        (["classify", "--depth", "abc"], "--depth"),
+        (["classify", "--depth", "inf"], "--depth"),
+        (["construct", "--horizon", "-5"], "--horizon"),
+        (["construct", "--horizon", "0"], "--horizon"),
+        (["construct", "--horizon", "2.5"], "--horizon"),
+        (["construct", "--horizon", "abc"], "--horizon"),
+        (["construct", "--depth", "x"], "--depth"),
+        (["--threads", "abc", "classify", "--depth", "4"], "--threads"),
+        (["--threads", "0", "classify", "--depth", "4"], "--threads"),
+        (["--threads", "1.5", "classify", "--depth", "4"], "--threads"),
+    ], ids=lambda v: v if isinstance(v, str) else "_".join(v[:3]))
+    def test_malformed_numeric_option(self, args, option, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+        command = next(i for i, a in enumerate(args)
+                       if a in ("levelset", "classify", "construct"))
+        argv = args[:command + 1] + ["--inner", str(path)] + args[command + 1:]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and option in err
+
+    def test_valid_numeric_options(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+        code, out, _ = run_cli(["--threads", "2", "levelset", "--inner", str(path),
+                                "--epsilon", "0.5", "--depth", "4"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["depth"] == 4 and doc["metadata"]["threads"] == 2
+        code, out, _ = run_cli(["construct", "--inner", str(path),
+                                "--horizon", "3", "--depth", "4"], capsys)
+        assert code == 0
+        assert len(load_zeros_csv(json.loads(out)["zeros_csv"])) == 3
+
+
+class TestGoldenScans:
+    """sha256 of scan reports, metadata removed, recorded with the per-point
+    scan that the one-call-per-level scan replaced."""
+
+    CLASSIFY = {
+        "atom1": "172c3499c700534713b897b274b71477bba45234adfc30f54d4b04b407396cc5",
+        "atoms2": "6cc0387b7ba156cc6c1d8181b959ae169fb599b98e8df8b7afd597bdef6d7a4f",
+        "example1": "1d8bf5bf8d363331ee2d097d2ad41c8634e3bbc83c3c23d84ef1d751f755b922",
+        "radial_geometric":
+            "8c69617f8772fbcc594d6ce0069d3a5babe981de6d8dd8f71e510a2f72a2cb52",
+        "radial_sparse": "394c49199e72c9a0cfed01704adcbc2cc26503841b2c77a300917ff8957c0ca1",
+    }
+    CONSTRUCT_ZEROS = "90210ab58200d675a9cd425f395496e18af11a21cc8a266791c4de27cc8d0743"
+    CONSTRUCT_REPORT = "4bf513a959277c09c5f8ec19f94d92cd7aaa16e44a804fcd3750ce1f4cc3ee35"
+
+    @staticmethod
+    def digest(text: str) -> str:
+        doc = json.loads(text)
+        del doc["metadata"]
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("family", sorted(CLASSIFY))
+    def test_classify_depth14(self, family, seeds, capsys):
+        code, out, _ = run_cli(["classify", "--inner", str(seeds / (family + ".json")),
+                                "--depth", "14"], capsys)
+        assert code == 0
+        assert self.digest(out) == self.CLASSIFY[family]
+
+    def test_construct_atom1(self, seeds, capsys, tmp_path):
+        code, _, _ = run_cli(["construct", "--inner", str(seeds / "atom1.json"),
+                              "--horizon", "500", "--depth", "10",
+                              "--out", str(tmp_path)], capsys)
+        assert code == 0
+        text = (tmp_path / "companion.json").read_text()
+        zeros = json.loads(text)["zeros_csv"]
+        assert hashlib.sha256(zeros.encode()).hexdigest() == self.CONSTRUCT_ZEROS
+        assert self.digest(text) == self.CONSTRUCT_REPORT
+
 
 class TestRoundTrip:
     def test_zeros_csv_reload_identity(self, seeds, capsys, tmp_path):

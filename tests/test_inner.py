@@ -5,18 +5,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from onecomp.classify import _scan_points
 from onecomp.companion import construct_companion
 from onecomp.errors import (BlaschkeConditionError, DomainError,
                             HorizonExceeded, TailBoundInsufficient)
-from onecomp.families import (finite_blaschke, radial_geometric_zeros,
-                              radial_sparse_zeros, single_atom)
-from onecomp.geometry import TWO_PI, carleson_square, pseudo_distance
-from onecomp.inner import (BlaschkeProduct, InnerFunction, SingularInner,
-                           ZeroSequence, ahern_clark_integral, dump_zeros_csv,
-                           load_zeros_csv, separation_constants,
+from onecomp.families import (cantor_inner, example1, finite_blaschke,
+                              radial_geometric_zeros, radial_sparse_zeros,
+                              single_atom, two_atoms)
+from onecomp.geometry import (TWO_PI, BoundaryArc, WhitneyBox, angular_gap,
+                              carleson_square, carleson_squares, pseudo_distance)
+from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure,
+                           SingularInner, ZeroSequence, ahern_clark_integral,
+                           dump_zeros_csv, load_zeros_csv, separation_constants,
                            stolz_tail_ratio)
-from onecomp.measures import AtomicMeasure
+from onecomp.measures import AtomicMeasure, CdfMeasure
 
 
 class TestLogModulus:
@@ -218,15 +219,14 @@ class TestMu:
         theta = finite_blaschke([0.9, 0.5])
         assert theta.mu().total() == pytest.approx(0.6)
 
-    def test_window_matches_member_loop(self):
+    def test_window_matches_member_loop(self, companion200):
         # reference: the per-zero loop, fsum of the weights of member zeros
-        companion = construct_companion(single_atom(), horizon=200, depth=6)
         geometric = radial_geometric_zeros()
         geometric.materialize_count(50)
-        squares = [carleson_square(0.0)] + [carleson_square(z)
-                                            for level in range(2, 11)
-                                            for z in _scan_points(level)]
-        for zeros in (companion.zeros.zeros, geometric.zeros, []):
+        squares = [carleson_square(0.0)] + [
+            carleson_square(z) for level in range(2, 11)
+            for z in WhitneyBox.level_points(level).tolist()]
+        for zeros in (companion200.zeros.zeros, geometric.zeros, []):
             mu = finite_blaschke(zeros).mu()
             positive = 0
             for square in squares:
@@ -235,6 +235,175 @@ class TestMu:
                 assert mu.of_square_bounds(square) == (expected, expected)
                 positive += expected > 0.0
             assert (positive > 0) == bool(zeros)
+
+
+def reference_square_bounds(mu: MuMeasure, square, tol: float = 1e-12):
+    """The per-square of_square_bounds that the batched kernel replaced,
+    with the per-atom loop of AtomicMeasure.mass_of_arc_bounds inlined."""
+    if not square.whole_disc and square.side < mu.horizon:
+        raise HorizonExceeded("square side %g below materialization horizon %g"
+                              % (square.side, mu.horizon))
+    total = 0.0
+    if mu.zero_atoms:
+        zs = np.array([z for z, _ in mu.zero_atoms], dtype=np.complex128)
+        radii, angles = np.abs(zs), np.mod(np.angle(zs), TWO_PI)
+        weights = np.array([wt for _, wt in mu.zero_atoms])
+        gap = np.abs(np.mod(angles - square.center_angle + math.pi, TWO_PI) - math.pi)
+        inside = (gap <= square.half_window) & (radii >= square.base_modulus)
+        total = math.fsum(weights[inside].tolist())
+    if mu.boundary is None:
+        return (total, total)
+    arc = BoundaryArc(square.center_angle, square.half_window)
+    if isinstance(mu.boundary, AtomicMeasure):
+        atomic = 0.0
+        for theta, mass in mu.boundary.atoms:
+            if angular_gap(theta, arc.center_angle) <= arc.half_width \
+                    or arc.half_width >= math.pi:
+                atomic += mass
+        blo, bhi = atomic, atomic + mu.boundary.tail_mass
+    else:
+        blo, bhi = mu.boundary.mass_of_arc_bounds(arc, closed_ends=True, tol=tol)
+    return (total + blo, total + bhi)
+
+
+def scan_tail_mu(theta: InnerFunction, depth: int) -> MuMeasure:
+    """theta's mu, materialized as criterion_scan materializes it."""
+    min_side = 0.75 * math.pi * 2.0 ** -depth
+    sigma = theta.singular.sigma if theta.singular is not None else None
+    if isinstance(sigma, AtomicMeasure) and sigma.tail_mass > 0.0:
+        sigma.materialize_until_tail(max(min_side ** 4, 1e-40))
+    return theta.mu(min_side=min_side)
+
+
+@pytest.fixture(scope="module")
+def companion200():
+    return construct_companion(single_atom(), horizon=200, depth=6)
+
+
+def _product_with_atom1(zeros):
+    # the zeros x atom1 product as construct_companion builds it
+    theta = single_atom()
+    return InnerFunction(theta.unimodular, BlaschkeProduct(ZeroSequence(zeros)),
+                         theta.singular)
+
+
+class TestLevelKernel:
+    """MuMeasure.lower_masses against the per-square reference, bit for bit."""
+
+    @staticmethod
+    def _cases(companion200):
+        geometric = radial_geometric_zeros()
+        geometric.materialize_count(50)
+        cdf = CdfMeasure([(0.0, 0.0), (1.0, 0.2), (2.0, 0.5), (4.0, 0.9), (TWO_PI, 1.0)])
+        return {
+            "atom1": single_atom(), "atoms2": two_atoms(), "example1": example1(),
+            "companion200": finite_blaschke(companion200.zeros.zeros),
+            "radial_geometric": finite_blaschke(geometric.zeros),
+            "product": _product_with_atom1(companion200.zeros.zeros),
+            "cdf": InnerFunction(singular=SingularInner(cdf)),
+            "cantor": cantor_inner(), "no_zeros": finite_blaschke([]),
+        }
+
+    @pytest.mark.parametrize("case", ["atom1", "atoms2", "example1", "companion200",
+                                      "radial_geometric", "product", "cdf",
+                                      "cantor", "no_zeros"])
+    def test_lower_masses_match_per_square_loop(self, case, companion200):
+        theta = self._cases(companion200)[case]
+        mu = scan_tail_mu(theta, 12)
+        positive = 0
+        for level in range(2, 13):
+            points = WhitneyBox.level_points(level)
+            expected = [reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
+                        for z in points.tolist()]
+            got = mu.lower_masses(points, 1e-9)
+            assert got.tolist() == expected, level
+            positive += sum(m > 0.0 for m in expected)
+        assert (positive > 0) == (case != "no_zeros")
+
+    def test_one_row_bounds_match_reference(self, companion200):
+        squares = [carleson_square(0.0), carleson_square(0.5 + 0.5j),
+                   carleson_square(0.9).dilate(3.0), carleson_square(-0.999)]
+        for theta in self._cases(companion200).values():
+            mu = scan_tail_mu(theta, 10)
+            for square in squares:
+                assert mu.of_square_bounds(square, 1e-9) == \
+                    reference_square_bounds(mu, square, 1e-9)
+
+    def test_horizon_exceeded_at_the_same_first_square(self):
+        zs = radial_geometric_zeros()
+        zs.materialize_count(6)
+        partial = ZeroSequence(zs.zeros, generator=iter(()),
+                               tail_blaschke_sum=2.0 ** -6, ordered_by_modulus=True)
+        mu = InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
+        assert mu.horizon > 0.0
+        for level in range(2, 13):
+            points = WhitneyBox.level_points(level)
+            try:
+                for z in points.tolist():
+                    reference_square_bounds(mu, carleson_square(z))
+            except HorizonExceeded as exc:
+                expected = str(exc)
+                break
+        else:
+            pytest.fail("no level reached the horizon")
+        for before in range(2, level):
+            mu.lower_masses(WhitneyBox.level_points(before))
+        with pytest.raises(HorizonExceeded) as info:
+            mu.lower_masses(points)
+        assert str(info.value) == expected
+
+    def test_square_arrays_match_carleson_square(self):
+        for level in range(2, 15):
+            points = WhitneyBox.level_points(level)
+            squares = carleson_squares(points)
+            reference = [carleson_square(z) for z in points.tolist()]
+            assert squares.side.tolist() == [q.side for q in reference]
+            assert squares.center_angle.tolist() == [q.center_angle for q in reference]
+
+    def test_origin_is_the_whole_disc(self):
+        squares = carleson_squares(np.array([0j, complex(-0.0, 0.0), 0.5j]))
+        whole = carleson_square(0.0)
+        assert squares.whole_disc.tolist() == [True, True, False]
+        for i in (0, 1):
+            assert (squares.side[i], squares.center_angle[i], squares.half_window[i],
+                    squares.base_modulus[i]) == (whole.side, whole.center_angle,
+                                                 whole.half_window, whole.base_modulus)
+
+    def test_domain_error_outside_the_disc(self):
+        with pytest.raises(DomainError):
+            carleson_squares(np.array([0.5, 1.0 + 0j]))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 6])
+    def test_positive_squares_follow_lazily_listed_atoms(self, depth):
+        # evaluating Theta lists more atoms at shallow scan depths, here at
+        # golden-angle steps around the circle, so later squares of the same
+        # level gain mass; their masses must be those of a query made then
+        def build():
+            gen = ((n * 2.399963229728653, 2.0 ** -n, 2.0 ** -n) for n in range(1, 60))
+            sigma = AtomicMeasure([(0.0, 1.0)], generator=gen, tail_mass=1.0)
+            return InnerFunction(singular=SingularInner(sigma))
+
+        def scan(positive_of):
+            theta = build()
+            mu = scan_tail_mu(theta, depth)
+            hits = []
+            for level in range(2, depth + 1):
+                points = WhitneyBox.level_points(level)
+                for i, mass in positive_of(mu, points):
+                    hits.append((level, i, mass))
+                    theta.modulus_bounds(complex(points[i]), 1e-6)
+            return hits, mu.boundary.atom_count
+
+        def per_point(mu, points):
+            for i, z in enumerate(points.tolist()):
+                mass = reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
+                if mass > 0.0:
+                    yield i, mass
+
+        expected, listed = scan(per_point)
+        assert listed > scan_tail_mu(build(), depth).boundary.atom_count
+        assert scan(lambda mu, points: mu.positive_squares(points, 1e-9)) == \
+            (expected, listed)
 
 
 class TestDiagnostics:

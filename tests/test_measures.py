@@ -7,7 +7,7 @@ import pytest
 
 from onecomp.errors import DomainError, PrecisionExhausted
 from onecomp.families import example1_measure
-from onecomp.geometry import TWO_PI, BoundaryArc, angle_mod
+from onecomp.geometry import TWO_PI, BoundaryArc, angle_mod, angular_gap
 from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
                               poisson_kernel)
 
@@ -26,6 +26,38 @@ class TestMassOfArc:
         arc = BoundaryArc(0.0, 0.1)
         assert sigma.mass_of_arc(arc, closed_ends=True) == 1.0
         assert sigma.mass_of_arc(arc, closed_ends=False) == 0.0
+
+    @pytest.mark.parametrize("closed_ends", [True, False])
+    def test_batch_matches_per_atom_loop(self, closed_ends):
+        # the loop mass_of_arc_bounds_many replaced: masses added in atom
+        # order; random masses make pairwise summation differ in the last bit
+        rng = np.random.default_rng(7)
+        angles = rng.uniform(0.0, TWO_PI, 40)
+        sigma = AtomicMeasure(list(zip(angles, rng.uniform(0.1, 1.0, 40))),
+                              tail_mass=1e-3)
+        centers = np.concatenate([rng.uniform(-7.0, 7.0, 300), angles[:10],
+                                  angles[10:20] - 0.25])
+        halves = np.concatenate([rng.uniform(1e-3, math.pi, 300),
+                                 np.full(10, math.pi), np.full(10, 0.25)])
+        expected = []
+        for c, h in zip(centers.tolist(), halves.tolist()):
+            total = 0.0
+            for theta, mass in sigma.atoms:
+                gap = angular_gap(theta, c)
+                if (gap <= h if closed_ends else gap < h) or h >= math.pi:
+                    total += mass
+            expected.append(total)
+        lo, hi = sigma.mass_of_arc_bounds_many(centers, halves, closed_ends)
+        assert lo.tolist() == expected
+        assert hi.tolist() == [t + 1e-3 for t in expected]
+        assert [sigma.mass_of_arc_bounds(BoundaryArc(c, h), closed_ends)[0]
+                for c, h in zip(centers.tolist(), halves.tolist())] == expected
+        if closed_ends:
+            # the data can tell the two orders apart
+            pairwise = [float(np.sum([m for t, m in sigma.atoms
+                                      if angular_gap(t, c) <= h or h >= math.pi]))
+                        for c, h in zip(centers.tolist(), halves.tolist())]
+            assert pairwise != expected
 
     def test_disjoint_arc_is_zero(self):
         sigma = AtomicMeasure([(0.0, 1.0)])
