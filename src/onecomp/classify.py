@@ -35,6 +35,9 @@ ONE_COMPONENT = "OneComponentEvidence"
 NOT_ONE_COMPONENT = "NotOneComponentEvidence"
 INCONCLUSIVE = "Inconclusive"
 
+MARGIN = 0.05        # OneComponentEvidence needs C* <= 1 - MARGIN
+EVAL_TOL = 1e-6      # tolerance of each certified |Theta| bracket
+
 
 @dataclass
 class ScanWitness:
@@ -70,9 +73,8 @@ class ClassificationReport:
                 "notes": self.notes}
 
 
-def _verdict_from_trace(trace: Sequence[float], tol: float, margin: float,
-                        crossed: bool, rising_floor: float = 0.5
-                        ) -> tuple[str, list[str]]:
+def _verdict_from_trace(trace: Sequence[float], tol: float,
+                        crossed: bool) -> tuple[str, list[str]]:
     notes: list[str] = []
     if not trace or trace[-1] == 0.0:
         return (ONE_COMPONENT, ["no box with positive mu mass was found"])
@@ -85,23 +87,22 @@ def _verdict_from_trace(trace: Sequence[float], tol: float, margin: float,
         stabilized = d1 < tol and d2 < tol
         rising = (d1 >= tol and d2 >= tol
                   and trace[-1] - trace[-3] >= 10.0 * tol
-                  and c_star >= rising_floor)
+                  and c_star >= 0.5)
     else:
         stabilized, rising = False, False
     if rising:
         notes.append("monotone witness run keeps pushing C* upward without "
                      "stabilizing; treated as evidence against one-component")
         return (NOT_ONE_COMPONENT, notes)
-    if stabilized and c_star <= 1.0 - margin:
+    if stabilized and c_star <= 1.0 - MARGIN:
         return (ONE_COMPONENT, notes)
     notes.append("trace neither stabilized below the margin nor crossed the "
                  "witness threshold")
     return (INCONCLUSIVE, notes)
 
 
-def criterion_scan(theta: InnerFunction, depth: int, tol: float = 1e-3,
-                   margin: float = 0.05, eval_tol: float = 1e-6,
-                   max_witnesses: int = 64) -> ClassificationReport:
+def criterion_scan(theta: InnerFunction, depth: int,
+                   tol: float = 1e-3) -> ClassificationReport:
     """Carleson-square criterion scan over dyadic top halves up to depth.
 
     Samples each top half at its center and its low-angle corner; a sample z
@@ -125,23 +126,23 @@ def criterion_scan(theta: InnerFunction, depth: int, tol: float = 1e-3,
         points = WhitneyBox.level_points(level)
         for i, mu_q in mu.positive_squares(points, 1e-9):
             z = complex(points[i])
-            bounds = theta.modulus_bounds(z, eval_tol)
+            bounds = theta.modulus_bounds(z, EVAL_TOL)
             if bounds.lo > 1.0 - tol:
                 crossed = True
             if bounds.hi > c_star:
                 c_star = bounds.hi
-                if len(witnesses) >= max_witnesses:
+                if len(witnesses) >= 64:
                     witnesses.pop(0)
                 witnesses.append(ScanWitness(z, bounds.lo, bounds.hi, mu_q, level))
         trace.append(c_star)
 
-    verdict, notes = _verdict_from_trace(trace, tol, margin, crossed)
+    verdict, notes = _verdict_from_trace(trace, tol, crossed)
     if theta.is_constant:
         notes.append("constant inner function: mu(Theta) is identically zero")
     return ClassificationReport(
         verdict=verdict, c_star=c_star, depth_trace=trace, witnesses=witnesses,
-        params={"depth": depth, "tol": tol, "margin": margin,
-                "eval_tol": eval_tol, "samples": "top-half centers and corners"},
+        params={"depth": depth, "tol": tol, "margin": MARGIN,
+                "eval_tol": EVAL_TOL, "samples": "top-half centers and corners"},
         notes=notes)
 
 
@@ -192,13 +193,13 @@ def _log_abs_blaschke_radial(zeros: ZeroSequence, vertex_angle: float,
 
 def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
                       aperture: float = 10.0,
-                      depth_grid: Optional[Sequence[float]] = None,
                       tol: float = 1e-3) -> LimitTestResult:
     """Estimate limsup_{r->1} |B(r e^{i vertex})| for Stolz-angle zeros.
 
-    ``depth_grid`` lists 1 - r values (decreasing).  Per-octave maxima (in
-    log depth) feed the same trace logic as the criterion scan: a rising,
-    non-stabilizing trace is evidence that the limsup equals 1.
+    The depth grid holds 1 - r = 2^{-k/4}, k = 16 .. 176 (decreasing).
+    Per-octave maxima (in log depth) feed the same trace logic as the
+    criterion scan: a rising, non-stabilizing trace is evidence that the
+    limsup equals 1.
     """
     if zeros.exhausted and zeros.tail_blaschke_sum == 0.0:
         raise HypothesisViolated("finite zero set: the radial-limit "
@@ -210,11 +211,7 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
             raise HypothesisViolated(
                 "not a Stolz sequence: zero %r leaves the declared aperture" % (w,))
 
-    if depth_grid is None:
-        depth_grid = [2.0 ** (-k / 4.0) for k in range(16, 177)]  # 2^-4 .. 2^-44
-    depth_grid = sorted(set(float(s) for s in depth_grid), reverse=True)
-    if not depth_grid or depth_grid[0] >= 1.0:
-        raise DomainError("depth grid must lie in (0, 1)")
+    depth_grid = [2.0 ** (-k / 4.0) for k in range(16, 177)]  # 2^-4 .. 2^-44
 
     # consume the generator until the tail cannot move any grid value by tol
     smallest = depth_grid[-1]
@@ -272,8 +269,7 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
 
 def sawtooth_test(theta: InnerFunction,
                   r_levels: Optional[Sequence[float]] = None,
-                  tol: float = 1e-3, eval_tol: float = 1e-6,
-                  samples_cap: int = 4096) -> LimitTestResult:
+                  tol: float = 1e-3) -> LimitTestResult:
     """Estimate limsup of |Theta| over the sawtooth region of supp sigma.
 
     Samples Omega on the circles |z| = r for each level, at angular
@@ -296,7 +292,7 @@ def sawtooth_test(theta: InnerFunction,
     if r_levels is None:
         r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]
     r_levels = sorted(float(r) for r in r_levels)
-    per_level = max(24, samples_cap // max(1, len(r_levels)))
+    per_level = max(24, 4096 // max(1, len(r_levels)))
 
     level_sups: list[float] = []
     for r in r_levels:
@@ -315,7 +311,7 @@ def sawtooth_test(theta: InnerFunction,
                 if not region.contains(z):
                     continue
                 seen += 1
-                best = max(best, theta.modulus_bounds(z, eval_tol).hi)
+                best = max(best, theta.modulus_bounds(z, EVAL_TOL).hi)
                 if seen >= per_level:
                     break
             if seen >= per_level:
@@ -343,7 +339,7 @@ def sawtooth_test(theta: InnerFunction,
     return LimitTestResult(sup_estimate=estimate, verdict=verdict,
                            trace=level_sups,
                            params={"r_levels": list(r_levels), "tol": tol,
-                                   "eval_tol": eval_tol},
+                                   "eval_tol": EVAL_TOL},
                            notes=notes)
 
 
@@ -372,8 +368,6 @@ def density_test(sigma: SingularMeasure, support_sample: Sequence[float],
 class ScanBudget:
     depth: int = 16
     tol: float = 1e-3
-    margin: float = 0.05
-    eval_tol: float = 1e-6
 
 
 def _detect_stolz(zeros: ZeroSequence) -> Optional[tuple[float, float]]:
@@ -399,18 +393,16 @@ def classify(theta: InnerFunction, budget: ScanBudget | None = None) -> Classifi
     otherwise the report downgrades to Inconclusive with both records.
     """
     budget = budget or ScanBudget()
-    report = criterion_scan(theta, budget.depth, budget.tol, budget.margin,
-                            budget.eval_tol)
+    report = criterion_scan(theta, budget.depth, budget.tol)
     report.params["budget"] = {"depth": budget.depth, "tol": budget.tol,
-                               "margin": budget.margin}
+                               "margin": MARGIN}
 
     special: Optional[LimitTestResult] = None
     name = None
     has_blaschke = theta.blaschke is not None and len(theta.blaschke.zeros) > 0
     if theta.singular is not None:
         try:
-            special = sawtooth_test(theta, tol=budget.tol,
-                                    eval_tol=budget.eval_tol)
+            special = sawtooth_test(theta, tol=budget.tol)
             name = "sawtooth"
         except HypothesisViolated:
             special = None

@@ -4,8 +4,9 @@ Commands: eval, classify, levelset, construct, measure, seed-examples.
 Outputs are deterministic for identical inputs (fixed iteration orders, all
 reals printed as 17-digit decimals); the only run-dependent content is the
 isolated metadata.generated_at field.  Exit codes: 0 success, 2 on domain or
-input errors, 3 when a tolerance is unattainable (precision exhausted, or a
-declared zero tail too large to certify).
+input errors and on an unusable output path, 3 when a tolerance is
+unattainable (precision exhausted, or a declared zero tail too large to
+certify).
 """
 
 from __future__ import annotations
@@ -18,18 +19,13 @@ import sys
 
 from .classify import ScanBudget, classify
 from .companion import construct_companion
-from .errors import (BlaschkeConditionError, CurveExhausted, DomainError,
-                     HorizonExceeded, HypothesisViolated, PrecisionExhausted,
-                     RadiusSearchExhausted, TailBoundInsufficient)
+from .errors import (DomainError, OnecompError, PrecisionExhausted,
+                     TailBoundInsufficient)
 from .families import SEEDED_FAMILY_BUILDERS
 from .geometry import BoundaryArc
 from .inner import dump_zeros_csv
 from .levelset import level_set_components
 from .serialize import _num, dumps, inner_from_json, inner_to_json, measure_from_json
-
-_INPUT_ERRORS = (DomainError, HypothesisViolated, BlaschkeConditionError,
-                 HorizonExceeded, RadiusSearchExhausted, CurveExhausted)
-
 
 def _metadata(args) -> dict:
     return {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -278,7 +274,7 @@ def main(argv=None) -> int:
     except (PrecisionExhausted, TailBoundInsufficient) as exc:
         sys.stderr.write("precision exhausted: %s\n" % (exc,))
         return 3
-    except _INPUT_ERRORS as exc:
+    except (OnecompError, OSError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
 

@@ -5,8 +5,9 @@ the chain curve Gamma from a dyadic Whitney decomposition of the
 complementary arcs: each arc I_n is lifted to the circle of radius r_n,
 where r_n is the smallest dyadic grid radius 1 - 2^{-k} such that the
 certified lower bound of |Theta| on a sampled sector {|z| >= r_n,
-arg z in I_n} stays above 1 - eps_n, and consecutive arcs are joined by
-radial segments at their shared endpoint angle.  Zeros are then marched
+arg z in I_n} stays above 1 - eps_n, found by one upward walk over the
+sector's radius bands, and consecutive arcs are joined by radial segments
+at their shared endpoint angle.  Zeros are then marched
 along Gamma at pseudohyperbolic steps of 1/10, starting from the curve
 point of smallest modulus (ties to the smallest angle) and walking both
 ways, so every interior zero has exactly two neighbors at pseudohyperbolic
@@ -24,7 +25,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
 from .errors import (CurveExhausted, DomainError, HypothesisViolated,
@@ -37,6 +38,9 @@ from .inner import (BlaschkeProduct, InnerFunction, MuMeasure, ZeroSequence,
                     separation_constants)
 
 GRID_MAX_K = 50
+STEP = 0.1                 # pseudohyperbolic distance between marched zeros
+JOIN_TOL = 1e-9            # arcs whose endpoint angles differ less are joined
+RHO_TOL = 1e-8             # march bisection stops this close to the step
 
 
 @dataclass
@@ -111,81 +115,66 @@ class GammaComponent:
 class GammaCurve:
     components: list[GammaComponent]
 
-    def to_polyline_csv(self, points_per_piece: int = 24) -> str:
+    def to_polyline_csv(self) -> str:
         lines = ["component,re,im"]
         for ci, comp in enumerate(self.components):
             for piece in comp.pieces:
-                for j in range(points_per_piece):
-                    z = piece.point(piece.length * j / max(1, points_per_piece - 1))
+                for j in range(24):
+                    z = piece.point(piece.length * j / 23)
                     lines.append("%d,%.17g,%.17g" % (ci, z.real, z.imag))
         return "\n".join(lines) + "\n"
 
 
-def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc],
-                 eps_schedule: Optional[Callable[[BoundaryArc], float]] = None,
-                 bands: int = 4, max_angle_samples: int = 96,
-                 eval_tol_factor: float = 1e-2) -> WhitneyChain:
+def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyChain:
     """Smallest grid radius per arc with the certified modulus floor.
 
-    For each arc the predicate samples the sector {|z| >= 1 - 2^{-k},
-    arg z in I} on ``bands`` dyadic radius levels at angular spacing
-    comparable to the level depth (capped), and requires the certified
-    lower bound of |Theta| to stay at or above 1 - eps on every sample.
-    The smallest passing k is located by bisection (the predicate is
-    monotone: shrinking the sector only raises the floor).
+    Radius 1 - 2^{-k} passes for an arc I when the certified lower bound of
+    |Theta| stays at or above 1 - eps, eps = min(1/2, |I|), on every sample
+    of the sector {|z| >= 1 - 2^{-k}, arg z in I}: the four dyadic radius
+    bands j = k .. k + 3 (below 52), each sampled at angular spacing
+    comparable to 2^{-j}, at most 96 points.  The search walks upward from
+    k = 1: it evaluates the bands of k shallow to deep and, at the first
+    failing band j, continues from k = j + 1.  Every k' from k to j has band
+    j in its window and fails, so the walk stops at the smallest passing k,
+    evaluating each band at most once and assuming nothing about the order
+    of passing and failing k.
     """
-    if eps_schedule is None:
-        eps_schedule = lambda arc: min(0.5, arc.length)
-
     radii: list[float] = []
     epsilons: list[float] = []
     for arc in arcs:
-        eps = eps_schedule(arc)
-        if not (0.0 < eps < 1.0):
-            raise DomainError("epsilon schedule must produce values in (0, 1)")
-        tol = max(1e-12, eps * eval_tol_factor)
+        eps = min(0.5, arc.length)
+        tol = max(1e-12, eps * 1e-2)
 
-        def passes(k: int) -> bool:
-            for j in range(k, min(k + bands, 52)):
+        def first_failing_band(k: int) -> Optional[int]:
+            for j in range(k, min(k + 4, 52)):
                 r_band = 1.0 - 2.0 ** -j
                 count = int(arc.length / 2.0 ** -j) + 2
-                count = max(2, min(count, max_angle_samples))
+                count = max(2, min(count, 96))
                 for i in range(count):
                     ang = arc.lo + arc.length * i / (count - 1)
                     z = r_band * cmath.exp(1j * ang)
                     try:
                         bound = theta.modulus_bounds(z, tol).lo
                     except TailBoundInsufficient:
-                        return False   # cannot certify this deep; not passing
+                        return j   # cannot certify this deep; not passing
                     if bound < 1.0 - eps:
-                        return False
-            return True
+                        return j
+            return None
 
-        # forward exponential search for a passing radius, then bisect down;
-        # deep radii are only probed when the shallow ones genuinely fail
-        passing = None
-        failing = 0
         k = 1
-        while k <= GRID_MAX_K:
-            if passes(k):
-                passing = k
-                break
-            failing = k
-            k = min(2 * k, GRID_MAX_K) if k < GRID_MAX_K else GRID_MAX_K + 1
-        if passing is None:
-            raise RadiusSearchExhausted(
-                "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
-                "arc at angle %g; singular set under-described?"
-                % (GRID_MAX_K, eps, arc.center_angle))
-        # smallest passing k in (failing, passing]
-        hi = failing + 1 + bisect.bisect_left(range(failing + 1, passing), True,
-                                              key=passes)
-        radii.append(1.0 - 2.0 ** -hi)
+        while (bad := first_failing_band(k)) is not None:
+            k = bad + 1
+            if k > GRID_MAX_K:
+                raise RadiusSearchExhausted(
+                    "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
+                    "arc at angle %g; singular set under-described?"
+                    % (GRID_MAX_K, eps, arc.center_angle))
+        radii.append(1.0 - 2.0 ** -k)
         epsilons.append(eps)
     return WhitneyChain(list(arcs), radii, epsilons)
 
 
-def build_gamma(chain: WhitneyChain, join_tol: float = 1e-9) -> GammaCurve:
+def build_gamma(chain: WhitneyChain) -> GammaCurve:
     """Circular pieces at each arc's radius plus radial connectors.
 
     Consecutive arcs sharing an endpoint angle join in boundary order (the
@@ -199,7 +188,7 @@ def build_gamma(chain: WhitneyChain, join_tol: float = 1e-9) -> GammaCurve:
     groups: list[list[int]] = [[0]]
     for i in range(1, len(chain.arcs)):
         prev, cur = chain.arcs[i - 1], chain.arcs[i]
-        if abs(prev.hi - cur.lo) <= join_tol:
+        if abs(prev.hi - cur.lo) <= JOIN_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -207,10 +196,10 @@ def build_gamma(chain: WhitneyChain, join_tol: float = 1e-9) -> GammaCurve:
     closed_full = False
     if len(groups) > 1:
         first, last = chain.arcs[groups[0][0]], chain.arcs[groups[-1][-1]]
-        if abs((last.hi - TWO_PI) - first.lo) <= join_tol:
+        if abs((last.hi - TWO_PI) - first.lo) <= JOIN_TOL:
             groups[0] = groups.pop() + groups[0]
     elif abs((chain.arcs[groups[0][-1]].hi - TWO_PI) - chain.arcs[groups[0][0]].lo) \
-            <= join_tol:
+            <= JOIN_TOL:
         closed_full = True
 
     components = []
@@ -230,7 +219,7 @@ def build_gamma(chain: WhitneyChain, join_tol: float = 1e-9) -> GammaCurve:
             if pieces and pos > 0:
                 # keep the parameter contiguous across the 2*pi wrap
                 prev_hi = chain.arcs[group[pos - 1]].hi
-                if abs(prev_hi - TWO_PI - lo) <= join_tol:
+                if abs(prev_hi - TWO_PI - lo) <= JOIN_TOL:
                     lo = prev_hi
             pieces.append(CurvePiece("arc", r, lo, arc.length))
         closed = closed_full and len(groups) == 1
@@ -257,7 +246,7 @@ class Placement:
 
 
 def _march_next(comp: GammaComponent, t: float, origin: complex, step: float,
-                direction: int, rho_tol: float) -> Optional[float]:
+                direction: int) -> Optional[float]:
     """First parameter beyond t (in the given direction) at rho == step."""
     end = comp.length if direction > 0 else 0.0
     h = max(1e-15, 0.05 * (1.0 - abs(origin)))
@@ -277,7 +266,7 @@ def _march_next(comp: GammaComponent, t: float, origin: complex, step: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rho = pseudo_distance(comp.point(mid), origin)
-        if abs(rho - step) <= rho_tol:
+        if abs(rho - step) <= RHO_TOL:
             return mid
         if (rho < step) == (direction > 0):
             lo = mid
@@ -286,8 +275,8 @@ def _march_next(comp: GammaComponent, t: float, origin: complex, step: float,
     return 0.5 * (lo + hi)
 
 
-def place_zeros(gamma: GammaCurve, step: float = 0.1, horizon: int = 2000,
-                rho_tol: float = 1e-8) -> Placement:
+def place_zeros(gamma: GammaCurve, step: float = STEP,
+                horizon: int = 2000) -> Placement:
     """March zeros along the curve at fixed pseudohyperbolic steps.
 
     Components are visited in order of their smallest modulus.  Within an
@@ -316,11 +305,11 @@ def place_zeros(gamma: GammaCurve, step: float = 0.1, horizon: int = 2000,
             placed = [z0]
             t = t0
             while len(placed) < remaining:
-                nxt = _march_next(comp, t, comp.point(t), step, +1, rho_tol)
+                nxt = _march_next(comp, t, comp.point(t), step, +1)
                 if nxt is None:
                     break
                 cand = comp.point(nxt)
-                if len(placed) > 2 and pseudo_distance(cand, placed[0]) < step - rho_tol:
+                if len(placed) > 2 and pseudo_distance(cand, placed[0]) < step - RHO_TOL:
                     break
                 rhos.append(pseudo_distance(cand, comp.point(t)))
                 placed.append(cand)
@@ -340,14 +329,14 @@ def place_zeros(gamma: GammaCurve, step: float = 0.1, horizon: int = 2000,
             zb = comp.point(tb)
             go_forward = f_alive and (not b_alive or abs(zf) <= abs(zb))
             if go_forward:
-                nxt = _march_next(comp, tf, zf, step, +1, rho_tol)
+                nxt = _march_next(comp, tf, zf, step, +1)
                 if nxt is None:
                     f_alive = False
                     continue
                 forward.append(comp.point(nxt))
                 tf = nxt
             else:
-                nxt = _march_next(comp, tb, zb, step, -1, rho_tol)
+                nxt = _march_next(comp, tb, zb, step, -1)
                 if nxt is None:
                     b_alive = False
                     continue
@@ -402,9 +391,8 @@ class CompanionResult:
                 and self.spot_check.passed)
 
 
-def _spot_check_b(blaschke: InnerFunction, mu: MuMeasure, depth: int,
-                  threshold: float = 12.0 / 21.0) -> SpotCheck:
-    """Scan points where |B| stays above the threshold must carry no mu mass.
+def _spot_check_b(blaschke: InnerFunction, mu: MuMeasure, depth: int) -> SpotCheck:
+    """Scan points where |B| stays above 12/21 must carry no mu mass.
 
     mu is B's own zero measure, whose square brackets are exact, so its
     lower ends are the masses.
@@ -414,7 +402,7 @@ def _spot_check_b(blaschke: InnerFunction, mu: MuMeasure, depth: int,
     for level in range(2, depth + 1):
         points = WhitneyBox.level_points(level)
         high = [i for i, z in enumerate(points.tolist())
-                if blaschke.modulus_bounds(z, 1e-9).lo > threshold]
+                if blaschke.modulus_bounds(z, 1e-9).lo > 12.0 / 21.0]
         checked += len(points)
         above += len(high)
         masses = mu.lower_masses(points[high])
@@ -424,11 +412,8 @@ def _spot_check_b(blaschke: InnerFunction, mu: MuMeasure, depth: int,
 
 
 def construct_companion(theta: InnerFunction, horizon: int = 2000,
-                        depth: int = 14, step: float = 0.1,
-                        cutoff: float = TWO_PI * 2.0 ** -14,
-                        eps_schedule: Optional[Callable[[BoundaryArc], float]] = None,
-                        scan_tol: float = 1e-3,
-                        margin: float = 0.05) -> CompanionResult:
+                        depth: int = 14,
+                        cutoff: float = TWO_PI * 2.0 ** -14) -> CompanionResult:
     """Whitney arcs -> radii -> Gamma -> zeros -> numeric verification.
 
     The returned zero sequence is the horizon-truncated prefix, treated as
@@ -444,15 +429,14 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
             "the companion construction needs |sing Theta| = 0")
 
     arcs = list(whitney_arcs(sing, min_length=cutoff))
-    chain = choose_radii(theta, arcs, eps_schedule)
+    chain = choose_radii(theta, arcs)
     gamma = build_gamma(chain)
-    placement = place_zeros(gamma, step=step, horizon=horizon)
+    placement = place_zeros(gamma, horizon=horizon)
 
     zseq = ZeroSequence(placement.zeros)
-    max_step_error = max((abs(r - step) for r in placement.consecutive_rhos),
+    max_step_error = max((abs(r - STEP) for r in placement.consecutive_rhos),
                          default=0.0)
-    delta, box_constant = separation_constants(ZeroSequence(placement.zeros),
-                                               len(placement.zeros))
+    delta, box_constant = separation_constants(zseq, len(placement.zeros))
 
     companion = InnerFunction(blaschke=BlaschkeProduct(zseq))
     min_side = 0.75 * math.pi * 2.0 ** -depth
@@ -469,8 +453,8 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
         BlaschkeProduct(ZeroSequence(merged, tail_blaschke_sum=merged_tail)),
         theta.singular)
 
-    report_b = criterion_scan(companion, depth, tol=scan_tol, margin=margin)
-    report_btheta = criterion_scan(product, depth, tol=scan_tol, margin=margin)
+    report_b = criterion_scan(companion, depth)
+    report_btheta = criterion_scan(product, depth)
     spot = _spot_check_b(companion, companion.mu(), depth)
 
     tail_estimate = 8.0 * max(0.0, TWO_PI - placement.covered_angle)
@@ -484,7 +468,7 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
         report_btheta=report_btheta, spot_check=spot,
         tail_blaschke_estimate=tail_estimate,
         metadata={
-            "horizon": horizon, "depth": depth, "step": step,
+            "horizon": horizon, "depth": depth, "step": STEP,
             "cutoff": cutoff,
             "connector_order": "components chained by increasing arc left "
                                "endpoint; gaps in the decomposition start "

@@ -10,33 +10,32 @@ from __future__ import annotations
 import math
 
 from .geometry import BoundaryArc
-from .inner import BlaschkeProduct, InnerFunction, ZeroSequence
+from .inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
 from .measures import AtomicMeasure, CantorMeasure
 
 
-def single_atom_measure(mass: float = 1.0, angle: float = 0.0) -> AtomicMeasure:
-    return AtomicMeasure([(angle, mass)])
+def single_atom_measure() -> AtomicMeasure:
+    return AtomicMeasure([(0.0, 1.0)])
 
 
 def single_atom() -> InnerFunction:
     """Unit point mass at angle 0: |S(r)| = exp(-(1+r)/(1-r)) on the radius."""
-    from .inner import SingularInner
     return InnerFunction(singular=SingularInner(single_atom_measure()))
 
 
 def two_atoms() -> InnerFunction:
-    from .inner import SingularInner
     return InnerFunction(singular=SingularInner(
         AtomicMeasure([(0.0, 1.0), (math.pi, 1.0)])))
 
 
-def example1_measure(materialize: int = 2) -> AtomicMeasure:
+def example1_measure() -> AtomicMeasure:
     """Atoms alpha_n = 8^{-n} at angles theta_n = 2^{-n}, n >= 1.
 
     sum alpha_n theta_n^{-2} = sum 2^{-n} = 1, so the associated singular
     inner function satisfies |S(r)| >= exp(-3 (1 - r^2)) for r >= 1/2.
+    The first two atoms are listed; the rest come from the generator.
     """
-    n0 = max(1, int(materialize))
+    n0 = 2
     atoms = [(2.0 ** -n, 8.0 ** -n) for n in range(1, n0 + 1)]
 
     def gen(start=n0 + 1):
@@ -53,7 +52,6 @@ def example1_measure(materialize: int = 2) -> AtomicMeasure:
 
 
 def example1() -> InnerFunction:
-    from .inner import SingularInner
     return InnerFunction(singular=SingularInner(example1_measure()))
 
 
@@ -62,15 +60,14 @@ def cantor_middle_thirds_measure() -> CantorMeasure:
 
 
 def cantor_inner() -> InnerFunction:
-    from .inner import SingularInner
     return InnerFunction(singular=SingularInner(CantorMeasure.middle_thirds()))
 
 
-def radial_geometric_zeros(max_n: int = 50) -> ZeroSequence:
-    """Zeros 1 - 2^{-n}, n >= 1; exact geometric tail budget."""
+def radial_geometric_zeros() -> ZeroSequence:
+    """Zeros 1 - 2^{-n}, n >= 1, generated to n = 50; exact geometric tail budget."""
 
     def gen():
-        for n in range(1, max_n + 1):
+        for n in range(1, 51):
             yield (complex(1.0 - 2.0 ** -n, 0.0), 2.0 ** -n)
 
     return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0,
@@ -81,11 +78,12 @@ def radial_geometric() -> InnerFunction:
     return InnerFunction(blaschke=BlaschkeProduct(radial_geometric_zeros()))
 
 
-def radial_sparse_zeros(max_n: int = 7) -> ZeroSequence:
-    """Zeros 1 - 2^{-n^2}, n >= 1; super-geometric gaps, tail ratio -> 0."""
+def radial_sparse_zeros() -> ZeroSequence:
+    """Zeros 1 - 2^{-n^2}, n >= 1, generated to n = 7; super-geometric gaps,
+    tail ratio -> 0."""
 
     def gen():
-        for n in range(1, max_n + 1):
+        for n in range(1, 8):
             yield (complex(1.0 - 2.0 ** -(n * n), 0.0), 2.0 * 2.0 ** -((n + 1) ** 2))
 
     return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0,

@@ -329,8 +329,8 @@ class MuMeasure:
         self._angles = np.mod(np.angle(zs), TWO_PI)
         self._weights = np.array([wt for _, wt in self.zero_atoms], dtype=np.float64)
 
-    def of_square(self, square: CarlesonSquare, tol: float = 1e-12) -> float:
-        lo, hi = self.of_square_bounds(square, tol)
+    def of_square(self, square: CarlesonSquare) -> float:
+        lo, hi = self.of_square_bounds(square)
         return 0.5 * (lo + hi)
 
     def of_square_bounds(self, square: CarlesonSquare,
@@ -428,7 +428,7 @@ class InnerFunction:
         lo = hi = 0.0
         if self.blaschke is not None:
             part = self.blaschke.log_modulus(z, 0.5 * tol)
-            if part is MINUS_INF_INTERVAL or part.lo == -math.inf:
+            if part.lo == -math.inf:
                 return MINUS_INF_INTERVAL
             lo += part.lo
             hi += part.hi

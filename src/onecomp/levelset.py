@@ -31,6 +31,9 @@ from .errors import DomainError
 from .geometry import TWO_PI
 from .inner import InnerFunction
 
+MIN_DEPTH = 3        # cells shallower than this split without evaluation
+EVAL_TOL = 1e-9      # tolerance of the certified |Theta| at each cell center
+
 
 @dataclass(frozen=True)
 class PolarCell:
@@ -131,11 +134,11 @@ def _cell_rho_bound(cell: PolarCell, center: complex) -> float:
     return min(1.0, worst / den)
 
 
-def _classify_cell(theta: InnerFunction, cell: PolarCell, epsilon: float,
-                   eval_tol: float) -> tuple[str, float]:
+def _classify_cell(theta: InnerFunction, cell: PolarCell,
+                   epsilon: float) -> tuple[str, float]:
     """('in' | 'out' | 'split', certified upper bound at the center)."""
     center = cell.center()
-    val = theta.modulus_bounds(center, eval_tol)
+    val = theta.modulus_bounds(center, EVAL_TOL)
     rho = _cell_rho_bound(cell, center)
     if rho < 1.0:
         ub = (val.hi + rho) / (1.0 + val.hi * rho)
@@ -149,7 +152,6 @@ def _classify_cell(theta: InnerFunction, cell: PolarCell, epsilon: float,
 
 
 def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
-                         min_depth: int = 3, eval_tol: float = 1e-9,
                          compare_previous: bool = True) -> LevelSetAnalysis:
     """Flood fill of the certified sublevel cells of the polar quadtree.
 
@@ -165,22 +167,20 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
         raise DomainError("epsilon must lie in (0, 1)")
     if depth < 3:
         raise DomainError("depth must be >= 3")
-    if min_depth < 2 or min_depth > depth:
-        raise DomainError("min_depth must lie in [2, depth]")
 
     previous = None
-    if compare_previous and depth > min_depth:
-        previous = level_set_components(theta, epsilon, depth - 1, min_depth,
-                                        eval_tol, compare_previous=False)
+    if compare_previous and depth > MIN_DEPTH:
+        previous = level_set_components(theta, epsilon, depth - 1,
+                                        compare_previous=False)
 
     marked: list[PolarCell] = []
     stack = [PolarCell(2, k, j) for k in range(4) for j in range(4)]
     while stack:
         cell = stack.pop()
-        if cell.depth < min_depth:
+        if cell.depth < MIN_DEPTH:
             stack.extend(cell.children())
             continue
-        status, center_hi = _classify_cell(theta, cell, epsilon, eval_tol)
+        status, center_hi = _classify_cell(theta, cell, epsilon)
         if status == "in":
             marked.append(cell)
         elif status == "split":
@@ -195,7 +195,7 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
         epsilon=epsilon, depth=depth, component_count=count,
         previous_depth_count=previous.component_count if previous else None,
         cells=list(zip(marked, labels)),
-        params={"min_depth": min_depth, "eval_tol": eval_tol,
+        params={"min_depth": MIN_DEPTH, "eval_tol": EVAL_TOL,
                 "marked_cells": len(marked)})
 
 

@@ -14,7 +14,8 @@ from typing import Any
 
 from .errors import DomainError
 from .geometry import BoundaryArc
-from .inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence, load_zeros_csv
+from .inner import (BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence,
+                    dump_zeros_csv, load_zeros_csv)
 from .measures import AtomicMeasure, CantorMeasure, CdfMeasure, SingularMeasure
 
 
@@ -197,7 +198,6 @@ def inner_from_json(doc: dict, base_dir: str = ".") -> InnerFunction:
 
 
 def inner_to_json(theta: InnerFunction) -> dict:
-    from .inner import dump_zeros_csv
     doc: dict = {"lambda": {"re": fmt(theta.unimodular.real),
                             "im": fmt(theta.unimodular.imag)}}
     if theta.blaschke is not None:

@@ -313,6 +313,34 @@ class TestInputValidation:
         assert out == ""
         assert err.count("\n") == 1 and option in err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--at", "0.5,0"], ["classify", "--depth", "4"],
+        ["levelset", "--epsilon", "0.5", "--depth", "4", "--pgm"],
+        ["construct", "--horizon", "3", "--depth", "4"],
+        ["measure", "--at", "0.5,0"], ["seed-examples"], ["--seed-examples"]],
+        ids=lambda c: c[0])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unusable_out_exit_code(self, command, below, capsys, tmp_path):
+        # a regular file where the output directory, or its parent, should be
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out_dir = str(taken / "sub" if below else taken)
+        argv = command + ["--out", out_dir]
+        if command[0] == "measure":
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps({"kind": "atoms",
+                                        "atoms": [{"theta": "0", "mass": "1"}]}))
+            argv[1:1] = ["--measure", str(path)]
+        elif not command[0].startswith(("seed", "--")):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+            argv[1:1] = ["--inner", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "taken" in err and "Traceback" not in err
+
     def test_valid_numeric_options(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))

@@ -1,15 +1,19 @@
+import bisect
 import math
 import cmath
+import re
 
 import pytest
 
 from onecomp import families
 from onecomp.classify import ONE_COMPONENT
-from onecomp.companion import (build_gamma, choose_radii, construct_companion,
-                               place_zeros)
-from onecomp.errors import HypothesisViolated
-from onecomp.geometry import TWO_PI, PointSupport, pseudo_distance, whitney_arcs
-from onecomp.inner import InnerFunction, SingularInner
+from onecomp.companion import (GRID_MAX_K, build_gamma, choose_radii,
+                               construct_companion, place_zeros)
+from onecomp.errors import (HypothesisViolated, RadiusSearchExhausted,
+                            TailBoundInsufficient)
+from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, pseudo_distance,
+                              whitney_arcs)
+from onecomp.inner import InnerFunction, Interval, SingularInner
 from onecomp.measures import CdfMeasure
 
 
@@ -53,6 +57,82 @@ class TestChooseRadii:
         arcs = list(whitney_arcs(PointSupport.of([]),))
         chain = choose_radii(theta, arcs)
         assert min(chain.radii) > 0.5
+
+
+def probe_and_bisect_radii(theta, arcs):
+    """The earlier radius search, kept as a reference: an exponential probe
+    for a passing k, then a bisection below it, which is exact only when
+    passing is monotone in k."""
+    radii = []
+    for arc in arcs:
+        eps = min(0.5, arc.length)
+        tol = max(1e-12, eps * 1e-2)
+
+        def passes(k):
+            for j in range(k, min(k + 4, 52)):
+                r_band = 1.0 - 2.0 ** -j
+                count = max(2, min(int(arc.length / 2.0 ** -j) + 2, 96))
+                for i in range(count):
+                    z = r_band * cmath.exp(1j * (arc.lo + arc.length * i / (count - 1)))
+                    try:
+                        if theta.modulus_bounds(z, tol).lo < 1.0 - eps:
+                            return False
+                    except TailBoundInsufficient:
+                        return False
+            return True
+
+        failing, k = 0, 1
+        while not passes(k):
+            assert k < GRID_MAX_K, "reference search exhausted"
+            failing, k = k, min(2 * k, GRID_MAX_K)
+        k = failing + 1 + bisect.bisect_left(range(failing + 1, k), True, key=passes)
+        radii.append(1.0 - 2.0 ** -k)
+    return radii
+
+
+class BandTheta:
+    """|Theta| is 0 on the listed radius bands 1 - 2^-j and 1 elsewhere;
+    every evaluated point is recorded."""
+
+    def __init__(self, failing):
+        self.failing = set(failing)
+        self.points = []
+
+    def modulus_bounds(self, z, tol):
+        self.points.append(z)
+        band = round(-math.log2(1.0 - abs(z)))
+        return Interval(0.0 if band in self.failing else 1.0, 1.0)
+
+
+class TestRadiusWalk:
+    def test_non_monotone_bands_give_smallest_passing_k_once_each(self):
+        # k = 9 passes (bands 9..12) but k = 10..13 fail on band 13, so
+        # passing is not monotone in k; a bisection between the probes 8
+        # and 16 lands on 14
+        failing = {4, 8, 13}
+        smallest = min(k for k in range(1, GRID_MAX_K + 1)
+                       if not failing & set(range(k, min(k + 4, 52))))
+        theta = BandTheta(failing)
+        chain = choose_radii(theta, [BoundaryArc.from_endpoints(1.0, 1.25)])
+        assert smallest == 9
+        assert chain.radii == [1.0 - 2.0 ** -smallest]
+        assert len(theta.points) == len(set(theta.points))
+
+    @pytest.mark.parametrize("family", ["single_atom", "two_atoms", "example1",
+                                        "radial_sparse"])
+    def test_same_radii_as_probe_and_bisection(self, family):
+        builder = getattr(families, family)
+        arcs = list(whitney_arcs(builder().singular_set(),
+                                 min_length=TWO_PI * 2.0 ** -8))
+        assert choose_radii(builder(), arcs).radii == \
+            probe_and_bisect_radii(builder(), arcs)
+
+    def test_exhausted_search_message(self):
+        message = ("no grid radius down to 1 - 2^-50 meets the 1 - 0.000383495 "
+                   "floor on arc at angle 0.000575243; singular set "
+                   "under-described?")
+        with pytest.raises(RadiusSearchExhausted, match=re.escape(message)):
+            construct_companion(families.radial_geometric(), horizon=60, depth=6)
 
 
 class TestGamma:

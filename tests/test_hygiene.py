@@ -59,3 +59,79 @@ def test_every_name_the_bench_tracer_patches_exists():
         if owner is None or attr not in vars(owner):
             missing.append("%s.%s.%s" % (module, cls, attr))
     assert missing == []
+
+
+ROOT = SRC.parent.parent
+CALLER_DIRS = ("src", "tests", "bench")
+
+
+def _defaulted_parameters():
+    """(file, line, function, parameter, positional index or None) for every
+    defaulted parameter of a module-level function or method in the package;
+    the index counts positional slots after self/cls."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defs = [(node, False) for node in tree.body]
+        defs += [(item, True) for node in tree.body if isinstance(node, ast.ClassDef)
+                 for item in node.body]
+        for node, in_class in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name == "__init__":
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if in_class and not static else 0
+            first_defaulted = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional):
+                if i >= first_defaulted:
+                    found.append((path.name, node.lineno, node.name, arg.arg, i - skip))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((path.name, node.lineno, node.name, arg.arg, None))
+    return found
+
+
+def _calls_by_name():
+    """Function name -> [(positional count, *args used, keywords, **kw used)]."""
+    calls = {}
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if name is None:
+                    continue
+                calls.setdefault(name, []).append((
+                    sum(not isinstance(a, ast.Starred) for a in node.args),
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    {k.arg for k in node.keywords if k.arg is not None},
+                    any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    # a parameter that no call in src/, tests/ or bench/ ever passes is a
+    # knob with one value in use: it belongs in a constant, not a signature
+    found = _defaulted_parameters()
+    assert found, "no defaulted parameters found; is the source path right?"
+    calls = _calls_by_name()
+
+    def passed(func, param, index):
+        for count, star, keywords, double_star in calls.get(func, []):
+            if param in keywords or double_star:
+                return True
+            if index is not None and (count > index or star):
+                return True
+        return False
+
+    unset = ["%s:%d %s(%s)" % (path, line, func, param)
+             for path, line, func, param, index in found
+             if not passed(func, param, index)]
+    assert not unset, "no call sets:\n" + "\n".join(unset)
