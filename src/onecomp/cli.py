@@ -260,9 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """``--at -0.5,0.5`` as ``--at=-0.5,0.5``: argparse takes a separate
+    value that starts with '-' and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--at", "--arc") and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(
+        sys.argv[1:] if argv is None else list(argv)))
     if args.seed_examples:
         args.out = args.top_out
         args.func = cmd_seed_examples

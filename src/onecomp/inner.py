@@ -222,9 +222,9 @@ class BlaschkeProduct:
         if arr.size == 0:
             return 0.0
         num = np.abs(arr - z)
-        if np.any(num == 0.0):
+        if (num == 0.0).any():
             return -math.inf
-        return float(np.sum(np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))))
+        return float((np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))).sum())
 
     def log_modulus(self, z: complex, tol: float = 1e-9) -> Interval:
         z = complex(z)

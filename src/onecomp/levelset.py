@@ -35,27 +35,11 @@ MIN_DEPTH = 3        # cells shallower than this split without evaluation
 EVAL_TOL = 1e-9      # tolerance of the certified |Theta| at each cell center
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarCell:
     depth: int
     k_theta: int
     j_radius: int
-
-    @property
-    def theta_lo(self) -> float:
-        return TWO_PI * self.k_theta * 2.0 ** -self.depth
-
-    @property
-    def theta_hi(self) -> float:
-        return TWO_PI * (self.k_theta + 1) * 2.0 ** -self.depth
-
-    @property
-    def r_lo(self) -> float:
-        return self.j_radius * 2.0 ** -self.depth
-
-    @property
-    def r_hi(self) -> float:
-        return (self.j_radius + 1) * 2.0 ** -self.depth
 
     def center(self) -> complex:
         r = (self.j_radius + 0.5) * 2.0 ** -self.depth
@@ -80,6 +64,9 @@ class LevelSetAnalysis:
     cells: list[tuple[PolarCell, int]]          # marked leaves with labels
     params: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    # preorder leaves (cell, split at the depth cap) that a deeper run
+    # refines; kept only with compare_previous=False, and never reported
+    leaves: Optional[list[tuple[PolarCell, bool]]] = field(default=None, repr=False)
 
     @property
     def stabilized(self) -> bool:
@@ -123,12 +110,13 @@ def _cell_rho_bound(cell: PolarCell, center: complex) -> float:
     The farthest point of a polar rectangle from its polar center is a
     corner; |1 - conj(c) z| >= 1 - |c| r_max bounds the denominator.
     """
-    c_abs = abs(center)
+    scale = 2.0 ** -cell.depth
+    r_lo, r_hi = cell.j_radius * scale, (cell.j_radius + 1) * scale
     worst = 0.0
-    for r in (cell.r_lo, cell.r_hi):
-        for t in (cell.theta_lo, cell.theta_hi):
-            worst = max(worst, abs(center - r * cmath.exp(1j * t)))
-    den = 1.0 - c_abs * cell.r_hi
+    for k in (cell.k_theta, cell.k_theta + 1):
+        corner = cmath.exp(1j * (TWO_PI * k * scale))
+        worst = max(worst, abs(center - r_lo * corner), abs(center - r_hi * corner))
+    den = 1.0 - abs(center) * r_hi
     if den <= 0.0:
         return 1.0
     return min(1.0, worst / den)
@@ -161,20 +149,54 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
     edge-connected (shared boundary of positive length, angular wrap
     included) and labeled by a union-find pass.  The component count is an
     estimate; ``previous_depth_count`` reports the same analysis one depth
-    coarser so stabilization is visible.
+    coarser so stabilization is visible.  That coarser tree is built first,
+    and this one refines its depth-cap split cells, so each cell is
+    evaluated once.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
     if depth < 3:
         raise DomainError("depth must be >= 3")
 
-    previous = None
+    marked: list[PolarCell] = []
+    # only a run that a deeper run refines keeps its leaves
+    leaves = None if compare_previous else []
+    previous_count = None
     if compare_previous and depth > MIN_DEPTH:
         previous = level_set_components(theta, epsilon, depth - 1,
                                         compare_previous=False)
+        previous_count = previous.component_count
+        # the preorder of the depth - 1 tree, each split leaf replaced by
+        # its subtree: the depth-D preorder, evaluating only new cells
+        for cell, split in previous.leaves:
+            if split:
+                _descend(theta, epsilon, depth, list(cell.children()),
+                         marked, None)
+            else:
+                marked.append(cell)
+        del previous        # not held through the flood fill
+    else:
+        _descend(theta, epsilon, depth,
+                 [PolarCell(2, k, j) for k in range(4) for j in range(4)],
+                 marked, leaves)
 
-    marked: list[PolarCell] = []
-    stack = [PolarCell(2, k, j) for k in range(4) for j in range(4)]
+    labels = _flood_fill(marked, depth)
+    count = len(set(labels)) if labels else 0
+    return LevelSetAnalysis(
+        epsilon=epsilon, depth=depth, component_count=count,
+        previous_depth_count=previous_count,
+        cells=list(zip(marked, labels)),
+        params={"min_depth": MIN_DEPTH, "eval_tol": EVAL_TOL,
+                "marked_cells": len(marked)},
+        leaves=leaves)
+
+
+def _descend(theta: InnerFunction, epsilon: float, depth: int,
+             stack: list[PolarCell], marked: list[PolarCell],
+             leaves: Optional[list[tuple[PolarCell, bool]]]) -> None:
+    """Preorder descent from ``stack``: append marked cells to ``marked``
+    and, unless ``leaves`` is None, the in cells and depth-cap split cells
+    to ``leaves``."""
     while stack:
         cell = stack.pop()
         if cell.depth < MIN_DEPTH:
@@ -183,20 +205,16 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
         status, center_hi = _classify_cell(theta, cell, epsilon)
         if status == "in":
             marked.append(cell)
+            if leaves is not None:
+                leaves.append((cell, False))
         elif status == "split":
             if cell.depth < depth:
                 stack.extend(cell.children())
-            elif center_hi < epsilon:
-                marked.append(cell)
-
-    labels = _flood_fill(marked, depth)
-    count = len(set(labels)) if labels else 0
-    return LevelSetAnalysis(
-        epsilon=epsilon, depth=depth, component_count=count,
-        previous_depth_count=previous.component_count if previous else None,
-        cells=list(zip(marked, labels)),
-        params={"min_depth": MIN_DEPTH, "eval_tol": EVAL_TOL,
-                "marked_cells": len(marked)})
+            else:
+                if center_hi < epsilon:
+                    marked.append(cell)
+                if leaves is not None:
+                    leaves.append((cell, True))
 
 
 class _UnionFind:

@@ -78,6 +78,14 @@ class TestEvalCommand:
         doc = json.loads(out)
         assert float(doc["value"]["re"]) == pytest.approx(math.exp(-3.0), abs=1e-9)
 
+    def test_negative_point_as_separate_value(self, seeds, capsys):
+        inner = str(seeds / "atom1.json")
+        code1, out1, err1 = run_cli(["eval", "--inner", inner, "--at", "-0.5,0.5"],
+                                    capsys)
+        code2, out2, _ = run_cli(["eval", "--inner", inner, "--at=-0.5,0.5"], capsys)
+        assert (code1, err1) == (0, "")
+        assert code2 == 0 and strip_timestamp(out1) == strip_timestamp(out2)
+
 
 class TestLevelsetCommand:
     def test_mobius_component_count(self, seeds, capsys, tmp_path):
@@ -108,17 +116,59 @@ class TestLevelsetCommand:
             "1b53c93a883141fac2b0d7f08d50f9f0af4ac9600735711b8e49155e90daa23f"),
     }
 
+    # the same for epsilon 0.1 and 0.9, and for two seeded families at 0.5,
+    # recorded with the second full quadtree that the depth-D pass replaced
+    GOLDEN_MORE = {
+        ("re,im\n0.5,0\n", "0.1"): (
+            "b0091ab93fd0a3d353032fb9289bf97aebe1dffecfc7499e79c734e92ec38226",
+            "dbcadc34721ce84743eba5d28d672f4b65a8143435eab667c84fd69d0c385643"),
+        ("re,im\n0.5,0\n", "0.9"): (
+            "ad518ecdff20d214dd734a826efd29a194919c91b7718b70c36e89f9bfeaaf52",
+            "e61cd364d34bd2919b33d774a556ffb114f0743cd968329a5ee92bd7fc899517"),
+        ("re,im\n0.5,0\n0,0.5\n", "0.1"): (
+            "5b855943d28af38d6313a6b4111bb1e2dff2708957c9a9e4a27c25275f8e3639",
+            "ae87835eb7a8f2b10b68160e6446ca6519b42b27eaaf36cac026dce93c6a1252"),
+        ("re,im\n0.5,0\n0,0.5\n", "0.9"): (
+            "a6f8ed227abf7583061236b7144e56a67af9e63d60f15a97861bc00e417f4999",
+            "4534ec7efc6b131e9eb761e2a32f7939809b715606fe6ae2e6ee687d8b925499"),
+        ("re,im\n0.5,0\n0,0.5\n-0.5,0\n", "0.1"): (
+            "f339100b91b29355dffe918fa563bd806d871386171da12a38f64975b60a738c",
+            "35c4670fcbc14476927a7ac393b7732f0217094b4937260d22c20b87bca1495f"),
+        ("re,im\n0.5,0\n0,0.5\n-0.5,0\n", "0.9"): (
+            "b328e45d106255c02acbbaded7da9a886b72c3c89b621832dddd7153f88e93a6",
+            "d31f241b0490e4f65e6b36787b5396e10bc0dcbe07e367215f40c0d041081250"),
+        ("radial_geometric", "0.5"): (
+            "d2b1d30d61e6e4c538cacd7047cd226cf7abb79a52e4b1b431cd03afc631c003",
+            "eaaa9b1f7975041a7e9bb41720111f222fb3b662a0a1b8eed8c8c5152b25b9fd"),
+        ("example1", "0.5"): (
+            "0600ef8a98cb029ae52e72939121918acf2992ef3af401a55167211680e60572",
+            "29f35beb462e7f0699f2e87151b84eefe11a2c7d7d23a45ef8ca0b4b512adf7e"),
+    }
+
+    @staticmethod
+    def digests(inner, epsilon, capsys, out):
+        code, _, _ = run_cli(["levelset", "--inner", str(inner), "--depth", "7",
+                              "--epsilon", epsilon, "--pgm", "--out", str(out)],
+                             capsys)
+        assert code == 0
+        return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("levelset.csv", "levelset.pgm"))
+
     @pytest.mark.parametrize("zeros_csv", sorted(GOLDEN))
     def test_golden_outputs(self, zeros_csv, capsys, tmp_path):
         inner = tmp_path / "inner.json"
         inner.write_text(json.dumps({"zeros_csv": zeros_csv}))
-        code, _, _ = run_cli(["levelset", "--inner", str(inner), "--depth", "7",
-                              "--epsilon", "0.5", "--pgm", "--out", str(tmp_path)],
-                             capsys)
-        assert code == 0
-        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                        for name in ("levelset.csv", "levelset.pgm"))
-        assert digests == self.GOLDEN[zeros_csv]
+        assert self.digests(inner, "0.5", capsys, tmp_path) == self.GOLDEN[zeros_csv]
+
+    @pytest.mark.parametrize("source,epsilon", sorted(GOLDEN_MORE))
+    def test_golden_outputs_more(self, source, epsilon, seeds, capsys, tmp_path):
+        if source.startswith("re,im"):
+            inner = tmp_path / "inner.json"
+            inner.write_text(json.dumps({"zeros_csv": source}))
+        else:
+            inner = seeds / (source + ".json")
+        assert self.digests(inner, epsilon, capsys, tmp_path) \
+            == self.GOLDEN_MORE[(source, epsilon)]
 
 
 class TestMeasureCommand:
@@ -140,6 +190,18 @@ class TestMeasureCommand:
         assert float(parsed["poisson"]) == pytest.approx(3.0)
         assert float(parsed["arc_mass"]) == 1.0
         assert float(parsed["herglotz"]["re"]) == pytest.approx(-3.0)
+
+    def test_negative_arc_and_point_as_separate_values(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "atoms",
+                                    "atoms": [{"theta": "-0.9", "mass": "1"}]}))
+        code1, out1, err1 = run_cli(["measure", "--measure", str(path),
+                                     "--arc", "-1,0.5", "--at", "-0.5,-0.5"], capsys)
+        code2, out2, _ = run_cli(["measure", "--measure", str(path),
+                                  "--arc=-1,0.5", "--at=-0.5,-0.5"], capsys)
+        assert (code1, err1) == (0, "")
+        assert code2 == 0 and strip_timestamp(out1) == strip_timestamp(out2)
+        assert float(json.loads(out1)["arc_mass"]) == 1.0
 
     def test_precision_exhausted_exit_code(self, capsys, tmp_path):
         doc = {"kind": "cantor", "delta": "middle-thirds"}

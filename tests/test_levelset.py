@@ -68,6 +68,50 @@ def blaschke_modulus_fn(zeros):
     return fn
 
 
+EQUIVALENCE_CASES = {
+    "one_zero": lambda: families.finite_blaschke([0.5]),
+    "two_zeros": lambda: families.finite_blaschke([0.5, 0.5j]),
+    "three_zeros": lambda: families.finite_blaschke([0.5, 0.5j, -0.5]),
+    "radial_geometric": families.radial_geometric,
+    "example1": families.example1,
+    "atoms2": families.two_atoms,
+}
+
+
+class TestSingleTraversal:
+    """The depth-D pass refines the depth-(D-1) recount's split leaves."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_from_scratch_runs(self, case, eps):
+        build = EQUIVALENCE_CASES[case]
+        analysis = level_set_components(build(), eps, depth=7)
+        fresh = level_set_components(build(), eps, depth=7, compare_previous=False)
+        coarse = level_set_components(build(), eps, depth=6, compare_previous=False)
+        assert analysis.cells == fresh.cells
+        assert analysis.component_count == fresh.component_count
+        assert analysis.previous_depth_count == coarse.component_count
+
+    @pytest.mark.parametrize("case", ["three_zeros", "example1"])
+    def test_each_cell_is_evaluated_once(self, case):
+        def counted(theta, points):
+            evaluate = theta.modulus_bounds
+
+            def wrapper(z, tol):
+                points.append(z)
+                return evaluate(z, tol)
+            theta.modulus_bounds = wrapper
+            return theta
+
+        build = EQUIVALENCE_CASES[case]
+        with_recount, single = [], []
+        level_set_components(counted(build(), with_recount), 0.5, depth=7)
+        level_set_components(counted(build(), single), 0.5, depth=7,
+                             compare_previous=False)
+        assert 0 < len(with_recount) <= len(single)
+        assert len(set(with_recount)) == len(with_recount)
+
+
 class TestLevelSets:
     def test_mobius_single_component_any_epsilon(self):
         theta = families.finite_blaschke([0.5])
