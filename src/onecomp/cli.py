@@ -98,7 +98,7 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
-    depth = _integer(args.depth, "--depth")
+    depth = _integer(args.depth, "--depth", least=2)
     theta = _load_inner(args.inner)
     budget = ScanBudget(depth=depth, tol=tol)
     report = classify(theta, budget)
@@ -113,7 +113,7 @@ def cmd_classify(args) -> int:
 
 def cmd_levelset(args) -> int:
     epsilon = _num(args.epsilon, "--epsilon")
-    depth = _integer(args.depth, "--depth")
+    depth = _integer(args.depth, "--depth", least=3)
     theta = _load_inner(args.inner)
     analysis = level_set_components(theta, epsilon, depth)
     doc = {"epsilon": analysis.epsilon, "depth": analysis.depth,
@@ -136,7 +136,7 @@ def cmd_levelset(args) -> int:
 
 def cmd_construct(args) -> int:
     horizon = _integer(args.horizon, "--horizon", least=1)
-    depth = _integer(args.depth, "--depth")
+    depth = _integer(args.depth, "--depth", least=2)
     theta = _load_inner(args.inner)
     result = construct_companion(theta, horizon=horizon, depth=depth)
     doc = {

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
 from .errors import (CurveExhausted, DomainError, HypothesisViolated,
                      RadiusSearchExhausted, TailBoundInsufficient)
@@ -391,22 +393,24 @@ class CompanionResult:
                 and self.spot_check.passed)
 
 
-def _spot_check_b(blaschke: InnerFunction, mu: MuMeasure, depth: int) -> SpotCheck:
+def _spot_check_b(blaschke: BlaschkeProduct, mu: MuMeasure, depth: int) -> SpotCheck:
     """Scan points where |B| stays above 12/21 must carry no mu mass.
 
-    mu is B's own zero measure, whose square brackets are exact, so its
-    lower ends are the masses.
+    |B| is bracketed once per scan level, at the Blaschke half of the 1e-9
+    tolerance that InnerFunction.modulus_bounds splits.  mu is B's own zero
+    measure, whose square brackets are exact, so its lower ends are the
+    masses.
     """
     checked = above = 0
     violations: list[complex] = []
     for level in range(2, depth + 1):
         points = WhitneyBox.level_points(level)
-        high = [i for i, z in enumerate(points.tolist())
-                if blaschke.modulus_bounds(z, 1e-9).lo > 12.0 / 21.0]
+        lower, _ = blaschke.modulus_bounds_many(points, 0.5 * 1e-9)
+        high = np.flatnonzero(lower > 12.0 / 21.0)
         checked += len(points)
         above += len(high)
         masses = mu.lower_masses(points[high])
-        violations.extend(complex(points[i]) for i, m in zip(high, masses.tolist())
+        violations.extend(complex(points[i]) for i, m in zip(high.tolist(), masses.tolist())
                           if m != 0.0)
     return SpotCheck(checked, above, violations)
 
@@ -455,7 +459,7 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
 
     report_b = criterion_scan(companion, depth)
     report_btheta = criterion_scan(product, depth)
-    spot = _spot_check_b(companion, companion.mu(), depth)
+    spot = _spot_check_b(companion.blaschke, companion.mu(), depth)
 
     tail_estimate = 8.0 * max(0.0, TWO_PI - placement.covered_angle)
     if placement.exhausted:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from onecomp import cli
 from onecomp.cli import main
 from onecomp.inner import dump_zeros_csv, load_zeros_csv
 
@@ -403,6 +404,27 @@ class TestInputValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "taken" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args, least", [
+        (["classify", "--depth", "1"], 2),
+        (["levelset", "--epsilon", "0.5", "--depth", "2"], 3),
+        (["construct", "--horizon", "3", "--depth", "1"], 2),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_shallow_depth_rejected_before_evaluation(self, args, least, capsys,
+                                                      tmp_path, monkeypatch):
+        def evaluation(*_args, **_kwargs):
+            raise AssertionError("evaluated before --depth was checked")
+
+        for name in ("classify", "level_set_components", "construct_companion",
+                     "_load_inner"):
+            monkeypatch.setattr(cli, name, evaluation)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+        code, out, err = run_cli(args[:1] + ["--inner", str(path)] + args[1:], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "--depth" in err and "at least %d" % least in err
+
     def test_valid_numeric_options(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
@@ -429,8 +451,14 @@ class TestGoldenScans:
             "8c69617f8772fbcc594d6ce0069d3a5babe981de6d8dd8f71e510a2f72a2cb52",
         "radial_sparse": "394c49199e72c9a0cfed01704adcbc2cc26503841b2c77a300917ff8957c0ca1",
     }
-    CONSTRUCT_ZEROS = "90210ab58200d675a9cd425f395496e18af11a21cc8a266791c4de27cc8d0743"
-    CONSTRUCT_REPORT = "4bf513a959277c09c5f8ec19f94d92cd7aaa16e44a804fcd3750ce1f4cc3ee35"
+    # construct --horizon 500 --depth 10: (zero CSV, companion.json); atoms2's
+    # recorded with the per-point spot check that the per-level one replaced
+    CONSTRUCT = {
+        "atom1": ("90210ab58200d675a9cd425f395496e18af11a21cc8a266791c4de27cc8d0743",
+                  "4bf513a959277c09c5f8ec19f94d92cd7aaa16e44a804fcd3750ce1f4cc3ee35"),
+        "atoms2": ("001edf283f65919ca22829e2cf34ccd0de489c652b901d481c9b0855a607c5c2",
+                   "9f53a53a59b9ecb74767ad07cb80223ceaf2af6f4a4f4be8ef461efb8e6ce4bd"),
+    }
 
     @staticmethod
     def digest(text: str) -> str:
@@ -445,15 +473,22 @@ class TestGoldenScans:
         assert code == 0
         assert self.digest(out) == self.CLASSIFY[family]
 
-    def test_construct_atom1(self, seeds, capsys, tmp_path):
-        code, _, _ = run_cli(["construct", "--inner", str(seeds / "atom1.json"),
+    def construct_digests(self, family, seeds, capsys, tmp_path):
+        code, _, _ = run_cli(["construct", "--inner", str(seeds / (family + ".json")),
                               "--horizon", "500", "--depth", "10",
                               "--out", str(tmp_path)], capsys)
         assert code == 0
         text = (tmp_path / "companion.json").read_text()
         zeros = json.loads(text)["zeros_csv"]
-        assert hashlib.sha256(zeros.encode()).hexdigest() == self.CONSTRUCT_ZEROS
-        assert self.digest(text) == self.CONSTRUCT_REPORT
+        return (hashlib.sha256(zeros.encode()).hexdigest(), self.digest(text))
+
+    def test_construct_atom1(self, seeds, capsys, tmp_path):
+        assert self.construct_digests("atom1", seeds, capsys, tmp_path) == \
+            self.CONSTRUCT["atom1"]
+
+    def test_construct_atoms2(self, seeds, capsys, tmp_path):
+        assert self.construct_digests("atoms2", seeds, capsys, tmp_path) == \
+            self.CONSTRUCT["atoms2"]
 
 
 class TestRoundTrip:

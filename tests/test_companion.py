@@ -7,13 +7,14 @@ import pytest
 
 from onecomp import families
 from onecomp.classify import ONE_COMPONENT
-from onecomp.companion import (GRID_MAX_K, build_gamma, choose_radii,
-                               construct_companion, place_zeros)
+from onecomp.companion import (GRID_MAX_K, SpotCheck, _spot_check_b, build_gamma,
+                               choose_radii, construct_companion, place_zeros)
 from onecomp.errors import (HypothesisViolated, RadiusSearchExhausted,
                             TailBoundInsufficient)
-from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, pseudo_distance,
-                              whitney_arcs)
-from onecomp.inner import InnerFunction, Interval, SingularInner
+from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, WhitneyBox,
+                              carleson_square, pseudo_distance, whitney_arcs)
+from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, SingularInner,
+                           ZeroSequence)
 from onecomp.measures import CdfMeasure
 
 
@@ -280,3 +281,43 @@ class TestConstructCompanion:
                     worst = max(worst, b.modulus_bounds(
                         radius * cmath.exp(1j * ang), 1e-6).hi)
         assert 0.0 < worst < 0.75
+
+
+def reference_spot_check(zeros, depth: int) -> SpotCheck:
+    """The per-point spot check that the per-level one replaced: |B| through
+    InnerFunction.modulus_bounds and one mu(Q) query per point above 12/21."""
+    theta = InnerFunction(blaschke=BlaschkeProduct(ZeroSequence(zeros)))
+    mu = theta.mu()
+    checked = above = 0
+    violations = []
+    for level in range(2, depth + 1):
+        for z in WhitneyBox.level_points(level).tolist():
+            checked += 1
+            if theta.modulus_bounds(z, 1e-9).lo > 12.0 / 21.0:
+                above += 1
+                if mu.of_square_bounds(carleson_square(z))[0] != 0.0:
+                    violations.append(z)
+    return SpotCheck(checked, above, violations)
+
+
+class TestSpotCheck:
+    @staticmethod
+    def batched(zeros, depth: int) -> SpotCheck:
+        b = BlaschkeProduct(ZeroSequence(zeros))
+        return _spot_check_b(b, InnerFunction(blaschke=b).mu(), depth)
+
+    def test_companion_matches_per_point_reference(self):
+        zeros = construct_companion(families.single_atom(), horizon=500,
+                                    depth=10).zeros.zeros
+        expected = reference_spot_check(zeros, 10)
+        assert self.batched(zeros, 10) == expected
+        assert expected.passed and 0 < expected.points_above_threshold < 4088
+
+    def test_violation_under_a_shallow_point(self):
+        # one zero 2^-12 from the circle below a depth-2 scan point: |B| is
+        # near 1 at that point and its Carleson square holds the zero
+        shallow = complex(WhitneyBox.level_points(2)[3])
+        w = (1.0 - 2.0 ** -12) * shallow / abs(shallow)
+        expected = reference_spot_check([w], 8)
+        assert shallow in expected.violations
+        assert self.batched([w], 8) == expected

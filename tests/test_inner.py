@@ -406,6 +406,144 @@ class TestLevelKernel:
             (expected, listed)
 
 
+def scan_points(first: int, last: int) -> np.ndarray:
+    return np.concatenate([WhitneyBox.level_points(d) for d in range(first, last + 1)])
+
+
+def per_point_brackets(b: BlaschkeProduct, points: np.ndarray, tol: float) -> np.ndarray:
+    """The per-point modulus_bounds loop that modulus_bounds_many replaces,
+    as an array of (lower, upper) rows."""
+    return np.array([tuple(b.modulus_bounds(z, tol)) for z in points.tolist()],
+                    dtype=np.float64).reshape(-1, 2)
+
+
+def batch_brackets(b: BlaschkeProduct, points: np.ndarray, tol: float) -> np.ndarray:
+    return np.column_stack(b.modulus_bounds_many(points, tol))
+
+
+def first_error(query):
+    """(exception type, message) raised by query(); fails when none is."""
+    with pytest.raises((DomainError, TailBoundInsufficient)) as info:
+        query()
+    return type(info.value), str(info.value)
+
+
+@pytest.fixture(scope="module")
+def companion500():
+    return construct_companion(single_atom(), horizon=500, depth=10)
+
+
+def truncated_geometric_zeros() -> ZeroSequence:
+    # zeros 1 - 2^-n for n <= 20, then an exhausted generator with tail 2^-20
+    def gen():
+        for n in range(1, 21):
+            yield (complex(1.0 - 2.0 ** -n, 0.0), 2.0 ** -n)
+
+    return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0, ordered_by_modulus=True)
+
+
+@pytest.mark.filterwarnings("error")
+class TestModulusBoundsMany:
+    """BlaschkeProduct.modulus_bounds_many against the per-point loop, bit for
+    bit, on separate instances, so lazily listed zeros are compared too."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_companion_matches_per_point_loop(self, tol, companion500):
+        zeros = companion500.zeros.zeros
+        assert len(zeros) == 500
+        points = scan_points(2, 12)
+        expected = per_point_brackets(BlaschkeProduct(zeros), points, tol)
+        got = batch_brackets(BlaschkeProduct(zeros), points, tol)
+        assert got.tobytes() == expected.tobytes()
+        assert (expected[:, 0] > 12.0 / 21.0).any() and (expected[:, 1] < 1e-9).any()
+
+    @pytest.mark.parametrize("family, tol, mid_batch", [
+        (radial_geometric_zeros, 1e-6, True), (radial_geometric_zeros, 1e-9, False),
+        (radial_sparse_zeros, 1e-6, False), (radial_sparse_zeros, 1e-9, False),
+    ], ids=lambda v: v.__name__ if callable(v) else str(v))
+    def test_generated_zeros_match_per_point_loop(self, family, tol, mid_batch,
+                                                  monkeypatch):
+        points = scan_points(2, 12)
+        reference, batch = BlaschkeProduct(family()), BlaschkeProduct(family())
+        expected = per_point_brackets(reference, points, tol)
+        calls = []
+        log_sums = batch._log_sums
+        monkeypatch.setattr(batch, "_log_sums",
+                            lambda pts: calls.append(len(pts)) or log_sums(pts))
+        got = batch_brackets(batch, points, tol)
+        assert got.tobytes() == expected.tobytes()
+        assert batch.zeros.zeros == reference.zeros.zeros
+        # listing more zeros recomputed the sums of the remaining points,
+        # at the first point and, for some cases, again at a later one
+        assert len(calls) > 1 and calls[0] == len(points)
+        assert (min(calls) < len(points)) == mid_batch
+
+    def test_points_at_zeros_and_no_zeros(self):
+        zeros = [0.5, 0.3 + 0.4j, -0.7j]
+        points = np.array([0.5, 0.0, 0.3 + 0.4j, -0.7j, 0.9 + 0.1j, 0.3 + 0.4j])
+        for tol in (1e-9, 0.5):
+            expected = per_point_brackets(BlaschkeProduct(zeros), points, tol)
+            got = batch_brackets(BlaschkeProduct(zeros), points, tol)
+            assert got.tobytes() == expected.tobytes()
+            assert got[[0, 2, 3, 5]].tolist() == [[0.0, 0.0]] * 4
+            empty = BlaschkeProduct([])
+            assert batch_brackets(empty, points, tol).tobytes() == \
+                per_point_brackets(empty, points, tol).tobytes()
+        assert batch_brackets(BlaschkeProduct(zeros), points[:0], 1e-9).shape == (0, 2)
+
+    @pytest.mark.parametrize("outside", [1.0, -1.5j, complex(math.nan, 0.0),
+                                         complex(math.inf, 0.0)])
+    def test_domain_error_at_the_same_point(self, outside):
+        points = np.concatenate([scan_points(2, 6), [outside], scan_points(7, 7)])
+        reference, batch = (BlaschkeProduct(radial_geometric_zeros()) for _ in range(2))
+        expected = first_error(lambda: per_point_brackets(reference, points, 1e-9))
+        assert first_error(lambda: batch.modulus_bounds_many(points, 1e-9)) == expected
+        assert expected[0] is DomainError
+        assert batch.zeros.zeros == reference.zeros.zeros and len(reference.zeros) > 0
+
+    def test_tail_bound_insufficient_at_the_same_point(self):
+        points = scan_points(2, 8)
+        reference = BlaschkeProduct(truncated_geometric_zeros())
+        batch = BlaschkeProduct(truncated_geometric_zeros())
+        certified = []
+
+        def per_point():
+            for z in points.tolist():
+                certified.append(reference.modulus_bounds(z, 1e-3))
+
+        expected = first_error(per_point)
+        assert first_error(lambda: batch.modulus_bounds_many(points, 1e-3)) == expected
+        assert expected[0] is TailBoundInsufficient and len(certified) > 100
+        assert reference.zeros.exhausted and reference.zeros.tail_blaschke_sum > 0.0
+        assert batch.zeros.zeros == reference.zeros.zeros
+
+    def test_brackets_contain_the_modulus_at_50_digits(self, companion500):
+        # |B| = prod |w - z| / |1 - conj(w) z| at 50 digits.  A finite product
+        # has no tail, so its bracket is the single double exp(sum of logs):
+        # the oracle allows that sum's rounding, 1e-12 relative.
+        rng = np.random.default_rng(12)
+        small = (0.97 * np.sqrt(rng.random(12))
+                 * np.exp(1j * TWO_PI * rng.random(12))).tolist()
+        # all of levels 2 and 3, 20 points of each of levels 4-11, 16 of 12
+        points = np.concatenate([
+            rng.choice(WhitneyBox.level_points(d), {2: 8, 3: 16, 12: 16}.get(d, 20),
+                       replace=False) for d in range(2, 13)])
+        assert len(points) == 200
+        for zeros in (small, companion500.zeros.zeros[::5]):
+            with mpmath.workdps(50):
+                ws = [mpmath.mpc(w.real, w.imag) for w in zeros]
+                exact = []
+                for z in points.tolist():
+                    zz = mpmath.mpc(z.real, z.imag)
+                    exact.append(mpmath.fprod(abs(w - zz) / abs(1 - mpmath.conj(w) * zz)
+                                              for w in ws))
+                for tol in (1e-9, 1e-3):
+                    lower, upper = BlaschkeProduct(zeros).modulus_bounds_many(points, tol)
+                    for lo, hi, value in zip(lower.tolist(), upper.tolist(), exact):
+                        assert lo * (1 - mpmath.mpf(1e-12)) <= value \
+                            <= hi * (1 + mpmath.mpf(1e-12))
+
+
 class TestDiagnostics:
     def test_separation_two_points(self):
         delta, box = separation_constants(ZeroSequence([0.0, 0.5]), 2)
