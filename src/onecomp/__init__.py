@@ -15,7 +15,7 @@ from .inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                     separation_constants, stolz_tail_ratio)
 from .measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
                        SingularMeasure, poisson_kernel)
-from .classify import (ClassificationReport, LimitTestResult, ScanBudget,
+from .classify import (ClassificationReport, LimitTestResult,
                        classify, criterion_scan, density_test,
                        radial_limit_test, sawtooth_test,
                        ONE_COMPONENT, NOT_ONE_COMPONENT, INCONCLUSIVE)

@@ -364,12 +364,6 @@ def density_test(sigma: SingularMeasure, support_sample: Sequence[float],
 # Orchestration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanBudget:
-    depth: int = 16
-    tol: float = 1e-3
-
-
 def _detect_stolz(zeros: ZeroSequence) -> Optional[tuple[float, float]]:
     """(vertex angle, aperture) when the materialized zeros sit in a cone."""
     if not zeros.accumulation_angles or len(zeros.accumulation_angles) != 1:
@@ -386,23 +380,21 @@ def _detect_stolz(zeros: ZeroSequence) -> Optional[tuple[float, float]]:
     return (vertex, worst * 1.25)
 
 
-def classify(theta: InnerFunction, budget: ScanBudget | None = None) -> ClassificationReport:
+def classify(theta: InnerFunction, depth: int, tol: float = 1e-3) -> ClassificationReport:
     """criterion_scan plus any specialized test whose hypotheses hold.
 
     A definite specialized verdict must agree with the scan verdict;
     otherwise the report downgrades to Inconclusive with both records.
     """
-    budget = budget or ScanBudget()
-    report = criterion_scan(theta, budget.depth, budget.tol)
-    report.params["budget"] = {"depth": budget.depth, "tol": budget.tol,
-                               "margin": MARGIN}
+    report = criterion_scan(theta, depth, tol)
+    report.params["budget"] = {"depth": depth, "tol": tol, "margin": MARGIN}
 
     special: Optional[LimitTestResult] = None
     name = None
     has_blaschke = theta.blaschke is not None and len(theta.blaschke.zeros) > 0
     if theta.singular is not None:
         try:
-            special = sawtooth_test(theta, tol=budget.tol)
+            special = sawtooth_test(theta, tol=tol)
             name = "sawtooth"
         except HypothesisViolated:
             special = None
@@ -412,7 +404,7 @@ def classify(theta: InnerFunction, budget: ScanBudget | None = None) -> Classifi
         if stolz is not None:
             try:
                 special = radial_limit_test(theta.blaschke.zeros, stolz[0],
-                                            stolz[1], tol=budget.tol)
+                                            stolz[1], tol=tol)
                 name = "radial_limit"
             except HypothesisViolated:
                 special = None

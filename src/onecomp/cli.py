@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .classify import ScanBudget, classify
+from .classify import classify
 from .companion import construct_companion
 from .errors import (DomainError, OnecompError, PrecisionExhausted,
                      TailBoundInsufficient)
@@ -55,6 +55,16 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _emit(args, name: str, doc: dict) -> int:
+    """Add metadata, write the report as ``name`` under --out, print it."""
+    doc["metadata"] = _metadata(args)
+    text = dumps(doc)
+    if args.out:
+        _write(args.out, name, text)
+    sys.stdout.write(text)
+    return 0
+
+
 def _parse_point(spec: str) -> complex:
     parts = spec.split(",")
     if len(parts) != 2:
@@ -85,30 +95,16 @@ def cmd_eval(args) -> int:
     value = theta.evaluate(z, tol)
     lm = theta.log_modulus(z, tol)
     mb = theta.modulus_bounds(z, tol)
-    doc = {"value": value,
-           "log_modulus": {"lo": lm.lo, "hi": lm.hi},
-           "modulus": {"lo": mb.lo, "hi": mb.hi},
-           "metadata": _metadata(args)}
-    text = dumps(doc)
-    if args.out:
-        _write(args.out, "eval.json", text)
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, "eval.json", {"value": value,
+                                     "log_modulus": {"lo": lm.lo, "hi": lm.hi},
+                                     "modulus": {"lo": mb.lo, "hi": mb.hi}})
 
 
 def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
     depth = _integer(args.depth, "--depth", least=2)
     theta = _load_inner(args.inner)
-    budget = ScanBudget(depth=depth, tol=tol)
-    report = classify(theta, budget)
-    doc = report.to_json_dict()
-    doc["metadata"] = _metadata(args)
-    text = dumps(doc)
-    if args.out:
-        _write(args.out, "report.json", text)
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, "report.json", classify(theta, depth, tol).to_json_dict())
 
 
 def cmd_levelset(args) -> int:
@@ -120,18 +116,13 @@ def cmd_levelset(args) -> int:
            "component_count": analysis.component_count,
            "previous_depth_count": analysis.previous_depth_count,
            "stabilized": analysis.stabilized,
-           "marked_cells": len(analysis.cells),
-           "metadata": _metadata(args)}
-    text = dumps(doc)
+           "marked_cells": len(analysis.cells)}
     if args.out:
-        _write(args.out, "levelset.json", text)
         _write(args.out, "levelset.csv", analysis.to_csv())
         if args.pgm:
-            os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "levelset.pgm"), "wb") as fh:
                 fh.write(analysis.to_pgm())
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, "levelset.json", doc)
 
 
 def cmd_construct(args) -> int:
@@ -153,20 +144,16 @@ def cmd_construct(args) -> int:
                                       for v in result.spot_check.violations]},
         "verified": result.verified,
         "construction": result.metadata,
-        "metadata": _metadata(args),
     }
-    text = dumps(doc)
     if args.out:
-        _write(args.out, "companion.json", text)
         _write(args.out, "gamma.csv", result.gamma.to_polyline_csv())
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, "companion.json", doc)
 
 
 def cmd_measure(args) -> int:
     tol = _positive(args.tol, "--tol")
     sigma = measure_from_json(_load_json(args.measure))
-    doc = {"total_mass": sigma.total_mass(), "metadata": _metadata(args)}
+    doc = {"total_mass": sigma.total_mass()}
     if args.arc:
         parts = args.arc.split(",")
         if len(parts) != 2:
@@ -178,11 +165,7 @@ def cmd_measure(args) -> int:
         doc["poisson"] = sigma.poisson_integral(z, tol)
         h = sigma.herglotz_integral(z, tol)
         doc["herglotz"] = h
-    text = dumps(doc)
-    if args.out:
-        _write(args.out, "measure.json", text)
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, "measure.json", doc)
 
 
 def cmd_seed_examples(args) -> int:

@@ -179,57 +179,43 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
 def build_gamma(chain: WhitneyChain) -> GammaCurve:
     """Circular pieces at each arc's radius plus radial connectors.
 
-    Consecutive arcs sharing an endpoint angle join in boundary order (the
-    recorded convention: components are chained by increasing left
-    endpoint); a gap in the decomposition (skipped arcs near the singular
-    set) starts a new component.  A chain that wraps the full circle closes
-    on itself.
+    Arcs are taken in boundary order (the recorded convention: components
+    are chained by increasing left endpoint).  Arc i starts a component
+    unless arc i - 1 ends where arc i starts; for i = 0 that is the last arc,
+    compared across 2*pi, so a gap in the decomposition (skipped arcs near
+    the singular set) starts a component and each component runs to the
+    next start, cyclically.  A chain with no start wraps the full circle and
+    closes on itself.
     """
-    if not chain.arcs:
+    arcs, n = chain.arcs, len(chain.arcs)
+    if not n:
         raise DomainError("empty Whitney chain")
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(chain.arcs)):
-        prev, cur = chain.arcs[i - 1], chain.arcs[i]
-        if abs(prev.hi - cur.lo) <= JOIN_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    # wrap-around join of the last group onto the first
-    closed_full = False
-    if len(groups) > 1:
-        first, last = chain.arcs[groups[0][0]], chain.arcs[groups[-1][-1]]
-        if abs((last.hi - TWO_PI) - first.lo) <= JOIN_TOL:
-            groups[0] = groups.pop() + groups[0]
-    elif abs((chain.arcs[groups[0][-1]].hi - TWO_PI) - chain.arcs[groups[0][0]].lo) \
-            <= JOIN_TOL:
-        closed_full = True
+    starts = [i for i in range(n)
+              if abs(arcs[i - 1].hi - (TWO_PI if i == 0 else 0.0) - arcs[i].lo) > JOIN_TOL]
+    closed = not starts
+    starts = starts or [0]
+    groups = [[j % n for j in range(a, b)]
+              for a, b in zip(starts, starts[1:] + [starts[0] + n])]
 
     components = []
     for group in groups:
         pieces: list[CurvePiece] = []
         for pos, i in enumerate(group):
-            arc, r = chain.arcs[i], chain.radii[i]
+            arc, r = arcs[i], chain.radii[i]
+            lo = arc.lo
             if pos > 0:
-                prev = group[pos - 1]
-                r_prev = chain.radii[prev]
-                if abs(r_prev - r) > 0.0:
+                prev_hi, r_prev = arcs[group[pos - 1]].hi, chain.radii[group[pos - 1]]
+                if r_prev != r:
                     # the shared endpoint angle; for a pair joined across the
                     # 2*pi wrap the previous hi is the same angle mod 2*pi
-                    pieces.append(CurvePiece("radial", r_prev,
-                                             chain.arcs[prev].hi, r - r_prev))
-            lo = arc.lo
-            if pieces and pos > 0:
-                # keep the parameter contiguous across the 2*pi wrap
-                prev_hi = chain.arcs[group[pos - 1]].hi
+                    pieces.append(CurvePiece("radial", r_prev, prev_hi, r - r_prev))
                 if abs(prev_hi - TWO_PI - lo) <= JOIN_TOL:
+                    # keep the parameter contiguous across the 2*pi wrap
                     lo = prev_hi
             pieces.append(CurvePiece("arc", r, lo, arc.length))
-        closed = closed_full and len(groups) == 1
-        if closed and len(group) > 1:
-            r_first, r_last = chain.radii[group[0]], chain.radii[group[-1]]
-            if abs(r_first - r_last) > 0.0:
-                pieces.append(CurvePiece("radial", r_last,
-                                         chain.arcs[group[-1]].hi, r_first - r_last))
+        r_first, r_last = chain.radii[group[0]], chain.radii[group[-1]]
+        if closed and r_first != r_last:
+            pieces.append(CurvePiece("radial", r_last, arcs[group[-1]].hi, r_first - r_last))
         components.append(GammaComponent(pieces, closed=closed))
     components.sort(key=lambda c: (min(p.radius if p.kind == "arc"
                                        else min(p.radius, p.radius + p.extent)
@@ -281,12 +267,15 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
                 horizon: int = 2000) -> Placement:
     """March zeros along the curve at fixed pseudohyperbolic steps.
 
-    Components are visited in order of their smallest modulus.  Within an
-    open component the march starts at the minimum-modulus point and
-    alternates between the two directions, always advancing the frontier
-    of smaller modulus, so the materialized prefix fills in roughly by
-    increasing modulus.  Closed components march one way around and stop
-    before coming within one step of the first zero.
+    Components are visited in order of their smallest modulus.  Each march
+    starts at the component's minimum-modulus point z0 and keeps one
+    frontier per direction; it always advances the live frontier of smaller
+    modulus, so the materialized prefix fills in roughly by increasing
+    modulus.  A frontier dies at the end of the curve.  A closed component
+    marches forward only: its backward frontier starts dead, and its forward
+    frontier dies before coming within one step of z0.  A component whose
+    march the horizon stops with a frontier alive counts as partly covered,
+    in proportion to the arclength marched.
     """
     if not (0.0 < step < 1.0):
         raise DomainError("step must lie in (0, 1)")
@@ -303,55 +292,28 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
         used += 1
         t0 = comp.min_modulus_param()
         z0 = comp.point(t0)
-        if comp.closed:
-            placed = [z0]
-            t = t0
-            while len(placed) < remaining:
-                nxt = _march_next(comp, t, comp.point(t), step, +1)
-                if nxt is None:
-                    break
-                cand = comp.point(nxt)
-                if len(placed) > 2 and pseudo_distance(cand, placed[0]) < step - RHO_TOL:
-                    break
-                rhos.append(pseudo_distance(cand, comp.point(t)))
-                placed.append(cand)
-                t = nxt
-            zeros.extend(placed)
-            remaining -= len(placed)
-            covered += comp.covered_angle()
-            continue
-
-        forward: list[complex] = []
-        backward: list[complex] = []
-        tf, tb = t0, t0
-        f_alive, b_alive = True, True
-        count = 1  # the start zero
-        while count < remaining and (f_alive or b_alive):
-            zf = comp.point(tf)
-            zb = comp.point(tb)
-            go_forward = f_alive and (not b_alive or abs(zf) <= abs(zb))
-            if go_forward:
-                nxt = _march_next(comp, tf, zf, step, +1)
-                if nxt is None:
-                    f_alive = False
-                    continue
-                forward.append(comp.point(nxt))
-                tf = nxt
-            else:
-                nxt = _march_next(comp, tb, zb, step, -1)
-                if nxt is None:
-                    b_alive = False
-                    continue
-                backward.append(comp.point(nxt))
-                tb = nxt
-            count += 1
-        chain = list(reversed(backward)) + [z0] + forward
+        # per direction: parameter, last zero, zeros placed, alive
+        t, last = {1: t0, -1: t0}, {1: z0, -1: z0}
+        placed: dict[int, list[complex]] = {1: [], -1: []}
+        alive = {1: True, -1: not comp.closed}
+        while 1 + len(placed[1]) + len(placed[-1]) < remaining \
+                and (alive[1] or alive[-1]):
+            d = 1 if alive[1] and (not alive[-1] or abs(last[1]) <= abs(last[-1])) else -1
+            nxt = _march_next(comp, t[d], last[d], step, d)
+            cand = None if nxt is None else comp.point(nxt)
+            if cand is None or (comp.closed and len(placed[d]) > 1
+                                and pseudo_distance(cand, z0) < step - RHO_TOL):
+                alive[d] = False
+                continue
+            t[d], last[d] = nxt, cand
+            placed[d].append(cand)
+        chain = placed[-1][::-1] + [z0] + placed[1]
         zeros.extend(chain)
         rhos.extend(pseudo_distance(a, b) for a, b in zip(chain, chain[1:]))
         remaining -= len(chain)
-        if f_alive or b_alive:
+        if alive[1] or alive[-1]:
             exhausted = False
-            covered += (tf - tb) * 0.9 / max(comp.length, 1e-300) * comp.covered_angle()
+            covered += (t[1] - t[-1]) * 0.9 / max(comp.length, 1e-300) * comp.covered_angle()
         else:
             covered += comp.covered_angle()
     if not zeros:

@@ -117,11 +117,6 @@ class ZeroSequence:
             while len(self._zeros) < count and self._consume_one():
                 pass
 
-    def materialize_until_tail(self, bound: float) -> None:
-        with self._lock:
-            while self._tail > bound and self._consume_one():
-                pass
-
     def materialize_until_depth(self, depth: float) -> None:
         """Consume until every unlisted zero satisfies 1 - |z| <= depth.
 

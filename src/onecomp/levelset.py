@@ -62,8 +62,6 @@ class LevelSetAnalysis:
     component_count: int
     previous_depth_count: Optional[int]
     cells: list[tuple[PolarCell, int]]          # marked leaves with labels
-    params: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
     # preorder leaves (cell, split at the depth cap) that a deeper run
     # refines; kept only with compare_previous=False, and never reported
     leaves: Optional[list[tuple[PolarCell, bool]]] = field(default=None, repr=False)
@@ -185,10 +183,7 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
     return LevelSetAnalysis(
         epsilon=epsilon, depth=depth, component_count=count,
         previous_depth_count=previous_count,
-        cells=list(zip(marked, labels)),
-        params={"min_depth": MIN_DEPTH, "eval_tol": EVAL_TOL,
-                "marked_cells": len(marked)},
-        leaves=leaves)
+        cells=list(zip(marked, labels)), leaves=leaves)
 
 
 def _descend(theta: InnerFunction, epsilon: float, depth: int,

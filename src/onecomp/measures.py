@@ -297,8 +297,7 @@ class CantorMeasure(SingularMeasure):
 
     MAX_GENERATION = 48
 
-    def __init__(self, ratios: Sequence[Fraction] | Fraction = MIDDLE_THIRDS_RATIO,
-                 max_generation: int = MAX_GENERATION):
+    def __init__(self, ratios: Sequence[Fraction] | Fraction = MIDDLE_THIRDS_RATIO):
         if isinstance(ratios, Fraction):
             ratios = [ratios]
         self._ratios = [Fraction(r) for r in ratios]
@@ -307,12 +306,11 @@ class CantorMeasure(SingularMeasure):
         for r in self._ratios:
             if not (0 < r < 1):
                 raise DomainError("generation ratios must lie in (0, 1), got %s" % (r,))
-        self.max_generation = int(max_generation)
         # generation cache: list of (a, b) Fractions in turn units
         self._gens: list[list[tuple[Fraction, Fraction]]] = [[(Fraction(0), Fraction(1))]]
         self._lock = threading.Lock()
         self._ratio_floats = np.array(
-            [float(self._ratio(k)) for k in range(self.max_generation + 1)])
+            [float(self._ratio(k)) for k in range(self.MAX_GENERATION + 1)])
 
     @classmethod
     def middle_thirds(cls) -> "CantorMeasure":
@@ -350,8 +348,8 @@ class CantorMeasure(SingularMeasure):
 
     def generation(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """The 2^n intervals of E_n, exact endpoints in turn units."""
-        if n > self.max_generation:
-            raise PrecisionExhausted("generation depth cap %d exceeded" % self.max_generation)
+        if n > self.MAX_GENERATION:
+            raise PrecisionExhausted("generation depth cap %d exceeded" % self.MAX_GENERATION)
         with self._lock:
             while len(self._gens) <= n:
                 m = len(self._gens)          # building generation m from m-1
@@ -388,7 +386,7 @@ class CantorMeasure(SingularMeasure):
             return (1.0, 1.0)
         below = 0.0
         a, b = Fraction(0), Fraction(1)
-        for n in range(1, self.max_generation + 1):
+        for n in range(1, self.MAX_GENERATION + 1):
             q = self._ratio(n - 1)
             child_len = (b - a) * q / 2
             c1 = (a, a + child_len)
@@ -403,7 +401,7 @@ class CantorMeasure(SingularMeasure):
                 a, b = c2
             if mass <= tol:
                 return (below, below + mass)
-        return (below, below + 2.0 ** -self.max_generation)
+        return (below, below + 2.0 ** -self.MAX_GENERATION)
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
                            tol: float = 1e-12) -> tuple[float, float]:
@@ -439,7 +437,7 @@ class CantorMeasure(SingularMeasure):
         max_cells = 400000
         while True:
             err = osc(lo, hi) * np.exp2(-n.astype(np.float64))
-            split = (err >= tol / n.size) & (n < self.max_generation)
+            split = (err >= tol / n.size) & (n < self.MAX_GENERATION)
             if not np.any(split):
                 break
             keep_n, keep_lo, keep_hi = n[~split], lo[~split], hi[~split]
@@ -516,7 +514,7 @@ class CantorSupport(BoundarySupport):
         candidates = [(0.0, 1.0)]
         best_endpoint = math.inf
         lower = 0.0
-        for n in range(1, m.max_generation + 1):
+        for n in range(1, m.MAX_GENERATION + 1):
             q = float(m._ratio_floats[n - 1])
             nxt = []
             lower = math.inf
@@ -571,7 +569,7 @@ class CantorSupport(BoundarySupport):
     def cover_arcs(self, scale: float) -> list[BoundaryArc]:
         m = self.measure
         n = 2
-        while n < m.max_generation and float(m.generation(n)[0][1] - m.generation(n)[0][0]) * TWO_PI > scale \
+        while n < m.MAX_GENERATION and float(m.generation(n)[0][1] - m.generation(n)[0][0]) * TWO_PI > scale \
                 and 2 ** (n + 1) <= 65536:
             n += 1
         return [BoundaryArc.from_endpoints(float(a) * TWO_PI, float(b) * TWO_PI)

@@ -5,8 +5,8 @@ import pytest
 
 from onecomp import families
 from onecomp.classify import (INCONCLUSIVE, NOT_ONE_COMPONENT, ONE_COMPONENT,
-                              ScanBudget, classify, criterion_scan,
-                              density_test, radial_limit_test, sawtooth_test)
+                              classify, criterion_scan, density_test,
+                              radial_limit_test, sawtooth_test)
 from onecomp.errors import HypothesisViolated
 from onecomp.geometry import TWO_PI, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
@@ -158,22 +158,22 @@ class TestDensity:
 
 class TestClassify:
     def test_example1_cross_checked(self):
-        rep = classify(families.example1(), ScanBudget(depth=14))
+        rep = classify(families.example1(), 14)
         assert rep.verdict == NOT_ONE_COMPONENT
         assert "sawtooth" in rep.tests
 
     def test_sparse_cross_checked(self):
-        rep = classify(families.radial_sparse(), ScanBudget(depth=14))
+        rep = classify(families.radial_sparse(), 14)
         assert rep.verdict == NOT_ONE_COMPONENT
         assert "radial_limit" in rep.tests
 
     def test_geometric_cross_checked(self):
-        rep = classify(families.radial_geometric(), ScanBudget(depth=12))
+        rep = classify(families.radial_geometric(), 12)
         assert rep.verdict == ONE_COMPONENT
         assert "radial_limit" in rep.tests
 
     def test_constant_function(self):
-        rep = classify(InnerFunction(unimodular=1j), ScanBudget(depth=6))
+        rep = classify(InnerFunction(unimodular=1j), 6)
         assert rep.verdict == ONE_COMPONENT
         assert rep.c_star == 0.0
 
@@ -183,6 +183,6 @@ class TestClassify:
         # Example 1 crossing, where the scan says Inconclusive but the
         # specialized test is definite; Inconclusive stands (no downgrade
         # needed), so instead check the report keeps both records
-        rep = classify(families.example1(), ScanBudget(depth=8))
+        rep = classify(families.example1(), 8)
         assert "sawtooth" in rep.tests
         assert rep.verdict in (NOT_ONE_COMPONENT, INCONCLUSIVE)

@@ -452,12 +452,17 @@ class TestGoldenScans:
         "radial_sparse": "394c49199e72c9a0cfed01704adcbc2cc26503841b2c77a300917ff8957c0ca1",
     }
     # construct --horizon 500 --depth 10: (zero CSV, companion.json); atoms2's
-    # recorded with the per-point spot check that the per-level one replaced
+    # recorded with the per-point spot check that the per-level one replaced.
+    # "closed" is --horizon 500 --depth 6 on the one-zero document {0.5},
+    # whose closed chain of 87 zeros the horizon covers, recorded with the
+    # separate closed-chain march that the shared frontier loop replaced
     CONSTRUCT = {
         "atom1": ("90210ab58200d675a9cd425f395496e18af11a21cc8a266791c4de27cc8d0743",
                   "4bf513a959277c09c5f8ec19f94d92cd7aaa16e44a804fcd3750ce1f4cc3ee35"),
         "atoms2": ("001edf283f65919ca22829e2cf34ccd0de489c652b901d481c9b0855a607c5c2",
                    "9f53a53a59b9ecb74767ad07cb80223ceaf2af6f4a4f4be8ef461efb8e6ce4bd"),
+        "closed": ("98d7ab23128e7166205cba465cdaabf7ee87b78d99f227860d7f5f7141222bfe",
+                   "20fb5dc0b6463f68462615fa31a85732d533334559e015693a0341c9b25ebf77"),
     }
 
     @staticmethod
@@ -473,9 +478,9 @@ class TestGoldenScans:
         assert code == 0
         assert self.digest(out) == self.CLASSIFY[family]
 
-    def construct_digests(self, family, seeds, capsys, tmp_path):
-        code, _, _ = run_cli(["construct", "--inner", str(seeds / (family + ".json")),
-                              "--horizon", "500", "--depth", "10",
+    def construct_digests(self, inner, depth, capsys, tmp_path):
+        code, _, _ = run_cli(["construct", "--inner", str(inner),
+                              "--horizon", "500", "--depth", str(depth),
                               "--out", str(tmp_path)], capsys)
         assert code == 0
         text = (tmp_path / "companion.json").read_text()
@@ -483,12 +488,18 @@ class TestGoldenScans:
         return (hashlib.sha256(zeros.encode()).hexdigest(), self.digest(text))
 
     def test_construct_atom1(self, seeds, capsys, tmp_path):
-        assert self.construct_digests("atom1", seeds, capsys, tmp_path) == \
+        assert self.construct_digests(seeds / "atom1.json", 10, capsys, tmp_path) == \
             self.CONSTRUCT["atom1"]
 
     def test_construct_atoms2(self, seeds, capsys, tmp_path):
-        assert self.construct_digests("atoms2", seeds, capsys, tmp_path) == \
+        assert self.construct_digests(seeds / "atoms2.json", 10, capsys, tmp_path) == \
             self.CONSTRUCT["atoms2"]
+
+    def test_construct_closed_chain(self, capsys, tmp_path):
+        inner = tmp_path / "half.json"
+        inner.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+        assert self.construct_digests(inner, 6, capsys, tmp_path) == \
+            self.CONSTRUCT["closed"]
 
 
 class TestRoundTrip:

@@ -249,6 +249,20 @@ class TestConstructCompanion:
                                      depth=8)
         assert 0.0 <= result.tail_blaschke_estimate < 8.0 * TWO_PI
 
+    @pytest.mark.parametrize("horizon, count, exhausted, covered, tail", [
+        (3, 3, False, 0.16832, 48.919),
+        (2000, 87, True, TWO_PI, 0.0)])
+    def test_closed_chain_horizon_accounting(self, horizon, count, exhausted,
+                                             covered, tail):
+        # a closed chain that the horizon cuts counts as unmarched, as an
+        # open one does: partly covered, with a positive tail estimate
+        result = construct_companion(families.finite_blaschke([0.5]),
+                                     horizon=horizon, depth=6)
+        assert len(result.zeros.zeros) == count
+        assert result.placement.exhausted is exhausted
+        assert result.placement.covered_angle == pytest.approx(covered, abs=1e-5)
+        assert result.tail_blaschke_estimate == pytest.approx(tail, abs=1e-3)
+
     def test_pinned_regression_constants(self):
         # deterministic construction: separation and box constants of the
         # produced chain are pinned from the first build

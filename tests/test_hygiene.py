@@ -67,45 +67,53 @@ CALLER_DIRS = ("src", "tests", "bench")
 
 def _defaulted_parameters():
     """(file, line, function, parameter, positional index or None) for every
-    defaulted parameter of a module-level function or method in the package;
-    the index counts positional slots after self/cls."""
+    defaulted parameter of a module-level function, method or constructor in
+    the package; a constructor goes by its class name, and the index counts
+    positional slots after self/cls."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        defs = [(node, False) for node in tree.body]
-        defs += [(item, True) for node in tree.body if isinstance(node, ast.ClassDef)
+        defs = [(node, None) for node in tree.body]
+        defs += [(item, node.name) for node in tree.body if isinstance(node, ast.ClassDef)
                  for item in node.body]
-        for node, in_class in defs:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    or node.name == "__init__":
+        for node, owner in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            name = owner if node.name == "__init__" else node.name
             args = node.args
             positional = args.posonlyargs + args.args
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                          for d in node.decorator_list)
-            skip = 1 if in_class and not static else 0
+            skip = 1 if owner and not static else 0
             first_defaulted = len(positional) - len(args.defaults)
             for i, arg in enumerate(positional):
                 if i >= first_defaulted:
-                    found.append((path.name, node.lineno, node.name, arg.arg, i - skip))
+                    found.append((path.name, node.lineno, name, arg.arg, i - skip))
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    found.append((path.name, node.lineno, node.name, arg.arg, None))
+                    found.append((path.name, node.lineno, name, arg.arg, None))
     return found
 
 
 def _calls_by_name():
-    """Function name -> [(positional count, *args used, keywords, **kw used)]."""
+    """Function name -> [(positional count, *args used, keywords, **kw used)];
+    a ``cls(...)`` call inside a class counts as a call of that class."""
     calls = {}
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            # breadth-first, so a nested class overwrites its outer class
+            cls_calls = {id(sub): node.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef) for sub in ast.walk(node)
+                         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                         and sub.func.id == "cls"}
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else \
                     func.attr if isinstance(func, ast.Attribute) else None
+                name = cls_calls.get(id(node), name)
                 if name is None:
                     continue
                 calls.setdefault(name, []).append((
@@ -118,7 +126,8 @@ def _calls_by_name():
 
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     # a parameter that no call in src/, tests/ or bench/ ever passes is a
-    # knob with one value in use: it belongs in a constant, not a signature
+    # knob with one value in use: it belongs in a constant, not a signature;
+    # constructors count, called by class name
     found = _defaulted_parameters()
     assert found, "no defaulted parameters found; is the source path right?"
     calls = _calls_by_name()

@@ -300,7 +300,7 @@ def _reference_window_distance(measure, u, v):
     candidates = [(0.0, 1.0)]
     best_endpoint = math.inf
     lower = 0.0
-    for n in range(1, measure.max_generation + 1):
+    for n in range(1, measure.MAX_GENERATION + 1):
         q = float(measure._ratio_floats[n - 1])
         nxt = []
         lower = math.inf
@@ -348,7 +348,7 @@ def _reference_chord_distance(measure, p, tol):
     candidates = [(0.0, 1.0)]
     best_endpoint = math.inf
     lower = 0.0
-    for n in range(1, measure.max_generation + 1):
+    for n in range(1, measure.MAX_GENERATION + 1):
         q = float(measure._ratio_floats[n - 1])
         nxt = []
         lower = math.inf
