@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import DomainError, HypothesisViolated
+from .errors import DomainError, HypothesisViolated, PrecisionExhausted
 # carleson_square is not called here; bench/tracer.py counts its calls
 # through this module's name, so the name stays importable from it
-from .geometry import SawtoothRegion, StolzAngle, WhitneyBox, carleson_square  # noqa: F401
+from .geometry import SawtoothRegion, StolzAngle, carleson_square  # noqa: F401
 from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
 from .measures import AtomicMeasure, SingularMeasure
 
@@ -37,6 +38,11 @@ INCONCLUSIVE = "Inconclusive"
 
 MARGIN = 0.05        # OneComponentEvidence needs C* <= 1 - MARGIN
 EVAL_TOL = 1e-6      # tolerance of each certified |Theta| bracket
+# Deepest scan level: past it the rounding of 1 - |z| at a level point (an
+# ulp of 1, 2^-53) exceeds 1 % of the square side 0.75 pi 2^-depth that
+# MuMeasure.positive_squares relies on; at depth 56 the level radius itself
+# rounds to 1.
+MAX_DEPTH = int(math.log2(0.01 * 0.75 * math.pi / (0.5 * sys.float_info.epsilon)))
 
 
 @dataclass
@@ -111,6 +117,9 @@ def criterion_scan(theta: InnerFunction, depth: int,
     """
     if depth < 2:
         raise DomainError("scan depth must be >= 2")
+    if depth > MAX_DEPTH:
+        raise PrecisionExhausted("scan depth %d is past %d, the deepest level "
+                                 "double precision resolves" % (depth, MAX_DEPTH))
     min_side = 0.75 * math.pi * 2.0 ** -depth
     if theta.singular is not None:
         sigma = theta.singular.sigma
@@ -123,9 +132,7 @@ def criterion_scan(theta: InnerFunction, depth: int,
     crossed = False
     c_star = 0.0
     for level in range(2, depth + 1):
-        points = WhitneyBox.level_points(level)
-        for i, mu_q in mu.positive_squares(points, 1e-9):
-            z = complex(points[i])
+        for z, mu_q in mu.positive_squares(level, 1e-9):
             bounds = theta.modulus_bounds(z, EVAL_TOL)
             if bounds.lo > 1.0 - tol:
                 crossed = True

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .classify import classify
+from .classify import MAX_DEPTH, classify
 from .companion import construct_companion
 from .errors import (DomainError, OnecompError, PrecisionExhausted,
                      TailBoundInsufficient)
@@ -103,6 +103,9 @@ def cmd_eval(args) -> int:
 def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
     depth = _integer(args.depth, "--depth", least=2)
+    if depth > MAX_DEPTH:
+        raise PrecisionExhausted("--depth: %d is past %d, the deepest scan level "
+                                 "double precision resolves" % (depth, MAX_DEPTH))
     theta = _load_inner(args.inner)
     return _emit(args, "report.json", classify(theta, depth, tol).to_json_dict())
 

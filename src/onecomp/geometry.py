@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,8 +134,8 @@ class CarlesonSquare:
 
     Membership admits closed-disc points.  ``whole_disc`` marks the
     conventional Q(0), which is the entire closed disc (recorded side 1,
-    full angular width).  Dilation scales the side, floors the base modulus
-    at 0, and caps the angular half-window at pi.
+    full angular width).  The base modulus is floored at 0 and the angular
+    half-window capped at pi.
     """
 
     center_angle: float
@@ -167,11 +167,6 @@ class CarlesonSquare:
             return False
         return angular_gap(cmath.phase(w) if aw > 0.0 else 0.0,
                            self.center_angle) <= self.half_window
-
-    def dilate(self, lam: float) -> "CarlesonSquare":
-        if lam < 1.0:
-            raise DomainError("dilation factor must be >= 1")
-        return CarlesonSquare(self.center_angle, lam * self.side, self.whole_disc)
 
 
 def carleson_square(z: complex) -> CarlesonSquare:
@@ -286,12 +281,18 @@ class WhitneyBox:
         return r * cmath.exp(1j * self.theta_lo)
 
     @staticmethod
-    def level_points(depth: int) -> np.ndarray:
+    def level_points(depth: int, index: Optional[np.ndarray] = None) -> np.ndarray:
         """corner_point and top_center of every box at one depth, in box
-        order (corner first), bit for bit as those methods give them."""
+        order (corner first), bit for bit as those methods give them.
+
+        With ``index``, only the points of those positions in that order:
+        point 2k is box k's corner and point 2k + 1 its top center.
+        """
         scale = 2.0 ** -depth
         r = 1.0 - 0.75 * math.pi * scale
-        turns = np.arange(2 << depth, dtype=np.float64) * 0.5
+        if index is None:
+            index = np.arange(2 << depth)
+        turns = index.astype(np.float64) * 0.5
         return r * np.exp(1j * TWO_PI * turns * scale)
 
     def children(self) -> tuple["WhitneyBox", "WhitneyBox"]:

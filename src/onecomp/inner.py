@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
                      TailBoundInsufficient)
 from .geometry import (TWO_PI, BoundarySupport, CarlesonSquare, PointSupport,
-                       SquareArrays, carleson_squares)
+                       SquareArrays, WhitneyBox, carleson_squares)
 from .measures import BLOCK_ELEMENTS, SingularMeasure
 
 
@@ -373,10 +373,6 @@ class MuMeasure:
         self._angles = np.mod(np.angle(zs), TWO_PI)
         self._weights = np.array([wt for _, wt in self.zero_atoms], dtype=np.float64)
 
-    def of_square(self, square: CarlesonSquare) -> float:
-        lo, hi = self.of_square_bounds(square)
-        return 0.5 * (lo + hi)
-
     def of_square_bounds(self, square: CarlesonSquare,
                          tol: float = 1e-12) -> tuple[float, float]:
         lo, hi = self._squares_bounds(SquareArrays.of(square), tol)
@@ -391,26 +387,59 @@ class MuMeasure:
             lower[s:s + len(block)] = self._squares_bounds(carleson_squares(block), tol)[0]
         return lower
 
-    def positive_squares(self, points: np.ndarray,
-                         tol: float = 1e-12) -> Iterator[tuple[int, float]]:
-        """(index, lower mass) of the points whose Carleson square has
-        certifiably positive mass, in point order.
+    def positive_squares(self, level: int,
+                         tol: float = 1e-12) -> Iterator[tuple[complex, float]]:
+        """(point, lower mass) of the scan points of a level
+        (WhitneyBox.level_points) whose Carleson square has certifiably
+        positive mass, in point order.
 
-        The caller may evaluate Theta between items, and that can list more
-        boundary atoms; the masses of the remaining points are then
-        recomputed, so each equals a query made at that moment.
+        Only the points next to listed mass (_live_points) are built and
+        queried, and point 0, whose square stands for the level's side in
+        the horizon check.  The caller may evaluate Theta between items,
+        and that can list more boundary atoms; the remaining points are then
+        chosen and queried again, so each mass equals a query made at that
+        moment.
         """
         start = 0
-        while start < len(points):
+        while True:
             atoms = self.boundary.atom_count if self.boundary is not None else 0
-            lower = self.lower_masses(points[start:], tol)
+            index = self._live_points(level)
+            index = index[index >= start] if start else np.union1d(index, [0])
+            points = WhitneyBox.level_points(level, index)
+            lower = self.lower_masses(points, tol)
             for i in np.flatnonzero(lower > 0.0).tolist():
-                yield start + i, float(lower[i])
+                yield complex(points[i]), float(lower[i])
                 if self.boundary is not None and self.boundary.atom_count != atoms:
-                    start += i + 1
+                    start = int(index[i]) + 1
                     break
             else:
                 return
+
+    def _live_points(self, level: int) -> np.ndarray:
+        """Sorted positions, in WhitneyBox.level_points order, of the
+        level's points whose square can have positive lower mass.
+
+        A level point's square has side 0.75 pi 2^-level (to 1 % up to the
+        scan depth cap) and angular half-window 3/16 of the box arc w, so
+        it lies within w/4 of its box.  Box k, with points 2k (its corner)
+        and 2k + 1, is live when a listed zero at or above its inner radius,
+        or an arc of the boundary measure's lower_mass_arcs, comes within
+        w/4 of it.
+        """
+        boxes = 1 << level
+        w = TWO_PI / boxes
+        deep = self._angles[self._radii >= 1.0 - math.pi * 2.0 ** -level]
+        lo, hi = deep, deep
+        if self.boundary is not None:
+            blo, bhi = self.boundary.lower_mass_arcs(w)
+            lo, hi = np.concatenate([lo, blo]), np.concatenate([hi, bhi])
+        first = np.floor((lo - 0.25 * w) / w).astype(np.int64)
+        count = np.minimum(np.floor((hi + 0.25 * w) / w).astype(np.int64) - first + 1,
+                           boxes)
+        # the box ranges [first, first + count) as one index array
+        k = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        k = np.unique(k % boxes)
+        return np.stack([2 * k, 2 * k + 1], axis=1).ravel()
 
     def _squares_bounds(self, sq: SquareArrays,
                         tol: float) -> tuple[np.ndarray, np.ndarray]:

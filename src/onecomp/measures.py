@@ -114,6 +114,13 @@ class SingularMeasure:
         lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return lo, hi
 
+    def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) angles of closed arcs, in radians, outside which the
+        lower end of every mass_of_arc_bounds is 0; each is about ``scale``
+        long or shorter where the description allows.  The whole circle by
+        default."""
+        return np.array([0.0]), np.array([TWO_PI])
+
     @property
     def atom_count(self) -> int:
         """Materialized atoms; it grows only where atoms are listed lazily."""
@@ -222,6 +229,11 @@ class AtomicMeasure(SingularMeasure):
     @property
     def atom_count(self) -> int:
         return len(self._atoms)
+
+    def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        # the tail counts only toward upper ends: listed atoms alone
+        thetas = np.array([t for t, _ in self._atoms], dtype=np.float64)
+        return thetas, thetas
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
                            tol: float = 1e-12) -> tuple[float, float]:
@@ -367,6 +379,15 @@ class CantorMeasure(SingularMeasure):
 
     def support(self) -> BoundarySupport:
         return CantorSupport(self)
+
+    def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        # the intervals of the first generation no longer than scale
+        n, length = 0, TWO_PI
+        while length > scale and n < self.MAX_GENERATION:
+            length *= 0.5 * self._ratio_floats[n]
+            n += 1
+        ends = np.array([(float(a), float(b)) for a, b in self.generation(n)]) * TWO_PI
+        return ends[:, 0], ends[:, 1]
 
     # -- CDF --
 
@@ -609,6 +630,13 @@ class CdfMeasure(SingularMeasure):
 
     def total_mass(self) -> float:
         return self._pts[-1][1] - self._pts[0][1]
+
+    def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        # the sample intervals on which the CDF rises
+        rising = [(t0, t1) for (t0, v0), (t1, v1) in zip(self._pts, self._pts[1:])
+                  if v1 > v0]
+        ends = np.array(rising, dtype=np.float64).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
 
     def support(self) -> BoundarySupport:
         arcs = []

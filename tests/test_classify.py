@@ -1,13 +1,14 @@
 import math
 import cmath
+import tracemalloc
 
 import pytest
 
 from onecomp import families
-from onecomp.classify import (INCONCLUSIVE, NOT_ONE_COMPONENT, ONE_COMPONENT,
-                              classify, criterion_scan, density_test,
-                              radial_limit_test, sawtooth_test)
-from onecomp.errors import HypothesisViolated
+from onecomp.classify import (INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONENT,
+                              ONE_COMPONENT, classify, criterion_scan,
+                              density_test, radial_limit_test, sawtooth_test)
+from onecomp.errors import HypothesisViolated, PrecisionExhausted
 from onecomp.geometry import TWO_PI, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
 from onecomp.measures import AtomicMeasure
@@ -67,6 +68,28 @@ class TestCriterionScan:
                 families.finite_blaschke([rot * w for w in base_zeros]), depth=9)
             assert rep.verdict == base.verdict
             assert rep.c_star == pytest.approx(base.c_star, abs=1e-12)
+
+    def test_memory_stays_flat_at_depth_20(self):
+        # the full-level scan held a level's 2^21 points at once, a
+        # 96 MiB traced peak here; the pruned scan builds a few per level
+        criterion_scan(families.single_atom(), depth=4)     # one-time caches
+        tracemalloc.start()
+        try:
+            rep = classify(families.single_atom(), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == ONE_COMPONENT and len(rep.depth_trace) == 19
+        assert peak < 4 * 2 ** 20
+
+    def test_example1_at_depth_30(self):
+        rep = classify(families.example1(), 30)
+        assert rep.verdict == NOT_ONE_COMPONENT
+        assert len(rep.depth_trace) == 29 and rep.c_star > 0.99999999
+
+    def test_depth_past_the_cap_rejected(self):
+        with pytest.raises(PrecisionExhausted):
+            criterion_scan(families.single_atom(), MAX_DEPTH + 1)
 
     def test_atom_rotation_invariance(self):
         base = criterion_scan(families.single_atom(), depth=9)

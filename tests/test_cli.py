@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from onecomp import cli
+from onecomp.classify import MAX_DEPTH
 from onecomp.cli import main
 from onecomp.inner import dump_zeros_csv, load_zeros_csv
 
@@ -425,6 +426,30 @@ class TestInputValidation:
         assert err.count("\n") == 1
         assert "--depth" in err and "at least %d" % least in err
 
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 54, 10 ** 9])
+    def test_deep_classify_rejected_before_loading(self, depth, capsys, tmp_path,
+                                                   monkeypatch):
+        def evaluation(*_args, **_kwargs):
+            raise AssertionError("loaded or evaluated before --depth was checked")
+
+        for name in ("classify", "_load_inner"):
+            monkeypatch.setattr(cli, name, evaluation)
+        code, out, err = run_cli(["classify", "--inner", str(tmp_path / "absent.json"),
+                                  "--depth", str(depth)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("precision exhausted: --depth: %d " % depth)
+        assert "past %d" % MAX_DEPTH in err
+
+    def test_classify_at_the_depth_cap(self, seeds, capsys):
+        code, out, _ = run_cli(["classify", "--inner", str(seeds / "atom1.json"),
+                                "--depth", str(MAX_DEPTH)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "OneComponentEvidence"
+        assert len(doc["depth_trace"]) == MAX_DEPTH - 1
+
     def test_valid_numeric_options(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
@@ -450,6 +475,16 @@ class TestGoldenScans:
         "radial_geometric":
             "8c69617f8772fbcc594d6ce0069d3a5babe981de6d8dd8f71e510a2f72a2cb52",
         "radial_sparse": "394c49199e72c9a0cfed01704adcbc2cc26503841b2c77a300917ff8957c0ca1",
+    }
+    # classify --depth 18, recorded with the full-level scan that the scan
+    # next to listed mass replaced
+    CLASSIFY_DEPTH18 = {
+        "atom1": "98f734015fa4def8a735b9dd543ad50b241dcd8741871b3187cae46c49b30b9e",
+        "atoms2": "aeabd5204334c0b8a1b63c720e87ed07ea92bebcb6150de02edb731c8fbae8a0",
+        "example1": "7c5b2119bb553624956e8e4fdbf97c7106658c2d8fe1b3307e043b830ca61b45",
+        "radial_geometric":
+            "6501e468e7b50068c528552fede5687ef675086251fe3d26075b0fd0e056f807",
+        "radial_sparse": "0e0f80da605be5dd29af68d666de9bdc95fcd42a74b39061c77eb67529e6edaf",
     }
     # construct --horizon 500 --depth 10: (zero CSV, companion.json); atoms2's
     # recorded with the per-point spot check that the per-level one replaced.
@@ -477,6 +512,13 @@ class TestGoldenScans:
                                 "--depth", "14"], capsys)
         assert code == 0
         assert self.digest(out) == self.CLASSIFY[family]
+
+    @pytest.mark.parametrize("family", sorted(CLASSIFY_DEPTH18))
+    def test_classify_depth18(self, family, seeds, capsys):
+        code, out, _ = run_cli(["classify", "--inner", str(seeds / (family + ".json")),
+                                "--depth", "18"], capsys)
+        assert code == 0
+        assert self.digest(out) == self.CLASSIFY_DEPTH18[family]
 
     def construct_digests(self, inner, depth, capsys, tmp_path):
         code, _, _ = run_cli(["construct", "--inner", str(inner),

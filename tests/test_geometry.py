@@ -68,26 +68,10 @@ class TestCarlesonSquare:
         q = carleson_square(0.9)
         assert not q.member(0.95 * cmath.exp(0.06j))
 
-    def test_dilate_doubles_side(self):
-        d = carleson_square(0.9).dilate(2.0)
-        assert d.side == pytest.approx(0.2)
-        assert d.base_modulus == pytest.approx(0.8)
-
     def test_square_of_origin_is_whole_disc(self):
         q = carleson_square(0.0)
         assert q.whole_disc
         assert q.member(0.99j) and q.member(-0.5)
-
-    def test_nesting_under_dilation(self):
-        rng = np.random.default_rng(3)
-        for z in random_disc_points(rng, 50, rmax=0.98):
-            if abs(z) < 1e-3:
-                continue
-            q = carleson_square(z)
-            for w in random_disc_points(rng, 20):
-                if q.member(w):
-                    for lam in (1.5, 2.0, 4.0):
-                        assert q.dilate(lam).member(w)
 
     def test_boundary_point_membership(self):
         q = carleson_square(0.9)

@@ -5,14 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 
+from onecomp.classify import EVAL_TOL, criterion_scan
 from onecomp.companion import construct_companion
 from onecomp.errors import (BlaschkeConditionError, DomainError,
                             HorizonExceeded, TailBoundInsufficient)
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
-                              radial_geometric_zeros, radial_sparse_zeros,
-                              single_atom, two_atoms)
-from onecomp.geometry import (TWO_PI, BoundaryArc, WhitneyBox, angular_gap,
-                              carleson_square, carleson_squares, pseudo_distance)
+                              radial_geometric, radial_geometric_zeros,
+                              radial_sparse, radial_sparse_zeros, single_atom,
+                              two_atoms)
+from onecomp.geometry import (TWO_PI, BoundaryArc, CarlesonSquare, WhitneyBox,
+                              angular_gap, carleson_square, carleson_squares,
+                              pseudo_distance)
 from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure,
                            SingularInner, ZeroSequence, ahern_clark_integral,
                            dump_zeros_csv, load_zeros_csv, separation_constants,
@@ -188,18 +191,19 @@ class TestMu:
     def test_single_zero_mass(self):
         theta = finite_blaschke([0.9])
         mu = theta.mu()
-        assert mu.of_square(carleson_square(0.9)) == pytest.approx(0.1)
+        lo, hi = mu.of_square_bounds(carleson_square(0.9))
+        assert lo == hi == pytest.approx(0.1)
 
     def test_boundary_atom_in_every_radial_square(self):
         theta = single_atom()
         mu = theta.mu()
         for r in (0.1, 0.5, 0.9, 0.99):
-            assert mu.of_square(carleson_square(r)) == pytest.approx(1.0)
+            assert mu.of_square_bounds(carleson_square(r)) == (1.0, 1.0)
 
     def test_zero_outside_angular_window(self):
         theta = finite_blaschke([0.9 * cmath.exp(1.0j)])
         mu = theta.mu()
-        assert mu.of_square(carleson_square(0.9)) == 0.0
+        assert mu.of_square_bounds(carleson_square(0.9)) == (0.0, 0.0)
 
     def test_horizon_error_on_fine_queries(self):
         zs = radial_geometric_zeros()
@@ -213,7 +217,7 @@ class TestMu:
         theta = InnerFunction(blaschke=BlaschkeProduct(partial))
         mu = theta.mu(min_side=2.0 ** -4)
         with pytest.raises(HorizonExceeded):
-            mu.of_square(carleson_square(1.0 - 2.0 ** -9))
+            mu.of_square_bounds(carleson_square(1.0 - 2.0 ** -9))
 
     def test_total(self):
         theta = finite_blaschke([0.9, 0.5])
@@ -275,6 +279,11 @@ def scan_tail_mu(theta: InnerFunction, depth: int) -> MuMeasure:
     return theta.mu(min_side=min_side)
 
 
+def level_position(z: complex, level: int) -> int:
+    """Position of a scan point in WhitneyBox.level_points(level)."""
+    return round(cmath.phase(z) % TWO_PI / (math.pi * 2.0 ** -level)) % (2 << level)
+
+
 @pytest.fixture(scope="module")
 def companion200():
     return construct_companion(single_atom(), horizon=200, depth=6)
@@ -322,7 +331,7 @@ class TestLevelKernel:
 
     def test_one_row_bounds_match_reference(self, companion200):
         squares = [carleson_square(0.0), carleson_square(0.5 + 0.5j),
-                   carleson_square(0.9).dilate(3.0), carleson_square(-0.999)]
+                   CarlesonSquare(0.0, 3.0 * (1.0 - 0.9)), carleson_square(-0.999)]
         for theta in self._cases(companion200).values():
             mu = scan_tail_mu(theta, 10)
             for square in squares:
@@ -376,34 +385,156 @@ class TestLevelKernel:
     @pytest.mark.parametrize("depth", [2, 3, 4, 6])
     def test_positive_squares_follow_lazily_listed_atoms(self, depth):
         # evaluating Theta lists more atoms at shallow scan depths, here at
-        # golden-angle steps around the circle, so later squares of the same
-        # level gain mass; their masses must be those of a query made then
+        # golden-angle steps around the first quarter circle, so later
+        # squares of the same level gain mass; their masses must be those of
+        # a query made then.  Atom 22, listed while level 2 is scanned at
+        # every depth here, lands at 5 pi / 4, in a box that held no listed
+        # mass when the level began
         def build():
-            gen = ((n * 2.399963229728653, 2.0 ** -n, 2.0 ** -n) for n in range(1, 60))
+            gen = ((1.25 * math.pi if n == 22 else n * 2.399963229728653 % (0.5 * math.pi),
+                    2.0 ** -n, 2.0 ** -n) for n in range(1, 60))
             sigma = AtomicMeasure([(0.0, 1.0)], generator=gen, tail_mass=1.0)
             return InnerFunction(singular=SingularInner(sigma))
 
         def scan(positive_of):
             theta = build()
             mu = scan_tail_mu(theta, depth)
-            hits = []
+            hits, dead = [], 0
             for level in range(2, depth + 1):
-                points = WhitneyBox.level_points(level)
-                for i, mass in positive_of(mu, points):
-                    hits.append((level, i, mass))
-                    theta.modulus_bounds(complex(points[i]), 1e-6)
-            return hits, mu.boundary.atom_count
+                live = mu._live_points(level).tolist()
+                for z, mass in positive_of(mu, level):
+                    hits.append((level, z, mass))
+                    dead += level_position(z, level) not in live
+                    theta.modulus_bounds(z, 1e-6)
+            return hits, mu.boundary.atom_count, dead
 
-        def per_point(mu, points):
-            for i, z in enumerate(points.tolist()):
+        def per_point(mu, level):
+            for z in WhitneyBox.level_points(level).tolist():
                 mass = reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
                 if mass > 0.0:
-                    yield i, mass
+                    yield z, mass
 
-        expected, listed = scan(per_point)
+        expected, listed, dead = scan(per_point)
         assert listed > scan_tail_mu(build(), depth).boundary.atom_count
-        assert scan(lambda mu, points: mu.positive_squares(points, 1e-9)) == \
-            (expected, listed)
+        assert scan(lambda mu, level: mu.positive_squares(level, 1e-9)) == \
+            (expected, listed, dead)
+        assert dead > 0
+
+
+def full_level_scan(theta: InnerFunction, depth: int) -> list:
+    """(level, z, lower mass, |Theta| bracket) of each scan point with
+    positive mass, as the scan found them before pruning: every point of
+    every level queried, and the rest of a level queried again after an
+    evaluation listed more atoms."""
+    mu = scan_tail_mu(theta, depth)
+    record = []
+    for level in range(2, depth + 1):
+        points = WhitneyBox.level_points(level)
+        start = 0
+        while start < len(points):
+            atoms = mu.boundary.atom_count if mu.boundary is not None else 0
+            lower = mu.lower_masses(points[start:], 1e-9)
+            for i in np.flatnonzero(lower > 0.0).tolist():
+                z = complex(points[start + i])
+                record.append((level, z, float(lower[i]),
+                               tuple(theta.modulus_bounds(z, EVAL_TOL))))
+                if mu.boundary is not None and mu.boundary.atom_count != atoms:
+                    start += i + 1
+                    break
+            else:
+                break
+    return record
+
+
+def criterion_scan_record(theta: InnerFunction, depth: int, monkeypatch) -> list:
+    """The same tuples, read off criterion_scan's positive_squares items
+    and |Theta| evaluations."""
+    hits, brackets = [], []
+    positive_squares, modulus_bounds = MuMeasure.positive_squares, theta.modulus_bounds
+
+    def recording(mu, level, tol):
+        for z, mass in positive_squares(mu, level, tol):
+            hits.append((level, z, mass))
+            yield z, mass
+
+    def evaluate(z, tol):
+        bracket = modulus_bounds(z, tol)
+        brackets.append(tuple(bracket))
+        return bracket
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MuMeasure, "positive_squares", recording)
+        patch.setattr(theta, "modulus_bounds", evaluate)
+        criterion_scan(theta, depth)
+    assert len(hits) == len(brackets)
+    return [hit + (bracket,) for hit, bracket in zip(hits, brackets)]
+
+
+RISING_CDF = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (4.0, 0.5), (5.0, 1.0), (TWO_PI, 1.0)]
+
+
+class TestPrunedScan:
+    """criterion_scan, which queries mu only next to listed mass, against
+    the full-level scan, bit for bit."""
+
+    CASES = {
+        "atom1": (single_atom, 14), "atoms2": (two_atoms, 14),
+        "radial_geometric": (radial_geometric, 14), "radial_sparse": (radial_sparse, 14),
+        "cantor": (cantor_inner, 6),
+        "cdf": (lambda: InnerFunction(singular=SingularInner(CdfMeasure(RISING_CDF))), 10),
+        "constant": (InnerFunction, 8),
+        **{"example1-%d" % d: (example1, d) for d in range(2, 9)},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_level_scan(self, case, monkeypatch):
+        build, depth = self.CASES[case]
+        expected = full_level_scan(build(), depth)
+        assert criterion_scan_record(build(), depth, monkeypatch) == expected
+        assert bool(expected) == (case != "constant")
+
+    def test_companion_product_matches_full_level_scan(self, companion500, monkeypatch):
+        # the 500-zero products that construct_companion scans
+        zeros = companion500.zeros.zeros
+        for build in (lambda: finite_blaschke(zeros), lambda: _product_with_atom1(zeros)):
+            expected = full_level_scan(build(), 10)
+            assert criterion_scan_record(build(), 10, monkeypatch) == expected
+            assert expected
+
+    def test_level_subsets_are_the_full_level_points(self):
+        rng = np.random.default_rng(5)
+        for level in range(2, 15):
+            full = WhitneyBox.level_points(level)
+            index = np.sort(rng.choice(full.size, min(full.size, 300), replace=False))
+            assert WhitneyBox.level_points(level, index).tobytes() == full[index].tobytes()
+            assert WhitneyBox.level_points(level, np.arange(full.size)).tobytes() == \
+                full.tobytes()
+
+    def test_horizon_exceeded_on_a_level_without_live_boxes(self):
+        # zeros 1 - 2^-n, n <= 6, and a declared tail: level 8 is the first
+        # whose side is below the horizon 2^-6, and no zero lies that deep
+        def partial_mu():
+            zs = radial_geometric_zeros()
+            zs.materialize_count(6)
+            partial = ZeroSequence(zs.zeros, generator=iter(()),
+                                   tail_blaschke_sum=2.0 ** -6, ordered_by_modulus=True)
+            return InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
+
+        def first_failure(query):
+            for level in range(2, 13):
+                try:
+                    query(level)
+                except HorizonExceeded as exc:
+                    return level, str(exc)
+            pytest.fail("no level reached the horizon")
+
+        reference = partial_mu()
+        expected = first_failure(lambda level: [
+            reference_square_bounds(reference, carleson_square(z))
+            for z in WhitneyBox.level_points(level).tolist()])
+        mu = partial_mu()
+        assert first_failure(lambda level: list(mu.positive_squares(level))) == expected
+        assert expected[0] == 8 and mu._live_points(8).size == 0
 
 
 def scan_points(first: int, last: int) -> np.ndarray:
