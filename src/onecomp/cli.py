@@ -88,6 +88,14 @@ def _integer(value, option: str, least: int | None = None) -> int:
     return int(x)
 
 
+def _scan_depth(value) -> int:
+    depth = _integer(value, "--depth", least=2)
+    if depth > MAX_DEPTH:
+        raise PrecisionExhausted("--depth: %d is past %d, the deepest scan level "
+                                 "double precision resolves" % (depth, MAX_DEPTH))
+    return depth
+
+
 def cmd_eval(args) -> int:
     tol = _positive(args.tol, "--tol")
     theta = _load_inner(args.inner)
@@ -102,10 +110,7 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
-    depth = _integer(args.depth, "--depth", least=2)
-    if depth > MAX_DEPTH:
-        raise PrecisionExhausted("--depth: %d is past %d, the deepest scan level "
-                                 "double precision resolves" % (depth, MAX_DEPTH))
+    depth = _scan_depth(args.depth)
     theta = _load_inner(args.inner)
     return _emit(args, "report.json", classify(theta, depth, tol).to_json_dict())
 
@@ -130,7 +135,7 @@ def cmd_levelset(args) -> int:
 
 def cmd_construct(args) -> int:
     horizon = _integer(args.horizon, "--horizon", least=1)
-    depth = _integer(args.depth, "--depth", least=2)
+    depth = _scan_depth(args.depth)
     theta = _load_inner(args.inner)
     result = construct_companion(theta, horizon=horizon, depth=depth)
     doc = {
@@ -142,7 +147,7 @@ def cmd_construct(args) -> int:
         "report_b": result.report_b.to_json_dict(),
         "report_btheta": result.report_btheta.to_json_dict(),
         "spot_check": {"points_checked": result.spot_check.points_checked,
-                       "points_above_threshold": result.spot_check.points_above_threshold,
+                       "points_above_threshold": len(result.spot_check.violations),
                        "violations": [{"re": v.real, "im": v.imag}
                                       for v in result.spot_check.violations]},
         "verified": result.verified,

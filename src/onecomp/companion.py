@@ -16,7 +16,9 @@ distance 1/10 and the chain endpoints have one.
 Verification of the result is numeric evidence on the materialized prefix:
 separation and Carleson box constants, criterion scans of B and of
 B * Theta, and the spot check that every scanned point with certified
-|B| > 12/21 has mu(B)(Q) = 0 exactly.
+|B| > 12/21 has mu(B)(Q) = 0 exactly.  A point with mu(B)(Q) = 0 cannot
+break that, so the spot check brackets |B| only at the scan points whose
+square holds a zero of B, the ones the scan of B visits.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
 from .errors import (CurveExhausted, DomainError, HypothesisViolated,
                      RadiusSearchExhausted, TailBoundInsufficient)
 # carleson_square is not called here; bench/tracer.py counts its calls
 # through this module's name, so the name stays importable from it
-from .geometry import (TWO_PI, BoundaryArc, WhitneyBox, carleson_square,  # noqa: F401
+from .geometry import (TWO_PI, BoundaryArc, carleson_square,  # noqa: F401
                        pseudo_distance, whitney_arcs)
 from .inner import (BlaschkeProduct, InnerFunction, MuMeasure, ZeroSequence,
                     separation_constants)
@@ -323,8 +323,7 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
 
 @dataclass
 class SpotCheck:
-    points_checked: int
-    points_above_threshold: int
+    points_checked: int              # scan points with positive mu mass
     violations: list[complex]
 
     @property
@@ -358,23 +357,19 @@ class CompanionResult:
 def _spot_check_b(blaschke: BlaschkeProduct, mu: MuMeasure, depth: int) -> SpotCheck:
     """Scan points where |B| stays above 12/21 must carry no mu mass.
 
-    |B| is bracketed once per scan level, at the Blaschke half of the 1e-9
-    tolerance that InnerFunction.modulus_bounds splits.  mu is B's own zero
-    measure, whose square brackets are exact, so its lower ends are the
-    masses.
+    mu is B's own zero measure, so only the points that
+    mu.positive_squares lists, the ones criterion_scan(B) visits, can break
+    this.  |B| is bracketed at each of them at the Blaschke half of the
+    1e-9 tolerance that InnerFunction.modulus_bounds splits.
     """
-    checked = above = 0
+    checked = 0
     violations: list[complex] = []
     for level in range(2, depth + 1):
-        points = WhitneyBox.level_points(level)
-        lower, _ = blaschke.modulus_bounds_many(points, 0.5 * 1e-9)
-        high = np.flatnonzero(lower > 12.0 / 21.0)
-        checked += len(points)
-        above += len(high)
-        masses = mu.lower_masses(points[high])
-        violations.extend(complex(points[i]) for i, m in zip(high.tolist(), masses.tolist())
-                          if m != 0.0)
-    return SpotCheck(checked, above, violations)
+        for z, _ in mu.positive_squares(level):
+            checked += 1
+            if blaschke.modulus_bounds(z, 0.5 * 1e-9).lo > 12.0 / 21.0:
+                violations.append(z)
+    return SpotCheck(checked, violations)
 
 
 def construct_companion(theta: InnerFunction, horizon: int = 2000,

@@ -23,7 +23,7 @@ import io
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -221,24 +221,6 @@ class BlaschkeProduct:
             return -math.inf
         return float((np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))).sum())
 
-    def _log_sums(self, points: np.ndarray) -> np.ndarray:
-        """_log_sum of every point of a complex array, bit for bit: a
-        point x zero matrix in row blocks of about BLOCK_ELEMENTS, each row
-        summed as _log_sum sums its vector; -inf in a row with a zero."""
-        arr = self.zeros.as_array()
-        sums = np.zeros(len(points))
-        if arr.size == 0:
-            return sums
-        conj = np.conj(arr)
-        step = max(1, BLOCK_ELEMENTS // arr.size)
-        with np.errstate(divide="ignore"):
-            for s in range(0, len(points), step):
-                z = points[s:s + step, None]
-                logs = np.log(np.abs(arr - z))
-                logs -= np.log(np.abs(1.0 - conj * z))
-                sums[s:s + step] = logs.sum(axis=1)
-        return sums
-
     def log_modulus(self, z: complex, tol: float = 1e-9) -> Interval:
         z = complex(z)
         if not abs(z) < 1.0:
@@ -259,47 +241,16 @@ class BlaschkeProduct:
         z = complex(z)
         if not abs(z) < 1.0:
             raise DomainError("modulus bounds require |z| < 1")
-        return self._bracket(abs(z), self._log_sum(z), tol, lambda: self._log_sum(z))
-
-    def modulus_bounds_many(self, points: np.ndarray,
-                            tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) ends of modulus_bounds(z, tol) for every point z of
-        a complex array, bit for bit, with the zeros listed in the same order.
-
-        The log sums of a whole array come from one _log_sums call.  When
-        certifying a point's tail lists more zeros, the sums of that point
-        and of all later ones are recomputed.
-        """
-        moduli = [abs(z) for z in points.tolist()]
-        stop = next((i for i, m in enumerate(moduli) if not m < 1.0), len(moduli))
-        sums, start = self._log_sums(points[:stop]).tolist(), 0
-
-        def resum() -> float:
-            nonlocal sums, start
-            sums, start = self._log_sums(points[i:stop]).tolist(), i
-            return sums[0]
-
-        brackets = []
-        for i in range(stop):
-            brackets.append(self._bracket(moduli[i], sums[i - start], tol, resum))
-        if stop < len(moduli):
-            raise DomainError("modulus bounds require |z| < 1")
-        lower, upper = np.array(brackets, dtype=np.float64).reshape(-1, 2).T
-        return lower, upper
-
-    def _bracket(self, z_abs: float, s: float, tol: float,
-                 resum: Callable[[], float]) -> Interval:
-        """modulus_bounds from the log sum s over the listed zeros; resum
-        gives the sum again after certifying the tail listed more zeros."""
+        listed = len(self.zeros)
+        s = self._log_sum(z)
         upper = math.exp(s)
         if s == -math.inf or upper <= 0.5 * tol:
             return Interval(0.0, upper)
         # value-scale budget: a log-width d gives value width <= upper * d
         log_budget = max(1e-15, 0.5 * tol / upper)
-        listed = len(self.zeros)
-        tail_bound = self._ensure_tail(z_abs, log_budget)
+        tail_bound = self._ensure_tail(abs(z), log_budget)
         if len(self.zeros) > listed:
-            s = resum()
+            s = self._log_sum(z)
         return Interval(math.exp(s - tail_bound), math.exp(s))
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
@@ -564,35 +515,6 @@ class InnerFunction:
         if len(parts) == 1:
             return parts[0]
         return UnionSupport(tuple(parts))
-
-    def product_with(self, other: "InnerFunction") -> "InnerFunction":
-        """Pointwise product; zero sequences concatenate, measures must not
-        collide (at most one singular part)."""
-        if self.singular is not None and other.singular is not None:
-            raise DomainError("product of two singular parts is not supported")
-        zs: list[complex] = []
-        tail = 0.0
-        gen = None
-        ordered = True
-        acc: list[float] = []
-        for f in (self, other):
-            if f.blaschke is not None:
-                zsq = f.blaschke.zeros
-                zs.extend(zsq.zeros)
-                tail += zsq.tail_blaschke_sum
-                if not zsq.exhausted:
-                    if gen is not None:
-                        raise DomainError("cannot merge two live zero generators")
-                    gen = zsq._gen
-                ordered = ordered and zsq.ordered_by_modulus
-                acc.extend(zsq.accumulation_angles)
-        blaschke = None
-        if zs or gen is not None or tail > 0.0:
-            blaschke = BlaschkeProduct(ZeroSequence(
-                zs, generator=gen, tail_blaschke_sum=tail,
-                ordered_by_modulus=False, accumulation_angles=acc))
-        singular = self.singular if self.singular is not None else other.singular
-        return InnerFunction(self.unimodular * other.unimodular, blaschke, singular)
 
 
 class UnionSupport(BoundarySupport):

@@ -426,21 +426,33 @@ class TestInputValidation:
         assert err.count("\n") == 1
         assert "--depth" in err and "at least %d" % least in err
 
-    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 54, 10 ** 9])
-    def test_deep_classify_rejected_before_loading(self, depth, capsys, tmp_path,
-                                                   monkeypatch):
+    @staticmethod
+    def deep_depth_rejected_before_loading(command, evaluator, depth, capsys,
+                                           tmp_path, monkeypatch):
         def evaluation(*_args, **_kwargs):
             raise AssertionError("loaded or evaluated before --depth was checked")
 
-        for name in ("classify", "_load_inner"):
+        for name in (evaluator, "_load_inner"):
             monkeypatch.setattr(cli, name, evaluation)
-        code, out, err = run_cli(["classify", "--inner", str(tmp_path / "absent.json"),
+        code, out, err = run_cli([command, "--inner", str(tmp_path / "absent.json"),
                                   "--depth", str(depth)], capsys)
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("precision exhausted: --depth: %d " % depth)
         assert "past %d" % MAX_DEPTH in err
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 54, 10 ** 9])
+    def test_deep_classify_rejected_before_loading(self, depth, capsys, tmp_path,
+                                                   monkeypatch):
+        self.deep_depth_rejected_before_loading("classify", "classify", depth, capsys,
+                                                tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 54, 10 ** 9])
+    def test_deep_construct_rejected_before_loading(self, depth, capsys, tmp_path,
+                                                    monkeypatch):
+        self.deep_depth_rejected_before_loading("construct", "construct_companion", depth,
+                                                capsys, tmp_path, monkeypatch)
 
     def test_classify_at_the_depth_cap(self, seeds, capsys):
         code, out, _ = run_cli(["classify", "--inner", str(seeds / "atom1.json"),
@@ -449,6 +461,14 @@ class TestInputValidation:
         doc = json.loads(out)
         assert doc["verdict"] == "OneComponentEvidence"
         assert len(doc["depth_trace"]) == MAX_DEPTH - 1
+
+    def test_construct_at_the_depth_cap(self, seeds, capsys):
+        code, out, _ = run_cli(["construct", "--inner", str(seeds / "atom1.json"),
+                                "--horizon", "200", "--depth", str(MAX_DEPTH)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verified"] and doc["spot_check"]["points_checked"] > 0
+        assert len(doc["report_b"]["depth_trace"]) == MAX_DEPTH - 1
 
     def test_valid_numeric_options(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
@@ -486,18 +506,21 @@ class TestGoldenScans:
             "6501e468e7b50068c528552fede5687ef675086251fe3d26075b0fd0e056f807",
         "radial_sparse": "0e0f80da605be5dd29af68d666de9bdc95fcd42a74b39061c77eb67529e6edaf",
     }
-    # construct --horizon 500 --depth 10: (zero CSV, companion.json); atoms2's
-    # recorded with the per-point spot check that the per-level one replaced.
+    # construct --horizon 500 --depth 10: (zero CSV, companion.json).
     # "closed" is --horizon 500 --depth 6 on the one-zero document {0.5},
-    # whose closed chain of 87 zeros the horizon covers, recorded with the
-    # separate closed-chain march that the shared frontier loop replaced
+    # whose closed chain of 87 zeros the horizon covers.  The zero CSVs were
+    # recorded with the separate closed-chain march that the shared frontier
+    # loop replaced; companion.json was re-recorded when the spot check came
+    # to visit only mass-carrying points, after checking that only its
+    # points_checked and points_above_threshold differ from the full-level
+    # check's report
     CONSTRUCT = {
         "atom1": ("90210ab58200d675a9cd425f395496e18af11a21cc8a266791c4de27cc8d0743",
-                  "4bf513a959277c09c5f8ec19f94d92cd7aaa16e44a804fcd3750ce1f4cc3ee35"),
+                  "c8cef11cb9880d6c15827b237ed0687ab950f1b14321683cf180b6b20199884f"),
         "atoms2": ("001edf283f65919ca22829e2cf34ccd0de489c652b901d481c9b0855a607c5c2",
-                   "9f53a53a59b9ecb74767ad07cb80223ceaf2af6f4a4f4be8ef461efb8e6ce4bd"),
+                   "4341fe53f81145e461956ca3ecb1f34e1e8dd511d18591dfa19d284d1870b5ac"),
         "closed": ("98d7ab23128e7166205cba465cdaabf7ee87b78d99f227860d7f5f7141222bfe",
-                   "20fb5dc0b6463f68462615fa31a85732d533334559e015693a0341c9b25ebf77"),
+                   "7375c39575dfea4870d816f2dd9a96299cc1a9e2495ff32f4a371ce9a5493cf8"),
     }
 
     @staticmethod

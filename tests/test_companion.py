@@ -2,7 +2,9 @@ import bisect
 import math
 import cmath
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from onecomp import families
@@ -298,25 +300,34 @@ class TestConstructCompanion:
 
 
 def reference_spot_check(zeros, depth: int) -> SpotCheck:
-    """The per-point spot check that the per-level one replaced: |B| through
-    InnerFunction.modulus_bounds and one mu(Q) query per point above 12/21."""
+    """The per-point, full-level spot check: at every scan point of every
+    level, |B| through InnerFunction.modulus_bounds and one mu(Q) query.
+    points_checked counts the points whose square has positive mass."""
     theta = InnerFunction(blaschke=BlaschkeProduct(ZeroSequence(zeros)))
     mu = theta.mu()
-    checked = above = 0
+    checked = 0
     violations = []
     for level in range(2, depth + 1):
         for z in WhitneyBox.level_points(level).tolist():
-            checked += 1
-            if theta.modulus_bounds(z, 1e-9).lo > 12.0 / 21.0:
-                above += 1
-                if mu.of_square_bounds(carleson_square(z))[0] != 0.0:
-                    violations.append(z)
-    return SpotCheck(checked, above, violations)
+            mass = mu.of_square_bounds(carleson_square(z))[0]
+            checked += mass > 0.0
+            if theta.modulus_bounds(z, 1e-9).lo > 12.0 / 21.0 and mass != 0.0:
+                violations.append(z)
+    return SpotCheck(checked, violations)
+
+
+def violation_level(z: complex) -> int:
+    """The level of a WhitneyBox.level_points point: |z| = 1 - 0.75 pi 2^-level."""
+    return round(-math.log2((1.0 - abs(z)) / (0.75 * math.pi)))
 
 
 class TestSpotCheck:
+    """_spot_check_b, which visits only the points next to listed mass,
+    against the full-level reference: equal violations, in order, and
+    points_checked the number of positive-mass points."""
+
     @staticmethod
-    def batched(zeros, depth: int) -> SpotCheck:
+    def walked(zeros, depth: int) -> SpotCheck:
         b = BlaschkeProduct(ZeroSequence(zeros))
         return _spot_check_b(b, InnerFunction(blaschke=b).mu(), depth)
 
@@ -324,8 +335,8 @@ class TestSpotCheck:
         zeros = construct_companion(families.single_atom(), horizon=500,
                                     depth=10).zeros.zeros
         expected = reference_spot_check(zeros, 10)
-        assert self.batched(zeros, 10) == expected
-        assert expected.passed and 0 < expected.points_above_threshold < 4088
+        assert self.walked(zeros, 10) == expected
+        assert expected.passed and 0 < expected.points_checked < 4088
 
     def test_violation_under_a_shallow_point(self):
         # one zero 2^-12 from the circle below a depth-2 scan point: |B| is
@@ -333,5 +344,29 @@ class TestSpotCheck:
         shallow = complex(WhitneyBox.level_points(2)[3])
         w = (1.0 - 2.0 ** -12) * shallow / abs(shallow)
         expected = reference_spot_check([w], 8)
-        assert shallow in expected.violations
-        assert self.batched([w], 8) == expected
+        assert shallow in expected.violations and len(expected.violations) == 7
+        assert self.walked([w], 8) == expected
+
+    def test_seeded_zeros_with_violations_at_several_levels(self):
+        # 40 zeros scattered 2^-4 to 2^-12 from the circle: each lies under
+        # squares of several levels, at most of which |B| is near 1
+        rng = np.random.default_rng(40)
+        zeros = ((1.0 - 2.0 ** -rng.uniform(4.0, 12.0, 40))
+                 * np.exp(1j * TWO_PI * rng.random(40))).tolist()
+        expected = reference_spot_check(zeros, 10)
+        assert self.walked(zeros, 10) == expected
+        assert len({violation_level(z) for z in expected.violations}) > 5
+
+    def test_memory_stays_flat_at_depth_18(self):
+        # the full-level check held a level's 2^19 points and their |B|
+        # brackets at once; the walk builds a few points per level
+        construct_companion(families.single_atom(), horizon=20, depth=4)
+        tracemalloc.start()
+        try:
+            result = construct_companion(families.single_atom(), horizon=500,
+                                         depth=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verified and result.spot_check.points_checked > 0
+        assert peak < 16 * 2 ** 20

@@ -44,12 +44,15 @@ class TestLogModulus:
         b = BlaschkeProduct([0.5])
         lm = b.log_modulus(0.5)
         assert lm.lo == -math.inf and lm.hi == -math.inf
+        assert tuple(b.modulus_bounds(0.5)) == (0.0, 0.0)
 
     def test_tail_bound_insufficient_without_generator(self):
         zs = ZeroSequence([0.5], tail_blaschke_sum=0.2)
         b = BlaschkeProduct(zs)
         with pytest.raises(TailBoundInsufficient):
             b.log_modulus(0.9, 1e-9)
+        with pytest.raises(TailBoundInsufficient):
+            b.modulus_bounds(0.9, 1e-9)
 
 
 class TestEvaluate:
@@ -537,116 +540,17 @@ class TestPrunedScan:
         assert expected[0] == 8 and mu._live_points(8).size == 0
 
 
-def scan_points(first: int, last: int) -> np.ndarray:
-    return np.concatenate([WhitneyBox.level_points(d) for d in range(first, last + 1)])
-
-
-def per_point_brackets(b: BlaschkeProduct, points: np.ndarray, tol: float) -> np.ndarray:
-    """The per-point modulus_bounds loop that modulus_bounds_many replaces,
-    as an array of (lower, upper) rows."""
-    return np.array([tuple(b.modulus_bounds(z, tol)) for z in points.tolist()],
-                    dtype=np.float64).reshape(-1, 2)
-
-
-def batch_brackets(b: BlaschkeProduct, points: np.ndarray, tol: float) -> np.ndarray:
-    return np.column_stack(b.modulus_bounds_many(points, tol))
-
-
-def first_error(query):
-    """(exception type, message) raised by query(); fails when none is."""
-    with pytest.raises((DomainError, TailBoundInsufficient)) as info:
-        query()
-    return type(info.value), str(info.value)
-
-
 @pytest.fixture(scope="module")
 def companion500():
     return construct_companion(single_atom(), horizon=500, depth=10)
 
 
-def truncated_geometric_zeros() -> ZeroSequence:
-    # zeros 1 - 2^-n for n <= 20, then an exhausted generator with tail 2^-20
-    def gen():
-        for n in range(1, 21):
-            yield (complex(1.0 - 2.0 ** -n, 0.0), 2.0 ** -n)
-
-    return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0, ordered_by_modulus=True)
-
-
-@pytest.mark.filterwarnings("error")
-class TestModulusBoundsMany:
-    """BlaschkeProduct.modulus_bounds_many against the per-point loop, bit for
-    bit, on separate instances, so lazily listed zeros are compared too."""
-
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
-    def test_companion_matches_per_point_loop(self, tol, companion500):
-        zeros = companion500.zeros.zeros
-        assert len(zeros) == 500
-        points = scan_points(2, 12)
-        expected = per_point_brackets(BlaschkeProduct(zeros), points, tol)
-        got = batch_brackets(BlaschkeProduct(zeros), points, tol)
-        assert got.tobytes() == expected.tobytes()
-        assert (expected[:, 0] > 12.0 / 21.0).any() and (expected[:, 1] < 1e-9).any()
-
-    @pytest.mark.parametrize("family, tol, mid_batch", [
-        (radial_geometric_zeros, 1e-6, True), (radial_geometric_zeros, 1e-9, False),
-        (radial_sparse_zeros, 1e-6, False), (radial_sparse_zeros, 1e-9, False),
-    ], ids=lambda v: v.__name__ if callable(v) else str(v))
-    def test_generated_zeros_match_per_point_loop(self, family, tol, mid_batch,
-                                                  monkeypatch):
-        points = scan_points(2, 12)
-        reference, batch = BlaschkeProduct(family()), BlaschkeProduct(family())
-        expected = per_point_brackets(reference, points, tol)
-        calls = []
-        log_sums = batch._log_sums
-        monkeypatch.setattr(batch, "_log_sums",
-                            lambda pts: calls.append(len(pts)) or log_sums(pts))
-        got = batch_brackets(batch, points, tol)
-        assert got.tobytes() == expected.tobytes()
-        assert batch.zeros.zeros == reference.zeros.zeros
-        # listing more zeros recomputed the sums of the remaining points,
-        # at the first point and, for some cases, again at a later one
-        assert len(calls) > 1 and calls[0] == len(points)
-        assert (min(calls) < len(points)) == mid_batch
-
-    def test_points_at_zeros_and_no_zeros(self):
-        zeros = [0.5, 0.3 + 0.4j, -0.7j]
-        points = np.array([0.5, 0.0, 0.3 + 0.4j, -0.7j, 0.9 + 0.1j, 0.3 + 0.4j])
-        for tol in (1e-9, 0.5):
-            expected = per_point_brackets(BlaschkeProduct(zeros), points, tol)
-            got = batch_brackets(BlaschkeProduct(zeros), points, tol)
-            assert got.tobytes() == expected.tobytes()
-            assert got[[0, 2, 3, 5]].tolist() == [[0.0, 0.0]] * 4
-            empty = BlaschkeProduct([])
-            assert batch_brackets(empty, points, tol).tobytes() == \
-                per_point_brackets(empty, points, tol).tobytes()
-        assert batch_brackets(BlaschkeProduct(zeros), points[:0], 1e-9).shape == (0, 2)
-
+class TestModulusBounds:
     @pytest.mark.parametrize("outside", [1.0, -1.5j, complex(math.nan, 0.0),
                                          complex(math.inf, 0.0)])
-    def test_domain_error_at_the_same_point(self, outside):
-        points = np.concatenate([scan_points(2, 6), [outside], scan_points(7, 7)])
-        reference, batch = (BlaschkeProduct(radial_geometric_zeros()) for _ in range(2))
-        expected = first_error(lambda: per_point_brackets(reference, points, 1e-9))
-        assert first_error(lambda: batch.modulus_bounds_many(points, 1e-9)) == expected
-        assert expected[0] is DomainError
-        assert batch.zeros.zeros == reference.zeros.zeros and len(reference.zeros) > 0
-
-    def test_tail_bound_insufficient_at_the_same_point(self):
-        points = scan_points(2, 8)
-        reference = BlaschkeProduct(truncated_geometric_zeros())
-        batch = BlaschkeProduct(truncated_geometric_zeros())
-        certified = []
-
-        def per_point():
-            for z in points.tolist():
-                certified.append(reference.modulus_bounds(z, 1e-3))
-
-        expected = first_error(per_point)
-        assert first_error(lambda: batch.modulus_bounds_many(points, 1e-3)) == expected
-        assert expected[0] is TailBoundInsufficient and len(certified) > 100
-        assert reference.zeros.exhausted and reference.zeros.tail_blaschke_sum > 0.0
-        assert batch.zeros.zeros == reference.zeros.zeros
+    def test_points_outside_the_open_disc_rejected(self, outside):
+        with pytest.raises(DomainError, match="require"):
+            BlaschkeProduct(radial_geometric_zeros()).modulus_bounds(outside)
 
     def test_brackets_contain_the_modulus_at_50_digits(self, companion500):
         # |B| = prod |w - z| / |1 - conj(w) z| at 50 digits.  A finite product
@@ -669,10 +573,65 @@ class TestModulusBoundsMany:
                     exact.append(mpmath.fprod(abs(w - zz) / abs(1 - mpmath.conj(w) * zz)
                                               for w in ws))
                 for tol in (1e-9, 1e-3):
-                    lower, upper = BlaschkeProduct(zeros).modulus_bounds_many(points, tol)
-                    for lo, hi, value in zip(lower.tolist(), upper.tolist(), exact):
+                    b = BlaschkeProduct(zeros)
+                    for z, value in zip(points.tolist(), exact):
+                        lo, hi = b.modulus_bounds(z, tol)
                         assert lo * (1 - mpmath.mpf(1e-12)) <= value \
                             <= hi * (1 + mpmath.mpf(1e-12))
+
+
+def truncated_geometric_zeros() -> ZeroSequence:
+    # zeros 1 - 2^-n for n <= 20, then an exhausted generator with tail 2^-20
+    def gen():
+        for n in range(1, 21):
+            yield (complex(1.0 - 2.0 ** -n, 0.0), 2.0 ** -n)
+
+    return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0, ordered_by_modulus=True)
+
+
+def bracket_loop(b: BlaschkeProduct, points, tol: float) -> list:
+    """modulus_bounds at each point in turn on one instance, as the spot
+    check and the scans call it; (type, message) ends the list on an error."""
+    out = []
+    for z in points:
+        try:
+            out.append(tuple(b.modulus_bounds(z, tol)))
+        except (DomainError, TailBoundInsufficient) as err:
+            out.append((type(err), str(err)))
+            break
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+class TestModulusBoundsMany:
+    """BlaschkeProduct.modulus_bounds called at many points on one instance
+    against a fresh instance per point, so zeros listed by earlier calls
+    cannot change a later bracket."""
+
+    def test_points_at_zeros_and_no_zeros(self):
+        zeros = [0.5, 0.3 + 0.4j, -0.7j]
+        points = [0.5, 0.0, 0.3 + 0.4j, -0.7j, 0.9 + 0.1j, 0.3 + 0.4j]
+        for tol in (1e-9, 0.5):
+            got = bracket_loop(BlaschkeProduct(zeros), points, tol)
+            assert got == [bracket_loop(BlaschkeProduct(zeros), [z], tol)[0]
+                           for z in points]
+            assert [got[k] for k in (0, 2, 3, 5)] == [(0.0, 0.0)] * 4
+            assert all(0.0 <= got[k][0] <= got[k][1] <= 1.0 for k in (1, 4))
+            assert bracket_loop(BlaschkeProduct([]), points, tol) == [(1.0, 1.0)] * 6
+
+    def test_tail_bound_insufficient_at_the_same_point(self):
+        points = np.concatenate([WhitneyBox.level_points(d)
+                                 for d in range(2, 9)]).tolist()
+        reference = BlaschkeProduct(truncated_geometric_zeros())
+        expected = bracket_loop(reference, points, 1e-3)
+        assert expected[-1][0] is TailBoundInsufficient and len(expected) > 100
+        assert reference.zeros.exhausted and reference.zeros.tail_blaschke_sum > 0.0
+        # a fresh instance fails at the same point; the budget in the message
+        # depends on how many zeros were listed before the call
+        failing = points[len(expected) - 1]
+        fresh = BlaschkeProduct(truncated_geometric_zeros())
+        assert bracket_loop(fresh, [failing], 1e-3)[0][0] is TailBoundInsufficient
+        assert fresh.zeros.zeros == reference.zeros.zeros
 
 
 class TestDiagnostics:
@@ -726,21 +685,6 @@ class TestZerosCsv:
     def test_field_diagnostics_carry_line_numbers(self):
         with pytest.raises(DomainError, match="line 3"):
             load_zeros_csv("re,im\n0.1,0.2\n0.3\n")
-
-
-class TestProduct:
-    def test_product_multiplies_pointwise(self):
-        b = finite_blaschke([0.5, -0.3j])
-        s = single_atom()
-        prod = b.product_with(s)
-        for z in (0.2 + 0.1j, -0.4j, 0.6):
-            assert prod.evaluate(z, 1e-12) == pytest.approx(
-                b.evaluate(z, 1e-12) * s.evaluate(z, 1e-12), abs=1e-12)
-
-    def test_product_rejects_two_singular_parts(self):
-        s = single_atom()
-        with pytest.raises(DomainError):
-            s.product_with(single_atom())
 
 
 class TestZeroSequence:
