@@ -6,18 +6,15 @@ from .errors import (BlaschkeConditionError, CurveExhausted, DomainError,
                      PrecisionExhausted, RadiusSearchExhausted,
                      TailBoundInsufficient)
 from .geometry import (BoundaryArc, CarlesonSquare, PointSupport, ArcSupport,
-                       SawtoothRegion, StolzAngle, WhitneyBox, carleson_square,
-                       mobius_shift, pseudo_distance, pseudo_distance_depths,
-                       whitney_arcs)
+                       SawtoothRegion, StolzAngle, carleson_square, level_points,
+                       mobius_shift, pseudo_distance, whitney_arcs)
 from .inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
-                    SingularInner, ZeroSequence, ahern_clark_integral,
-                    blaschke_factor, dump_zeros_csv, load_zeros_csv,
-                    separation_constants, stolz_tail_ratio)
+                    SingularInner, ZeroSequence, blaschke_factor, dump_zeros_csv,
+                    load_zeros_csv, separation_constants)
 from .measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
                        SingularMeasure, poisson_kernel)
 from .classify import (ClassificationReport, LimitTestResult,
-                       classify, criterion_scan, density_test,
-                       radial_limit_test, sawtooth_test,
+                       classify, criterion_scan, radial_limit_test, sawtooth_test,
                        ONE_COMPONENT, NOT_ONE_COMPONENT, INCONCLUSIVE)
 from .levelset import LevelSetAnalysis, PolarCell, level_set_components
 from .companion import (CompanionResult, GammaCurve, WhitneyChain,

@@ -30,7 +30,7 @@ from .errors import DomainError, HypothesisViolated, PrecisionExhausted
 # through this module's name, so the name stays importable from it
 from .geometry import SawtoothRegion, StolzAngle, carleson_square  # noqa: F401
 from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
-from .measures import AtomicMeasure, SingularMeasure
+from .measures import AtomicMeasure
 
 ONE_COMPONENT = "OneComponentEvidence"
 NOT_ONE_COMPONENT = "NotOneComponentEvidence"
@@ -348,23 +348,6 @@ def sawtooth_test(theta: InnerFunction,
                            params={"r_levels": list(r_levels), "tol": tol,
                                    "eval_tol": EVAL_TOL},
                            notes=notes)
-
-
-def density_test(sigma: SingularMeasure, support_sample: Sequence[float],
-                 density_threshold: float,
-                 h_grid: Optional[Sequence[float]] = None) -> tuple[str, dict]:
-    """Sufficient-condition check: liminf mass ratio above the threshold at
-    every sampled support point.  Never returns a negative verdict."""
-    if not support_sample:
-        raise DomainError("need at least one support sample")
-    estimates = {}
-    ok = True
-    for xi in support_sample:
-        est = sigma.density_liminf(float(xi), h_grid)
-        estimates[float(xi)] = est
-        ok = ok and est >= density_threshold
-    verdict = "sufficient-condition-met" if ok else "inconclusive"
-    return verdict, estimates
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (DomainError, OnecompError, PrecisionExhausted,
 from .families import SEEDED_FAMILY_BUILDERS
 from .geometry import BoundaryArc
 from .inner import dump_zeros_csv
-from .levelset import level_set_components
+from .levelset import MAX_DEPTH as LEVEL_SET_MAX_DEPTH, level_set_components
 from .serialize import _num, dumps, inner_from_json, inner_to_json, measure_from_json
 
 def _metadata(args) -> dict:
@@ -88,11 +88,11 @@ def _integer(value, option: str, least: int | None = None) -> int:
     return int(x)
 
 
-def _scan_depth(value) -> int:
-    depth = _integer(value, "--depth", least=2)
-    if depth > MAX_DEPTH:
-        raise PrecisionExhausted("--depth: %d is past %d, the deepest scan level "
-                                 "double precision resolves" % (depth, MAX_DEPTH))
+def _depth(value, least: int, cap: int, level: str) -> int:
+    depth = _integer(value, "--depth", least=least)
+    if depth > cap:
+        raise PrecisionExhausted("--depth: %d is past %d, the deepest %s "
+                                 "double precision resolves" % (depth, cap, level))
     return depth
 
 
@@ -110,14 +110,14 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
-    depth = _scan_depth(args.depth)
+    depth = _depth(args.depth, 2, MAX_DEPTH, "scan level")
     theta = _load_inner(args.inner)
     return _emit(args, "report.json", classify(theta, depth, tol).to_json_dict())
 
 
 def cmd_levelset(args) -> int:
     epsilon = _num(args.epsilon, "--epsilon")
-    depth = _integer(args.depth, "--depth", least=3)
+    depth = _depth(args.depth, 3, LEVEL_SET_MAX_DEPTH, "quadtree level")
     theta = _load_inner(args.inner)
     analysis = level_set_components(theta, epsilon, depth)
     doc = {"epsilon": analysis.epsilon, "depth": analysis.depth,
@@ -135,7 +135,7 @@ def cmd_levelset(args) -> int:
 
 def cmd_construct(args) -> int:
     horizon = _integer(args.horizon, "--horizon", least=1)
-    depth = _scan_depth(args.depth)
+    depth = _depth(args.depth, 2, MAX_DEPTH, "scan level")
     theta = _load_inner(args.inner)
     result = construct_companion(theta, horizon=horizon, depth=depth)
     doc = {

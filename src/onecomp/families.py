@@ -55,10 +55,6 @@ def example1() -> InnerFunction:
     return InnerFunction(singular=SingularInner(example1_measure()))
 
 
-def cantor_middle_thirds_measure() -> CantorMeasure:
-    return CantorMeasure.middle_thirds()
-
-
 def cantor_inner() -> InnerFunction:
     return InnerFunction(singular=SingularInner(CantorMeasure.middle_thirds()))
 

@@ -57,17 +57,6 @@ def pseudo_distance(z: complex, w: complex) -> float:
     return abs(z - w) / abs(1.0 - z.conjugate() * w)
 
 
-def pseudo_distance_depths(s: float, t: float) -> float:
-    """rho between the radial points 1-s and 1-t, computed cancellation-free.
-
-    Valid for depths s, t in (0, 1]; exact even when s, t are far below
-    double-precision resolution of 1-s itself.
-    """
-    if not (0.0 < s <= 1.0 and 0.0 < t <= 1.0):
-        raise DomainError("depths must lie in (0, 1]")
-    return abs(s - t) / (s + t - s * t)
-
-
 def mobius_shift(a: complex, u: complex) -> complex:
     """Disc automorphism phi_a(u) = (a - u) / (1 - conj(a) u)."""
     return (a - u) / (1.0 - a.conjugate() * u)
@@ -102,11 +91,6 @@ class BoundaryArc:
     @property
     def hi(self) -> float:
         return self.center_angle + self.half_width
-
-    def contains_angle(self, theta: float) -> bool:
-        if self.half_width >= math.pi:
-            return True
-        return angular_gap(theta, self.center_angle) <= self.half_width
 
     def angular_distance_to_angle(self, theta: float) -> float:
         """Arc-length distance from a boundary angle to this (closed) arc."""
@@ -216,88 +200,24 @@ def carleson_squares(points: np.ndarray) -> SquareArrays:
     return SquareArrays(side, center, half, base, whole)
 
 
-@dataclass(frozen=True)
-class WhitneyBox:
-    """Dyadic Carleson square Q_{n,k} of the standard disc decomposition.
+def level_points(depth: int, index: Optional[np.ndarray] = None) -> np.ndarray:
+    """The scan points of the dyadic Carleson squares Q_{n,k} at depth
+    n = ``depth``, two per box, in box order.
 
     Q_{n,k} = {r e^{i t} : 1 - pi 2^{-n} <= r < 1,
-               2 pi k 2^{-n} <= t < 2 pi (k+1) 2^{-n}},  n >= 2, 0 <= k < 2^n.
-    The top half cuts the same box at r <= 1 - pi 2^{-n-1}.  Angular
-    intervals are half-open, matching the Q_{n,k} definition, so the boxes
-    at a fixed depth tile their annulus disjointly.
+               2 pi k 2^{-n} <= t < 2 pi (k+1) 2^{-n}},  0 <= k < 2^n,
+    and its top half is the part with r <= 1 - pi 2^{-n-1}.  Point 2k is
+    the low-angle corner of box k's top half and point 2k + 1 its centre,
+    both at radius 1 - 3/4 pi 2^{-n}.
+
+    With ``index``, only the points of those positions, in that order.
     """
-
-    depth: int
-    index: int
-    top_half: bool = False
-
-    def __post_init__(self):
-        if self.depth < 2:
-            raise DomainError("box depth must be >= 2")
-        if not (0 <= self.index < (1 << self.depth)):
-            raise DomainError("box index out of range")
-
-    @property
-    def scale(self) -> float:
-        return 2.0 ** (-self.depth)
-
-    @property
-    def inner_radius(self) -> float:
-        return 1.0 - math.pi * self.scale
-
-    @property
-    def cut_radius(self) -> float:
-        return 1.0 - 0.5 * math.pi * self.scale
-
-    @property
-    def theta_lo(self) -> float:
-        return TWO_PI * self.index * self.scale
-
-    @property
-    def theta_hi(self) -> float:
-        return TWO_PI * (self.index + 1) * self.scale
-
-    @property
-    def side(self) -> float:
-        """Angular side length, used as l(Q) in Carleson box sums."""
-        return TWO_PI * self.scale
-
-    def contains(self, z: complex) -> bool:
-        az = abs(z)
-        if az < self.inner_radius or az >= 1.0:
-            return False
-        if self.top_half and az > self.cut_radius:
-            return False
-        t = angle_mod(cmath.phase(z))
-        return self.theta_lo <= t < self.theta_hi
-
-    def top_center(self) -> complex:
-        r = 1.0 - 0.75 * math.pi * self.scale
-        return r * cmath.exp(1j * TWO_PI * (self.index + 0.5) * self.scale)
-
-    def corner_point(self) -> complex:
-        """Point of the top half on the box's low angular edge."""
-        r = 1.0 - 0.75 * math.pi * self.scale
-        return r * cmath.exp(1j * self.theta_lo)
-
-    @staticmethod
-    def level_points(depth: int, index: Optional[np.ndarray] = None) -> np.ndarray:
-        """corner_point and top_center of every box at one depth, in box
-        order (corner first), bit for bit as those methods give them.
-
-        With ``index``, only the points of those positions in that order:
-        point 2k is box k's corner and point 2k + 1 its top center.
-        """
-        scale = 2.0 ** -depth
-        r = 1.0 - 0.75 * math.pi * scale
-        if index is None:
-            index = np.arange(2 << depth)
-        turns = index.astype(np.float64) * 0.5
-        return r * np.exp(1j * TWO_PI * turns * scale)
-
-    def children(self) -> tuple["WhitneyBox", "WhitneyBox"]:
-        return (WhitneyBox(self.depth + 1, 2 * self.index, self.top_half),
-                WhitneyBox(self.depth + 1, 2 * self.index + 1, self.top_half))
+    scale = 2.0 ** -depth
+    r = 1.0 - 0.75 * math.pi * scale
+    if index is None:
+        index = np.arange(2 << depth)
+    turns = index.astype(np.float64) * 0.5
+    return r * np.exp(1j * TWO_PI * turns * scale)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
                      TailBoundInsufficient)
 from .geometry import (TWO_PI, BoundarySupport, CarlesonSquare, PointSupport,
-                       SquareArrays, WhitneyBox, carleson_squares)
+                       SquareArrays, carleson_squares, level_points)
 from .measures import BLOCK_ELEMENTS, SingularMeasure
 
 
@@ -41,15 +41,8 @@ class Interval(NamedTuple):
     hi: float
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 MINUS_INF_INTERVAL = Interval(-math.inf, -math.inf)
@@ -153,11 +146,6 @@ class ZeroSequence:
         if self._arr is None or len(self._arr) != len(self._zeros):
             self._arr = np.array(self._zeros, dtype=np.complex128)
         return self._arr
-
-    def blaschke_sum(self) -> float:
-        """Certified upper bound for sum (1 - |z_n|) over the whole sequence."""
-        return float(np.sum(1.0 - np.abs(self.as_array()))) + self._tail if self._zeros \
-            else self._tail
 
     def materialization_horizon(self) -> float:
         """Upper bound on 1 - |z| over unlisted zeros (0 when complete)."""
@@ -340,9 +328,8 @@ class MuMeasure:
 
     def positive_squares(self, level: int,
                          tol: float = 1e-12) -> Iterator[tuple[complex, float]]:
-        """(point, lower mass) of the scan points of a level
-        (WhitneyBox.level_points) whose Carleson square has certifiably
-        positive mass, in point order.
+        """(point, lower mass) of the scan points of a level (level_points)
+        whose Carleson square has certifiably positive mass, in point order.
 
         Only the points next to listed mass (_live_points) are built and
         queried, and point 0, whose square stands for the level's side in
@@ -356,7 +343,7 @@ class MuMeasure:
             atoms = self.boundary.atom_count if self.boundary is not None else 0
             index = self._live_points(level)
             index = index[index >= start] if start else np.union1d(index, [0])
-            points = WhitneyBox.level_points(level, index)
+            points = level_points(level, index)
             lower = self.lower_masses(points, tol)
             for i in np.flatnonzero(lower > 0.0).tolist():
                 yield complex(points[i]), float(lower[i])
@@ -367,8 +354,8 @@ class MuMeasure:
                 return
 
     def _live_points(self, level: int) -> np.ndarray:
-        """Sorted positions, in WhitneyBox.level_points order, of the
-        level's points whose square can have positive lower mass.
+        """Sorted positions, in level_points order, of the level's points
+        whose square can have positive lower mass.
 
         A level point's square has side 0.75 pi 2^-level (to 1 % up to the
         scan depth cap) and angular half-window 3/16 of the box arc w, so
@@ -419,12 +406,6 @@ class MuMeasure:
         blo, bhi = self.boundary.mass_of_arc_bounds_many(
             sq.center_angle, sq.half_window, closed_ends=True, tol=tol)
         return (total + blo, total + bhi)
-
-    def total(self) -> float:
-        t = math.fsum(wt for _, wt in self.zero_atoms)
-        if self.boundary is not None:
-            t += self.boundary.total_mass()
-        return t
 
 
 class InnerFunction:
@@ -572,7 +553,7 @@ def separation_constants(zeros: ZeroSequence, horizon: int) -> tuple[float, floa
     if pts.size < 2:
         raise DomainError("separation needs at least two zeros")
     delta = math.inf
-    chunk = 512
+    chunk = max(1, BLOCK_ELEMENTS // pts.size)
     for i in range(0, pts.size, chunk):
         block = pts[i:i + chunk]
         d = np.abs(block[:, None] - pts[None, :]) / \
@@ -601,58 +582,6 @@ def separation_constants(zeros: ZeroSequence, horizon: int) -> tuple[float, floa
         side = 2.0 * math.pi * 2.0 ** -n
         box_constant = max(box_constant, max(sums.values()) / side)
     return (delta, box_constant)
-
-
-def stolz_tail_ratio(zeros: ZeroSequence, horizon: int) -> float:
-    """min_n of sum_{|z_j| > |z_n|} (1 - |z_j|) / (1 - |z_n|), n <= horizon.
-
-    Zeros must be ordered by non-decreasing moduli; the declared tail sum
-    counts toward every numerator.
-    """
-    zeros.materialize_count(horizon)
-    pts = zeros.zeros
-    if not pts:
-        raise DomainError("empty zero sequence")
-    mods = [abs(z) for z in pts]
-    if any(b < a - 1e-15 for a, b in zip(mods, mods[1:])):
-        raise DomainError("zeros must be ordered by non-decreasing moduli")
-    weights = [1.0 - m for m in mods]
-    suffix = [0.0] * (len(pts) + 1)
-    for i in range(len(pts) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-    best = math.inf
-    for n in range(min(horizon, len(pts))):
-        above = suffix[n + 1]
-        # ties in modulus do not count toward the strict-inequality numerator
-        j = n + 1
-        while j < len(pts) and mods[j] == mods[n]:
-            above -= weights[j]
-            j += 1
-        ratio = (above + zeros.tail_blaschke_sum) / weights[n]
-        best = min(best, ratio)
-    return best
-
-
-def ahern_clark_integral(zeros: ZeroSequence | Sequence[complex],
-                         quadrature_n: int = 4096) -> float:
-    """Trapezoidal value of the log^+ radial-derivative diagnostic.
-
-    integral over [0, 2*pi] of log^+( sum_n (1-|z_n|^2) / |e^{it} - z_n|^2 );
-    computed on the materialized zero list only, as a diagnostic quantity.
-    """
-    pts = np.array(zeros.zeros if isinstance(zeros, ZeroSequence) else list(zeros),
-                   dtype=np.complex128)
-    if pts.size == 0:
-        return 0.0
-    if quadrature_n < 8:
-        raise DomainError("need at least 8 quadrature nodes")
-    theta = np.linspace(0.0, 2.0 * math.pi, quadrature_n, endpoint=False)
-    bdry = np.exp(1j * theta)
-    s = np.zeros(quadrature_n)
-    for w in pts:
-        s += (1.0 - abs(w) ** 2) / np.abs(bdry - w) ** 2
-    integrand = np.log(np.maximum(s, 1.0))
-    return float(integrand.sum() * (2.0 * math.pi / quadrature_n))
 
 
 # ---------------------------------------------------------------------------

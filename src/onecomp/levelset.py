@@ -22,6 +22,8 @@ refinement depth being the accuracy knob.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +35,10 @@ from .inner import InnerFunction
 
 MIN_DEPTH = 3        # cells shallower than this split without evaluation
 EVAL_TOL = 1e-9      # tolerance of the certified |Theta| at each cell center
+# Deepest quadtree level: past it the rounding of |c| at a boundary-row cell
+# centre (an ulp of 1, 2^-53) exceeds 1 % of the denominator
+# 1 - |c| r_hi = 1/2 2^-depth that _cell_rho_bound divides by.
+MAX_DEPTH = int(math.log2(0.01 * 0.5 / (0.5 * sys.float_info.epsilon)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -136,23 +136,6 @@ class SingularMeasure:
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         raise NotImplementedError
 
-    def density_liminf(self, xi: float, h_grid: Sequence[float] | None = None) -> float:
-        """Grid minimum of mass{|psi - xi| < h} / h, chord distance as stated.
-
-        A numeric surrogate for the liminf; small values mean "inconclusive",
-        they never prove the liminf is zero.
-        """
-        if h_grid is None:
-            h_grid = [2.0 ** -k for k in range(3, 21)]
-        vals = []
-        for h in h_grid:
-            if h <= 0.0:
-                raise DomainError("h grid must be positive")
-            half_angle = math.pi if h >= 2.0 else 2.0 * math.asin(0.5 * h)
-            arc = BoundaryArc(xi, min(half_angle, math.pi))
-            vals.append(self.mass_of_arc(arc, closed_ends=False) / h)
-        return min(vals)
-
 
 # ---------------------------------------------------------------------------
 # Atomic measures

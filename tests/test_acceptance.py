@@ -13,7 +13,7 @@ from onecomp import families
 from onecomp.classify import (NOT_ONE_COMPONENT, ONE_COMPONENT, criterion_scan,
                               sawtooth_test)
 from onecomp.companion import construct_companion
-from onecomp.geometry import (TWO_PI, SawtoothRegion, WhitneyBox, mobius_shift,
+from onecomp.geometry import (TWO_PI, SawtoothRegion, level_points, mobius_shift,
                               pseudo_distance)
 from onecomp.inner import BlaschkeProduct
 from onecomp.levelset import level_set_components
@@ -110,7 +110,7 @@ def test_criterion_5_companion_end_to_end():
         assert result.spot_check.passed
         b = BlaschkeProduct(result.zeros)
         assert any(b.modulus_bounds(z, 0.5 * 1e-9).lo > 12.0 / 21.0
-                   for z in WhitneyBox.level_points(8).tolist())
+                   for z in level_points(8).tolist())
 
 
 def test_criterion_6_level_set_oracle_equivalence():

@@ -7,7 +7,7 @@ import pytest
 from onecomp import families
 from onecomp.classify import (INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONENT,
                               ONE_COMPONENT, classify, criterion_scan,
-                              density_test, radial_limit_test, sawtooth_test)
+                              radial_limit_test, sawtooth_test)
 from onecomp.errors import HypothesisViolated, PrecisionExhausted
 from onecomp.geometry import TWO_PI, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
@@ -158,25 +158,6 @@ class TestSawtooth:
     def test_requires_singular_part(self):
         with pytest.raises(HypothesisViolated):
             sawtooth_test(families.finite_blaschke([0.5]))
-
-
-class TestDensity:
-    def test_atomic_measure_met_at_atoms(self):
-        sigma = AtomicMeasure([(0.0, 1.0), (2.0, 0.3)])
-        verdict, est = density_test(sigma, [0.0, 2.0], density_threshold=1.0)
-        assert verdict == "sufficient-condition-met"
-        assert min(est.values()) >= 1.0
-
-    def test_cantor_endpoints_met(self):
-        sigma = families.cantor_middle_thirds_measure()
-        verdict, _ = density_test(sigma, [0.0], density_threshold=0.25,
-                                  h_grid=[2.0 ** -k for k in range(6, 16)])
-        assert verdict == "sufficient-condition-met"
-
-    def test_example1_inconclusive_at_accumulation(self):
-        sigma = families.example1_measure()
-        verdict, _ = density_test(sigma, [0.0], density_threshold=0.25)
-        assert verdict == "inconclusive"
 
 
 class TestClassify:

@@ -11,6 +11,7 @@ from onecomp import cli
 from onecomp.classify import MAX_DEPTH
 from onecomp.cli import main
 from onecomp.inner import dump_zeros_csv, load_zeros_csv
+from onecomp.levelset import MAX_DEPTH as LEVEL_SET_MAX_DEPTH
 
 
 def run_cli(args, capsys):
@@ -427,32 +428,41 @@ class TestInputValidation:
         assert "--depth" in err and "at least %d" % least in err
 
     @staticmethod
-    def deep_depth_rejected_before_loading(command, evaluator, depth, capsys,
+    def deep_depth_rejected_before_loading(command, evaluator, cap, depth, capsys,
                                            tmp_path, monkeypatch):
         def evaluation(*_args, **_kwargs):
             raise AssertionError("loaded or evaluated before --depth was checked")
 
         for name in (evaluator, "_load_inner"):
             monkeypatch.setattr(cli, name, evaluation)
-        code, out, err = run_cli([command, "--inner", str(tmp_path / "absent.json"),
-                                  "--depth", str(depth)], capsys)
+        code, out, err = run_cli(command + ["--inner", str(tmp_path / "absent.json"),
+                                            "--depth", str(depth)], capsys)
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("precision exhausted: --depth: %d " % depth)
-        assert "past %d" % MAX_DEPTH in err
+        assert "past %d" % cap in err
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 54, 10 ** 9])
     def test_deep_classify_rejected_before_loading(self, depth, capsys, tmp_path,
                                                    monkeypatch):
-        self.deep_depth_rejected_before_loading("classify", "classify", depth, capsys,
-                                                tmp_path, monkeypatch)
+        self.deep_depth_rejected_before_loading(["classify"], "classify", MAX_DEPTH,
+                                                depth, capsys, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 54, 10 ** 9])
     def test_deep_construct_rejected_before_loading(self, depth, capsys, tmp_path,
                                                     monkeypatch):
-        self.deep_depth_rejected_before_loading("construct", "construct_companion", depth,
-                                                capsys, tmp_path, monkeypatch)
+        self.deep_depth_rejected_before_loading(["construct"], "construct_companion",
+                                                MAX_DEPTH, depth, capsys, tmp_path,
+                                                monkeypatch)
+
+    @pytest.mark.parametrize("depth", [LEVEL_SET_MAX_DEPTH + 1, 54, 10 ** 9])
+    def test_deep_levelset_rejected_before_loading(self, depth, capsys, tmp_path,
+                                                   monkeypatch):
+        self.deep_depth_rejected_before_loading(["levelset", "--epsilon", "0.5"],
+                                                "level_set_components",
+                                                LEVEL_SET_MAX_DEPTH, depth, capsys,
+                                                tmp_path, monkeypatch)
 
     def test_classify_at_the_depth_cap(self, seeds, capsys):
         code, out, _ = run_cli(["classify", "--inner", str(seeds / "atom1.json"),

@@ -13,8 +13,8 @@ from onecomp.companion import (GRID_MAX_K, SpotCheck, _spot_check_b, build_gamma
                                choose_radii, construct_companion, place_zeros)
 from onecomp.errors import (HypothesisViolated, RadiusSearchExhausted,
                             TailBoundInsufficient)
-from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, WhitneyBox,
-                              carleson_square, pseudo_distance, whitney_arcs)
+from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, carleson_square,
+                              level_points, pseudo_distance, whitney_arcs)
 from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, SingularInner,
                            ZeroSequence)
 from onecomp.measures import CdfMeasure
@@ -236,7 +236,7 @@ class TestConstructCompanion:
         for w in theta.blaschke.zeros.zeros:
             ang = cmath.phase(w) % TWO_PI
             for arc, r in zip(chain.arcs, chain.radii):
-                if arc.contains_angle(ang):
+                if arc.angular_distance_to_angle(ang) == 0.0:
                     assert abs(w) < r
                     break
 
@@ -285,7 +285,8 @@ class TestConstructCompanion:
         worst = 0.0
         for arc, r in zip(result.chain.arcs, result.chain.radii):
             on_arc = [z for z in zs
-                      if abs(abs(z) - r) < 1e-9 and arc.contains_angle(cmath.phase(z))]
+                      if abs(abs(z) - r) < 1e-9
+                      and arc.angular_distance_to_angle(cmath.phase(z)) == 0.0]
             if len(on_arc) < 2:
                 continue
             for frac in (0.25, 0.5, 0.75):
@@ -308,7 +309,7 @@ def reference_spot_check(zeros, depth: int) -> SpotCheck:
     checked = 0
     violations = []
     for level in range(2, depth + 1):
-        for z in WhitneyBox.level_points(level).tolist():
+        for z in level_points(level).tolist():
             mass = mu.of_square_bounds(carleson_square(z))[0]
             checked += mass > 0.0
             if theta.modulus_bounds(z, 1e-9).lo > 12.0 / 21.0 and mass != 0.0:
@@ -317,7 +318,7 @@ def reference_spot_check(zeros, depth: int) -> SpotCheck:
 
 
 def violation_level(z: complex) -> int:
-    """The level of a WhitneyBox.level_points point: |z| = 1 - 0.75 pi 2^-level."""
+    """The level of a level_points point: |z| = 1 - 0.75 pi 2^-level."""
     return round(-math.log2((1.0 - abs(z)) / (0.75 * math.pi)))
 
 
@@ -341,7 +342,7 @@ class TestSpotCheck:
     def test_violation_under_a_shallow_point(self):
         # one zero 2^-12 from the circle below a depth-2 scan point: |B| is
         # near 1 at that point and its Carleson square holds the zero
-        shallow = complex(WhitneyBox.level_points(2)[3])
+        shallow = complex(level_points(2)[3])
         w = (1.0 - 2.0 ** -12) * shallow / abs(shallow)
         expected = reference_spot_check([w], 8)
         assert shallow in expected.violations and len(expected.violations) == 7

@@ -6,9 +6,9 @@ import pytest
 
 from onecomp.errors import DomainError
 from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport,
-                              SawtoothRegion, StolzAngle, WhitneyBox,
-                              carleson_square, mobius_shift, pseudo_distance,
-                              pseudo_distance_depths, whitney_arcs)
+                              SawtoothRegion, StolzAngle, carleson_square,
+                              level_points, mobius_shift, pseudo_distance,
+                              whitney_arcs)
 from onecomp.measures import CantorMeasure
 
 
@@ -53,11 +53,6 @@ class TestPseudoDistance:
             assert abs(d1 - d3) <= 1e-12
         assert pseudo_distance(zs[0], zs[0]) == 0.0
 
-    def test_depth_form_matches_generic(self):
-        s, t = 2.0 ** -8, 2.0 ** -11
-        generic = pseudo_distance(1 - s, 1 - t)
-        assert pseudo_distance_depths(s, t) == pytest.approx(generic, rel=1e-12)
-
 
 class TestCarlesonSquare:
     def test_member_inside_angular_window(self):
@@ -83,33 +78,8 @@ class TestCarlesonSquare:
 
 
 class TestWhitneyBox:
-    def test_fixed_depth_boxes_tile_annulus(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 5):
-            boxes = [WhitneyBox(n, k) for k in range(1 << n)]
-            inner = 1.0 - math.pi * 2.0 ** -n
-            for _ in range(200):
-                r = inner + (1.0 - inner) * rng.random() * 0.999999
-                z = r * cmath.exp(1j * TWO_PI * rng.random())
-                assert sum(b.contains(z) for b in boxes) == 1
-
-    def test_deep_point_lies_in_one_box_per_depth(self):
-        z = 0.97 * cmath.exp(1.3j)
-        for n in range(2, 7):
-            if abs(z) < 1.0 - math.pi * 2.0 ** -n:
-                continue
-            hits = [k for k in range(1 << n) if WhitneyBox(n, k).contains(z)]
-            assert len(hits) == 1
-
     def test_top_center_radius(self):
-        b = WhitneyBox(3, 0)
-        assert abs(b.top_center()) == pytest.approx(1.0 - 0.75 * math.pi / 8)
-
-    def test_children_cover_parent_angles(self):
-        b = WhitneyBox(4, 5)
-        c1, c2 = b.children()
-        assert c1.theta_lo == b.theta_lo
-        assert c2.theta_hi == pytest.approx(b.theta_hi)
+        assert abs(level_points(3)[1]) == pytest.approx(1.0 - 0.75 * math.pi / 8)
 
 
 class TestWhitneyArcs:
@@ -192,8 +162,8 @@ class TestStolz:
 class TestBoundaryArc:
     def test_wraparound_containment(self):
         arc = BoundaryArc(0.0, 0.2)
-        assert arc.contains_angle(TWO_PI - 0.1)
-        assert not arc.contains_angle(0.3)
+        assert arc.angular_distance_to_angle(TWO_PI - 0.1) == 0.0
+        assert arc.angular_distance_to_angle(0.3) != 0.0
 
     def test_chord_distance_projection(self):
         arc = BoundaryArc(0.0, 0.5)

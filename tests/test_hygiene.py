@@ -1,9 +1,10 @@
-"""Source hygiene: no private helper outlives its last caller, and every
-name the bench tracer patches still exists."""
+"""Source hygiene: no private helper outlives its last caller, every public
+name has a caller, and every name the bench tracer patches still exists."""
 
 import ast
 import importlib
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "onecomp"
 
@@ -144,3 +145,124 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
              for path, line, func, param, index in found
              if not passed(func, param, index)]
     assert not unset, "no call sets:\n" + "\n".join(unset)
+
+
+# Public names that no package code, bench script or tracer table reaches,
+# kept because a test states a property of the package with them.
+EXEMPT = {
+    "mobius_shift": "acceptance criterion 7 states Mobius invariance of rho with it",
+    "Interval.mid": "acceptance criterion 7 checks certified tails at bracket midpoints",
+    "CarlesonSquare.member": "the reference predicate of "
+                             "TestMu::test_window_matches_member_loop",
+}
+
+
+def _package_trees():
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _public_defs(trees):
+    """(qualified name, owning class or None, node, file) of every public
+    module-level function and class and every public method."""
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                found.append((node.name, None, node, path.name))
+            if isinstance(node, ast.ClassDef):
+                found += [("%s.%s" % (node.name, item.name), node.name, item, path.name)
+                          for item in node.body if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
+    return found
+
+
+def _bound_classes(func, owner, classes, outer):
+    """Local name -> package class, for the names a function binds to one
+    class only: self or cls of a method, a parameter annotated with the class
+    and never rebound, or a name whose one binding is ``name = Class(...)``."""
+    args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    stores = Counter(n.id for n in ast.walk(func)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    bound = {k: v for k, v in outer.items() if k not in {a.arg for a in args}}
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in func.decorator_list)
+    if owner and args and not static:
+        bound[args[0].arg] = owner
+    bound.update((a.arg, a.annotation.id) for a in args
+                 if isinstance(a.annotation, ast.Name) and a.annotation.id in classes
+                 and not stores[a.arg])
+    bound.update((n.targets[0].id, n.value.func.id) for n in ast.walk(func)
+                 if isinstance(n, ast.Assign) and len(n.targets) == 1
+                 and isinstance(n.targets[0], ast.Name) and stores[n.targets[0].id] == 1
+                 and isinstance(n.value, ast.Call) and isinstance(n.value.func, ast.Name)
+                 and n.value.func.id in classes)
+    return bound
+
+
+def _references(trees, classes):
+    """(name, is an attribute, receiver class or None when unknown, ids of
+    the enclosing definitions) of every name and attribute in the trees."""
+    refs = []
+
+    def visit(node, owner, bound, enclosing):
+        if isinstance(node, ast.ClassDef):
+            owner, enclosing = node.name, enclosing | {id(node)}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = _bound_classes(node, owner, classes, bound)
+            owner, enclosing = None, enclosing | {id(node)}
+        if isinstance(node, ast.Name):
+            refs.append((node.id, False, None, enclosing))
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            receiver = None
+            if isinstance(base, ast.Name):
+                receiver = base.id if base.id in classes else bound.get(base.id)
+            refs.append((node.attr, True, receiver, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, bound, enclosing)
+
+    for tree in trees.values():
+        visit(tree, None, {}, frozenset())
+    return refs
+
+
+def test_every_public_name_is_reached():
+    # a public name that no package code, bench script or tracer table
+    # reaches is API that no command runs: delete it, or exempt it above
+    trees = _package_trees()
+    defs = _public_defs(trees)
+    assert defs, "no public names found; is the source path right?"
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+
+    def ancestors(cls):
+        return {cls}.union(*(ancestors(b) for b in bases.get(cls, ()) if b in bases))
+
+    def related(cls, receiver):
+        return receiver is None or cls in ancestors(receiver) or receiver in ancestors(cls)
+
+    bench = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((ROOT / "bench").rglob("*.py"))}
+    refs = _references(trees, bases) + _references(bench, bases)
+    tables = _tracer_tables()
+    traced = {attr for _, _, attr in tables["FUNCTION_SPANS"] + tables["COUNTED"]}
+    traced |= {"%s.%s" % (cls, meth) for _, _, cls, meth in tables["METHOD_SPANS"]}
+
+    def reached(qualified, owner, node):
+        # a method is reached by an attribute read on a receiver of a related
+        # class, or of a class the test cannot tell
+        return qualified in traced or any(
+            name == node.name and id(node) not in enclosing
+            and (owner is None or attribute and related(owner, receiver))
+            for name, attribute, receiver, enclosing in refs)
+
+    unreached = sorted("%s %s" % (path, q) for q, owner, node, path in defs
+                       if not reached(q, owner, node) and q not in EXEMPT)
+    stale = sorted(q for q, owner, node, _ in defs
+                   if q in EXEMPT and reached(q, owner, node))
+    stale += sorted(set(EXEMPT) - {q for q, _, _, _ in defs})
+    assert unreached == [], "no caller reaches:\n" + "\n".join(unreached)
+    assert stale == [], "exempt, but reached or gone: %s" % stale

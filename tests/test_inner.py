@@ -1,5 +1,6 @@
 import math
 import cmath
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,15 +12,13 @@ from onecomp.errors import (BlaschkeConditionError, DomainError,
                             HorizonExceeded, TailBoundInsufficient)
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
                               radial_geometric, radial_geometric_zeros,
-                              radial_sparse, radial_sparse_zeros, single_atom,
-                              two_atoms)
-from onecomp.geometry import (TWO_PI, BoundaryArc, CarlesonSquare, WhitneyBox,
-                              angular_gap, carleson_square, carleson_squares,
+                              radial_sparse, single_atom, two_atoms)
+from onecomp.geometry import (TWO_PI, BoundaryArc, CarlesonSquare, angular_gap,
+                              carleson_square, carleson_squares, level_points,
                               pseudo_distance)
 from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure,
-                           SingularInner, ZeroSequence, ahern_clark_integral,
-                           dump_zeros_csv, load_zeros_csv, separation_constants,
-                           stolz_tail_ratio)
+                           SingularInner, ZeroSequence, dump_zeros_csv,
+                           load_zeros_csv, separation_constants)
 from onecomp.measures import AtomicMeasure, CdfMeasure
 
 
@@ -222,17 +221,13 @@ class TestMu:
         with pytest.raises(HorizonExceeded):
             mu.of_square_bounds(carleson_square(1.0 - 2.0 ** -9))
 
-    def test_total(self):
-        theta = finite_blaschke([0.9, 0.5])
-        assert theta.mu().total() == pytest.approx(0.6)
-
     def test_window_matches_member_loop(self, companion200):
         # reference: the per-zero loop, fsum of the weights of member zeros
         geometric = radial_geometric_zeros()
         geometric.materialize_count(50)
         squares = [carleson_square(0.0)] + [
             carleson_square(z) for level in range(2, 11)
-            for z in WhitneyBox.level_points(level).tolist()]
+            for z in level_points(level).tolist()]
         for zeros in (companion200.zeros.zeros, geometric.zeros, []):
             mu = finite_blaschke(zeros).mu()
             positive = 0
@@ -283,7 +278,7 @@ def scan_tail_mu(theta: InnerFunction, depth: int) -> MuMeasure:
 
 
 def level_position(z: complex, level: int) -> int:
-    """Position of a scan point in WhitneyBox.level_points(level)."""
+    """Position of a scan point in level_points(level)."""
     return round(cmath.phase(z) % TWO_PI / (math.pi * 2.0 ** -level)) % (2 << level)
 
 
@@ -324,7 +319,7 @@ class TestLevelKernel:
         mu = scan_tail_mu(theta, 12)
         positive = 0
         for level in range(2, 13):
-            points = WhitneyBox.level_points(level)
+            points = level_points(level)
             expected = [reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
                         for z in points.tolist()]
             got = mu.lower_masses(points, 1e-9)
@@ -349,7 +344,7 @@ class TestLevelKernel:
         mu = InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
         assert mu.horizon > 0.0
         for level in range(2, 13):
-            points = WhitneyBox.level_points(level)
+            points = level_points(level)
             try:
                 for z in points.tolist():
                     reference_square_bounds(mu, carleson_square(z))
@@ -359,14 +354,14 @@ class TestLevelKernel:
         else:
             pytest.fail("no level reached the horizon")
         for before in range(2, level):
-            mu.lower_masses(WhitneyBox.level_points(before))
+            mu.lower_masses(level_points(before))
         with pytest.raises(HorizonExceeded) as info:
             mu.lower_masses(points)
         assert str(info.value) == expected
 
     def test_square_arrays_match_carleson_square(self):
         for level in range(2, 15):
-            points = WhitneyBox.level_points(level)
+            points = level_points(level)
             squares = carleson_squares(points)
             reference = [carleson_square(z) for z in points.tolist()]
             assert squares.side.tolist() == [q.side for q in reference]
@@ -412,7 +407,7 @@ class TestLevelKernel:
             return hits, mu.boundary.atom_count, dead
 
         def per_point(mu, level):
-            for z in WhitneyBox.level_points(level).tolist():
+            for z in level_points(level).tolist():
                 mass = reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
                 if mass > 0.0:
                     yield z, mass
@@ -432,7 +427,7 @@ def full_level_scan(theta: InnerFunction, depth: int) -> list:
     mu = scan_tail_mu(theta, depth)
     record = []
     for level in range(2, depth + 1):
-        points = WhitneyBox.level_points(level)
+        points = level_points(level)
         start = 0
         while start < len(points):
             atoms = mu.boundary.atom_count if mu.boundary is not None else 0
@@ -507,10 +502,10 @@ class TestPrunedScan:
     def test_level_subsets_are_the_full_level_points(self):
         rng = np.random.default_rng(5)
         for level in range(2, 15):
-            full = WhitneyBox.level_points(level)
+            full = level_points(level)
             index = np.sort(rng.choice(full.size, min(full.size, 300), replace=False))
-            assert WhitneyBox.level_points(level, index).tobytes() == full[index].tobytes()
-            assert WhitneyBox.level_points(level, np.arange(full.size)).tobytes() == \
+            assert level_points(level, index).tobytes() == full[index].tobytes()
+            assert level_points(level, np.arange(full.size)).tobytes() == \
                 full.tobytes()
 
     def test_horizon_exceeded_on_a_level_without_live_boxes(self):
@@ -534,7 +529,7 @@ class TestPrunedScan:
         reference = partial_mu()
         expected = first_failure(lambda level: [
             reference_square_bounds(reference, carleson_square(z))
-            for z in WhitneyBox.level_points(level).tolist()])
+            for z in level_points(level).tolist()])
         mu = partial_mu()
         assert first_failure(lambda level: list(mu.positive_squares(level))) == expected
         assert expected[0] == 8 and mu._live_points(8).size == 0
@@ -561,7 +556,7 @@ class TestModulusBounds:
                  * np.exp(1j * TWO_PI * rng.random(12))).tolist()
         # all of levels 2 and 3, 20 points of each of levels 4-11, 16 of 12
         points = np.concatenate([
-            rng.choice(WhitneyBox.level_points(d), {2: 8, 3: 16, 12: 16}.get(d, 20),
+            rng.choice(level_points(d), {2: 8, 3: 16, 12: 16}.get(d, 20),
                        replace=False) for d in range(2, 13)])
         assert len(points) == 200
         for zeros in (small, companion500.zeros.zeros[::5]):
@@ -620,7 +615,7 @@ class TestModulusBoundsMany:
             assert bracket_loop(BlaschkeProduct([]), points, tol) == [(1.0, 1.0)] * 6
 
     def test_tail_bound_insufficient_at_the_same_point(self):
-        points = np.concatenate([WhitneyBox.level_points(d)
+        points = np.concatenate([level_points(d)
                                  for d in range(2, 9)]).tolist()
         reference = BlaschkeProduct(truncated_geometric_zeros())
         expected = bracket_loop(reference, points, 1e-3)
@@ -647,29 +642,26 @@ class TestDiagnostics:
         assert delta > 1.0 / 3.0
         assert delta == pytest.approx(1.0 / 3.0, abs=2e-3)
 
-    def test_stolz_ratio_geometric_is_one(self):
-        assert stolz_tail_ratio(radial_geometric_zeros(), 30) == pytest.approx(1.0, abs=1e-12)
+    def test_separation_matches_the_full_matrix(self):
+        rng = np.random.default_rng(3)
+        pts = 0.99 * np.sqrt(rng.random(400)) * np.exp(1j * TWO_PI * rng.random(400))
+        d = np.abs(pts[:, None] - pts[None, :]) / np.abs(1.0 - np.conj(pts)[:, None] * pts)
+        np.fill_diagonal(d, np.inf)
+        assert separation_constants(ZeroSequence(pts.tolist()), 400)[0] == d.min()
 
-    def test_stolz_ratio_sparse_decays(self):
-        assert stolz_tail_ratio(radial_sparse_zeros(), 7) < 1e-3
-
-    def test_stolz_ratio_finite_hits_zero(self):
-        zs = ZeroSequence([0.5, 0.75])
-        assert stolz_tail_ratio(zs, 2) == 0.0
-
-    def test_ahern_clark_empty(self):
-        assert ahern_clark_integral(ZeroSequence([])) == 0.0
-
-    def test_ahern_clark_zero_at_origin(self):
-        # kernel is identically 1, log+ vanishes up to float noise
-        assert abs(ahern_clark_integral(ZeroSequence([0.0]))) <= 1e-12
-
-    def test_ahern_clark_matches_independent_quadrature(self):
-        # frozen value from an adaptive-Simpson oracle split at the kernel's
-        # log+ kink (cos t = 0.9), absolute tolerance 1e-13
-        oracle = 1.2286131684138815
-        value = ahern_clark_integral(ZeroSequence([0.9]), 16384)
-        assert value == pytest.approx(oracle, abs=1e-6)
+    def test_separation_memory_stays_flat(self):
+        # the pairwise rho matrix is built in row blocks of BLOCK_ELEMENTS
+        # entries, not of 512 rows (47 MiB at 2000 zeros)
+        rng = np.random.default_rng(5)
+        pts = 0.99 * np.sqrt(rng.random(2000)) * np.exp(1j * TWO_PI * rng.random(2000))
+        zeros = ZeroSequence(pts.tolist())
+        tracemalloc.start()
+        try:
+            separation_constants(zeros, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestZerosCsv:
@@ -718,7 +710,3 @@ class TestZeroSequence:
         zs = ZeroSequence(generator=gen(), tail_blaschke_sum=0.5)
         with pytest.raises(DomainError):
             zs.materialize_until_depth(0.1)
-
-    def test_blaschke_sum_reports_tail(self):
-        zs = ZeroSequence([0.5], tail_blaschke_sum=0.25)
-        assert zs.blaschke_sum() == pytest.approx(0.75)

@@ -223,27 +223,6 @@ class TestHerglotz:
             assert abs(h.imag - expected.imag) <= 2.0 * tol
 
 
-class TestDensity:
-    def test_atom_dominates(self):
-        sigma = AtomicMeasure([(1.0, 0.7)])
-        grid = [2.0 ** -k for k in range(3, 12)]
-        assert sigma.density_liminf(1.0, grid) == pytest.approx(0.7 / max(grid))
-
-    def test_cantor_endpoint_estimates_grow(self):
-        sigma = cantor()
-        vals = [sigma.density_liminf(0.0, [2.0 ** -k]) for k in (4, 8, 12, 16)]
-        assert vals[0] < vals[1] < vals[2] < vals[3]
-
-    def test_example1_accumulation_point_decays(self):
-        # qualifying atoms at scale h have theta_n <~ h, so the ratio decays
-        # like h * sum alpha_n theta_n^{-2}
-        sigma = example1_measure()
-        sigma.materialize_until_tail(8.0 ** -40)
-        coarse = sigma.density_liminf(0.0, [2.0 ** -4])
-        fine = sigma.density_liminf(0.0, [2.0 ** -16])
-        assert fine < coarse * 1e-2
-
-
 class TestCdfMeasure:
     def test_monotonicity_validated(self):
         with pytest.raises(DomainError):
