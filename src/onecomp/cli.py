@@ -240,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--arc", default=None, help="'center,half_width' in radians")
     p.add_argument("--at", default=None, help="interior point as 're,im'")
-    p.add_argument("--tol", default="1e-9")
+    p.add_argument("--tol", default="1e-9",
+                   help="certified accuracy; on a Cantor measure the default "
+                        "can be out of reach at an interior point (exit 3), "
+                        "where 1e-6 answers")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_measure)
 

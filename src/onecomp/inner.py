@@ -23,7 +23,7 @@ import io
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -209,6 +209,24 @@ class BlaschkeProduct:
             return -math.inf
         return float((np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))).sum())
 
+    def _log_sums(self, points: np.ndarray) -> np.ndarray:
+        """_log_sum of every point of a complex array, bit for bit: a
+        point x zero matrix in row blocks of about BLOCK_ELEMENTS, each row
+        summed as _log_sum sums its vector; -inf in a row with a zero."""
+        arr = self.zeros.as_array()
+        sums = np.zeros(len(points))
+        if arr.size == 0:
+            return sums
+        conj = np.conj(arr)
+        step = max(1, BLOCK_ELEMENTS // arr.size)
+        with np.errstate(divide="ignore"):
+            for s in range(0, len(points), step):
+                z = points[s:s + step, None]
+                logs = np.log(np.abs(arr - z))
+                logs -= np.log(np.abs(1.0 - conj * z))
+                sums[s:s + step] = logs.sum(axis=1)
+        return sums
+
     def log_modulus(self, z: complex, tol: float = 1e-9) -> Interval:
         z = complex(z)
         if not abs(z) < 1.0:
@@ -225,20 +243,49 @@ class BlaschkeProduct:
         Cheaper than exp(log_modulus) when the materialized product is
         already below tol: the unmaterialized tail only shrinks the modulus,
         so (0, exp(sum)) is certified without consuming the generator.
+
+        A 1-D complex array z gives Interval(lower array, upper array), each
+        entry the bits of the per-point call, with the zeros listed in the
+        same order.  Its log sums come from one _log_sums call; when
+        certifying a point's tail lists more zeros, the sums of the rest of
+        the array are recomputed.
         """
+        if isinstance(z, np.ndarray):
+            return self._modulus_bounds_many(z, tol)
         z = complex(z)
         if not abs(z) < 1.0:
             raise DomainError("modulus bounds require |z| < 1")
-        listed = len(self.zeros)
-        s = self._log_sum(z)
+        return self._bracket(abs(z), self._log_sum(z), tol, lambda: self._log_sum(z))
+
+    def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
+        moduli = [abs(z) for z in points.tolist()]
+        if not all(m < 1.0 for m in moduli):
+            raise DomainError("modulus bounds require |z| < 1")
+        sums, start = self._log_sums(points).tolist(), 0
+        lower, upper = np.empty(len(moduli)), np.empty(len(moduli))
+
+        def resum() -> float:
+            nonlocal sums, start
+            sums, start = self._log_sums(points[i:]).tolist(), i
+            return sums[0]
+
+        for i, z_abs in enumerate(moduli):
+            lower[i], upper[i] = self._bracket(z_abs, sums[i - start], tol, resum)
+        return Interval(lower, upper)
+
+    def _bracket(self, z_abs: float, s: float, tol: float,
+                 resum: Callable[[], float]) -> Interval:
+        """modulus_bounds from the log sum s over the listed zeros; resum
+        gives the sum again after certifying the tail listed more zeros."""
         upper = math.exp(s)
         if s == -math.inf or upper <= 0.5 * tol:
             return Interval(0.0, upper)
         # value-scale budget: a log-width d gives value width <= upper * d
         log_budget = max(1e-15, 0.5 * tol / upper)
-        tail_bound = self._ensure_tail(abs(z), log_budget)
+        listed = len(self.zeros)
+        tail_bound = self._ensure_tail(z_abs, log_budget)
         if len(self.zeros) > listed:
-            s = self._log_sum(z)
+            s = resum()
         return Interval(math.exp(s - tail_bound), math.exp(s))
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
@@ -275,8 +322,18 @@ class SingularInner:
         """Certified bracket for |S(z)| = exp(-P[sigma](z)) at value scale.
 
         A coarse Poisson pass decides how much log-scale accuracy the value
-        actually needs: when P is large, |S| is already pinned near 0.
+        actually needs: when P is large, |S| is already pinned near 0.  A
+        1-D complex array z gives Interval(lower array, upper array), point
+        by point.
         """
+        if isinstance(z, np.ndarray):
+            lower, upper = np.empty(len(z)), np.empty(len(z))
+            for i, point in enumerate(z.tolist()):
+                lower[i], upper[i] = self._modulus_bounds(point, tol)
+            return Interval(lower, upper)
+        return self._modulus_bounds(z, tol)
+
+    def _modulus_bounds(self, z: complex, tol: float) -> Interval:
         plo, phi = self.sigma.poisson_bounds(z, tol=0.25)
         lo, hi = math.exp(-phi), math.exp(-plo)
         if hi - lo <= tol:
@@ -447,7 +504,9 @@ class InnerFunction:
         """Certified bracket for |Theta(z)|, accurate at value scale.
 
         Part brackets are subsets of [0, 1], so their product has width at
-        most the sum of the part widths.
+        most the sum of the part widths.  A 1-D complex array z gives
+        Interval(lower array, upper array), as the parts do; with no part
+        the bracket stays (1.0, 1.0).
         """
         lo = hi = 1.0
         if self.blaschke is not None:

@@ -17,11 +17,15 @@ hold on the whole cell, so a cell is marked sub-eps (upper bound below eps),
 out (lower bound at or above eps), or split.  At the depth cap a cell is
 marked by the certified upper bound of the center value alone, the
 refinement depth being the accuracy knob.
+
+The tree is built breadth first: each depth is one set of (k, j) index
+arrays, classified with one modulus_bounds call, and only the split cells'
+children go on to the next depth.  The marked cells are then put in the
+order of a depth-first descent, which the labels follow.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -37,8 +41,10 @@ MIN_DEPTH = 3        # cells shallower than this split without evaluation
 EVAL_TOL = 1e-9      # tolerance of the certified |Theta| at each cell center
 # Deepest quadtree level: past it the rounding of |c| at a boundary-row cell
 # centre (an ulp of 1, 2^-53) exceeds 1 % of the denominator
-# 1 - |c| r_hi = 1/2 2^-depth that _cell_rho_bound divides by.
+# 1 - |c| r_hi = 1/2 2^-depth that _rho_bounds divides by.
 MAX_DEPTH = int(math.log2(0.01 * 0.5 / (0.5 * sys.float_info.epsilon)))
+_CHILD_K = np.array([0, 1, 0, 1])      # offsets of a cell's four children
+_CHILD_J = np.array([0, 0, 1, 1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +52,6 @@ class PolarCell:
     depth: int
     k_theta: int
     j_radius: int
-
-    def center(self) -> complex:
-        r = (self.j_radius + 0.5) * 2.0 ** -self.depth
-        t = TWO_PI * (self.k_theta + 0.5) * 2.0 ** -self.depth
-        return r * cmath.exp(1j * t)
-
-    def children(self):
-        d, k, j = self.depth + 1, 2 * self.k_theta, 2 * self.j_radius
-        return (PolarCell(d, k, j), PolarCell(d, k + 1, j),
-                PolarCell(d, k, j + 1), PolarCell(d, k + 1, j + 1))
 
     def cell_index(self) -> int:
         return (self.k_theta << self.depth) | self.j_radius
@@ -68,9 +64,10 @@ class LevelSetAnalysis:
     component_count: int
     previous_depth_count: Optional[int]
     cells: list[tuple[PolarCell, int]]          # marked leaves with labels
-    # preorder leaves (cell, split at the depth cap) that a deeper run
-    # refines; kept only with compare_previous=False, and never reported
-    leaves: Optional[list[tuple[PolarCell, bool]]] = field(default=None, repr=False)
+    # the in cells as (depth, k, j) arrays and the depth-cap split cells'
+    # k and j arrays, which a deeper run refines; kept only with
+    # compare_previous=False, and never reported
+    leaves: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def stabilized(self) -> bool:
@@ -108,39 +105,95 @@ class LevelSetAnalysis:
         return header + raster.data
 
 
-def _cell_rho_bound(cell: PolarCell, center: complex) -> float:
-    """Upper bound for rho(center, z) over the cell.
+def _children(k: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, j) of the four children of each cell (k, j), one depth down."""
+    return (2 * k[:, None] + _CHILD_K).ravel(), (2 * j[:, None] + _CHILD_J).ravel()
 
-    The farthest point of a polar rectangle from its polar center is a
+
+def _rho_bounds(depth: int, k: np.ndarray, j: np.ndarray,
+                centre: np.ndarray) -> np.ndarray:
+    """Upper bounds for rho(centre, z) over the cells (k, j) of one depth.
+
+    The farthest point of a polar rectangle from its polar centre c is a
     corner; |1 - conj(c) z| >= 1 - |c| r_max bounds the denominator.
+    Moduli come from np.hypot, which gives abs()'s bits where np.abs can
+    differ in the last one.
     """
-    scale = 2.0 ** -cell.depth
-    r_lo, r_hi = cell.j_radius * scale, (cell.j_radius + 1) * scale
-    worst = 0.0
-    for k in (cell.k_theta, cell.k_theta + 1):
-        corner = cmath.exp(1j * (TWO_PI * k * scale))
-        worst = max(worst, abs(center - r_lo * corner), abs(center - r_hi * corner))
-    den = 1.0 - abs(center) * r_hi
-    if den <= 0.0:
-        return 1.0
-    return min(1.0, worst / den)
+    scale = 2.0 ** -depth
+    r_lo, r_hi = j * scale, (j + 1) * scale
+    worst = np.zeros(len(k))
+    for corner_k in (k, k + 1):
+        corner = np.exp(1j * (TWO_PI * corner_k * scale))
+        for r in (r_lo, r_hi):
+            gap = centre - r * corner
+            worst = np.maximum(worst, np.hypot(gap.real, gap.imag))
+    den = 1.0 - np.hypot(centre.real, centre.imag) * r_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, np.minimum(1.0, worst / den), 1.0)
 
 
-def _classify_cell(theta: InnerFunction, cell: PolarCell,
-                   epsilon: float) -> tuple[str, float]:
-    """('in' | 'out' | 'split', certified upper bound at the center)."""
-    center = cell.center()
-    val = theta.modulus_bounds(center, EVAL_TOL)
-    rho = _cell_rho_bound(cell, center)
-    if rho < 1.0:
+def _classify(theta: InnerFunction, epsilon: float, depth: int,
+              k: np.ndarray, j: np.ndarray):
+    """(in mask, split mask, certified upper bound at the centre) of the
+    cells (k, j) of one depth, with one modulus_bounds call."""
+    scale = 2.0 ** -depth
+    centre = ((j + 0.5) * scale) * np.exp(1j * (TWO_PI * (k + 0.5) * scale))
+    val = theta.modulus_bounds(centre, EVAL_TOL)
+    rho = _rho_bounds(depth, k, j, centre)
+    with np.errstate(divide="ignore", invalid="ignore"):
         ub = (val.hi + rho) / (1.0 + val.hi * rho)
-        if ub < epsilon:
-            return ("in", val.hi)
-        if val.lo > rho:
-            lb = (val.lo - rho) / (1.0 - val.lo * rho)
-            if lb >= epsilon:
-                return ("out", val.hi)
-    return ("split", val.hi)
+        lb = (val.lo - rho) / (1.0 - val.lo * rho)
+    inside = (rho < 1.0) & (ub < epsilon)
+    out = (rho < 1.0) & ~inside & (val.lo > rho) & (lb >= epsilon)
+    return inside, ~(inside | out), val.hi
+
+
+def _refine(theta: InnerFunction, epsilon: float, depth: int, d: int,
+            k: np.ndarray, j: np.ndarray):
+    """Breadth-first descent from the cells (k, j) of depth d to ``depth``.
+
+    Returns the in cells as (depth, k, j) arrays, the depth-cap split cells
+    (k, j), and which of those the cap marks: their certified centre value
+    is below epsilon.
+    """
+    inside: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    below = np.zeros(0, dtype=bool)
+    while len(k):
+        is_in, split, hi = _classify(theta, epsilon, d, k, j)
+        inside.append((np.full(np.count_nonzero(is_in), d), k[is_in], j[is_in]))
+        k, j = k[split], j[split]
+        if d == depth:
+            below = (split & (hi < epsilon))[split]
+            break
+        k, j = _children(k, j)
+        d += 1
+    return _concat(inside), (k, j), below
+
+
+def _concat(parts):
+    """One (depth, k, j) triple of arrays from a list of them."""
+    if not parts:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _preorder(cells, depth: int) -> np.ndarray:
+    """Indices that put the cells (d, k, j) in the order of a depth-first
+    descent: the 16 depth-2 roots in descending 4k + j, the children of a
+    cell in descending (k & 1) + 2 (j & 1).  No cell contains another, so
+    their paths of base-4 digits, padded with zeros to ``depth``, decide.
+    Past depth 31 the key needs more than 64 bits, so below the roots it is
+    cut into words of 31 digits."""
+    d, k, j = cells
+    k, j = k << (depth - d), j << (depth - d)
+    top = depth - 2
+    keys = [((k >> top) << 2) | (j >> top)]
+    for start in range(top, 0, -31):
+        word = np.zeros_like(k)
+        for b in range(start - 1, max(start - 31, 0) - 1, -1):
+            word = (word << 2) | (((j >> b) & 1) << 1) | ((k >> b) & 1)
+        keys.append(word)
+    return np.lexsort(keys[::-1])[::-1]
 
 
 def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
@@ -149,73 +202,47 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
 
     Cells certified entirely sub-eps are marked; cells certified entirely
     out are dropped; undecided cells split until ``depth``, where the
-    center's certified upper bound decides.  Marked leaves are
+    center's certified upper bound decides.  The tree is built breadth
+    first, one modulus_bounds call per depth.  Marked leaves are
     edge-connected (shared boundary of positive length, angular wrap
-    included) and labeled by a union-find pass.  The component count is an
-    estimate; ``previous_depth_count`` reports the same analysis one depth
-    coarser so stabilization is visible.  That coarser tree is built first,
-    and this one refines its depth-cap split cells, so each cell is
-    evaluated once.
+    included) and labeled by a union-find pass over them in depth-first
+    order.  The component count is an estimate; ``previous_depth_count``
+    reports the same analysis one depth coarser so stabilization is
+    visible.  That coarser tree is built first, and this one refines its
+    depth-cap split cells, so each cell is evaluated once.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
     if depth < 3:
         raise DomainError("depth must be >= 3")
 
-    marked: list[PolarCell] = []
-    # only a run that a deeper run refines keeps its leaves
-    leaves = None if compare_previous else []
     previous_count = None
     if compare_previous and depth > MIN_DEPTH:
         previous = level_set_components(theta, epsilon, depth - 1,
                                         compare_previous=False)
         previous_count = previous.component_count
-        # the preorder of the depth - 1 tree, each split leaf replaced by
-        # its subtree: the depth-D preorder, evaluating only new cells
-        for cell, split in previous.leaves:
-            if split:
-                _descend(theta, epsilon, depth, list(cell.children()),
-                         marked, None)
-            else:
-                marked.append(cell)
+        kept, split_k, split_j = previous.leaves
         del previous        # not held through the flood fill
+        inside, (k, j), below = _refine(theta, epsilon, depth, depth,
+                                        *_children(split_k, split_j))
+        inside = _concat([kept, inside])
     else:
-        _descend(theta, epsilon, depth,
-                 [PolarCell(2, k, j) for k in range(4) for j in range(4)],
-                 marked, leaves)
+        k, j = np.divmod(np.arange(1 << 2 * MIN_DEPTH), 1 << MIN_DEPTH)
+        inside, (k, j), below = _refine(theta, epsilon, depth, MIN_DEPTH, k, j)
 
-    labels = _flood_fill(marked, depth)
+    marked = _concat([inside, (np.full(np.count_nonzero(below), depth),
+                               k[below], j[below])])
+    order = _preorder(marked, depth)
+    cells = [PolarCell(*cell) for cell in
+             zip(*(column[order].tolist() for column in marked))]
+    labels = _flood_fill(cells, depth)
     count = len(set(labels)) if labels else 0
     return LevelSetAnalysis(
         epsilon=epsilon, depth=depth, component_count=count,
         previous_depth_count=previous_count,
-        cells=list(zip(marked, labels)), leaves=leaves)
-
-
-def _descend(theta: InnerFunction, epsilon: float, depth: int,
-             stack: list[PolarCell], marked: list[PolarCell],
-             leaves: Optional[list[tuple[PolarCell, bool]]]) -> None:
-    """Preorder descent from ``stack``: append marked cells to ``marked``
-    and, unless ``leaves`` is None, the in cells and depth-cap split cells
-    to ``leaves``."""
-    while stack:
-        cell = stack.pop()
-        if cell.depth < MIN_DEPTH:
-            stack.extend(cell.children())
-            continue
-        status, center_hi = _classify_cell(theta, cell, epsilon)
-        if status == "in":
-            marked.append(cell)
-            if leaves is not None:
-                leaves.append((cell, False))
-        elif status == "split":
-            if cell.depth < depth:
-                stack.extend(cell.children())
-            else:
-                if center_hi < epsilon:
-                    marked.append(cell)
-                if leaves is not None:
-                    leaves.append((cell, True))
+        cells=list(zip(cells, labels)),
+        # only a run that a deeper run refines keeps its leaves
+        leaves=None if compare_previous else (inside, k, j))
 
 
 class _UnionFind:

@@ -533,6 +533,18 @@ class TestGoldenScans:
                    "7375c39575dfea4870d816f2dd9a96299cc1a9e2495ff32f4a371ce9a5493cf8"),
     }
 
+    # levelset --depth 10 --pgm on {0.5, 0.5i, -0.5}: (levelset.csv,
+    # levelset.pgm), recorded with the depth-first traversal that the
+    # one-call-per-depth traversal replaced
+    LEVELSET_DEPTH10 = {
+        "0.1": ("07c354f276e0040552eded11f2cc6490556f815df10ccdab106308bf67d4c47a",
+                "383b10c440780033c6631dded608995b8b12cc12efb1514e486d3397f6810fea"),
+        "0.5": ("1da4b6f806624e129eede5d6abad0d5f235db81fbb4179eed07110ed160e1d9e",
+                "216d609a61e7d4d6d1679a9dd63a3ae5f6c24e1f7eefe28f5e9ab0621c6f9c8a"),
+        "0.9": ("6e8b2f4553987c9299a827659c70172c21d03824864624bf24e0162e364f8fd5",
+                "f913a1e628605c1df494c1b028cea0910edebb3ab5bd07224748e1689337cd01"),
+    }
+
     @staticmethod
     def digest(text: str) -> str:
         doc = json.loads(text)
@@ -552,6 +564,18 @@ class TestGoldenScans:
                                 "--depth", "18"], capsys)
         assert code == 0
         assert self.digest(out) == self.CLASSIFY_DEPTH18[family]
+
+    @pytest.mark.parametrize("epsilon", sorted(LEVELSET_DEPTH10))
+    def test_levelset_depth10(self, epsilon, capsys, tmp_path):
+        inner = tmp_path / "inner.json"
+        inner.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n0,0.5\n-0.5,0\n"}))
+        code, _, _ = run_cli(["levelset", "--inner", str(inner), "--depth", "10",
+                              "--epsilon", epsilon, "--pgm", "--out", str(tmp_path)],
+                             capsys)
+        assert code == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("levelset.csv", "levelset.pgm")) \
+            == self.LEVELSET_DEPTH10[epsilon]
 
     def construct_digests(self, inner, depth, capsys, tmp_path):
         code, _, _ = run_cli(["construct", "--inner", str(inner),

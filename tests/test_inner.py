@@ -629,6 +629,91 @@ class TestModulusBoundsMany:
         assert fresh.zeros.zeros == reference.zeros.zeros
 
 
+def per_point_bounds(f, points: np.ndarray, tol: float) -> tuple:
+    """(lower, upper) arrays of modulus_bounds called at each point in turn."""
+    pairs = [tuple(f.modulus_bounds(z, tol)) for z in points.tolist()]
+    lower, upper = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    return lower.tobytes(), upper.tobytes()
+
+
+def array_bounds(f, points: np.ndarray, tol: float) -> tuple:
+    lower, upper = f.modulus_bounds(points, tol)
+    assert lower.shape == upper.shape == points.shape
+    return lower.tobytes(), upper.tobytes()
+
+
+def some_points(deepest: int) -> np.ndarray:
+    return np.concatenate([level_points(d) for d in range(2, deepest + 1)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestModulusBoundsArray:
+    """modulus_bounds on a complex array against the per-point calls in the
+    same order on a separate instance, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 3, 500])
+    def test_finite_products(self, count, companion500):
+        zeros = {1: [0.5], 3: [0.5, 0.5j, -0.5]}.get(count) or companion500.zeros.zeros
+        assert len(zeros) == count
+        rng = np.random.default_rng(count)
+        head = some_points(10)
+        points = np.concatenate([
+            head, zeros[:3],
+            0.99 * np.sqrt(rng.random(200)) * np.exp(1j * TWO_PI * rng.random(200))])
+        for tol in (1e-9, 1e-3):
+            for make in (BlaschkeProduct, finite_blaschke):
+                got = array_bounds(make(zeros), points, tol)
+                assert got == per_point_bounds(make(zeros), points, tol)
+        lower, upper = BlaschkeProduct(zeros).modulus_bounds(points, 1e-9)
+        on_zeros = slice(len(head), len(head) + min(count, 3))
+        assert lower[on_zeros].tolist() == upper[on_zeros].tolist() == [0.0] * min(count, 3)
+
+    def test_listing_grows_in_the_middle_of_the_array(self, monkeypatch):
+        points = some_points(12)
+        reference = BlaschkeProduct(radial_geometric_zeros())
+        expected = per_point_bounds(reference, points, 1e-6)
+        batch = BlaschkeProduct(radial_geometric_zeros())
+        calls = []
+        log_sums = batch._log_sums
+        monkeypatch.setattr(batch, "_log_sums",
+                            lambda pts: calls.append(len(pts)) or log_sums(pts))
+        assert array_bounds(batch, points, 1e-6) == expected
+        assert batch.zeros.zeros == reference.zeros.zeros
+        # the first call sums the whole array; a later point lists more
+        # zeros and the rest of the array is summed again
+        assert calls[0] == len(points) and len(points) > min(calls[1:]) > 0
+
+    @pytest.mark.parametrize("theta", [single_atom, example1, two_atoms,
+                                       lambda: InnerFunction(
+                                           blaschke=BlaschkeProduct([0.5, -0.3j]),
+                                           singular=SingularInner(
+                                               AtomicMeasure([(1.0, 0.5)])))],
+                             ids=["atom1", "example1", "atoms2", "zeros_and_atom"])
+    def test_atomic_singular_part(self, theta):
+        points = some_points(6)
+        for tol in (1e-9, 1e-3):
+            assert array_bounds(theta(), points, tol) == \
+                per_point_bounds(theta(), points, tol)
+
+    def test_empty_array(self):
+        empty = np.zeros(0, dtype=np.complex128)
+        for f in (BlaschkeProduct([0.5]), BlaschkeProduct(radial_geometric_zeros()),
+                  single_atom(), radial_geometric()):
+            lower, upper = f.modulus_bounds(empty, 1e-9)
+            assert lower.shape == upper.shape == (0,)
+
+    @pytest.mark.parametrize("outside", [1.0, -1.5j, complex(math.nan, 0.0),
+                                         complex(math.inf, 0.0)])
+    def test_outside_point_rejected_before_any_zero_is_listed(self, outside):
+        points = np.concatenate([some_points(8), [outside], level_points(9)])
+        for f in (BlaschkeProduct(radial_geometric_zeros()), radial_geometric()):
+            zeros = f.zeros if isinstance(f, BlaschkeProduct) else f.blaschke.zeros
+            listed = len(zeros)
+            with pytest.raises(DomainError, match="require"):
+                f.modulus_bounds(points, 1e-9)
+            assert len(zeros) == listed
+
+
 class TestDiagnostics:
     def test_separation_two_points(self):
         delta, box = separation_constants(ZeroSequence([0.0, 0.5]), 2)

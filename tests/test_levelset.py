@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 
 from onecomp import families
 from onecomp.errors import DomainError
+from onecomp.geometry import TWO_PI
 from onecomp.inner import InnerFunction, SingularInner
-from onecomp.levelset import LevelSetAnalysis, PolarCell, level_set_components
+from onecomp.levelset import (EVAL_TOL, MAX_DEPTH, MIN_DEPTH, LevelSetAnalysis,
+                              PolarCell, _classify, _preorder, _rho_bounds,
+                              level_set_components)
 from onecomp.measures import AtomicMeasure
 
 
@@ -78,6 +82,137 @@ EQUIVALENCE_CASES = {
 }
 
 
+def cell_centre(cell: PolarCell) -> complex:
+    r = (cell.j_radius + 0.5) * 2.0 ** -cell.depth
+    t = TWO_PI * (cell.k_theta + 0.5) * 2.0 ** -cell.depth
+    return r * cmath.exp(1j * t)
+
+
+def reference_rho_bound(cell: PolarCell, center: complex) -> float:
+    """The per-cell rho bound that the depth-at-once rule replaced."""
+    scale = 2.0 ** -cell.depth
+    r_lo, r_hi = cell.j_radius * scale, (cell.j_radius + 1) * scale
+    worst = 0.0
+    for k in (cell.k_theta, cell.k_theta + 1):
+        corner = cmath.exp(1j * (TWO_PI * k * scale))
+        worst = max(worst, abs(center - r_lo * corner), abs(center - r_hi * corner))
+    den = 1.0 - abs(center) * r_hi
+    if den <= 0.0:
+        return 1.0
+    return min(1.0, worst / den)
+
+
+def reference_classify_cell(theta, cell: PolarCell, epsilon: float) -> tuple[str, float]:
+    """The per-cell rule: ('in' | 'out' | 'split', certified upper bound at
+    the center)."""
+    center = cell_centre(cell)
+    val = theta.modulus_bounds(center, EVAL_TOL)
+    rho = reference_rho_bound(cell, center)
+    if rho < 1.0:
+        ub = (val.hi + rho) / (1.0 + val.hi * rho)
+        if ub < epsilon:
+            return ("in", val.hi)
+        if val.lo > rho:
+            lb = (val.lo - rho) / (1.0 - val.lo * rho)
+            if lb >= epsilon:
+                return ("out", val.hi)
+    return ("split", val.hi)
+
+
+def children(cell: PolarCell) -> list[PolarCell]:
+    d, k, j = cell.depth + 1, 2 * cell.k_theta, 2 * cell.j_radius
+    return [PolarCell(d, k, j), PolarCell(d, k + 1, j),
+            PolarCell(d, k, j + 1), PolarCell(d, k + 1, j + 1)]
+
+
+def reference_descend(classify, epsilon: float, depth: int) -> list[PolarCell]:
+    """The marked cells of the depth-first stack descent that the
+    breadth-first traversal replaced, in its order; classify(cell) gives
+    (status, certified upper bound at the centre)."""
+    stack = [PolarCell(2, k, j) for k in range(4) for j in range(4)]
+    marked = []
+    while stack:
+        cell = stack.pop()
+        if cell.depth < MIN_DEPTH:
+            stack.extend(children(cell))
+            continue
+        status, center_hi = classify(cell)
+        if status == "in":
+            marked.append(cell)
+        elif status == "split":
+            if cell.depth < depth:
+                stack.extend(children(cell))
+            elif center_hi < epsilon:
+                marked.append(cell)
+    return marked
+
+
+class TestDepthAtOnce:
+    """The depth-at-once rule and order against the per-cell references."""
+
+    @pytest.mark.parametrize("zeros", [[0.5], [0.5, 0.5j, -0.5]])
+    def test_status_and_centre_bound_match_the_per_cell_rule(self, zeros):
+        rng = np.random.default_rng(len(zeros))
+        seen = set()
+        for eps in (0.1, 0.5, 0.9):
+            batch, reference = (families.finite_blaschke(zeros) for _ in range(2))
+            evaluate, centres = batch.modulus_bounds, []
+            batch.modulus_bounds = lambda z, tol: centres.append(z) or evaluate(z, tol)
+            for depth in range(MIN_DEPTH, MAX_DEPTH + 1):
+                k = rng.integers(0, 1 << depth, 60)
+                j = rng.integers(0, 1 << depth, 60)
+                j[::3] = (1 << depth) - 1                   # the boundary row
+                # cells near the zeros, so that every status occurs
+                near = [(int((cmath.phase(w) % TWO_PI) / TWO_PI * (1 << depth)) + dk,
+                         int(abs(w) * (1 << depth))) for w in zeros for dk in (0, 1)]
+                k = np.concatenate([k, [c[0] % (1 << depth) for c in near]])
+                j = np.concatenate([j, [c[1] for c in near]])
+                cells = [PolarCell(depth, a, b) for a, b in zip(k.tolist(), j.tolist())]
+                inside, split, hi = _classify(batch, eps, depth, k, j)
+                expected = [reference_classify_cell(reference, c, eps) for c in cells]
+                status = np.where(inside, "in", np.where(split, "split", "out"))
+                assert status.tolist() == [e[0] for e in expected]
+                assert hi.tobytes() == np.array([e[1] for e in expected]).tobytes()
+                assert centres[-1].tobytes() == \
+                    np.array([cell_centre(c) for c in cells]).tobytes()
+                rho = _rho_bounds(depth, k, j, centres[-1])
+                assert rho.tobytes() == np.array(
+                    [reference_rho_bound(c, cell_centre(c)) for c in cells]).tobytes()
+                seen.update(e[0] for e in expected)
+        assert seen == {"in", "out", "split"}
+
+    def test_preorder_matches_the_depth_first_walk_at_depth_40(self):
+        depth = 40
+        rng = np.random.default_rng(40)
+        statuses = {}
+        for _ in range(12):
+            k, j = (int(v) for v in rng.integers(0, 1 << depth, 2))
+            for d in range(MIN_DEPTH, depth + 1):
+                cell = PolarCell(d, k >> (depth - d), j >> (depth - d))
+                statuses[cell] = ("split", 1.0 if d < depth else 0.25)
+                for sibling in children(PolarCell(d - 1, cell.k_theta >> 1,
+                                                  cell.j_radius >> 1)):
+                    if sibling not in statuses:
+                        statuses[sibling] = (str(rng.choice(["in", "out"])), 1.0)
+        # unlisted cells are out
+        expected = reference_descend(lambda c: statuses.get(c, ("out", 1.0)), 0.5, depth)
+        assert len(expected) > 100 and {c.depth for c in expected} >= {3, 20, 39, 40}
+        shuffled = [expected[i] for i in rng.permutation(len(expected))]
+        cells = tuple(np.array([getattr(c, name) for c in shuffled], dtype=np.int64)
+                      for name in ("depth", "k_theta", "j_radius"))
+        order = _preorder(cells, depth)
+        assert [shuffled[i] for i in order.tolist()] == expected
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("case", ["three_zeros", "example1"])
+    def test_cells_match_the_depth_first_descent(self, case, eps):
+        reference = EQUIVALENCE_CASES[case]()
+        expected = reference_descend(
+            lambda cell: reference_classify_cell(reference, cell, eps), eps, 6)
+        analysis = level_set_components(EQUIVALENCE_CASES[case](), eps, depth=6)
+        assert [cell for cell, _ in analysis.cells] == expected
+
+
 class TestSingleTraversal:
     """The depth-D pass refines the depth-(D-1) recount's split leaves."""
 
@@ -98,7 +233,7 @@ class TestSingleTraversal:
             evaluate = theta.modulus_bounds
 
             def wrapper(z, tol):
-                points.append(z)
+                points.extend(np.atleast_1d(z).tolist())
                 return evaluate(z, tol)
             theta.modulus_bounds = wrapper
             return theta
@@ -151,7 +286,7 @@ class TestLevelSets:
         theta = families.finite_blaschke([0.5, -0.5])
         analysis = level_set_components(theta, 0.5, depth=8)
         for cell, _ in analysis.cells:
-            assert theta.modulus_bounds(cell.center(), 1e-9).hi < 0.5
+            assert theta.modulus_bounds(cell_centre(cell), 1e-9).hi < 0.5
 
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):
