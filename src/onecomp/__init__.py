@@ -16,7 +16,7 @@ from .measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
 from .classify import (ClassificationReport, LimitTestResult,
                        classify, criterion_scan, radial_limit_test, sawtooth_test,
                        ONE_COMPONENT, NOT_ONE_COMPONENT, INCONCLUSIVE)
-from .levelset import LevelSetAnalysis, PolarCell, level_set_components
+from .levelset import LevelSetAnalysis, level_set_components
 from .companion import (CompanionResult, GammaCurve, WhitneyChain,
                         build_gamma, choose_radii, construct_companion,
                         place_zeros)

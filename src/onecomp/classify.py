@@ -171,7 +171,7 @@ class LimitTestResult:
 
 
 def _log_abs_blaschke_radial(zeros: ZeroSequence, vertex_angle: float,
-                             s: float, tol: float) -> float:
+                             s: float) -> float:
     """log|B| at the radial point (1-s) e^{i vertex}, cancellation-free.
 
     Works directly with zero depths u_j = 1 - |z_j| and angular offsets, so
@@ -229,7 +229,7 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
     crossed = False
     sups: list[tuple[float, float]] = []
     for s in depth_grid:
-        val = _log_abs_blaschke_radial(zeros, vertex_angle, s, tol)
+        val = _log_abs_blaschke_radial(zeros, vertex_angle, s)
         tail_term = _tail_neg_log_bound(zeros.tail_blaschke_sum, s)
         upper = math.exp(min(0.0, val))
         lower = math.exp(val - tail_term) if tail_term < math.inf else 0.0

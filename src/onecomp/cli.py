@@ -124,7 +124,7 @@ def cmd_levelset(args) -> int:
            "component_count": analysis.component_count,
            "previous_depth_count": analysis.previous_depth_count,
            "stabilized": analysis.stabilized,
-           "marked_cells": len(analysis.cells)}
+           "marked_cells": len(analysis.labels)}
     if args.out:
         _write(args.out, "levelset.csv", analysis.to_csv())
         if args.pgm:

@@ -217,7 +217,8 @@ class BlaschkeProduct:
         sums = np.zeros(len(points))
         if arr.size == 0:
             return sums
-        conj = np.conj(arr)
+        # 2-D: times a 1 x 1 block, a 1-D conj can miss _log_sum's bits
+        conj = np.conj(arr)[None, :]
         step = max(1, BLOCK_ELEMENTS // arr.size)
         with np.errstate(divide="ignore"):
             for s in range(0, len(points), step):

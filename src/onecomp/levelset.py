@@ -21,7 +21,12 @@ refinement depth being the accuracy knob.
 The tree is built breadth first: each depth is one set of (k, j) index
 arrays, classified with one modulus_bounds call, and only the split cells'
 children go on to the next depth.  The marked cells are then put in the
-order of a depth-first descent, which the labels follow.
+order of a depth-first descent and stay (depth, k, j) arrays through the
+labelling and the exports.  Cells that share a side of positive length
+(angular wrap included) are found with one sort and two searchsorted calls
+over the cells' sides, and components are labelled by min-index hooking
+and pointer jumping over those pairs, numbered by their first cell in
+depth-first order.
 """
 
 from __future__ import annotations
@@ -47,23 +52,16 @@ _CHILD_K = np.array([0, 1, 0, 1])      # offsets of a cell's four children
 _CHILD_J = np.array([0, 0, 1, 1])
 
 
-@dataclass(frozen=True, slots=True)
-class PolarCell:
-    depth: int
-    k_theta: int
-    j_radius: int
-
-    def cell_index(self) -> int:
-        return (self.k_theta << self.depth) | self.j_radius
-
-
 @dataclass
 class LevelSetAnalysis:
     epsilon: float
     depth: int
     component_count: int
     previous_depth_count: Optional[int]
-    cells: list[tuple[PolarCell, int]]          # marked leaves with labels
+    # the marked leaves as (depth, k, j) arrays in depth-first order, and
+    # their component labels
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+    labels: np.ndarray
     # the in cells as (depth, k, j) arrays and the depth-cap split cells'
     # k and j arrays, which a deeper run refines; kept only with
     # compare_previous=False, and never reported
@@ -75,10 +73,13 @@ class LevelSetAnalysis:
                 and self.previous_depth_count == self.component_count)
 
     def to_csv(self) -> str:
+        """One line per marked cell, by depth and then index (k << d) | j;
+        the index is a Python int, as it passes 2^63 past depth 31."""
+        d, k, j = self.cells
+        order = np.lexsort((j, k, d))
+        rows = zip(*(column[order].tolist() for column in (d, k, j, self.labels)))
         lines = ["depth,index,label"]
-        for cell, label in sorted(self.cells,
-                                  key=lambda cl: (cl[0].depth, cl[0].cell_index())):
-            lines.append("%d,%d,%d" % (cell.depth, cell.cell_index(), label))
+        lines += ["%d,%d,%d" % (d, (k << d) | j, label) for d, k, j, label in rows]
         return "\n".join(lines) + "\n"
 
     def to_pgm(self, size: int = 512) -> bytes:
@@ -89,18 +90,18 @@ class LevelSetAnalysis:
         cells of several depths hold it, the shallowest wins, so cells are
         painted deepest first.
         """
-        by_depth: dict[int, list[tuple[PolarCell, int]]] = {}
-        for cell, label in self.cells:
-            by_depth.setdefault(cell.depth, []).append((cell, label))
+        d, k, j = self.cells
+        grey = 40 + (self.labels * 37) % 215
         raster = np.zeros((size, size), dtype=np.uint8)
         centres = (np.arange(size) + 0.5) / size
-        for d in sorted(by_depth, reverse=True):
-            index = (centres * (1 << d)).astype(np.int64)     # non-decreasing
-            cells = by_depth[d]
-            lo = np.searchsorted(index, [(c.j_radius, c.k_theta) for c, _ in cells])
-            hi = np.searchsorted(index, [(c.j_radius + 1, c.k_theta + 1) for c, _ in cells])
-            for (_, label), (i0, j0), (i1, j1) in zip(cells, lo.tolist(), hi.tolist()):
-                raster[i0:i1, j0:j1] = 40 + (label * 37) % 215
+        for depth in np.unique(d)[::-1].tolist():
+            index = (centres * (1 << depth)).astype(np.int64)     # non-decreasing
+            at = d == depth
+            lo = np.searchsorted(index, np.stack([j[at], k[at]], axis=1))
+            hi = np.searchsorted(index, np.stack([j[at] + 1, k[at] + 1], axis=1))
+            for g, (i0, j0), (i1, j1) in zip(grey[at].tolist(), lo.tolist(),
+                                             hi.tolist()):
+                raster[i0:i1, j0:j1] = g
         header = ("P5\n%d %d\n255\n" % (size, size)).encode()
         return header + raster.data
 
@@ -198,18 +199,18 @@ def _preorder(cells, depth: int) -> np.ndarray:
 
 def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
                          compare_previous: bool = True) -> LevelSetAnalysis:
-    """Flood fill of the certified sublevel cells of the polar quadtree.
+    """Components of the certified sublevel cells of the polar quadtree.
 
     Cells certified entirely sub-eps are marked; cells certified entirely
     out are dropped; undecided cells split until ``depth``, where the
     center's certified upper bound decides.  The tree is built breadth
     first, one modulus_bounds call per depth.  Marked leaves are
     edge-connected (shared boundary of positive length, angular wrap
-    included) and labeled by a union-find pass over them in depth-first
-    order.  The component count is an estimate; ``previous_depth_count``
-    reports the same analysis one depth coarser so stabilization is
-    visible.  That coarser tree is built first, and this one refines its
-    depth-cap split cells, so each cell is evaluated once.
+    included); each component is labelled by the rank of its first cell in
+    depth-first order.  The component count is an estimate;
+    ``previous_depth_count`` reports the same analysis one depth coarser so
+    stabilization is visible.  That coarser tree is built first, and this
+    one refines its depth-cap split cells, so each cell is evaluated once.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
@@ -222,7 +223,7 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
                                         compare_previous=False)
         previous_count = previous.component_count
         kept, split_k, split_j = previous.leaves
-        del previous        # not held through the flood fill
+        del previous        # not held through the labelling
         inside, (k, j), below = _refine(theta, epsilon, depth, depth,
                                         *_children(split_k, split_j))
         inside = _concat([kept, inside])
@@ -233,80 +234,58 @@ def level_set_components(theta: InnerFunction, epsilon: float, depth: int,
     marked = _concat([inside, (np.full(np.count_nonzero(below), depth),
                                k[below], j[below])])
     order = _preorder(marked, depth)
-    cells = [PolarCell(*cell) for cell in
-             zip(*(column[order].tolist() for column in marked))]
-    labels = _flood_fill(cells, depth)
-    count = len(set(labels)) if labels else 0
+    cells = tuple(column[order] for column in marked)
+    labels = _components(len(order), *_touching(cells, depth))
     return LevelSetAnalysis(
-        epsilon=epsilon, depth=depth, component_count=count,
-        previous_depth_count=previous_count,
-        cells=list(zip(cells, labels)),
+        epsilon=epsilon, depth=depth,
+        component_count=int(labels.max(initial=-1)) + 1,
+        previous_depth_count=previous_count, cells=cells, labels=labels,
         # only a run that a deeper run refines keeps its leaves
         leaves=None if compare_previous else (inside, k, j))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _touching(cells, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (u, v) of the cells (d, k, j) whose sides meet with
+    positive length: the high side of u and the low side of v lie on one
+    tick at resolution depth + 1 and their intervals overlap.  A cell's
+    angular sides lie on ticks k << s and (k + 1) << s (mod the full turn)
+    and span j << s to (j + 1) << s, and its radial sides the other way
+    round.  The low sides on one tick are disjoint, so sorted by start they
+    are sorted by end too, and two searchsorted calls bound the lows each
+    high side meets.  Ticks and positions are replaced by their ranks, so
+    that one int64 key holds both at any depth."""
+    d, k, j = cells
+    s = depth + 1 - d
+    full = 1 << (depth + 1)
+    t0, t1, r0, r1 = k << s, (k + 1) << s, j << s, (j + 1) << s
+    # the low sides, angular then radial, and then the high sides; radial
+    # ticks are moved past every angular tick
+    tick = np.unique(np.concatenate([t0, r0 + full, t1 % full, r1 + full]),
+                     return_inverse=True)[1]
+    pos = np.unique(np.concatenate([r0, t0, r1, t1]), return_inverse=True)[1]
+    m = 2 * len(d)
+    low, high = tick[:m] * len(pos), tick[m:] * len(pos)
+    start, stop = pos[:m], pos[m:]
+    order = np.argsort(low + start)
+    first = np.searchsorted((low + stop)[order], high + start, side="right")
+    count = np.searchsorted((low + start)[order], high + stop) - first
+    offset = np.repeat(first - (np.cumsum(count) - count), count)
+    u = np.repeat(np.arange(m), count)
+    v = order[np.arange(len(u)) + offset]
+    return u % len(d), v % len(d)
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _flood_fill(cells: list[PolarCell], depth: int) -> list[int]:
-    """Labels for edge-connected marked cells (positive-length overlap)."""
-    if not cells:
-        return []
-    uf = _UnionFind(len(cells))
-    resolution = depth + 1
-    full = 1 << resolution
-
-    # radial edges: shared angular tick, overlapping radial intervals
-    by_angle: dict[int, list[tuple[int, int, int, bool]]] = {}
-    # circular edges: shared radial tick, overlapping angular intervals
-    by_radius: dict[int, list[tuple[int, int, int, bool]]] = {}
-    for idx, cell in enumerate(cells):
-        shift = resolution - cell.depth
-        t0, t1 = cell.k_theta << shift, (cell.k_theta + 1) << shift
-        r0, r1 = cell.j_radius << shift, (cell.j_radius + 1) << shift
-        by_angle.setdefault(t0 % full, []).append((r0, r1, idx, False))   # left side
-        by_angle.setdefault(t1 % full, []).append((r0, r1, idx, True))    # right side
-        by_radius.setdefault(r0, []).append((t0, t1, idx, False))         # bottom
-        by_radius.setdefault(r1, []).append((t0, t1, idx, True))          # top
-
-    def join(entries: list[tuple[int, int, int, bool]]) -> None:
-        highs = sorted(e for e in entries if e[3])
-        lows = sorted(e for e in entries if not e[3])
-        li = 0
-        for h0, h1, hidx, _ in highs:
-            while li < len(lows) and lows[li][1] <= h0:
-                li += 1
-            j = li
-            while j < len(lows) and lows[j][0] < h1:
-                if min(h1, lows[j][1]) - max(h0, lows[j][0]) > 0:
-                    uf.union(hidx, lows[j][2])
-                j += 1
-
-    for entries in by_angle.values():
-        join(entries)
-    for entries in by_radius.values():
-        join(entries)
-
-    roots = [uf.find(i) for i in range(len(cells))]
-    relabel: dict[int, int] = {}
-    out = []
-    for r in roots:
-        if r not in relabel:
-            relabel[r] = len(relabel)
-        out.append(relabel[r])
-    return out
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Labels of the connected components of the graph on n cells with
+    edges (u, v), numbered by their least cell index: min-index hooking of
+    roots, then pointer jumping until every root is its own root."""
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]

@@ -33,6 +33,25 @@ def test_every_private_function_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_parameter_of_a_module_function_is_read():
+    # a parameter that the body never reads is dead weight in every call;
+    # methods are left out, as they keep the signature of their class family
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += ["%s:%d %s(%s)" % (path.name, node.lineno, node.name, a.arg)
+                       for a in params if a.arg not in read]
+    assert unread == []
+
+
 TRACER = SRC.parent.parent / "bench" / "tracer.py"
 
 

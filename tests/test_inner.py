@@ -664,6 +664,14 @@ class TestModulusBoundsArray:
             for make in (BlaschkeProduct, finite_blaschke):
                 got = array_bounds(make(zeros), points, tol)
                 assert got == per_point_bounds(make(zeros), points, tol)
+        if count == 1:
+            # one point and one zero: the point x zero matrix is 1 x 1
+            pairs = 0.99 * np.sqrt(rng.random((200, 2))) * np.exp(
+                1j * TWO_PI * rng.random((200, 2)))
+            for w, z in pairs.tolist():
+                single = np.array([z])
+                assert array_bounds(BlaschkeProduct([w]), single, 1e-9) == \
+                    per_point_bounds(BlaschkeProduct([w]), single, 1e-9)
         lower, upper = BlaschkeProduct(zeros).modulus_bounds(points, 1e-9)
         on_zeros = slice(len(head), len(head) + min(count, 3))
         assert lower[on_zeros].tolist() == upper[on_zeros].tolist() == [0.0] * min(count, 3)

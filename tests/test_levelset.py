@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from onecomp.errors import DomainError
 from onecomp.geometry import TWO_PI
 from onecomp.inner import InnerFunction, SingularInner
 from onecomp.levelset import (EVAL_TOL, MAX_DEPTH, MIN_DEPTH, LevelSetAnalysis,
-                              PolarCell, _classify, _preorder, _rho_bounds,
-                              level_set_components)
+                              _classify, _components, _preorder, _rho_bounds,
+                              _touching, level_set_components)
 from onecomp.measures import AtomicMeasure
 
 
@@ -80,6 +81,95 @@ EQUIVALENCE_CASES = {
     "example1": families.example1,
     "atoms2": families.two_atoms,
 }
+
+
+# one quadtree cell: angular window k 2^-depth turns, radial window j 2^-depth
+PolarCell = namedtuple("PolarCell", "depth k_theta j_radius")
+
+
+def cell_list(analysis) -> list[PolarCell]:
+    """The marked cells of an analysis, in its order."""
+    return [PolarCell(*c) for c in zip(*(column.tolist() for column in analysis.cells))]
+
+
+def cell_arrays(cells) -> tuple:
+    """(depth, k, j) int64 arrays of a list of cells."""
+    return tuple(np.array([c[i] for c in cells], dtype=np.int64)
+                 for i in range(3))
+
+
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def reference_flood_fill(cells: list[PolarCell], depth: int) -> list[int]:
+    """The per-cell union-find labelling that the array labelling replaced:
+    edge-connected cells (positive-length overlap), labels numbered by
+    first occurrence."""
+    if not cells:
+        return []
+    uf = UnionFind(len(cells))
+    resolution = depth + 1
+    full = 1 << resolution
+
+    # radial edges: shared angular tick, overlapping radial intervals
+    by_angle: dict[int, list[tuple[int, int, int, bool]]] = {}
+    # circular edges: shared radial tick, overlapping angular intervals
+    by_radius: dict[int, list[tuple[int, int, int, bool]]] = {}
+    for idx, cell in enumerate(cells):
+        shift = resolution - cell.depth
+        t0, t1 = cell.k_theta << shift, (cell.k_theta + 1) << shift
+        r0, r1 = cell.j_radius << shift, (cell.j_radius + 1) << shift
+        by_angle.setdefault(t0 % full, []).append((r0, r1, idx, False))   # left side
+        by_angle.setdefault(t1 % full, []).append((r0, r1, idx, True))    # right side
+        by_radius.setdefault(r0, []).append((t0, t1, idx, False))         # bottom
+        by_radius.setdefault(r1, []).append((t0, t1, idx, True))          # top
+
+    def join(entries: list[tuple[int, int, int, bool]]) -> None:
+        highs = sorted(e for e in entries if e[3])
+        lows = sorted(e for e in entries if not e[3])
+        li = 0
+        for h0, h1, hidx, _ in highs:
+            while li < len(lows) and lows[li][1] <= h0:
+                li += 1
+            j = li
+            while j < len(lows) and lows[j][0] < h1:
+                if min(h1, lows[j][1]) - max(h0, lows[j][0]) > 0:
+                    uf.union(hidx, lows[j][2])
+                j += 1
+
+    for entries in by_angle.values():
+        join(entries)
+    for entries in by_radius.values():
+        join(entries)
+
+    roots = [uf.find(i) for i in range(len(cells))]
+    relabel: dict[int, int] = {}
+    out = []
+    for r in roots:
+        if r not in relabel:
+            relabel[r] = len(relabel)
+        out.append(relabel[r])
+    return out
+
+
+def array_labels(cells: list[PolarCell], depth: int) -> list[int]:
+    arrays = cell_arrays(cells)
+    return _components(len(cells), *_touching(arrays, depth)).tolist()
 
 
 def cell_centre(cell: PolarCell) -> complex:
@@ -210,7 +300,7 @@ class TestDepthAtOnce:
         expected = reference_descend(
             lambda cell: reference_classify_cell(reference, cell, eps), eps, 6)
         analysis = level_set_components(EQUIVALENCE_CASES[case](), eps, depth=6)
-        assert [cell for cell, _ in analysis.cells] == expected
+        assert cell_list(analysis) == expected
 
 
 class TestSingleTraversal:
@@ -223,7 +313,8 @@ class TestSingleTraversal:
         analysis = level_set_components(build(), eps, depth=7)
         fresh = level_set_components(build(), eps, depth=7, compare_previous=False)
         coarse = level_set_components(build(), eps, depth=6, compare_previous=False)
-        assert analysis.cells == fresh.cells
+        assert cell_list(analysis) == cell_list(fresh)
+        assert analysis.labels.tolist() == fresh.labels.tolist()
         assert analysis.component_count == fresh.component_count
         assert analysis.previous_depth_count == coarse.component_count
 
@@ -245,6 +336,57 @@ class TestSingleTraversal:
                              compare_previous=False)
         assert 0 < len(with_recount) <= len(single)
         assert len(set(with_recount)) == len(with_recount)
+
+
+class TestLabelling:
+    """The array labelling against the per-cell union-find reference."""
+
+    @pytest.mark.parametrize("depth", [6, 7, 8, 9])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_the_union_find_reference(self, case, depth):
+        for eps in (0.1, 0.5, 0.9):
+            analysis = level_set_components(EQUIVALENCE_CASES[case](), eps, depth,
+                                            compare_previous=False)
+            expected = reference_flood_fill(cell_list(analysis), depth)
+            assert analysis.labels.tolist() == expected
+            assert analysis.component_count == len(set(expected))
+
+    @pytest.mark.parametrize("cells, depth, expected", [
+        # angular wrap: k = 0 beside k = 2^d - 1
+        ([(3, 0, 4), (3, 7, 4)], 3, [0, 0]),
+        ([(5, 31, 9), (4, 3, 5), (4, 0, 4)], 5, [0, 1, 0]),
+        # a depth-4 and a depth-6 neighbour of a depth-3 cell, on its
+        # angular and radial sides; the last one meets it at a corner only
+        ([(3, 2, 5), (4, 6, 10), (6, 24, 40), (6, 16, 48), (6, 24, 48)], 6,
+         [0, 0, 0, 0, 1]),
+        # corner-only contact stays apart
+        ([(4, 1, 1), (4, 2, 2), (4, 2, 0), (4, 0, 2)], 4, [0, 1, 2, 3]),
+        # j = 0 cells meet at the origin only
+        ([(3, 0, 0), (3, 4, 0), (3, 2, 0), (3, 5, 0)], 3, [0, 1, 2, 1]),
+        ([], 5, []),
+    ])
+    def test_hand_built_cells(self, cells, depth, expected):
+        cells = [PolarCell(*c) for c in cells]
+        assert reference_flood_fill(cells, depth) == expected
+        assert array_labels(cells, depth) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_quadtree_leaves(self, seed):
+        # leaves of a random quadtree, a random half of them marked, in a
+        # random order
+        rng = np.random.default_rng(seed)
+        depth = 8 + seed
+        leaves, stack = [], [PolarCell(2, k, j) for k in range(4) for j in range(4)]
+        while stack:
+            cell = stack.pop()
+            if cell.depth < depth and rng.random() < 0.6:
+                stack.extend(children(cell))
+            else:
+                leaves.append(cell)
+        marked = [leaves[i] for i in rng.permutation(len(leaves))[:len(leaves) // 2]]
+        expected = reference_flood_fill(marked, depth)
+        assert 1 < len(set(expected)) < len(marked)
+        assert array_labels(marked, depth) == expected
 
 
 class TestLevelSets:
@@ -285,7 +427,7 @@ class TestLevelSets:
     def test_marked_cells_sample_below_epsilon(self):
         theta = families.finite_blaschke([0.5, -0.5])
         analysis = level_set_components(theta, 0.5, depth=8)
-        for cell, _ in analysis.cells:
+        for cell in cell_list(analysis):
             assert theta.modulus_bounds(cell_centre(cell), 1e-9).hi < 0.5
 
     def test_epsilon_domain(self):
@@ -310,7 +452,7 @@ class TestLevelSets:
 def first_match_pgm(analysis, size):
     """The per-pixel raster loop that ``to_pgm`` replaced, kept as reference."""
     depth_maps = {}
-    for cell, label in analysis.cells:
+    for cell, label in zip(cell_list(analysis), analysis.labels.tolist()):
         depth_maps.setdefault(cell.depth, {})[(cell.k_theta, cell.j_radius)] = label
     depths = sorted(depth_maps)
     rows = []
@@ -329,9 +471,13 @@ def first_match_pgm(analysis, size):
     return header + b"".join(rows)
 
 
-def hand_built(cells):
-    return LevelSetAnalysis(epsilon=0.5, depth=7, component_count=len(cells),
-                            previous_depth_count=None, cells=cells)
+def hand_built(cells, depth=7):
+    """An analysis of the (cell, label) pairs ``cells``."""
+    return LevelSetAnalysis(epsilon=0.5, depth=depth, component_count=len(cells),
+                            previous_depth_count=None,
+                            cells=cell_arrays([cell for cell, _ in cells]),
+                            labels=np.array([label for _, label in cells],
+                                            dtype=np.int64))
 
 
 class TestPgmRaster:
@@ -360,3 +506,30 @@ class TestPgmRaster:
         header = len(b"P5\n64 64\n255\n")
         raster = np.frombuffer(data[header:], dtype=np.uint8).reshape(64, 64)
         assert set(np.unique(raster)) == {0, 40 + (2 * 37) % 215}
+
+
+class TestDeepExports:
+    """Cells at depths 40 and 45, whose indices (k << d) | j pass 2^63."""
+
+    def cells(self):
+        # the depth-45 and depth-40 cells hold the centres of pixels
+        # (row 9, column 62) and (row 50, column 3) at size 64; the third
+        # holds none
+        return [(PolarCell(45, 125 << 38, 19 << 38), 2),
+                (PolarCell(40, 7 << 33, 101 << 33), 0),
+                (PolarCell(45, (1 << 45) - 3, (1 << 45) - 1), 1)]
+
+    def test_csv_prints_the_exact_index(self):
+        analysis = hand_built(self.cells(), depth=45)
+        rows = sorted((c.depth, (c.k_theta << c.depth) | c.j_radius, label)
+                      for c, label in self.cells())
+        assert all(index > 2 ** 63 for _, index, _ in rows)
+        assert analysis.to_csv() == "depth,index,label\n" + "".join(
+            "%d,%d,%d\n" % row for row in rows)
+
+    def test_pgm_matches_first_match_loop(self):
+        analysis = hand_built(self.cells(), depth=45)
+        data = analysis.to_pgm(64)
+        assert data == first_match_pgm(analysis, 64)
+        raster = np.frombuffer(data[len(b"P5\n64 64\n255\n"):], dtype=np.uint8)
+        assert np.count_nonzero(raster) == 2
