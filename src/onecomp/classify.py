@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError, HypothesisViolated, PrecisionExhausted
 # carleson_square is not called here; bench/tracer.py counts its calls
 # through this module's name, so the name stays importable from it
@@ -281,8 +283,12 @@ def sawtooth_test(theta: InnerFunction,
 
     Samples Omega on the circles |z| = r for each level, at angular
     resolution proportional to 1 - r near the support (support cover arcs
-    keep the sample count bounded).  The per-level sups feed the shared
-    trace logic; for one-component singular data they decay to 0.
+    keep the sample count bounded).  A level's candidate points are built
+    in arc order, one membership call keeps the first ``per_level`` points
+    inside Omega, and one modulus_bounds call brackets |Theta| at all of
+    them; the level's sup is the largest upper end, 0 when none is inside.
+    The per-level sups feed the shared trace logic; for one-component
+    singular data they decay to 0.
     """
     if theta.singular is None:
         raise HypothesisViolated("sawtooth test needs a singular part")
@@ -306,24 +312,16 @@ def sawtooth_test(theta: InnerFunction,
         width = 1.0 - r
         cover = support.cover_arcs(width)
         stride = max(1, len(cover) // max(1, per_level // 4))
-        best = 0.0
-        seen = 0
+        candidates = []
         for arc in cover[::stride]:
             lo = arc.lo - 0.75 * width
             hi = arc.hi + 0.75 * width
             count = max(2, min(int((hi - lo) / (0.5 * width)) + 1, 8))
-            for j in range(count):
-                ang = lo + (hi - lo) * j / (count - 1)
-                z = r * cmath.exp(1j * ang)
-                if not region.contains(z):
-                    continue
-                seen += 1
-                best = max(best, theta.modulus_bounds(z, EVAL_TOL).hi)
-                if seen >= per_level:
-                    break
-            if seen >= per_level:
-                break
-        level_sups.append(best)
+            candidates += [r * cmath.exp(1j * (lo + (hi - lo) * j / (count - 1)))
+                           for j in range(count)]
+        points = np.array(candidates, dtype=np.complex128)
+        inside = points[region.contains(points, limit=per_level)]
+        level_sups.append(float(theta.modulus_bounds(inside, EVAL_TOL).hi.max(initial=0.0)))
 
     estimate = max(level_sups[-2:]) if len(level_sups) >= 2 else \
         (level_sups[-1] if level_sups else 0.0)

@@ -22,6 +22,11 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
+# Batched queries work through their queries in blocks, and build (query x
+# item) matrices in row blocks, of about this many elements; that keeps
+# their temporaries small next to the process's peak memory.
+BLOCK_ELEMENTS = 1 << 13
+
 
 def wrap_angle(a: float) -> float:
     """Reduce an angle to (-pi, pi]."""
@@ -303,10 +308,31 @@ class PointSupport(BoundarySupport):
         if self.is_empty():
             return (math.inf, math.inf)
         hi = min((abs(p - cmath.exp(1j * a)) for a in self._known()), default=math.inf)
+        return (self.hull_bound(p, hi), hi)
+
+    def hull_bound(self, p: complex, hi: float) -> float:
+        """The lower end of chord_distance_to_point at p, given its upper end."""
         lo = hi
         for h in self.hull:
             lo = min(lo, h.chord_distance_to_point(p))
-        return (lo, hi)
+        return lo
+
+    def known_chord_distances(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """The upper end of chord_distance_to_point at each point re + i im,
+        bit for bit: a point x known-angle matrix in row blocks of about
+        BLOCK_ELEMENTS, with e^{i a} taken once per angle by cmath.exp and
+        |.| by np.hypot, which matches abs(complex)."""
+        known = self._known()
+        hi = np.full(len(re), math.inf)
+        if not known:
+            return hi
+        xi = np.array([cmath.exp(1j * a) for a in known])
+        step = max(1, BLOCK_ELEMENTS // xi.size)
+        for s in range(0, len(re), step):
+            rows = slice(s, s + step)
+            d = re[rows, None] - xi.real
+            hi[rows] = np.hypot(d, im[rows, None] - xi.imag, out=d).min(axis=1)
+        return hi
 
     def cover_arcs(self, scale: float) -> list[BoundaryArc]:
         half = min(math.pi, max(scale, 1e-15))
@@ -353,22 +379,71 @@ class SawtoothRegion:
 
     support: BoundarySupport
 
-    def contains(self, z: complex) -> bool:
+    def contains(self, z, limit: Optional[int] = None):
+        """Membership of z.  A 1-D complex array z gives a boolean array,
+        entry i the answer at z[i] bit for bit; with ``limit``, only the
+        first ``limit`` points inside read True.
+
+        On a PointSupport the known angles are one array query, and the
+        hull, which only lowers the lower end, is consulted point by point
+        where hi <= depth < 2 hi leaves the answer open.  Other supports are
+        asked point by point, up to the ``limit``-th point inside.
+        """
+        if isinstance(z, np.ndarray):
+            return self._contains_many(z, limit)
         z = complex(z)
         az = abs(z)
-        if az == 0.0:
-            raise DomainError("sawtooth membership is undefined at z = 0")
-        if not az < 1.0:
-            raise DomainError("sawtooth membership requires |z| < 1")
+        _check_sawtooth_modulus(az)
         depth = 1.0 - az
         proj = z / az
         lo, hi = self.support.chord_distance_to_point(proj, tol=1e-13 * max(depth, 1e-30))
-        if depth >= 2.0 * hi:
-            return True
-        if depth < 2.0 * lo:
-            return False
-        # unresolved bracket at the oracle's cap: decide by the midpoint
-        return depth >= lo + hi
+        return _sawtooth_decision(depth, lo, hi)
+
+    def _contains_many(self, z: np.ndarray, limit: Optional[int]) -> np.ndarray:
+        support = self.support
+        if not isinstance(support, PointSupport):
+            inside = np.zeros(len(z), dtype=bool)
+            count = 0
+            for i, point in enumerate(z.tolist()):
+                if count == limit:
+                    break
+                inside[i] = self.contains(point)
+                count += inside[i]
+            return inside
+        az = np.hypot(z.real, z.imag)
+        bad = ~((az != 0.0) & (az < 1.0))
+        if bad.any():
+            _check_sawtooth_modulus(float(az[bad][0]))
+        depth = 1.0 - az
+        # per component, as complex / float divides; numpy's complex
+        # division differs from it in the last bit
+        hi = support.known_chord_distances(z.real / az, z.imag / az)
+        inside = depth >= 2.0 * hi
+        if support.hull:
+            # below hi the point is outside whatever the lower end is
+            for i in np.flatnonzero(~inside & (depth >= hi)).tolist():
+                p, d, h = complex(z[i]) / float(az[i]), float(depth[i]), float(hi[i])
+                inside[i] = _sawtooth_decision(d, support.hull_bound(p, h), h)
+        if limit is not None:
+            inside[np.flatnonzero(inside)[limit:]] = False
+        return inside
+
+
+def _check_sawtooth_modulus(az: float) -> None:
+    if az == 0.0:
+        raise DomainError("sawtooth membership is undefined at z = 0")
+    if not az < 1.0:
+        raise DomainError("sawtooth membership requires |z| < 1")
+
+
+def _sawtooth_decision(depth: float, lo: float, hi: float) -> bool:
+    """Membership at depth 1 - |z| from a distance bracket (lo, hi)."""
+    if depth >= 2.0 * hi:
+        return True
+    if depth < 2.0 * lo:
+        return False
+    # unresolved bracket at the oracle's cap: decide by the midpoint
+    return depth >= lo + hi
 
 
 def whitney_arcs(support: BoundarySupport,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import io
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -29,9 +28,9 @@ import numpy as np
 
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
                      TailBoundInsufficient)
-from .geometry import (TWO_PI, BoundarySupport, CarlesonSquare, PointSupport,
-                       SquareArrays, carleson_squares, level_points)
-from .measures import BLOCK_ELEMENTS, SingularMeasure
+from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, CarlesonSquare,
+                       PointSupport, SquareArrays, carleson_squares, level_points)
+from .measures import SingularMeasure
 
 
 class Interval(NamedTuple):
@@ -75,7 +74,6 @@ class ZeroSequence:
         self._tail = float(tail_blaschke_sum)
         self.ordered_by_modulus = bool(ordered_by_modulus)
         self.accumulation_angles = tuple(float(a) for a in accumulation_angles)
-        self._lock = threading.Lock()
         self._arr: Optional[np.ndarray] = None
 
     # -- materialization --
@@ -106,9 +104,8 @@ class ZeroSequence:
         return True
 
     def materialize_count(self, count: int) -> None:
-        with self._lock:
-            while len(self._zeros) < count and self._consume_one():
-                pass
+        while len(self._zeros) < count and self._consume_one():
+            pass
 
     def materialize_until_depth(self, depth: float) -> None:
         """Consume until every unlisted zero satisfies 1 - |z| <= depth.
@@ -118,12 +115,11 @@ class ZeroSequence:
         """
         if self._gen is not None and not self.ordered_by_modulus:
             raise DomainError("depth materialization needs ordered_by_modulus")
-        with self._lock:
-            while self._gen is not None:
-                if self._zeros and 1.0 - abs(self._zeros[-1]) <= depth:
-                    break
-                if not self._consume_one():
-                    break
+        while self._gen is not None:
+            if self._zeros and 1.0 - abs(self._zeros[-1]) <= depth:
+                break
+            if not self._consume_one():
+                break
 
     # -- views --
 
@@ -323,19 +319,40 @@ class SingularInner:
         """Certified bracket for |S(z)| = exp(-P[sigma](z)) at value scale.
 
         A coarse Poisson pass decides how much log-scale accuracy the value
-        actually needs: when P is large, |S| is already pinned near 0.  A
-        1-D complex array z gives Interval(lower array, upper array), point
-        by point.
+        actually needs: when P is large, |S| is already pinned near 0.
+
+        A 1-D complex array z gives Interval(lower array, upper array), each
+        entry the bits of the per-point call, with the atoms listed in the
+        same order.  The coarse pass is one poisson_bounds_many call; the
+        fine pass runs point by point where the coarse bracket is wider
+        than tol.  When a fine pass lists more atoms, the coarse brackets of
+        the rest of the array are asked again, and a point that
+        poisson_bounds_many leaves out is taken alone.
         """
         if isinstance(z, np.ndarray):
-            lower, upper = np.empty(len(z)), np.empty(len(z))
-            for i, point in enumerate(z.tolist()):
-                lower[i], upper[i] = self._modulus_bounds(point, tol)
-            return Interval(lower, upper)
-        return self._modulus_bounds(z, tol)
-
-    def _modulus_bounds(self, z: complex, tol: float) -> Interval:
+            return self._modulus_bounds_many(z, tol)
         plo, phi = self.sigma.poisson_bounds(z, tol=0.25)
+        return self._refine(z, plo, phi, tol)
+
+    def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
+        lower, upper = np.empty(len(points)), np.empty(len(points))
+        i = 0
+        while i < len(points):
+            atoms = self.sigma.atom_count
+            lo, hi = self.sigma.poisson_bounds_many(points[i:], 0.25)
+            coarse = list(zip(lo.tolist(), hi.tolist()))
+            if not coarse:
+                # its coarse pass lists atoms or fails: the point goes alone
+                coarse = [self.sigma.poisson_bounds(complex(points[i]), tol=0.25)]
+            for plo, phi in coarse:
+                lower[i], upper[i] = self._refine(complex(points[i]), plo, phi, tol)
+                i += 1
+                if self.sigma.atom_count != atoms:
+                    break
+        return Interval(lower, upper)
+
+    def _refine(self, z: complex, plo: float, phi: float, tol: float) -> Interval:
+        """modulus_bounds from the coarse Poisson bracket (plo, phi)."""
         lo, hi = math.exp(-phi), math.exp(-plo)
         if hi - lo <= tol:
             return Interval(lo, hi)

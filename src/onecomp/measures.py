@@ -26,22 +26,16 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-import threading
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PrecisionExhausted
-from .geometry import (TWO_PI, ArcSupport, BoundaryArc, BoundarySupport,
-                       PointSupport, angle_mod)
+from .geometry import (BLOCK_ELEMENTS, TWO_PI, ArcSupport, BoundaryArc,
+                       BoundarySupport, PointSupport, angle_mod)
 
 _TWO_PI_FRAC = Fraction(TWO_PI)  # the double nearest 2*pi, as an exact rational
-
-# Batched queries work through their queries in blocks, and build (query x
-# atom) matrices in row blocks, of about this many elements; that keeps
-# their temporaries small next to the process's peak memory.
-BLOCK_ELEMENTS = 1 << 13
 
 
 def poisson_kernel(z: complex, theta: float) -> float:
@@ -133,6 +127,26 @@ class SingularMeasure:
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
         raise NotImplementedError
 
+    def poisson_bounds_many(self, points: np.ndarray, tol: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """poisson_bounds of the points of a complex array in turn, as a
+        lower-end array and an upper-end array, for the leading points that
+        the atoms listed now answer.
+
+        The arrays stop before the first point whose call would list more
+        atoms or raise PrecisionExhausted; the caller takes that point alone
+        with poisson_bounds.  So a caller may run other queries between the
+        points, as long as it asks again for the rest once atom_count moves.
+        """
+        bounds = []
+        for z in points.tolist():
+            try:
+                bounds.append(self.poisson_bounds(z, tol))
+            except PrecisionExhausted:
+                break
+        lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
+        return lo, hi
+
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         raise NotImplementedError
 
@@ -172,7 +186,6 @@ class AtomicMeasure(SingularMeasure):
         self._tail = float(tail_mass)
         self._hull = tuple(tail_hull)
         self._accumulation = tuple(float(a) for a in accumulation)
-        self._lock = threading.Lock()
 
     # -- materialization --
 
@@ -186,19 +199,18 @@ class AtomicMeasure(SingularMeasure):
 
     def materialize_until_tail(self, bound: float) -> None:
         """Consume the generator until the declared tail is <= bound."""
-        with self._lock:
-            while self._tail > bound and self._gen is not None:
-                try:
-                    theta, mass, tail_after = next(self._gen)
-                except StopIteration:
-                    self._gen = None
-                    break
-                if mass <= 0.0:
-                    raise DomainError("atom masses must be positive")
-                if mass + tail_after > self._tail + 1e-12 * (1.0 + self._tail):
-                    raise DomainError("atom generator exceeds its declared tail budget")
-                self._atoms.append((angle_mod(float(theta)), float(mass)))
-                self._tail = float(tail_after)
+        while self._tail > bound and self._gen is not None:
+            try:
+                theta, mass, tail_after = next(self._gen)
+            except StopIteration:
+                self._gen = None
+                break
+            if mass <= 0.0:
+                raise DomainError("atom masses must be positive")
+            if mass + tail_after > self._tail + 1e-12 * (1.0 + self._tail):
+                raise DomainError("atom generator exceeds its declared tail budget")
+            self._atoms.append((angle_mod(float(theta)), float(mass)))
+            self._tail = float(tail_after)
 
     # -- queries --
 
@@ -261,6 +273,40 @@ class AtomicMeasure(SingularMeasure):
                 % (self._tail, tol, abs(z)), bracket=(total, total + slack))
         return (total, total + slack)
 
+    def poisson_bounds_many(self, points: np.ndarray, tol: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """A point x atom matrix of the terms m P(z, t) of poisson_bounds, in
+        row blocks of about BLOCK_ELEMENTS, each row added with math.fsum as
+        poisson_bounds adds its terms; it stops before a point whose tail
+        must be listed further or cannot meet tol.  e^{i t} is taken once
+        per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
+        np.float_power, which match abs(complex) and float ** 2; np.abs on
+        complex128 and squaring by multiplication differ from them in the
+        last bit."""
+        moduli = [abs(_check_interior(z)) for z in points.tolist()]
+        lower, upper = [], []
+        masses = np.array([m for _, m in self._atoms], dtype=np.float64)
+        xi = np.array([cmath.exp(1j * t) for t, _ in self._atoms], dtype=np.complex128)
+        step = max(1, BLOCK_ELEMENTS // max(1, xi.size))
+        for s in range(0, len(moduli), step):
+            block = moduli[s:s + step]
+            # |z - e^{it}| from the parts of z - e^{it}, then the terms in place
+            terms = points.real[s:s + step, None] - xi.real
+            np.hypot(terms, points.imag[s:s + step, None] - xi.imag, out=terms)
+            np.float_power(terms, 2.0, out=terms)
+            np.divide(np.array([1.0 - r ** 2 for r in block])[:, None], terms, out=terms)
+            terms *= masses
+            for z_abs, row in zip(block, terms):
+                max_kernel = (1.0 + z_abs) / (1.0 - z_abs)
+                slack = self._tail * max_kernel
+                if slack > tol or (self._gen is not None
+                                   and self._tail > 0.5 * tol / max_kernel):
+                    return np.array(lower), np.array(upper)
+                total = math.fsum(row.tolist())
+                lower.append(total)
+                upper.append(total + slack)
+        return np.array(lower), np.array(upper)
+
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)
         max_kernel = (1.0 + abs(z)) / (1.0 - abs(z))
@@ -269,8 +315,9 @@ class AtomicMeasure(SingularMeasure):
         if self._tail * max_kernel > tol:
             raise PrecisionExhausted(
                 "atomic tail bound %g cannot meet tol %g" % (self._tail, tol))
-        re = math.fsum(m * (_herglotz_kernel(z, t).real) for t, m in self._atoms)
-        im = math.fsum(m * (_herglotz_kernel(z, t).imag) for t, m in self._atoms)
+        terms = [(m, _herglotz_kernel(z, t)) for t, m in self._atoms]
+        re = math.fsum(m * k.real for m, k in terms)
+        im = math.fsum(m * k.imag for m, k in terms)
         return complex(re, im)
 
 
@@ -303,7 +350,6 @@ class CantorMeasure(SingularMeasure):
                 raise DomainError("generation ratios must lie in (0, 1), got %s" % (r,))
         # generation cache: list of (a, b) Fractions in turn units
         self._gens: list[list[tuple[Fraction, Fraction]]] = [[(Fraction(0), Fraction(1))]]
-        self._lock = threading.Lock()
         self._ratio_floats = np.array(
             [float(self._ratio(k)) for k in range(self.MAX_GENERATION + 1)])
 
@@ -345,16 +391,15 @@ class CantorMeasure(SingularMeasure):
         """The 2^n intervals of E_n, exact endpoints in turn units."""
         if n > self.MAX_GENERATION:
             raise PrecisionExhausted("generation depth cap %d exceeded" % self.MAX_GENERATION)
-        with self._lock:
-            while len(self._gens) <= n:
-                m = len(self._gens)          # building generation m from m-1
-                q = self._ratio(m - 1)
-                out = []
-                for a, b in self._gens[-1]:
-                    child_len = (b - a) * q / 2
-                    out.append((a, a + child_len))
-                    out.append((b - child_len, b))
-                self._gens.append(out)
+        while len(self._gens) <= n:
+            m = len(self._gens)          # building generation m from m-1
+            q = self._ratio(m - 1)
+            out = []
+            for a, b in self._gens[-1]:
+                child_len = (b - a) * q / 2
+                out.append((a, a + child_len))
+                out.append((b - child_len, b))
+            self._gens.append(out)
         return self._gens[n]
 
     def total_mass(self) -> float:

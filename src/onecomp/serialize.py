@@ -169,7 +169,7 @@ def inner_from_json(doc: dict, base_dir: str = ".") -> InnerFunction:
     blaschke = None
     if "zeros_csv" in doc:
         spec = doc["zeros_csv"]
-        if not isinstance(spec, str):
+        if not isinstance(spec, str) or not spec.strip():
             raise DomainError("zeros_csv: expected CSV text or a file name, got %r"
                               % (spec,))
         if "\n" in spec:

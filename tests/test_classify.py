@@ -1,17 +1,26 @@
+import importlib.util
 import math
 import cmath
+import pathlib
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from onecomp import families
-from onecomp.classify import (INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONENT,
+from onecomp.classify import (EVAL_TOL, INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONENT,
                               ONE_COMPONENT, classify, criterion_scan,
                               radial_limit_test, sawtooth_test)
 from onecomp.errors import HypothesisViolated, PrecisionExhausted
-from onecomp.geometry import TWO_PI, carleson_square
+from onecomp.geometry import TWO_PI, SawtoothRegion, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
-from onecomp.measures import AtomicMeasure
+from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
+from onecomp.serialize import inner_from_json, inner_to_json
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_inputs", pathlib.Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)
 
 
 class TestCriterionScan:
@@ -158,6 +167,95 @@ class TestSawtooth:
     def test_requires_singular_part(self):
         with pytest.raises(HypothesisViolated):
             sawtooth_test(families.finite_blaschke([0.5]))
+
+
+def reference_sawtooth_trace(theta, r_levels=None):
+    """The level sups of sawtooth_test, one point at a time: membership and
+    |Theta| alternate, and a level stops at its per_level-th point inside."""
+    support = theta.singular.sigma.support()
+    region = SawtoothRegion(support)
+    if r_levels is None:
+        r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]
+    r_levels = sorted(float(r) for r in r_levels)
+    per_level = max(24, 4096 // max(1, len(r_levels)))
+    level_sups = []
+    for r in r_levels:
+        width = 1.0 - r
+        cover = support.cover_arcs(width)
+        stride = max(1, len(cover) // max(1, per_level // 4))
+        best = 0.0
+        seen = 0
+        for arc in cover[::stride]:
+            lo = arc.lo - 0.75 * width
+            hi = arc.hi + 0.75 * width
+            count = max(2, min(int((hi - lo) / (0.5 * width)) + 1, 8))
+            for j in range(count):
+                ang = lo + (hi - lo) * j / (count - 1)
+                z = r * cmath.exp(1j * ang)
+                if not region.contains(z):
+                    continue
+                seen += 1
+                best = max(best, theta.modulus_bounds(z, EVAL_TOL).hi)
+                if seen >= per_level:
+                    break
+            if seen >= per_level:
+                break
+        level_sups.append(best)
+    return level_sups
+
+
+def seeded_family(name, seed):
+    """A seeded family as the benchmark feeds it: its input document turned
+    by the seed's angle."""
+    theta = families.SEEDED_FAMILY_BUILDERS[name]()
+    theta.singular.sigma.materialize_until_tail(8.0 ** -64)   # as seed-examples does
+    doc = inner_to_json(theta)
+    return inner_from_json(bench_inputs.rotate_inner_doc(doc, bench_inputs.seed_angle(seed)))
+
+
+class TestSawtoothBatched:
+    """sawtooth_test against the point-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    @pytest.mark.parametrize("name", ["atom1", "atoms2"])
+    def test_rotated_atoms(self, name, seed):
+        got = sawtooth_test(seeded_family(name, seed)).trace
+        assert got == reference_sawtooth_trace(seeded_family(name, seed))
+        assert any(got)
+
+    @pytest.mark.parametrize("make", [
+        families.example1,
+        lambda: seeded_family("example1", 0),
+        lambda: InnerFunction(blaschke=BlaschkeProduct([0.9, 0.5 * cmath.exp(3.0j)]),
+                              singular=SingularInner(AtomicMeasure([(0.0, 1.0), (3.0, 0.5)])))],
+        ids=["example1_generator", "example1_listed", "zeros_and_atoms"])
+    def test_listed_and_lazy_atoms(self, make):
+        theta = make()
+        got = sawtooth_test(theta).trace
+        reference = make()
+        assert got == reference_sawtooth_trace(reference)
+        assert theta.singular.sigma.atom_count == reference.singular.sigma.atom_count
+
+    @pytest.mark.parametrize("measure", [
+        lambda: CantorMeasure.from_removed_fraction(Fraction(1, 2)),
+        lambda: CdfMeasure([(0.0, 0.0), (0.5, 0.0), (0.5 + 1e-3, 1.0), (TWO_PI, 1.0)])],
+        ids=["cantor", "cdf"])
+    def test_supports_asked_point_by_point(self, measure):
+        make = lambda: InnerFunction(singular=SingularInner(measure()))  # noqa: E731
+        got = sawtooth_test(make(), r_levels=[0.9, 0.97]).trace
+        assert got == reference_sawtooth_trace(make(), [0.9, 0.97])
+        assert any(got)
+
+    def test_precision_exhausted_as_per_point(self):
+        # Example 1 with its two first atoms and the rest as a tail that no
+        # generator can list: the first bracket that cannot meet its tol
+        theta = inner_from_json(inner_to_json(families.example1()))
+        with pytest.raises(PrecisionExhausted) as batched:
+            sawtooth_test(theta)
+        with pytest.raises(PrecisionExhausted) as reference:
+            reference_sawtooth_trace(inner_from_json(inner_to_json(families.example1())))
+        assert str(batched.value) == str(reference.value)
+        assert batched.value.bracket == reference.value.bracket
 
 
 class TestClassify:

@@ -251,6 +251,17 @@ class TestErrorHandling:
         assert code == 2
         assert "nope.csv" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["", "  "])
+    def test_empty_zeros_csv_names_the_field(self, spec, capsys, tmp_path):
+        # not read as the file name "" under the document's directory
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps({"zeros_csv": spec}))
+        code, out, err = run_cli(["eval", "--inner", str(path), "--at", "0.9,0"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "zeros_csv" in err
+        assert "directory" not in err and "No such file" not in err
+
     def test_uncertifiable_zero_tail_exit_code(self, capsys, tmp_path):
         (tmp_path / "z.csv").write_text("re,im\n0.5,0\n")
         path = tmp_path / "inner.json"

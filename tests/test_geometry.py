@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from onecomp.errors import DomainError
-from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport,
+from onecomp.geometry import (TWO_PI, ArcSupport, BoundaryArc, PointSupport,
                               SawtoothRegion, StolzAngle, carleson_square,
                               level_points, mobius_shift, pseudo_distance,
                               whitney_arcs)
-from onecomp.measures import CantorMeasure
+from onecomp.inner import UnionSupport
+from onecomp.measures import CantorMeasure, CantorSupport
 
 
 def random_disc_points(rng, n, rmax=0.999):
@@ -147,6 +148,76 @@ class TestSawtooth:
         region = SawtoothRegion(PointSupport.of([0.0]))
         with pytest.raises(DomainError):
             region.contains(0.0)
+
+
+SUPPORTS = {
+    "points": lambda: PointSupport.of([0.0, 0.3, math.pi, 4.0]),
+    "points_hull": lambda: PointSupport.of(
+        [2.0 ** -n for n in range(1, 20)] + [2.9], accumulation=[0.0],
+        hull=[BoundaryArc.from_endpoints(0.0, 2.0 ** -20), BoundaryArc(2.5, 0.2)]),
+    "hull_only": lambda: PointSupport.of([], hull=[BoundaryArc(1.0, 0.05)]),
+    "empty": lambda: PointSupport.of([]),
+    "arcs": lambda: ArcSupport((BoundaryArc(0.5, 0.1), BoundaryArc(3.0, 0.4))),
+    "cantor": lambda: CantorSupport(CantorMeasure.middle_thirds()),
+    "union": lambda: UnionSupport((PointSupport.of([], accumulation=[1.0]),
+                                   PointSupport.of([0.0, 2.0], hull=[BoundaryArc(2.2, 0.1)]))),
+}
+
+
+def sawtooth_candidates(support):
+    """Points on circles 1 - 2^-k near the support's cover arcs, as the
+    sawtooth test builds them, with a few random points."""
+    points = []
+    for k in range(2, 13):
+        width = 2.0 ** -k
+        for arc in support.cover_arcs(width)[:40]:
+            lo, hi = arc.lo - 0.75 * width, arc.hi + 0.75 * width
+            points += [(1.0 - width) * cmath.exp(1j * (lo + (hi - lo) * j / 7))
+                       for j in range(8)]
+    # points on the edge 1 - |z| = 2 dist of each listed angle's tooth,
+    # where the last bit of the distance decides
+    for a in getattr(support, "angles", ())[:4]:
+        phi = a + np.linspace(-0.3, 0.3, 400)
+        r = 1.0 - 2.0 * np.abs(np.exp(1j * phi) - cmath.exp(1j * a))
+        points += (r * np.exp(1j * phi))[(r > 0.0) & (r < 1.0)].tolist()
+    rng = np.random.default_rng(5)
+    fan = np.outer(np.linspace(0.05, 0.95, 19), np.exp(1j * np.linspace(2.2, 2.8, 13)))
+    return np.concatenate([np.array(points, dtype=np.complex128),
+                           random_disc_points(rng, 200), fan.ravel()])
+
+
+class TestSawtoothArray:
+    """contains on a complex array against contains at each point, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SUPPORTS))
+    def test_matches_per_point(self, name):
+        region = SawtoothRegion(SUPPORTS[name]())
+        points = sawtooth_candidates(region.support)
+        expected = [region.contains(z) for z in points.tolist()]
+        got = region.contains(points)
+        assert got.dtype == bool and got.tolist() == expected
+        if name not in ("empty", "hull_only"):
+            assert 0 < sum(expected) < len(expected)
+        if name == "points_hull":
+            # the hull's lower end decides some points
+            bare = SawtoothRegion(PointSupport.of(region.support.angles,
+                                                  region.support.accumulation))
+            assert bare.contains(points).tolist() != expected
+        for limit in (0, 1, 7, sum(expected), len(points)):
+            first = [i for i, inside in enumerate(expected) if inside][:limit]
+            assert np.flatnonzero(region.contains(points, limit=limit)).tolist() == first
+
+    def test_empty_array(self):
+        region = SawtoothRegion(SUPPORTS["points_hull"]())
+        assert region.contains(np.zeros(0, dtype=np.complex128)).tolist() == []
+
+    @pytest.mark.parametrize("name", ["points", "arcs"])
+    @pytest.mark.parametrize("bad, message", [(0.0, "z = 0"), (1.0, "< 1"), (math.nan, "< 1")])
+    def test_first_bad_point_raises_the_per_point_error(self, name, bad, message):
+        region = SawtoothRegion(SUPPORTS[name]())
+        points = np.array([0.5, 0.3j, bad, 0.0, 2.0], dtype=np.complex128)
+        with pytest.raises(DomainError, match=message):
+            region.contains(points)
 
 
 class TestStolz:

@@ -9,7 +9,8 @@ import pytest
 from onecomp.classify import EVAL_TOL, criterion_scan
 from onecomp.companion import construct_companion
 from onecomp.errors import (BlaschkeConditionError, DomainError,
-                            HorizonExceeded, TailBoundInsufficient)
+                            HorizonExceeded, PrecisionExhausted,
+                            TailBoundInsufficient)
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
                               radial_geometric, radial_geometric_zeros,
                               radial_sparse, single_atom, two_atoms)
@@ -702,6 +703,26 @@ class TestModulusBoundsArray:
         for tol in (1e-9, 1e-3):
             assert array_bounds(theta(), points, tol) == \
                 per_point_bounds(theta(), points, tol)
+
+    def test_coarse_pass_lists_no_atom_ahead_of_a_fine_pass(self):
+        # the first point needs a fine pass; the second, far deeper, lists
+        # more atoms in its coarse pass than that fine pass does
+        points = np.array([-0.5, (1.0 - 1e-6) * cmath.exp(0.3j), 0.25j, -0.9])
+        reference, batch = example1(), example1()
+        assert array_bounds(batch, points, 1e-3) == per_point_bounds(reference, points, 1e-3)
+        assert batch.singular.sigma.atoms == reference.singular.sigma.atoms
+
+    def test_precision_exhausted_at_the_same_point(self):
+        # a fine pass fails at the first point, before the coarse pass of
+        # the deep second point would
+        make = lambda: SingularInner(AtomicMeasure([(0.0, 1.0)], tail_mass=1e-4))  # noqa: E731
+        points = np.array([-0.5, 1.0 - 1e-4])
+        with pytest.raises(PrecisionExhausted) as reference:
+            per_point_bounds(make(), points, 1e-6)
+        with pytest.raises(PrecisionExhausted) as batched:
+            make().modulus_bounds(points, 1e-6)
+        assert str(batched.value) == str(reference.value) and "|z|=0.5" in str(reference.value)
+        assert batched.value.bracket == reference.value.bracket
 
     def test_empty_array(self):
         empty = np.zeros(0, dtype=np.complex128)

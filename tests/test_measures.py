@@ -7,9 +7,9 @@ import pytest
 
 from onecomp.errors import DomainError, PrecisionExhausted
 from onecomp.families import example1_measure
-from onecomp.geometry import TWO_PI, BoundaryArc, angle_mod, angular_gap
+from onecomp.geometry import TWO_PI, BoundaryArc, angle_mod, angular_gap, level_points
 from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
-                              poisson_kernel)
+                              _herglotz_kernel, poisson_kernel)
 
 
 def cantor():
@@ -182,7 +182,134 @@ class TestPoisson:
             sigma.poisson_bounds(0.5, 1e-6)
 
 
+def per_point_poisson(sigma, points, tol):
+    """poisson_bounds at each point in turn: (lower bytes, upper bytes, the
+    index and bracket of a PrecisionExhausted or None)."""
+    bounds, failure = [], None
+    for i, z in enumerate(points.tolist()):
+        try:
+            bounds.append(sigma.poisson_bounds(z, tol))
+        except PrecisionExhausted as exc:
+            failure = (i, exc.bracket)
+            break
+    lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
+    return lower.tobytes(), upper.tobytes(), failure
+
+
+def batched_poisson(sigma, points, tol):
+    """per_point_poisson through poisson_bounds_many: each call answers a
+    prefix, and the point after it is taken alone.  Also the prefix lengths."""
+    lower, upper, prefixes, failure = [], [], [], None
+    i = 0
+    while i < len(points):
+        lo, hi = sigma.poisson_bounds_many(points[i:], tol)
+        assert lo.shape == hi.shape
+        prefixes.append(len(lo))
+        lower += lo.tolist()
+        upper += hi.tolist()
+        i += len(lo)
+        if i < len(points):
+            try:
+                a, b = sigma.poisson_bounds(complex(points[i]), tol)
+            except PrecisionExhausted as exc:
+                failure = (i, exc.bracket)
+                break
+            lower.append(a)
+            upper.append(b)
+            i += 1
+    return (np.array(lower).tobytes(), np.array(upper).tobytes(), failure), prefixes
+
+
+def example1_listed():
+    """Example 1 as the seeded input file has it: 64 atoms, tail, no generator."""
+    sigma = example1_measure()
+    sigma.materialize_until_tail(8.0 ** -64)
+    return AtomicMeasure(sigma.atoms, tail_mass=sigma.tail_mass,
+                         tail_hull=sigma._hull, accumulation=sigma._accumulation)
+
+
+def depth_points(deepest, per_depth=96):
+    """Up to per_depth level_points of each depth 2..deepest, spread over the
+    circle, in depth order."""
+    return np.concatenate([
+        level_points(d, np.unique(np.linspace(0, (2 << d) - 1, per_depth).astype(np.int64)))
+        for d in range(2, deepest + 1)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestPoissonBoundsMany:
+    """poisson_bounds_many against poisson_bounds at each point in turn, on
+    separate instances, bit for bit."""
+
+    MEASURES = {
+        "atom1": lambda: AtomicMeasure([(0.0, 1.0)]),
+        "atoms2": lambda: AtomicMeasure([(0.0, 1.0), (math.pi, 1.0)]),
+        "rotated": lambda: AtomicMeasure([(4.1, 0.3), (4.1 + 1e-3, 0.2), (1.0, 0.5)]),
+        "example1_listed": example1_listed,
+        "example1_generator": example1_measure,
+        "cdf": lambda: CdfMeasure([(0.0, 0.0), (1.0, 0.4), (4.0, 0.4), (TWO_PI, 1.0)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("tol", [0.25, 1e-9])
+    def test_matches_per_point_at_depths_2_to_14(self, name, tol):
+        points = depth_points(14)
+        make = self.MEASURES[name]
+        reference, batch = make(), make()
+        got, prefixes = batched_poisson(batch, points, tol)
+        assert got == per_point_poisson(reference, points, tol)
+        assert batch.atom_count == reference.atom_count
+        if name == "example1_generator":
+            # atoms are listed at several points, past the first
+            assert batch.atom_count > 2 and len(prefixes) > 2 and sum(prefixes) > 0
+        else:
+            assert prefixes == [len(points)]
+
+    def test_cantor_points_one_by_one(self):
+        points = np.array([0.0, 0.5 + 0.3j, (1.0 - 2.0 ** -9) * cmath.exp(0.5j * math.pi)])
+        got, prefixes = batched_poisson(cantor(), points, 1e-4)
+        assert got == per_point_poisson(cantor(), points, 1e-4)
+        assert prefixes == [len(points)]
+
+    @pytest.mark.parametrize("tail_hull", [(), (BoundaryArc(0.5, 0.1),)])
+    def test_precision_exhausted_at_the_same_point(self, tail_hull):
+        # tail * (1 + r) / (1 - r) passes tol 1e-6 at depth 11 or so
+        points = depth_points(14, per_depth=8)
+        make = lambda: AtomicMeasure([(0.0, 1.0), (0.5, 0.25)], tail_mass=1e-9,  # noqa: E731
+                                     tail_hull=tail_hull)
+        expected = per_point_poisson(make(), points, 1e-6)
+        got, _ = batched_poisson(make(), points, 1e-6)
+        assert expected[2] is not None and 0 < expected[2][0] < len(points) - 1
+        assert got == expected
+
+    def test_one_row_blocks_give_the_same_bits(self, monkeypatch):
+        import onecomp.measures as measures
+        monkeypatch.setattr(measures, "BLOCK_ELEMENTS", 7)
+        points = depth_points(8, per_depth=16)
+        got, _ = batched_poisson(example1_listed(), points, 1e-9)
+        assert got == per_point_poisson(example1_listed(), points, 1e-9)
+
+    def test_outside_point_rejected(self):
+        with pytest.raises(DomainError):
+            AtomicMeasure([(0.0, 1.0)]).poisson_bounds_many(np.array([0.5, 1.0 + 0j]), 1e-9)
+
+    def test_float_power_squares_as_python_does(self):
+        # the term matrix squares |z - e^{it}| with np.float_power, standing
+        # in for the per-point abs(...) ** 2
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.random(200000) * 2.0, rng.random(200000) * 1e-6])
+        assert np.float_power(x, 2.0).tolist() == [v ** 2 for v in x.tolist()]
+
+
 class TestHerglotz:
+    def test_atomic_matches_the_two_call_form(self):
+        # one kernel per atom, its real and imaginary parts summed apart
+        sigma = example1_listed()
+        for z in [0.0, 0.5 + 0.3j, -0.7j, 0.9 * cmath.exp(1j), 0.999 * cmath.exp(0.01j)]:
+            re = math.fsum(m * (_herglotz_kernel(z, t).real) for t, m in sigma.atoms)
+            im = math.fsum(m * (_herglotz_kernel(z, t).imag) for t, m in sigma.atoms)
+            assert sigma.herglotz_integral(z, 1e-6) == complex(re, im)
+
     def test_center_value(self):
         sigma = AtomicMeasure([(1.2, 0.8)])
         assert sigma.herglotz_integral(0.0) == pytest.approx(-0.8)
