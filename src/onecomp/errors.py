@@ -2,7 +2,13 @@
 
 
 class OnecompError(Exception):
-    """Base class for library errors."""
+    """Base class for library errors.
+
+    ``index`` is the failing point's index when an array call fails at one
+    point, and None otherwise.
+    """
+
+    index = None
 
 
 class DomainError(OnecompError, ValueError):

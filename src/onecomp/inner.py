@@ -22,12 +22,12 @@ import cmath
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
-                     TailBoundInsufficient)
+                     OnecompError, TailBoundInsufficient)
 from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, CarlesonSquare,
                        PointSupport, SquareArrays, carleson_squares, level_points)
 from .measures import SingularMeasure
@@ -243,46 +243,68 @@ class BlaschkeProduct:
 
         A 1-D complex array z gives Interval(lower array, upper array), each
         entry the bits of the per-point call, with the zeros listed in the
-        same order.  Its log sums come from one _log_sums call; when
-        certifying a point's tail lists more zeros, the sums of the rest of
-        the array are recomputed.
+        same order.  The array is bracketed in prefixes: one _log_sums call,
+        math.exp of each sum, and the tail bound and its budget as arrays
+        answer every point up to the first whose tail needs more zeros
+        listed.  That point goes alone through the scalar bracket, which
+        lists them (or raises, with the point's index as ``index``), and
+        the rest of the array is summed again.
         """
         if isinstance(z, np.ndarray):
             return self._modulus_bounds_many(z, tol)
         z = complex(z)
         if not abs(z) < 1.0:
             raise DomainError("modulus bounds require |z| < 1")
-        return self._bracket(abs(z), self._log_sum(z), tol, lambda: self._log_sum(z))
+        return self._bracket(z, self._log_sum(z), tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
-        moduli = [abs(z) for z in points.tolist()]
-        if not all(m < 1.0 for m in moduli):
+        moduli = np.hypot(points.real, points.imag)  # abs()'s bits
+        if not (moduli < 1.0).all():
             raise DomainError("modulus bounds require |z| < 1")
-        sums, start = self._log_sums(points).tolist(), 0
-        lower, upper = np.empty(len(moduli)), np.empty(len(moduli))
-
-        def resum() -> float:
-            nonlocal sums, start
-            sums, start = self._log_sums(points[i:]).tolist(), i
-            return sums[0]
-
-        for i, z_abs in enumerate(moduli):
-            lower[i], upper[i] = self._bracket(z_abs, sums[i - start], tol, resum)
+        lower, upper = np.empty(len(points)), np.empty(len(points))
+        i = 0
+        while i < len(points):
+            sums = self._log_sums(points[i:])
+            # math.exp per entry: np.exp can differ in the last bit
+            up = np.array(list(map(math.exp, sums.tolist())))
+            tail, depth = self.zeros.tail_blaschke_sum, 1.0 - moduli[i:]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                # _tail_neg_log_bound and _bracket's tests, entry by entry
+                bound = np.zeros(len(depth))
+                if tail != 0.0:
+                    u = 4.0 * tail * (2.0 - depth) / depth
+                    bound = np.where(u >= 0.5, math.inf, u / (1.0 - u))
+                small = (sums == -math.inf) | (up <= 0.5 * tol)
+                met = bound <= np.maximum(1e-15, 0.5 * tol / up)
+            # answer every point up to the first whose tail needs more zeros
+            answered = small | met
+            stop = len(sums) if answered.all() else int(np.argmin(answered))
+            lo = np.array(list(map(math.exp, (sums[:stop] - bound[:stop]).tolist())))
+            lo[small[:stop]] = 0.0
+            lower[i:i + stop], upper[i:i + stop] = lo, up[:stop]
+            i += stop
+            if i < len(points):
+                z = complex(points[i])
+                try:
+                    lower[i], upper[i] = self._bracket(z, float(sums[stop]), tol)
+                except OnecompError as err:
+                    err.index = i
+                    raise
+                i += 1
         return Interval(lower, upper)
 
-    def _bracket(self, z_abs: float, s: float, tol: float,
-                 resum: Callable[[], float]) -> Interval:
-        """modulus_bounds from the log sum s over the listed zeros; resum
-        gives the sum again after certifying the tail listed more zeros."""
+    def _bracket(self, z: complex, s: float, tol: float) -> Interval:
+        """modulus_bounds from the log sum s over the listed zeros, summed
+        again when certifying the tail lists more zeros."""
         upper = math.exp(s)
         if s == -math.inf or upper <= 0.5 * tol:
             return Interval(0.0, upper)
         # value-scale budget: a log-width d gives value width <= upper * d
         log_budget = max(1e-15, 0.5 * tol / upper)
         listed = len(self.zeros)
-        tail_bound = self._ensure_tail(z_abs, log_budget)
+        tail_bound = self._ensure_tail(abs(z), log_budget)
         if len(self.zeros) > listed:
-            s = resum()
+            s = self._log_sum(z)
         return Interval(math.exp(s - tail_bound), math.exp(s))
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
@@ -528,7 +550,14 @@ class InnerFunction:
         """
         lo = hi = 1.0
         if self.blaschke is not None:
-            part = self.blaschke.modulus_bounds(z, 0.5 * tol)
+            try:
+                part = self.blaschke.modulus_bounds(z, 0.5 * tol)
+            except OnecompError as err:
+                if self.singular is not None and err.index is not None:
+                    # point by point, the singular part is bracketed at every
+                    # point before the failing one, and may fail first
+                    self.singular.modulus_bounds(z[:err.index], 0.5 * tol)
+                raise
             lo *= part.lo
             hi *= part.hi
         if self.singular is not None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import DomainError
-from .geometry import BoundaryArc
+from .geometry import TWO_PI, BoundaryArc
 from .inner import (BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence,
                     dump_zeros_csv, load_zeros_csv)
 from .measures import AtomicMeasure, CantorMeasure, CdfMeasure, SingularMeasure
@@ -112,8 +112,17 @@ def measure_from_json(doc: dict) -> SingularMeasure:
                                   % (delta["ratio"],)) from exc
             return CantorMeasure.from_removed_fraction(removed)
         if isinstance(delta, list):
-            return CantorMeasure.from_delta_radians(
-                [_num(d, "delta entry") for d in delta])
+            if not delta:
+                raise DomainError("measure.delta: expected a nonempty list")
+            deltas, upper = [TWO_PI], "2 pi"
+            for i, d in enumerate(delta):
+                what = "measure.delta[%d]" % i
+                deltas.append(_num(d, what))
+                if not 0.0 < deltas[-1] < deltas[-2]:
+                    raise DomainError("%s: expected a number in (0, %s), got %r"
+                                      % (what, upper, d))
+                upper = what
+            return CantorMeasure.from_delta_radians(deltas[1:])
         raise DomainError("unsupported cantor delta description %r" % (delta,))
     samples = []
     for i, pair in enumerate(_list_field(doc, "samples", "measure.samples")):

@@ -724,6 +724,80 @@ class TestModulusBoundsArray:
         assert str(batched.value) == str(reference.value) and "|z|=0.5" in str(reference.value)
         assert batched.value.bracket == reference.value.bracket
 
+    def test_singular_error_before_the_failing_blaschke_point(self):
+        # the Blaschke part fails at the second point, where its tail cannot
+        # meet tol; point by point, the singular part fails first, at the
+        # first point
+        make = lambda: InnerFunction(  # noqa: E731
+            blaschke=BlaschkeProduct(ZeroSequence([0.5], tail_blaschke_sum=1e-9)),
+            singular=SingularInner(AtomicMeasure([(2.0, 1.0)], tail_mass=1e-4)))
+        points = np.array([-0.5, 1.0 - 1e-5])
+        with pytest.raises(PrecisionExhausted) as reference:
+            per_point_bounds(make(), points, 1e-6)
+        with pytest.raises(PrecisionExhausted) as batched:
+            make().modulus_bounds(points, 1e-6)
+        assert str(batched.value) == str(reference.value) and "|z|=0.5" in str(reference.value)
+        assert batched.value.bracket == reference.value.bracket
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_kernel_mixes_zeros_small_moduli_and_listing(self, tol, monkeypatch):
+        # the zeros 0.5 and 0.75 are listed, and the first four points hit or
+        # nearly hit them; deeper points list more zeros mid-array
+        points = np.concatenate([[0.5, 0.75, 0.5 + 1e-12, 0.75 + 1e-13j],
+                                 some_points(7), 1.0 - 2.0 ** -np.arange(4.5, 12.0)])
+        reference, batch = (BlaschkeProduct(radial_geometric_zeros()) for _ in range(2))
+        for f in (reference, batch):
+            f.zeros.materialize_count(2)
+        expected = per_point_bounds(reference, points, tol)
+        scalar = []
+        bracket = batch._bracket
+
+        def counted(z, s, t):
+            listed = len(batch.zeros)
+            out = bracket(z, s, t)
+            scalar.append((z, len(batch.zeros) > listed))
+            return out
+
+        monkeypatch.setattr(batch, "_bracket", counted)
+        assert array_bounds(batch, points, tol) == expected
+        assert batch.zeros.zeros == reference.zeros.zeros
+        lower, upper = batch.modulus_bounds(points, tol)
+        assert lower[:4].tolist() == [0.0] * 4 and upper[:2].tolist() == [0.0, 0.0]
+        assert 0.0 < upper[2] <= 0.5 * tol and 0.0 < upper[3] <= 0.5 * tol
+        assert 0.0 < lower[-1] < upper[-1]
+        # only points that list more zeros go through the scalar bracket
+        assert scalar and all(grew for _, grew in scalar)
+        assert not {complex(z) for z in points[:4]} & {z for z, _ in scalar}
+
+    def test_tail_bound_insufficient_at_the_same_point_as_the_loop(self):
+        points = some_points(8)
+        reference = BlaschkeProduct(truncated_geometric_zeros())
+        expected = bracket_loop(reference, points.tolist(), 1e-3)
+        batch = BlaschkeProduct(truncated_geometric_zeros())
+        with pytest.raises(TailBoundInsufficient) as err:
+            batch.modulus_bounds(points, 1e-3)
+        assert expected[-1] == (TailBoundInsufficient, str(err.value))
+        assert err.value.index == len(expected) - 1 == 511
+        assert batch.zeros.zeros == reference.zeros.zeros
+
+    def test_a_complete_product_takes_one_log_sums_call(self, monkeypatch):
+        # with nothing left to list, no point goes through the scalar
+        # bracket, and the upper ends are math.exp of the log sums
+        points = some_points(8)
+        assert len(points) == 1016
+        zeros = [0.5, 0.5j, -0.5]
+        batch = BlaschkeProduct(zeros)
+        calls = {"_bracket": 0, "_log_sums": 0}
+        for name in calls:
+            method = getattr(batch, name)
+            monkeypatch.setattr(batch, name, lambda *a, name=name, method=method:
+                                calls.__setitem__(name, calls[name] + 1) or method(*a))
+        lower, upper = batch.modulus_bounds(points, 1e-9)
+        assert calls == {"_bracket": 0, "_log_sums": 1}
+        sums = BlaschkeProduct(zeros)._log_sums(points).tolist()
+        assert upper.tolist() == [math.exp(s) for s in sums]
+        assert lower.tolist() == upper.tolist()
+
     def test_empty_array(self):
         empty = np.zeros(0, dtype=np.complex128)
         for f in (BlaschkeProduct([0.5]), BlaschkeProduct(radial_geometric_zeros()),

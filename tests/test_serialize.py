@@ -44,6 +44,24 @@ class TestMeasureRoundTrip:
             measure_from_json({"kind": "cantor", "delta": "middle-thirds",
                                "extra": 1})
 
+    @pytest.mark.parametrize("delta, message", [
+        (["1e-300", "0.1"],
+         "measure.delta[1]: expected a number in (0, measure.delta[0]), got '0.1'"),
+        (["7"], "measure.delta[0]: expected a number in (0, 2 pi), got '7'"),
+        (["-1"], "measure.delta[0]: expected a number in (0, 2 pi), got '-1'"),
+        ([], "measure.delta: expected a nonempty list"),
+    ])
+    def test_cantor_delta_list_names_the_entry(self, delta, message):
+        # each entry lies in (0, previous entry), the first in (0, 2 pi)
+        with pytest.raises(DomainError) as err:
+            measure_from_json({"kind": "cantor", "delta": delta})
+        assert str(err.value) == message
+
+    def test_cantor_delta_list_round_trip(self):
+        sigma = measure_from_json({"kind": "cantor", "delta": ["4", 2.5]})
+        assert [sigma.delta(n) for n in (1, 2, 3)] == [4.0, 2.5, 2.5 * 2.5 / 4.0]
+        assert measure_from_json(measure_to_json(sigma)).delta(8) == sigma.delta(8)
+
 
 class TestInnerRoundTrip:
     def test_blaschke_with_singular(self):
