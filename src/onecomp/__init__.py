@@ -5,7 +5,7 @@ from .errors import (BlaschkeConditionError, CurveExhausted, DomainError,
                      HorizonExceeded, HypothesisViolated, OnecompError,
                      PrecisionExhausted, RadiusSearchExhausted,
                      TailBoundInsufficient)
-from .geometry import (BoundaryArc, CarlesonSquare, PointSupport, ArcSupport,
+from .geometry import (BoundaryArc, PointSupport, ArcSupport,
                        SawtoothRegion, StolzAngle, carleson_square, level_points,
                        mobius_shift, pseudo_distance, whitney_arcs)
 from .inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,

@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, HypothesisViolated, PrecisionExhausted
-# carleson_square is not called here; bench/tracer.py counts its calls
-# through this module's name, so the name stays importable from it
-from .geometry import SawtoothRegion, StolzAngle, carleson_square  # noqa: F401
+from .geometry import SawtoothRegion, StolzAngle
+# not called here: bench/tracer.py counts carleson_square calls through this name
+from .geometry import carleson_square  # noqa: F401
 from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
 from .measures import AtomicMeasure
 
@@ -134,7 +134,7 @@ def criterion_scan(theta: InnerFunction, depth: int,
     crossed = False
     c_star = 0.0
     for level in range(2, depth + 1):
-        for z, mu_q in mu.positive_squares(level, 1e-9):
+        for z, mu_q in mu.positive_squares(level):
             bounds = theta.modulus_bounds(z, EVAL_TOL)
             if bounds.lo > 1.0 - tol:
                 crossed = True

@@ -29,13 +29,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
 from .errors import (CurveExhausted, DomainError, HypothesisViolated,
                      RadiusSearchExhausted, TailBoundInsufficient)
-# carleson_square is not called here; bench/tracer.py counts its calls
-# through this module's name, so the name stays importable from it
-from .geometry import (TWO_PI, BoundaryArc, carleson_square,  # noqa: F401
-                       pseudo_distance, whitney_arcs)
+from .geometry import TWO_PI, BoundaryArc, pseudo_distance, whitney_arcs
+# not called here: bench/tracer.py counts carleson_square calls through this name
+from .geometry import carleson_square  # noqa: F401
 from .inner import (BlaschkeProduct, InnerFunction, MuMeasure, ZeroSequence,
                     separation_constants)
 
@@ -359,16 +360,17 @@ def _spot_check_b(blaschke: BlaschkeProduct, mu: MuMeasure, depth: int) -> SpotC
 
     mu is B's own zero measure, so only the points that
     mu.positive_squares lists, the ones criterion_scan(B) visits, can break
-    this.  |B| is bracketed at each of them at the Blaschke half of the
-    1e-9 tolerance that InnerFunction.modulus_bounds splits.
+    this.  mu has no boundary part, so positive_squares never queries a
+    level twice, and |B| is bracketed at all its points with one call, at
+    the Blaschke half of InnerFunction.modulus_bounds' 1e-9 tolerance.
     """
     checked = 0
     violations: list[complex] = []
     for level in range(2, depth + 1):
-        for z, _ in mu.positive_squares(level):
-            checked += 1
-            if blaschke.modulus_bounds(z, 0.5 * 1e-9).lo > 12.0 / 21.0:
-                violations.append(z)
+        points = np.array([z for z, _ in mu.positive_squares(level)], dtype=np.complex128)
+        lower = blaschke.modulus_bounds(points, 0.5e-9).lo
+        checked += len(points)
+        violations += points[lower > 12.0 / 21.0].tolist()
     return SpotCheck(checked, violations)
 
 

@@ -117,61 +117,10 @@ class BoundaryArc:
         return math.sqrt(max(0.0, r * r + 1.0 - 2.0 * r * math.cos(gap)))
 
 
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Boundary-anchored square Q = {w : |arg w - c| <= side/2, |w| >= 1 - side}.
-
-    Membership admits closed-disc points.  ``whole_disc`` marks the
-    conventional Q(0), which is the entire closed disc (recorded side 1,
-    full angular width).  The base modulus is floored at 0 and the angular
-    half-window capped at pi.
-    """
-
-    center_angle: float
-    side: float
-    whole_disc: bool = False
-
-    def __post_init__(self):
-        if self.side <= 0.0:
-            raise DomainError("square side must be positive")
-
-    @property
-    def base_modulus(self) -> float:
-        if self.whole_disc:
-            return 0.0
-        return max(0.0, 1.0 - self.side)
-
-    @property
-    def half_window(self) -> float:
-        return math.pi if self.whole_disc else min(0.5 * self.side, math.pi)
-
-    def member(self, w: complex) -> bool:
-        w = complex(w)
-        aw = abs(w)
-        if aw > 1.0 + 1e-14:
-            return False
-        if self.whole_disc:
-            return True
-        if aw < self.base_modulus:
-            return False
-        return angular_gap(cmath.phase(w) if aw > 0.0 else 0.0,
-                           self.center_angle) <= self.half_window
-
-
-def carleson_square(z: complex) -> CarlesonSquare:
-    """Carleson square Q(z) of an interior point; Q(0) is the closed disc."""
-    z = complex(z)
-    az = abs(z)
-    if not az < 1.0:
-        raise DomainError("carleson_square requires |z| < 1")
-    if az == 0.0:
-        return CarlesonSquare(0.0, 1.0, whole_disc=True)
-    return CarlesonSquare(cmath.phase(z), 1.0 - az)
-
-
 class SquareArrays(NamedTuple):
-    """Carleson squares as parallel arrays, one entry per square, with the
-    values ``CarlesonSquare`` gives for its fields and properties."""
+    """Carleson squares Q = {w : |arg w - center_angle| <= half_window,
+    |w| >= base_modulus} as parallel arrays, one row per square; a row with
+    ``whole_disc`` is the conventional Q(0), the closed disc."""
 
     side: np.ndarray
     center_angle: np.ndarray
@@ -179,19 +128,20 @@ class SquareArrays(NamedTuple):
     base_modulus: np.ndarray
     whole_disc: np.ndarray
 
-    @classmethod
-    def of(cls, square: CarlesonSquare) -> "SquareArrays":
-        return cls(np.array([square.side]), np.array([square.center_angle]),
-                   np.array([square.half_window]), np.array([square.base_modulus]),
-                   np.array([square.whole_disc]))
+
+def carleson_square(z: complex) -> SquareArrays:
+    """Q(z) of one interior point, as a one-row SquareArrays."""
+    return carleson_squares(np.array([complex(z)]))
 
 
 def carleson_squares(points: np.ndarray) -> SquareArrays:
-    """Q(z) for each point of a complex array, bit for bit as carleson_square.
+    """Q(z) for each point of a complex array: side 1 - |z|, center angle
+    arg z, half-window side / 2 and base modulus 1 - side; Q(0) is the row
+    (1, 0, pi, 0, True).
 
-    np.hypot matches abs(complex) exactly and cmath.phase is taken per
-    point: np.abs and np.angle on complex128 differ from them in the last
-    bit at some points.
+    |z| is np.hypot, which matches abs(complex) exactly, and arg z is
+    cmath.phase taken per point: np.abs and np.angle on complex128 differ
+    from them in the last bit at some points.
     """
     az = np.hypot(points.real, points.imag)
     if not np.all(az < 1.0):
@@ -200,9 +150,8 @@ def carleson_squares(points: np.ndarray) -> SquareArrays:
     side = 1.0 - az                      # 1.0 at the origin too
     center = np.array(list(map(cmath.phase, points.tolist())), dtype=np.float64)
     center[whole] = 0.0
-    half = np.where(whole, math.pi, np.minimum(0.5 * side, math.pi))
-    base = np.maximum(0.0, 1.0 - side)
-    return SquareArrays(side, center, half, base, whole)
+    half = np.where(whole, math.pi, 0.5 * side)
+    return SquareArrays(side, center, half, 1.0 - side, whole)
 
 
 def level_points(depth: int, index: Optional[np.ndarray] = None) -> np.ndarray:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
                      OnecompError, TailBoundInsufficient)
-from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, CarlesonSquare,
-                       PointSupport, SquareArrays, carleson_squares, level_points)
+from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, PointSupport,
+                       SquareArrays, carleson_squares, level_points)
 from .measures import SingularMeasure
 
 
@@ -45,6 +45,8 @@ class Interval(NamedTuple):
 
 
 MINUS_INF_INTERVAL = Interval(-math.inf, -math.inf)
+
+MASS_TOL = 1e-9  # tolerance of the boundary part of every mu(Q) bracket
 
 
 class ZeroSequence:
@@ -396,7 +398,8 @@ class MuMeasure:
     exactly with math.fsum.  Queries finer than the recorded
     materialization horizon raise instead of silently undercounting.
     Many squares, such as one scan level's, are answered by one batched
-    call; a single square is a one-row batch.
+    call; a single square is a one-row batch.  The boundary part's masses
+    are bracketed to MASS_TOL.
     """
 
     zero_atoms: list[tuple[complex, float]]
@@ -409,22 +412,21 @@ class MuMeasure:
         self._angles = np.mod(np.angle(zs), TWO_PI)
         self._weights = np.array([wt for _, wt in self.zero_atoms], dtype=np.float64)
 
-    def of_square_bounds(self, square: CarlesonSquare,
-                         tol: float = 1e-12) -> tuple[float, float]:
-        lo, hi = self._squares_bounds(SquareArrays.of(square), tol)
+    def of_square_bounds(self, square: SquareArrays) -> tuple[float, float]:
+        """mu(Q) bracket of a one-row square, such as carleson_square(z)."""
+        lo, hi = self._squares_bounds(square)
         return (float(lo[0]), float(hi[0]))
 
-    def lower_masses(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Lower ends of of_square_bounds(carleson_square(z), tol) for every
-        point z of a complex array, bit for bit, in blocks of points."""
+    def lower_masses(self, points: np.ndarray) -> np.ndarray:
+        """Lower ends of of_square_bounds(carleson_square(z)) for every point
+        z of a complex array, bit for bit, in blocks of points."""
         lower = np.empty(len(points))
         for s in range(0, len(points), BLOCK_ELEMENTS):
             block = points[s:s + BLOCK_ELEMENTS]
-            lower[s:s + len(block)] = self._squares_bounds(carleson_squares(block), tol)[0]
+            lower[s:s + len(block)] = self._squares_bounds(carleson_squares(block))[0]
         return lower
 
-    def positive_squares(self, level: int,
-                         tol: float = 1e-12) -> Iterator[tuple[complex, float]]:
+    def positive_squares(self, level: int) -> Iterator[tuple[complex, float]]:
         """(point, lower mass) of the scan points of a level (level_points)
         whose Carleson square has certifiably positive mass, in point order.
 
@@ -441,7 +443,7 @@ class MuMeasure:
             index = self._live_points(level)
             index = index[index >= start] if start else np.union1d(index, [0])
             points = level_points(level, index)
-            lower = self.lower_masses(points, tol)
+            lower = self.lower_masses(points)
             for i in np.flatnonzero(lower > 0.0).tolist():
                 yield complex(points[i]), float(lower[i])
                 if self.boundary is not None and self.boundary.atom_count != atoms:
@@ -476,8 +478,7 @@ class MuMeasure:
         k = np.unique(k % boxes)
         return np.stack([2 * k, 2 * k + 1], axis=1).ravel()
 
-    def _squares_bounds(self, sq: SquareArrays,
-                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def _squares_bounds(self, sq: SquareArrays) -> tuple[np.ndarray, np.ndarray]:
         short = np.flatnonzero(~sq.whole_disc & (sq.side < self.horizon))
         if short.size:
             raise HorizonExceeded(
@@ -501,7 +502,7 @@ class MuMeasure:
         if self.boundary is None:
             return (total, total)
         blo, bhi = self.boundary.mass_of_arc_bounds_many(
-            sq.center_angle, sq.half_window, closed_ends=True, tol=tol)
+            sq.center_angle, sq.half_window, closed_ends=True, tol=MASS_TOL)
         return (total + blo, total + bhi)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -621,8 +622,14 @@ class CantorSupport(BoundarySupport):
         while n < m.MAX_GENERATION and float(m.generation(n)[0][1] - m.generation(n)[0][0]) * TWO_PI > scale \
                 and 2 ** (n + 1) <= 65536:
             n += 1
-        return [BoundaryArc.from_endpoints(float(a) * TWO_PI, float(b) * TWO_PI)
-                for a, b in m.generation(n)]
+        gen = m.generation(n)
+        ends = [(float(a) * TWO_PI, float(b) * TWO_PI) for a, b in gen]
+        if any(lo >= hi for lo, hi in ends):
+            width = (gen[0][1] - gen[0][0]) * _TWO_PI_FRAC  # may lie below every float
+            raise PrecisionExhausted("Cantor generation {} intervals of width {:.3g} radians "
+                                     "collapse in double precision".format(
+                                         n, Decimal(width.numerator) / width.denominator))
+        return [BoundaryArc.from_endpoints(lo, hi) for lo, hi in ends]
 
 
 # ---------------------------------------------------------------------------

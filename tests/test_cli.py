@@ -272,6 +272,28 @@ class TestErrorHandling:
         assert code == 3
         assert err.count("\n") == 1 and "tail" in err
 
+    @pytest.mark.parametrize("delta", ["1e-300", "1e-10"])
+    def test_collapsed_cantor_generations_exit_code(self, delta, capsys, tmp_path):
+        # generation 2's intervals, 4e-602 and 4e-22 radians wide, round to
+        # points; the sawtooth test's cover of the support meets them
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps({"measure": {"kind": "cantor", "delta": [delta]}}))
+        code, out, err = run_cli(["classify", "--inner", str(path), "--depth", "6"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "generation 2" in err
+
+    def test_narrow_cantor_generations_classify(self, capsys, tmp_path):
+        # sha256 of the report, metadata removed, recorded before collapsed
+        # generations were detected
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps({"measure": {"kind": "cantor", "delta": ["0.001"]}}))
+        code, out, _ = run_cli(["classify", "--inner", str(path), "--depth", "6"],
+                               capsys)
+        assert code == 0
+        assert TestGoldenScans.digest(out) == \
+            "69ddf595321cc5b23c568a75a242af649ccc1bab1bd1691c1ce1a0fd672c1aa7"
+
 
 NON_FINITE_CASES = {
     "eval-point": (["eval", "--at", "nan,0"], {"zeros_csv": "re,im\n0.5,0\n"}),

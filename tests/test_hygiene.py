@@ -1,5 +1,6 @@
 """Source hygiene: no private helper outlives its last caller, every public
-name has a caller, and every name the bench tracer patches still exists."""
+name has a caller, every name the bench tracer patches still exists, and an
+import kept only for the tracer goes with its tracer entry."""
 
 import ast
 import importlib
@@ -79,6 +80,30 @@ def test_every_name_the_bench_tracer_patches_exists():
         if owner is None or attr not in vars(owner):
             missing.append("%s.%s.%s" % (module, cls, attr))
     assert missing == []
+
+
+def test_unused_imports_name_only_what_the_tracer_patches_there():
+    # an import marked unused (noqa: F401) is kept only so that the tracer
+    # can patch the name in that module; once the tracer tables stop naming
+    # it there, the import must go too
+    tables = _tracer_tables()
+    patched = {(module, attr) for _, module, attr in
+               tables["FUNCTION_SPANS"] + tables["COUNTED"]}
+    imports, stray = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        module = "onecomp." + path.stem
+        for node in ast.parse(text, filename=str(path)).body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            imports += 1
+            if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                stray += ["%s:%d %s" % (path.name, node.lineno, alias.asname or alias.name)
+                          for alias in node.names
+                          if (module, alias.asname or alias.name) not in patched]
+    assert imports, "no imports found; is the source path right?"
+    assert stray == []
 
 
 ROOT = SRC.parent.parent
@@ -171,8 +196,6 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
 EXEMPT = {
     "mobius_shift": "acceptance criterion 7 states Mobius invariance of rho with it",
     "Interval.mid": "acceptance criterion 7 checks certified tails at bracket midpoints",
-    "CarlesonSquare.member": "the reference predicate of "
-                             "TestMu::test_window_matches_member_loop",
 }
 
 

@@ -14,7 +14,7 @@ from onecomp.errors import (BlaschkeConditionError, DomainError,
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
                               radial_geometric, radial_geometric_zeros,
                               radial_sparse, single_atom, two_atoms)
-from onecomp.geometry import (TWO_PI, BoundaryArc, CarlesonSquare, angular_gap,
+from onecomp.geometry import (TWO_PI, BoundaryArc, SquareArrays, angular_gap,
                               carleson_square, carleson_squares, level_points,
                               pseudo_distance)
 from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure,
@@ -224,6 +224,15 @@ class TestMu:
 
     def test_window_matches_member_loop(self, companion200):
         # reference: the per-zero loop, fsum of the weights of member zeros
+        def member(square, w):
+            _, center, half, base, whole = square_row(square)
+            aw = abs(w)
+            if whole:
+                return True
+            if aw < base:
+                return False
+            return angular_gap(cmath.phase(w) if aw > 0.0 else 0.0, center) <= half
+
         geometric = radial_geometric_zeros()
         geometric.materialize_count(50)
         squares = [carleson_square(0.0)] + [
@@ -234,29 +243,38 @@ class TestMu:
             positive = 0
             for square in squares:
                 expected = math.fsum(wt for z, wt in mu.zero_atoms
-                                     if square.member(z))
+                                     if member(square, z))
                 assert mu.of_square_bounds(square) == (expected, expected)
                 positive += expected > 0.0
             assert (positive > 0) == bool(zeros)
 
 
-def reference_square_bounds(mu: MuMeasure, square, tol: float = 1e-12):
+def square_row(square: SquareArrays) -> tuple:
+    """(side, center angle, half-window, base modulus, whole disc) of a
+    one-row square, as Python scalars."""
+    assert len(square.side) == 1
+    return tuple(field[0].item() for field in square)
+
+
+def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
     """The per-square of_square_bounds that the batched kernel replaced,
-    with the per-atom loop of AtomicMeasure.mass_of_arc_bounds inlined."""
-    if not square.whole_disc and square.side < mu.horizon:
+    with the per-atom loop of AtomicMeasure.mass_of_arc_bounds inlined; the
+    boundary masses are bracketed to 1e-9."""
+    side, center, half, base, whole = square_row(square)
+    if not whole and side < mu.horizon:
         raise HorizonExceeded("square side %g below materialization horizon %g"
-                              % (square.side, mu.horizon))
+                              % (side, mu.horizon))
     total = 0.0
     if mu.zero_atoms:
         zs = np.array([z for z, _ in mu.zero_atoms], dtype=np.complex128)
         radii, angles = np.abs(zs), np.mod(np.angle(zs), TWO_PI)
         weights = np.array([wt for _, wt in mu.zero_atoms])
-        gap = np.abs(np.mod(angles - square.center_angle + math.pi, TWO_PI) - math.pi)
-        inside = (gap <= square.half_window) & (radii >= square.base_modulus)
+        gap = np.abs(np.mod(angles - center + math.pi, TWO_PI) - math.pi)
+        inside = (gap <= half) & (radii >= base)
         total = math.fsum(weights[inside].tolist())
     if mu.boundary is None:
         return (total, total)
-    arc = BoundaryArc(square.center_angle, square.half_window)
+    arc = BoundaryArc(center, half)
     if isinstance(mu.boundary, AtomicMeasure):
         atomic = 0.0
         for theta, mass in mu.boundary.atoms:
@@ -265,7 +283,7 @@ def reference_square_bounds(mu: MuMeasure, square, tol: float = 1e-12):
                 atomic += mass
         blo, bhi = atomic, atomic + mu.boundary.tail_mass
     else:
-        blo, bhi = mu.boundary.mass_of_arc_bounds(arc, closed_ends=True, tol=tol)
+        blo, bhi = mu.boundary.mass_of_arc_bounds(arc, closed_ends=True, tol=1e-9)
     return (total + blo, total + bhi)
 
 
@@ -321,21 +339,22 @@ class TestLevelKernel:
         positive = 0
         for level in range(2, 13):
             points = level_points(level)
-            expected = [reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
+            expected = [reference_square_bounds(mu, carleson_square(z))[0]
                         for z in points.tolist()]
-            got = mu.lower_masses(points, 1e-9)
+            got = mu.lower_masses(points)
             assert got.tolist() == expected, level
             positive += sum(m > 0.0 for m in expected)
         assert (positive > 0) == (case != "no_zeros")
 
     def test_one_row_bounds_match_reference(self, companion200):
-        squares = [carleson_square(0.0), carleson_square(0.5 + 0.5j),
-                   CarlesonSquare(0.0, 3.0 * (1.0 - 0.9)), carleson_square(-0.999)]
+        # and a square of side 0.3 that no point's square has: Q(0.9) is 0.1
+        wide = SquareArrays(*(np.array([v]) for v in (0.3, 0.0, 0.15, 0.7, False)))
+        squares = [carleson_square(0.0), carleson_square(0.5 + 0.5j), wide,
+                   carleson_square(-0.999)]
         for theta in self._cases(companion200).values():
             mu = scan_tail_mu(theta, 10)
             for square in squares:
-                assert mu.of_square_bounds(square, 1e-9) == \
-                    reference_square_bounds(mu, square, 1e-9)
+                assert mu.of_square_bounds(square) == reference_square_bounds(mu, square)
 
     def test_horizon_exceeded_at_the_same_first_square(self):
         zs = radial_geometric_zeros()
@@ -360,22 +379,26 @@ class TestLevelKernel:
             mu.lower_masses(points)
         assert str(info.value) == expected
 
-    def test_square_arrays_match_carleson_square(self):
-        for level in range(2, 15):
-            points = level_points(level)
+    def test_rows_match_abs_and_phase(self):
+        # row i of Q(z): side 1 - |z|, center arg z, half-window side / 2,
+        # base modulus |z|, with abs and cmath.phase taken point by point
+        rng = np.random.default_rng(3)
+        scattered = 0.999 * np.sqrt(rng.random(500)) * np.exp(1j * TWO_PI * rng.random(500))
+        for points in [level_points(level) for level in range(2, 15)] + [scattered]:
             squares = carleson_squares(points)
-            reference = [carleson_square(z) for z in points.tolist()]
-            assert squares.side.tolist() == [q.side for q in reference]
-            assert squares.center_angle.tolist() == [q.center_angle for q in reference]
+            rows = list(zip(*(field.tolist() for field in squares)))
+            expected = [(1.0 - abs(z), cmath.phase(z), 0.5 * (1.0 - abs(z)),
+                         1.0 - (1.0 - abs(z)), False) for z in points.tolist()]
+            assert rows == expected
+            assert [square_row(carleson_square(z)) for z in points[:50].tolist()] \
+                == expected[:50]
 
     def test_origin_is_the_whole_disc(self):
         squares = carleson_squares(np.array([0j, complex(-0.0, 0.0), 0.5j]))
-        whole = carleson_square(0.0)
-        assert squares.whole_disc.tolist() == [True, True, False]
-        for i in (0, 1):
-            assert (squares.side[i], squares.center_angle[i], squares.half_window[i],
-                    squares.base_modulus[i]) == (whole.side, whole.center_angle,
-                                                 whole.half_window, whole.base_modulus)
+        rows = list(zip(*(field.tolist() for field in squares)))
+        assert rows[:2] == [(1.0, 0.0, math.pi, 0.0, True)] * 2
+        assert rows[2] == (0.5, math.pi / 2, 0.25, 0.5, False)
+        assert square_row(carleson_square(-0.0)) == (1.0, 0.0, math.pi, 0.0, True)
 
     def test_domain_error_outside_the_disc(self):
         with pytest.raises(DomainError):
@@ -409,13 +432,13 @@ class TestLevelKernel:
 
         def per_point(mu, level):
             for z in level_points(level).tolist():
-                mass = reference_square_bounds(mu, carleson_square(z), 1e-9)[0]
+                mass = reference_square_bounds(mu, carleson_square(z))[0]
                 if mass > 0.0:
                     yield z, mass
 
         expected, listed, dead = scan(per_point)
         assert listed > scan_tail_mu(build(), depth).boundary.atom_count
-        assert scan(lambda mu, level: mu.positive_squares(level, 1e-9)) == \
+        assert scan(lambda mu, level: mu.positive_squares(level)) == \
             (expected, listed, dead)
         assert dead > 0
 
@@ -432,7 +455,7 @@ def full_level_scan(theta: InnerFunction, depth: int) -> list:
         start = 0
         while start < len(points):
             atoms = mu.boundary.atom_count if mu.boundary is not None else 0
-            lower = mu.lower_masses(points[start:], 1e-9)
+            lower = mu.lower_masses(points[start:])
             for i in np.flatnonzero(lower > 0.0).tolist():
                 z = complex(points[start + i])
                 record.append((level, z, float(lower[i]),
@@ -451,8 +474,8 @@ def criterion_scan_record(theta: InnerFunction, depth: int, monkeypatch) -> list
     hits, brackets = [], []
     positive_squares, modulus_bounds = MuMeasure.positive_squares, theta.modulus_bounds
 
-    def recording(mu, level, tol):
-        for z, mass in positive_squares(mu, level, tol):
+    def recording(mu, level):
+        for z, mass in positive_squares(mu, level):
             hits.append((level, z, mass))
             yield z, mass
 
