@@ -2,9 +2,8 @@
 classification, and companion Blaschke product construction."""
 
 from .errors import (BlaschkeConditionError, CurveExhausted, DomainError,
-                     HorizonExceeded, HypothesisViolated, OnecompError,
-                     PrecisionExhausted, RadiusSearchExhausted,
-                     TailBoundInsufficient)
+                     HypothesisViolated, OnecompError, PrecisionExhausted,
+                     RadiusSearchExhausted, TailBoundInsufficient)
 from .geometry import (BoundaryArc, PointSupport, ArcSupport,
                        SawtoothRegion, StolzAngle, carleson_square, level_points,
                        mobius_shift, pseudo_distance, whitney_arcs)

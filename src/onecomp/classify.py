@@ -32,7 +32,6 @@ from .geometry import SawtoothRegion, StolzAngle
 # not called here: bench/tracer.py counts carleson_square calls through this name
 from .geometry import carleson_square  # noqa: F401
 from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
-from .measures import AtomicMeasure
 
 ONE_COMPONENT = "OneComponentEvidence"
 NOT_ONE_COMPONENT = "NotOneComponentEvidence"
@@ -115,34 +114,32 @@ def criterion_scan(theta: InnerFunction, depth: int,
 
     Samples each top half at its center and its low-angle corner; a sample z
     becomes a witness when mu(Theta)(Q(z)) is certifiably positive, and then
-    contributes its certified modulus bracket to the C* trace.
+    contributes its certified modulus bracket to the C* trace.  One
+    modulus_bounds call brackets a level's witnesses.
     """
     if depth < 2:
         raise DomainError("scan depth must be >= 2")
     if depth > MAX_DEPTH:
         raise PrecisionExhausted("scan depth %d is past %d, the deepest level "
                                  "double precision resolves" % (depth, MAX_DEPTH))
-    min_side = 0.75 * math.pi * 2.0 ** -depth
-    if theta.singular is not None:
-        sigma = theta.singular.sigma
-        if isinstance(sigma, AtomicMeasure) and sigma.tail_mass > 0.0:
-            sigma.materialize_until_tail(max(min_side ** 4, 1e-40))
-    mu = theta.mu(min_side=min_side)
+    mu = theta.mu()
 
     trace: list[float] = []
     witnesses: list[ScanWitness] = []
     crossed = False
     c_star = 0.0
     for level in range(2, depth + 1):
-        for z, mu_q in mu.positive_squares(level):
-            bounds = theta.modulus_bounds(z, EVAL_TOL)
-            if bounds.lo > 1.0 - tol:
+        points, masses = mu.positive_squares(level)
+        lower, upper = theta.modulus_bounds(points, EVAL_TOL)
+        for z, mu_q, lo, hi in zip(points.tolist(), masses.tolist(),
+                                   lower.tolist(), upper.tolist()):
+            if lo > 1.0 - tol:
                 crossed = True
-            if bounds.hi > c_star:
-                c_star = bounds.hi
+            if hi > c_star:
+                c_star = hi
                 if len(witnesses) >= 64:
                     witnesses.pop(0)
-                witnesses.append(ScanWitness(z, bounds.lo, bounds.hi, mu_q, level))
+                witnesses.append(ScanWitness(z, lo, hi, mu_q, level))
         trace.append(c_star)
 
     verdict, notes = _verdict_from_trace(trace, tol, crossed)
@@ -178,7 +175,7 @@ def _log_abs_blaschke_radial(zeros: ZeroSequence, vertex_angle: float,
 
     Works directly with zero depths u_j = 1 - |z_j| and angular offsets, so
     the value stays accurate for s far below double resolution of 1 - s.
-    Returns the materialized sum; the caller controls the tail budget.
+    Returns the sum over the listed zeros; the caller bounds the tail.
     """
     total = 0.0
     for w in zeros.zeros:
@@ -210,23 +207,16 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
     criterion scan: a rising, non-stabilizing trace is evidence that the
     limsup equals 1.
     """
-    if zeros.exhausted and zeros.tail_blaschke_sum == 0.0:
+    if zeros.tail_blaschke_sum == 0.0:
         raise HypothesisViolated("finite zero set: the radial-limit "
                                  "criterion needs infinitely many zeros")
     stolz = StolzAngle(vertex_angle, aperture)
-    zeros.materialize_count(max(len(zeros), 8))
     for w in zeros.zeros:
         if not stolz.contains(w):
             raise HypothesisViolated(
                 "not a Stolz sequence: zero %r leaves the declared aperture" % (w,))
 
     depth_grid = [2.0 ** (-k / 4.0) for k in range(16, 177)]  # 2^-4 .. 2^-44
-
-    # consume the generator until the tail cannot move any grid value by tol
-    smallest = depth_grid[-1]
-    while _tail_neg_log_bound(zeros.tail_blaschke_sum, smallest) > 0.5 * tol \
-            and not zeros.exhausted:
-        zeros.materialize_count(len(zeros) + 16)
 
     crossed = False
     sups: list[tuple[float, float]] = []
@@ -353,7 +343,7 @@ def sawtooth_test(theta: InnerFunction,
 # ---------------------------------------------------------------------------
 
 def _detect_stolz(zeros: ZeroSequence) -> Optional[tuple[float, float]]:
-    """(vertex angle, aperture) when the materialized zeros sit in a cone."""
+    """(vertex angle, aperture) when the listed zeros sit in a cone."""
     if not zeros.accumulation_angles or len(zeros.accumulation_angles) != 1:
         return None
     vertex = zeros.accumulation_angles[0]
@@ -386,8 +376,7 @@ def classify(theta: InnerFunction, depth: int, tol: float = 1e-3) -> Classificat
             name = "sawtooth"
         except HypothesisViolated:
             special = None
-    elif has_blaschke and (not theta.blaschke.zeros.exhausted
-                           or theta.blaschke.zeros.tail_blaschke_sum > 0.0):
+    elif has_blaschke and theta.blaschke.zeros.tail_blaschke_sum > 0.0:
         stolz = _detect_stolz(theta.blaschke.zeros)
         if stolz is not None:
             try:

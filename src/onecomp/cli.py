@@ -134,7 +134,8 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    horizon = _integer(args.horizon, "--horizon", least=1)
+    # the separation check needs two placed zeros
+    horizon = _integer(args.horizon, "--horizon", least=2)
     depth = _depth(args.depth, 2, MAX_DEPTH, "scan level")
     theta = _load_inner(args.inner)
     result = construct_companion(theta, horizon=horizon, depth=depth)
@@ -179,15 +180,7 @@ def cmd_measure(args) -> int:
 def cmd_seed_examples(args) -> int:
     out = args.out or "."
     for name, builder in SEEDED_FAMILY_BUILDERS.items():
-        theta = builder()
-        if theta.blaschke is not None:
-            # materialize a regression-sized prefix; the remainder stays a tail
-            theta.blaschke.zeros.materialize_count(48)
-        if theta.singular is not None:
-            sigma = theta.singular.sigma
-            if hasattr(sigma, "materialize_until_tail"):
-                sigma.materialize_until_tail(8.0 ** -64)
-        _write(out, "%s.json" % name, dumps(inner_to_json(theta)))
+        _write(out, "%s.json" % name, dumps(inner_to_json(builder())))
     sys.stdout.write("seeded %d example inputs into %s\n"
                      % (len(SEEDED_FAMILY_BUILDERS), out))
     return 0

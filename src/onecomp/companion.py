@@ -13,7 +13,7 @@ point of smallest modulus (ties to the smallest angle) and walking both
 ways, so every interior zero has exactly two neighbors at pseudohyperbolic
 distance 1/10 and the chain endpoints have one.
 
-Verification of the result is numeric evidence on the materialized prefix:
+Verification of the result is numeric evidence on the placed prefix:
 separation and Carleson box constants, criterion scans of B and of
 B * Theta, and the spot check that every scanned point with certified
 |B| > 12/21 has mu(B)(Q) = 0 exactly.  A point with mu(B)(Q) = 0 cannot
@@ -28,8 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
 from .errors import (CurveExhausted, DomainError, HypothesisViolated,
@@ -271,7 +269,7 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
     Components are visited in order of their smallest modulus.  Each march
     starts at the component's minimum-modulus point z0 and keeps one
     frontier per direction; it always advances the live frontier of smaller
-    modulus, so the materialized prefix fills in roughly by increasing
+    modulus, so the placed prefix fills in roughly by increasing
     modulus.  A frontier dies at the end of the curve.  A closed component
     marches forward only: its backward frontier starts dead, and its forward
     frontier dies before coming within one step of z0.  A component whose
@@ -359,15 +357,14 @@ def _spot_check_b(blaschke: BlaschkeProduct, mu: MuMeasure, depth: int) -> SpotC
     """Scan points where |B| stays above 12/21 must carry no mu mass.
 
     mu is B's own zero measure, so only the points that
-    mu.positive_squares lists, the ones criterion_scan(B) visits, can break
-    this.  mu has no boundary part, so positive_squares never queries a
-    level twice, and |B| is bracketed at all its points with one call, at
-    the Blaschke half of InnerFunction.modulus_bounds' 1e-9 tolerance.
+    mu.positive_squares gives, the ones criterion_scan(B) visits, can break
+    this.  |B| is bracketed at a level's points with one call, at the
+    Blaschke half of InnerFunction.modulus_bounds' 1e-9 tolerance.
     """
     checked = 0
     violations: list[complex] = []
     for level in range(2, depth + 1):
-        points = np.array([z for z, _ in mu.positive_squares(level)], dtype=np.complex128)
+        points, _ = mu.positive_squares(level)
         lower = blaschke.modulus_bounds(points, 0.5e-9).lo
         checked += len(points)
         violations += points[lower > 12.0 / 21.0].tolist()
@@ -402,13 +399,10 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
     delta, box_constant = separation_constants(zseq, len(placement.zeros))
 
     companion = InnerFunction(blaschke=BlaschkeProduct(zseq))
-    min_side = 0.75 * math.pi * 2.0 ** -depth
     merged = list(placement.zeros)
     merged_tail = 0.0
     if theta.blaschke is not None:
-        # freeze theta's zeros at the scan resolution; the remaining tail is
-        # below the smallest queried square, so mu queries stay legal
-        theta.blaschke.zeros.materialize_until_depth(min_side)
+        # B Theta's zeros: the placed ones, theta's listed ones and its tail
         merged.extend(theta.blaschke.zeros.zeros)
         merged_tail = theta.blaschke.zeros.tail_blaschke_sum
     product = InnerFunction(

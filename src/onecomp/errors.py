@@ -26,12 +26,9 @@ class PrecisionExhausted(OnecompError, RuntimeError):
         self.bracket = bracket
 
 
-class HorizonExceeded(OnecompError, RuntimeError):
-    """A measure query is finer than the materialized resolution allows."""
-
-
 class TailBoundInsufficient(OnecompError, RuntimeError):
-    """The certified tail of a truncated product cannot meet the tolerance."""
+    """A declared zero tail is too large to certify a query: a modulus
+    bracket at its tolerance, or the mass of a square smaller than it."""
 
 
 class BlaschkeConditionError(OnecompError, ValueError):

@@ -1,8 +1,10 @@
 """The example families used by the regression and acceptance suites.
 
-Each factory returns fresh objects (generators are single-use).  Radial
-families stop at the double-precision depth floor; the remaining Blaschke
-sum stays declared as a tail bound, so every truncation is certified.
+Each factory returns fresh objects.  An infinite family is a listed prefix
+plus a declared tail, the same object ``onecomp seed-examples`` writes: the
+Example 1 atoms n <= 64, whose masses stay normal doubles, the geometric
+zeros n <= 48 and the sparse zeros n <= 7, near the double-precision depth
+floor.  The tail bounds what is left, so every truncation is certified.
 """
 
 from __future__ import annotations
@@ -33,21 +35,13 @@ def example1_measure() -> AtomicMeasure:
 
     sum alpha_n theta_n^{-2} = sum 2^{-n} = 1, so the associated singular
     inner function satisfies |S(r)| >= exp(-3 (1 - r^2)) for r >= 1/2.
-    The first two atoms are listed; the rest come from the generator.
+    Atoms n <= 64 are listed; the rest, of mass 8^-64 / 7, lie in the hull
+    [0, 1/8].
     """
-    n0 = 2
-    atoms = [(2.0 ** -n, 8.0 ** -n) for n in range(1, n0 + 1)]
-
-    def gen(start=n0 + 1):
-        # cap where 8^-n stays a normal double; the remainder is the tail
-        n = start
-        while n <= 100:
-            yield (2.0 ** -n, 8.0 ** -n, (8.0 ** -n) / 7.0)
-            n += 1
-
-    return AtomicMeasure(atoms, generator=gen(),
-                         tail_mass=(8.0 ** -n0) / 7.0,
-                         tail_hull=[BoundaryArc.from_endpoints(0.0, 2.0 ** -(n0 + 1))],
+    listed = 64
+    return AtomicMeasure([(2.0 ** -n, 8.0 ** -n) for n in range(1, listed + 1)],
+                         tail_mass=(8.0 ** -listed) / 7.0,
+                         tail_hull=[BoundaryArc.from_endpoints(0.0, 2.0 ** -3)],
                          accumulation=[0.0])
 
 
@@ -60,14 +54,10 @@ def cantor_inner() -> InnerFunction:
 
 
 def radial_geometric_zeros() -> ZeroSequence:
-    """Zeros 1 - 2^{-n}, n >= 1, generated to n = 50; exact geometric tail budget."""
-
-    def gen():
-        for n in range(1, 51):
-            yield (complex(1.0 - 2.0 ** -n, 0.0), 2.0 ** -n)
-
-    return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0,
-                        ordered_by_modulus=True, accumulation_angles=[0.0])
+    """Zeros 1 - 2^{-n}, n >= 1, listed to n = 48; the exact tail 2^-48."""
+    listed = 48
+    return ZeroSequence([complex(1.0 - 2.0 ** -n, 0.0) for n in range(1, listed + 1)],
+                        tail_blaschke_sum=2.0 ** -listed, accumulation_angles=[0.0])
 
 
 def radial_geometric() -> InnerFunction:
@@ -75,15 +65,12 @@ def radial_geometric() -> InnerFunction:
 
 
 def radial_sparse_zeros() -> ZeroSequence:
-    """Zeros 1 - 2^{-n^2}, n >= 1, generated to n = 7; super-geometric gaps,
-    tail ratio -> 0."""
-
-    def gen():
-        for n in range(1, 8):
-            yield (complex(1.0 - 2.0 ** -(n * n), 0.0), 2.0 * 2.0 ** -((n + 1) ** 2))
-
-    return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0,
-                        ordered_by_modulus=True, accumulation_angles=[0.0])
+    """Zeros 1 - 2^{-n^2}, n >= 1, listed to n = 7; super-geometric gaps,
+    tail ratio -> 0, and the tail 2 * 2^-64 bounds the rest."""
+    listed = 7
+    return ZeroSequence([complex(1.0 - 2.0 ** -(n * n), 0.0) for n in range(1, listed + 1)],
+                        tail_blaschke_sum=2.0 * 2.0 ** -((listed + 1) ** 2),
+                        accumulation_angles=[0.0])
 
 
 def radial_sparse() -> InnerFunction:

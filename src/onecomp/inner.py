@@ -1,9 +1,9 @@
 """Blaschke products, singular inner functions, and their diagnostics.
 
 Modulus computations route through log space: log|Theta(z)| is reported as a
-certified interval combining the materialized Blaschke factors, a rigorous
-bound for the truncated tail, and Poisson-integral brackets for the singular
-part.  The tail bound uses
+certified interval combining the listed Blaschke factors, a rigorous bound
+for the declared tail, and Poisson-integral brackets for the singular part.
+A zero sequence is a finite list plus that tail.  The tail bound uses
 
     -sum_tail log rho <= sum_tail (1 - rho^2) / rho^2,
     1 - rho(z, w)^2 = (1-|z|^2)(1-|w|^2) / |1 - conj(w) z|^2
@@ -11,8 +11,8 @@ part.  The tail bound uses
 
 so at depth s = 1 - |z| a declared tail Blaschke sum T gives
 -sum_tail log rho <= u/(1-u) with u = 4 T (2 - s)/s (for u < 1/2; otherwise
-no bound is claimed).  The zero generator is consumed until this is below
-half the requested tolerance.  The radial-limit test in ``classify`` uses
+no bound is claimed).  A query whose tolerance this bound cannot meet
+raises TailBoundInsufficient.  The radial-limit test in ``classify`` uses
 the same bound at each depth of its grid.
 """
 
@@ -22,12 +22,12 @@ import cmath
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BlaschkeConditionError, DomainError, HorizonExceeded,
-                     OnecompError, TailBoundInsufficient)
+from .errors import (BlaschkeConditionError, DomainError, OnecompError,
+                     TailBoundInsufficient)
 from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, PointSupport,
                        SquareArrays, carleson_squares, level_points)
 from .measures import SingularMeasure
@@ -50,19 +50,11 @@ MASS_TOL = 1e-9  # tolerance of the boundary part of every mu(Q) bracket
 
 
 class ZeroSequence:
-    """Zero list with an optional generator and a certified tail budget.
-
-    The generator yields ``(zero, tail_after)`` pairs where ``tail_after``
-    bounds the Blaschke sum of everything still to come.  Materializing a
-    zero must fit the declared budget: (1 - |z|) + tail_after may not exceed
-    the previous tail bound, which makes silently divergent sequences
-    impossible to construct.
-    """
+    """A finite zero list and a declared tail: the Blaschke sum of every
+    zero not listed, 0 for a finite product."""
 
     def __init__(self, zeros: Sequence[complex] = (),
-                 generator: Optional[Iterator[tuple[complex, float]]] = None,
                  tail_blaschke_sum: float = 0.0,
-                 ordered_by_modulus: bool = False,
                  accumulation_angles: Sequence[float] = ()):
         self._zeros: list[complex] = []
         for z in zeros:
@@ -72,58 +64,12 @@ class ZeroSequence:
             self._zeros.append(z)
         if tail_blaschke_sum < 0.0:
             raise BlaschkeConditionError("tail Blaschke sum must be nonnegative")
-        self._gen = generator
         self._tail = float(tail_blaschke_sum)
-        self.ordered_by_modulus = bool(ordered_by_modulus)
         self.accumulation_angles = tuple(float(a) for a in accumulation_angles)
-        self._arr: Optional[np.ndarray] = None
-
-    # -- materialization --
-
-    def _consume_one(self) -> bool:
-        if self._gen is None:
-            return False
-        try:
-            z, tail_after = next(self._gen)
-        except StopIteration:
-            self._gen = None
-            return False
-        z = complex(z)
-        if not abs(z) < 1.0:
-            raise DomainError("generated zero leaves the open disc")
-        if tail_after < 0.0:
-            raise BlaschkeConditionError("tail bound went negative")
-        if (1.0 - abs(z)) + tail_after > self._tail + 1e-12 * (1.0 + self._tail):
-            raise BlaschkeConditionError(
-                "zero generator exceeds its declared Blaschke budget: "
-                "(1-|z|) + tail_after = %g > %g"
-                % ((1.0 - abs(z)) + tail_after, self._tail))
-        if self.ordered_by_modulus and self._zeros and abs(z) < abs(self._zeros[-1]) - 1e-15:
-            raise DomainError("generator declared ordered_by_modulus emitted a closer zero")
-        self._zeros.append(z)
-        self._tail = float(tail_after)
-        self._arr = None
-        return True
+        self._arr = np.array(self._zeros, dtype=np.complex128)
 
     def materialize_count(self, count: int) -> None:
-        while len(self._zeros) < count and self._consume_one():
-            pass
-
-    def materialize_until_depth(self, depth: float) -> None:
-        """Consume until every unlisted zero satisfies 1 - |z| <= depth.
-
-        Requires modulus ordering, since only then does the last listed zero
-        bound everything still to come.
-        """
-        if self._gen is not None and not self.ordered_by_modulus:
-            raise DomainError("depth materialization needs ordered_by_modulus")
-        while self._gen is not None:
-            if self._zeros and 1.0 - abs(self._zeros[-1]) <= depth:
-                break
-            if not self._consume_one():
-                break
-
-    # -- views --
+        """No-op: every zero is listed when the sequence is built."""
 
     @property
     def zeros(self) -> list[complex]:
@@ -133,29 +79,11 @@ class ZeroSequence:
     def tail_blaschke_sum(self) -> float:
         return self._tail
 
-    @property
-    def exhausted(self) -> bool:
-        return self._gen is None
-
     def __len__(self) -> int:
         return len(self._zeros)
 
     def as_array(self) -> np.ndarray:
-        if self._arr is None or len(self._arr) != len(self._zeros):
-            self._arr = np.array(self._zeros, dtype=np.complex128)
         return self._arr
-
-    def materialization_horizon(self) -> float:
-        """Upper bound on 1 - |z| over unlisted zeros (0 when complete)."""
-        if self._gen is None and self._tail == 0.0:
-            return 0.0
-        if self._gen is None:
-            return self._tail  # tail sum also bounds each term
-        if not self.ordered_by_modulus:
-            return math.inf
-        if not self._zeros:
-            return min(1.0, self._tail) if self._tail else 1.0
-        return min(1.0 - abs(self._zeros[-1]), self._tail if self._tail else math.inf)
 
 
 def blaschke_factor(w: complex, z: complex) -> complex:
@@ -185,16 +113,14 @@ class BlaschkeProduct:
         self.zeros = zeros
 
     def _ensure_tail(self, z_abs: float, budget: float) -> float:
-        zs = self.zeros
-        while True:
-            bound = _tail_neg_log_bound(zs.tail_blaschke_sum, 1.0 - z_abs)
-            if bound <= budget:
-                return bound
-            if zs.exhausted:
-                raise TailBoundInsufficient(
-                    "certified tail %g exceeds budget %g at |z| = %g"
-                    % (bound, budget, z_abs))
-            zs.materialize_count(len(zs) + 16)
+        """The declared tail's bound at |z| = z_abs; raises when it exceeds
+        the budget."""
+        bound = _tail_neg_log_bound(self.zeros.tail_blaschke_sum, 1.0 - z_abs)
+        if bound > budget:
+            raise TailBoundInsufficient(
+                "certified tail %g exceeds budget %g at |z| = %g"
+                % (bound, budget, z_abs))
+        return bound
 
     def _log_sum(self, z: complex) -> float:
         """sum log|w - z| - log|1 - conj(w) z| over the listed zeros w;
@@ -239,18 +165,15 @@ class BlaschkeProduct:
     def modulus_bounds(self, z: complex, tol: float = 1e-9) -> Interval:
         """Certified bracket for |B(z)| at value scale.
 
-        Cheaper than exp(log_modulus) when the materialized product is
-        already below tol: the unmaterialized tail only shrinks the modulus,
-        so (0, exp(sum)) is certified without consuming the generator.
+        Cheaper than exp(log_modulus) when the listed product is already
+        below tol: the tail only shrinks the modulus, so (0, exp(sum)) is
+        certified without a tail bound.
 
         A 1-D complex array z gives Interval(lower array, upper array), each
-        entry the bits of the per-point call, with the zeros listed in the
-        same order.  The array is bracketed in prefixes: one _log_sums call,
-        math.exp of each sum, and the tail bound and its budget as arrays
-        answer every point up to the first whose tail needs more zeros
-        listed.  That point goes alone through the scalar bracket, which
-        lists them (or raises, with the point's index as ``index``), and
-        the rest of the array is summed again.
+        entry the bits of the per-point call: one _log_sums call, math.exp
+        of each sum, and the tail bound and its budget as arrays.  The
+        first point whose budget fails raises the per-point call's error,
+        with the point's index as ``index``.
         """
         if isinstance(z, np.ndarray):
             return self._modulus_bounds_many(z, tol)
@@ -263,63 +186,52 @@ class BlaschkeProduct:
         moduli = np.hypot(points.real, points.imag)  # abs()'s bits
         if not (moduli < 1.0).all():
             raise DomainError("modulus bounds require |z| < 1")
-        lower, upper = np.empty(len(points)), np.empty(len(points))
-        i = 0
-        while i < len(points):
-            sums = self._log_sums(points[i:])
-            # math.exp per entry: np.exp can differ in the last bit
-            up = np.array(list(map(math.exp, sums.tolist())))
-            tail, depth = self.zeros.tail_blaschke_sum, 1.0 - moduli[i:]
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                # _tail_neg_log_bound and _bracket's tests, entry by entry
-                bound = np.zeros(len(depth))
-                if tail != 0.0:
-                    u = 4.0 * tail * (2.0 - depth) / depth
-                    bound = np.where(u >= 0.5, math.inf, u / (1.0 - u))
-                small = (sums == -math.inf) | (up <= 0.5 * tol)
-                met = bound <= np.maximum(1e-15, 0.5 * tol / up)
-            # answer every point up to the first whose tail needs more zeros
-            answered = small | met
-            stop = len(sums) if answered.all() else int(np.argmin(answered))
-            lo = np.array(list(map(math.exp, (sums[:stop] - bound[:stop]).tolist())))
-            lo[small[:stop]] = 0.0
-            lower[i:i + stop], upper[i:i + stop] = lo, up[:stop]
-            i += stop
-            if i < len(points):
-                z = complex(points[i])
-                try:
-                    lower[i], upper[i] = self._bracket(z, float(sums[stop]), tol)
-                except OnecompError as err:
-                    err.index = i
-                    raise
-                i += 1
+        sums = self._log_sums(points)
+        # math.exp per entry: np.exp can differ in the last bit
+        upper = np.array(list(map(math.exp, sums.tolist())))
+        tail, depth = self.zeros.tail_blaschke_sum, 1.0 - moduli
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # _tail_neg_log_bound and _bracket's tests, entry by entry
+            bound = np.zeros(len(depth))
+            if tail != 0.0:
+                u = 4.0 * tail * (2.0 - depth) / depth
+                bound = np.where(u >= 0.5, math.inf, u / (1.0 - u))
+            small = (sums == -math.inf) | (upper <= 0.5 * tol)
+            met = bound <= np.maximum(1e-15, 0.5 * tol / upper)
+        failed = np.flatnonzero(~(small | met))
+        if failed.size:
+            # the per-point call raises there, with its message
+            i = int(failed[0])
+            try:
+                self._bracket(complex(points[i]), float(sums[i]), tol)
+            except OnecompError as err:
+                err.index = i
+                raise
+        lower = np.array(list(map(math.exp, (sums - bound).tolist())))
+        lower[small] = 0.0
         return Interval(lower, upper)
 
     def _bracket(self, z: complex, s: float, tol: float) -> Interval:
-        """modulus_bounds from the log sum s over the listed zeros, summed
-        again when certifying the tail lists more zeros."""
+        """modulus_bounds from the log sum s over the listed zeros."""
         upper = math.exp(s)
         if s == -math.inf or upper <= 0.5 * tol:
             return Interval(0.0, upper)
         # value-scale budget: a log-width d gives value width <= upper * d
         log_budget = max(1e-15, 0.5 * tol / upper)
-        listed = len(self.zeros)
         tail_bound = self._ensure_tail(abs(z), log_budget)
-        if len(self.zeros) > listed:
-            s = self._log_sum(z)
-        return Interval(math.exp(s - tail_bound), math.exp(s))
+        return Interval(math.exp(s - tail_bound), upper)
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
-        """Value of the materialized (tol-truncated) product.
+        """Value of the product of the listed zeros, once the declared tail
+        is certified below tol.
 
         Interior points always work; closed-disc points (|z| = 1) are
-        admitted for fully materialized finite products, where the formula
-        extends analytically.
+        admitted for finite products, where the formula extends
+        analytically.
         """
         z = complex(z)
         if not abs(z) < 1.0:
-            if not (self.zeros.exhausted and self.zeros.tail_blaschke_sum == 0.0
-                    and abs(z) <= 1.0 + 1e-12):
+            if not (self.zeros.tail_blaschke_sum == 0.0 and abs(z) <= 1.0 + 1e-12):
                 raise DomainError("boundary evaluation needs a finite product")
         else:
             self._ensure_tail(abs(z), 0.5 * tol)
@@ -346,12 +258,11 @@ class SingularInner:
         actually needs: when P is large, |S| is already pinned near 0.
 
         A 1-D complex array z gives Interval(lower array, upper array), each
-        entry the bits of the per-point call, with the atoms listed in the
-        same order.  The coarse pass is one poisson_bounds_many call; the
-        fine pass runs point by point where the coarse bracket is wider
-        than tol.  When a fine pass lists more atoms, the coarse brackets of
-        the rest of the array are asked again, and a point that
-        poisson_bounds_many leaves out is taken alone.
+        entry the bits of the per-point call.  The coarse pass is one
+        poisson_bounds_many call; the fine pass runs point by point where
+        the coarse bracket is wider than tol.  A point that
+        poisson_bounds_many leaves out, whose coarse pass raises, is taken
+        alone after the points before it.
         """
         if isinstance(z, np.ndarray):
             return self._modulus_bounds_many(z, tol)
@@ -362,17 +273,13 @@ class SingularInner:
         lower, upper = np.empty(len(points)), np.empty(len(points))
         i = 0
         while i < len(points):
-            atoms = self.sigma.atom_count
             lo, hi = self.sigma.poisson_bounds_many(points[i:], 0.25)
-            coarse = list(zip(lo.tolist(), hi.tolist()))
-            if not coarse:
-                # its coarse pass lists atoms or fails: the point goes alone
-                coarse = [self.sigma.poisson_bounds(complex(points[i]), tol=0.25)]
+            # empty when the coarse pass fails at point i: it goes alone
+            coarse = list(zip(lo.tolist(), hi.tolist())) or \
+                [self.sigma.poisson_bounds(complex(points[i]), tol=0.25)]
             for plo, phi in coarse:
                 lower[i], upper[i] = self._refine(complex(points[i]), plo, phi, tol)
                 i += 1
-                if self.sigma.atom_count != atoms:
-                    break
         return Interval(lower, upper)
 
     def _refine(self, z: complex, plo: float, phi: float, tol: float) -> Interval:
@@ -395,8 +302,9 @@ class MuMeasure:
     Zero radii, angles in [0, 2 pi) and weights are stored as arrays once.
     A square query masks the zeros within the square's angular half-window
     of its center and at or above its base modulus, and sums their weights
-    exactly with math.fsum.  Queries finer than the recorded
-    materialization horizon raise instead of silently undercounting.
+    exactly with math.fsum.  A square smaller than the declared zero tail,
+    which may hide unlisted zeros of that depth, raises instead of
+    silently undercounting.
     Many squares, such as one scan level's, are answered by one batched
     call; a single square is a one-row batch.  The boundary part's masses
     are bracketed to MASS_TOL.
@@ -426,31 +334,19 @@ class MuMeasure:
             lower[s:s + len(block)] = self._squares_bounds(carleson_squares(block))[0]
         return lower
 
-    def positive_squares(self, level: int) -> Iterator[tuple[complex, float]]:
-        """(point, lower mass) of the scan points of a level (level_points)
-        whose Carleson square has certifiably positive mass, in point order.
+    def positive_squares(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """(points, lower masses) of the scan points of a level
+        (level_points) whose Carleson square has certifiably positive mass,
+        in point order.
 
         Only the points next to listed mass (_live_points) are built and
         queried, and point 0, whose square stands for the level's side in
-        the horizon check.  The caller may evaluate Theta between items,
-        and that can list more boundary atoms; the remaining points are then
-        chosen and queried again, so each mass equals a query made at that
-        moment.
+        the horizon check.
         """
-        start = 0
-        while True:
-            atoms = self.boundary.atom_count if self.boundary is not None else 0
-            index = self._live_points(level)
-            index = index[index >= start] if start else np.union1d(index, [0])
-            points = level_points(level, index)
-            lower = self.lower_masses(points)
-            for i in np.flatnonzero(lower > 0.0).tolist():
-                yield complex(points[i]), float(lower[i])
-                if self.boundary is not None and self.boundary.atom_count != atoms:
-                    start = int(index[i]) + 1
-                    break
-            else:
-                return
+        points = level_points(level, np.union1d(self._live_points(level), [0]))
+        lower = self.lower_masses(points)
+        positive = lower > 0.0
+        return points[positive], lower[positive]
 
     def _live_points(self, level: int) -> np.ndarray:
         """Sorted positions, in level_points order, of the level's points
@@ -481,9 +377,9 @@ class MuMeasure:
     def _squares_bounds(self, sq: SquareArrays) -> tuple[np.ndarray, np.ndarray]:
         short = np.flatnonzero(~sq.whole_disc & (sq.side < self.horizon))
         if short.size:
-            raise HorizonExceeded(
-                "square side %g below materialization horizon %g"
-                % (sq.side[short[0]], self.horizon))
+            raise TailBoundInsufficient(
+                "zeros_tail_blaschke_sum %g exceeds the square side %g"
+                % (self.horizon, sq.side[short[0]]))
         total = np.zeros(len(sq.side))
         # a zero below every square's base modulus is in none of them
         keep = self._radii >= sq.base_modulus.min(initial=math.inf)
@@ -522,7 +418,6 @@ class InnerFunction:
     @property
     def is_constant(self) -> bool:
         no_zeros = self.blaschke is None or (len(self.blaschke.zeros) == 0
-                                             and self.blaschke.zeros.exhausted
                                              and self.blaschke.zeros.tail_blaschke_sum == 0.0)
         return no_zeros and self.singular is None
 
@@ -547,9 +442,9 @@ class InnerFunction:
         Part brackets are subsets of [0, 1], so their product has width at
         most the sum of the part widths.  A 1-D complex array z gives
         Interval(lower array, upper array), as the parts do; with no part
-        the bracket stays (1.0, 1.0).
+        the bracket is (1.0, 1.0), or arrays of ones.
         """
-        lo = hi = 1.0
+        lo = hi = np.ones(len(z)) if isinstance(z, np.ndarray) else 1.0
         if self.blaschke is not None:
             try:
                 part = self.blaschke.modulus_bounds(z, 0.5 * tol)
@@ -559,12 +454,10 @@ class InnerFunction:
                     # point before the failing one, and may fail first
                     self.singular.modulus_bounds(z[:err.index], 0.5 * tol)
                 raise
-            lo *= part.lo
-            hi *= part.hi
+            lo, hi = lo * part.lo, hi * part.hi
         if self.singular is not None:
             part = self.singular.modulus_bounds(z, 0.5 * tol)
-            lo *= part.lo
-            hi *= part.hi
+            lo, hi = lo * part.lo, hi * part.hi
         return Interval(lo, hi)
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
@@ -575,17 +468,15 @@ class InnerFunction:
             val *= self.singular.evaluate(z, 0.5 * tol)
         return val
 
-    def mu(self, min_side: float = 0.0) -> MuMeasure:
-        """The measure mu(Theta), materialized so that every zero with
-        1 - |z| >= min_side is listed."""
+    def mu(self) -> MuMeasure:
+        """The measure mu(Theta); its horizon is the declared zero tail,
+        which bounds 1 - |z| of every unlisted zero."""
         atoms: list[tuple[complex, float]] = []
         horizon = 0.0
         if self.blaschke is not None:
             zs = self.blaschke.zeros
-            if min_side > 0.0:
-                zs.materialize_until_depth(min_side)
             atoms = [(z, 1.0 - abs(z)) for z in zs.zeros]
-            horizon = zs.materialization_horizon()
+            horizon = zs.tail_blaschke_sum
         boundary = self.singular.sigma if self.singular is not None else None
         return MuMeasure(atoms, boundary, horizon)
 
@@ -650,12 +541,11 @@ class UnionSupport(BoundarySupport):
 def separation_constants(zeros: ZeroSequence, horizon: int) -> tuple[float, float]:
     """(min pairwise rho, Carleson dyadic box constant) over a finite prefix.
 
-    Both numbers are evidence computed on the materialized prefix, not
-    proofs for infinite families.  The box constant is the maximum over
+    Both numbers are evidence computed on the listed prefix, not proofs
+    for infinite families.  The box constant is the maximum over
     dyadic boxes Q_{n,k} (depths 2 up to the scale of the shallowest zero)
     of sum_{z_j in Q} (1 - |z_j|) / l(Q) with l(Q) the angular side.
     """
-    zeros.materialize_count(horizon)
     pts = np.array(zeros.zeros[:horizon], dtype=np.complex128)
     if pts.size < 2:
         raise DomainError("separation needs at least two zeros")

@@ -2,9 +2,9 @@
 
 Three variants are provided:
 
-- ``AtomicMeasure``: finite or lazily truncated sums of point masses.
-  Truncations carry an explicit tail-mass bound, and integral outputs carry
-  the tail contribution as a certified error interval.
+- ``AtomicMeasure``: a finite list of point masses plus a declared tail
+  mass for the atoms not listed; integral outputs carry the tail's
+  contribution as a certified error interval.
 - ``CantorMeasure``: symmetric Cantor measure built from a strictly
   decreasing sequence ``delta_n`` (delta_0 = 2 pi).  Generation n consists of
   2^n intervals of length 2^{-n} delta_n, each carrying mass exactly 2^{-n};
@@ -28,7 +28,7 @@ import cmath
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,11 +116,6 @@ class SingularMeasure:
         default."""
         return np.array([0.0]), np.array([TWO_PI])
 
-    @property
-    def atom_count(self) -> int:
-        """Materialized atoms; it grows only where atoms are listed lazily."""
-        return 0
-
     def poisson_integral(self, z: complex, tol: float = 1e-9) -> float:
         lo, hi = self.poisson_bounds(z, tol)
         return 0.5 * (lo + hi)
@@ -131,13 +126,11 @@ class SingularMeasure:
     def poisson_bounds_many(self, points: np.ndarray, tol: float
                             ) -> tuple[np.ndarray, np.ndarray]:
         """poisson_bounds of the points of a complex array in turn, as a
-        lower-end array and an upper-end array, for the leading points that
-        the atoms listed now answer.
+        lower-end array and an upper-end array.
 
-        The arrays stop before the first point whose call would list more
-        atoms or raise PrecisionExhausted; the caller takes that point alone
-        with poisson_bounds.  So a caller may run other queries between the
-        points, as long as it asks again for the rest once atom_count moves.
+        The arrays stop before the first point whose call would raise
+        PrecisionExhausted; the caller takes that point alone with
+        poisson_bounds, after any work it does at the points before it.
         """
         bounds = []
         for z in points.tolist():
@@ -157,17 +150,15 @@ class SingularMeasure:
 # ---------------------------------------------------------------------------
 
 class AtomicMeasure(SingularMeasure):
-    """Sum of point masses, possibly an explicit truncation of an infinite sum.
+    """Sum of point masses: the listed atoms plus a declared tail.
 
-    ``generator`` yields (theta, mass, tail_after) triples; ``tail_after`` is
-    an upper bound for the total mass still to come and must decrease
-    consistently.  ``tail_hull`` optionally locates all unmaterialized atoms
-    inside known arcs, and ``accumulation`` declares limit angles, so the
-    closed support can be queried without materializing everything.
+    ``tail_mass`` bounds the total mass of the atoms not listed, 0 for a
+    finite sum.  ``tail_hull`` optionally locates all of them inside known
+    arcs, and ``accumulation`` declares limit angles, so the closed support
+    of an infinite sum can be queried.
     """
 
     def __init__(self, atoms: Sequence[tuple[float, float]],
-                 generator: Optional[Iterator[tuple[float, float, float]]] = None,
                  tail_mass: float = 0.0,
                  tail_hull: Sequence[BoundaryArc] = (),
                  accumulation: Sequence[float] = ()):
@@ -183,12 +174,9 @@ class AtomicMeasure(SingularMeasure):
             self._atoms.append((key, float(mass)))
         if tail_mass < 0.0:
             raise DomainError("tail mass bound must be nonnegative")
-        self._gen = generator
         self._tail = float(tail_mass)
         self._hull = tuple(tail_hull)
         self._accumulation = tuple(float(a) for a in accumulation)
-
-    # -- materialization --
 
     @property
     def tail_mass(self) -> float:
@@ -198,21 +186,6 @@ class AtomicMeasure(SingularMeasure):
     def atoms(self) -> list[tuple[float, float]]:
         return list(self._atoms)
 
-    def materialize_until_tail(self, bound: float) -> None:
-        """Consume the generator until the declared tail is <= bound."""
-        while self._tail > bound and self._gen is not None:
-            try:
-                theta, mass, tail_after = next(self._gen)
-            except StopIteration:
-                self._gen = None
-                break
-            if mass <= 0.0:
-                raise DomainError("atom masses must be positive")
-            if mass + tail_after > self._tail + 1e-12 * (1.0 + self._tail):
-                raise DomainError("atom generator exceeds its declared tail budget")
-            self._atoms.append((angle_mod(float(theta)), float(mass)))
-            self._tail = float(tail_after)
-
     # -- queries --
 
     def total_mass(self) -> float:
@@ -221,10 +194,6 @@ class AtomicMeasure(SingularMeasure):
     def support(self) -> BoundarySupport:
         return PointSupport.of([t for t, _ in self._atoms],
                                accumulation=self._accumulation, hull=self._hull)
-
-    @property
-    def atom_count(self) -> int:
-        return len(self._atoms)
 
     def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
         # the tail counts only toward upper ends: listed atoms alone
@@ -264,8 +233,6 @@ class AtomicMeasure(SingularMeasure):
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
         z = _check_interior(z)
         max_kernel = (1.0 + abs(z)) / (1.0 - abs(z))
-        if self._gen is not None:
-            self.materialize_until_tail(0.5 * tol / max_kernel)
         total = math.fsum(m * poisson_kernel(z, t) for t, m in self._atoms)
         slack = self._tail * max_kernel
         if slack > tol:
@@ -279,7 +246,7 @@ class AtomicMeasure(SingularMeasure):
         """A point x atom matrix of the terms m P(z, t) of poisson_bounds, in
         row blocks of about BLOCK_ELEMENTS, each row added with math.fsum as
         poisson_bounds adds its terms; it stops before a point whose tail
-        must be listed further or cannot meet tol.  e^{i t} is taken once
+        cannot meet tol.  e^{i t} is taken once
         per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
         np.float_power, which match abs(complex) and float ** 2; np.abs on
         complex128 and squaring by multiplication differ from them in the
@@ -300,8 +267,7 @@ class AtomicMeasure(SingularMeasure):
             for z_abs, row in zip(block, terms):
                 max_kernel = (1.0 + z_abs) / (1.0 - z_abs)
                 slack = self._tail * max_kernel
-                if slack > tol or (self._gen is not None
-                                   and self._tail > 0.5 * tol / max_kernel):
+                if slack > tol:
                     return np.array(lower), np.array(upper)
                 total = math.fsum(row.tolist())
                 lower.append(total)
@@ -311,8 +277,6 @@ class AtomicMeasure(SingularMeasure):
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)
         max_kernel = (1.0 + abs(z)) / (1.0 - abs(z))
-        if self._gen is not None:
-            self.materialize_until_tail(0.5 * tol / max_kernel)
         if self._tail * max_kernel > tol:
             raise PrecisionExhausted(
                 "atomic tail bound %g cannot meet tol %g" % (self._tail, tol))
@@ -478,7 +442,7 @@ class CantorMeasure(SingularMeasure):
         stabilizes, the summed error is below tol.  Children are derived
         from parent endpoints directly (float endpoints, exact masses
         2^{-n}), so deep refinement near the kernel peak stays local and
-        never materializes a whole generation.
+        never builds a whole generation.
         """
         base = self.generation(2)
         n = np.full(len(base), 2, dtype=np.int64)

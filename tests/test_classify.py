@@ -12,7 +12,7 @@ from onecomp.classify import (EVAL_TOL, INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONE
                               ONE_COMPONENT, classify, criterion_scan,
                               radial_limit_test, sawtooth_test)
 from onecomp.errors import HypothesisViolated, PrecisionExhausted
-from onecomp.geometry import TWO_PI, SawtoothRegion, carleson_square
+from onecomp.geometry import TWO_PI, BoundaryArc, SawtoothRegion, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
 from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
 from onecomp.serialize import inner_from_json, inner_to_json
@@ -54,8 +54,7 @@ class TestCriterionScan:
         rep = criterion_scan(families.example1(), depth=13)
         assert rep.verdict == NOT_ONE_COMPONENT
         theta = families.example1()
-        theta.singular.sigma.materialize_until_tail(8.0 ** -30)
-        mu = theta.mu(min_side=0.75 * math.pi * 2.0 ** -13)
+        mu = theta.mu()
         for w in rep.witnesses[-5:]:
             square = carleson_square(w.z)
             lo, _ = mu.of_square_bounds(square)
@@ -129,13 +128,8 @@ class TestRadialLimit:
     def test_non_stolz_zero_rejected(self):
         # zeros accumulate tangentially to the vertex at angle 0.1, so they
         # eventually leave every Stolz angle with vertex at angle 0
-        def gen():
-            n = 1
-            while n <= 30:
-                yield ((1.0 - 2.0 ** -n) * cmath.exp(0.1j), 2.0 ** -n)
-                n += 1
-
-        zs = ZeroSequence(generator=gen(), tail_blaschke_sum=1.0)
+        zs = ZeroSequence([(1.0 - 2.0 ** -n) * cmath.exp(0.1j) for n in range(1, 31)],
+                          tail_blaschke_sum=2.0 ** -30)
         with pytest.raises(HypothesisViolated, match="Stolz"):
             radial_limit_test(zs, 0.0, aperture=2.0)
 
@@ -207,9 +201,7 @@ def reference_sawtooth_trace(theta, r_levels=None):
 def seeded_family(name, seed):
     """A seeded family as the benchmark feeds it: its input document turned
     by the seed's angle."""
-    theta = families.SEEDED_FAMILY_BUILDERS[name]()
-    theta.singular.sigma.materialize_until_tail(8.0 ** -64)   # as seed-examples does
-    doc = inner_to_json(theta)
+    doc = inner_to_json(families.SEEDED_FAMILY_BUILDERS[name]())
     return inner_from_json(bench_inputs.rotate_inner_doc(doc, bench_inputs.seed_angle(seed)))
 
 
@@ -224,17 +216,13 @@ class TestSawtoothBatched:
         assert any(got)
 
     @pytest.mark.parametrize("make", [
-        families.example1,
         lambda: seeded_family("example1", 0),
         lambda: InnerFunction(blaschke=BlaschkeProduct([0.9, 0.5 * cmath.exp(3.0j)]),
                               singular=SingularInner(AtomicMeasure([(0.0, 1.0), (3.0, 0.5)])))],
-        ids=["example1_generator", "example1_listed", "zeros_and_atoms"])
+        ids=["example1_listed", "zeros_and_atoms"])
     def test_listed_and_lazy_atoms(self, make):
-        theta = make()
-        got = sawtooth_test(theta).trace
-        reference = make()
-        assert got == reference_sawtooth_trace(reference)
-        assert theta.singular.sigma.atom_count == reference.singular.sigma.atom_count
+        got = sawtooth_test(make()).trace
+        assert got == reference_sawtooth_trace(make())
 
     @pytest.mark.parametrize("measure", [
         lambda: CantorMeasure.from_removed_fraction(Fraction(1, 2)),
@@ -247,13 +235,17 @@ class TestSawtoothBatched:
         assert any(got)
 
     def test_precision_exhausted_as_per_point(self):
-        # Example 1 with its two first atoms and the rest as a tail that no
-        # generator can list: the first bracket that cannot meet its tol
-        theta = inner_from_json(inner_to_json(families.example1()))
+        # Example 1 with its two first atoms and the rest, of mass 8^-2 / 7,
+        # as a tail: the first bracket that cannot meet its tol
+        def truncated():
+            return InnerFunction(singular=SingularInner(AtomicMeasure(
+                [(0.5, 0.125), (0.25, 0.015625)], tail_mass=0.015625 / 7.0,
+                tail_hull=[BoundaryArc.from_endpoints(0.0, 0.125)], accumulation=[0.0])))
+
         with pytest.raises(PrecisionExhausted) as batched:
-            sawtooth_test(theta)
+            sawtooth_test(truncated())
         with pytest.raises(PrecisionExhausted) as reference:
-            reference_sawtooth_trace(inner_from_json(inner_to_json(families.example1())))
+            reference_sawtooth_trace(truncated())
         assert str(batched.value) == str(reference.value)
         assert batched.value.bracket == reference.value.bracket
 

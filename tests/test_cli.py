@@ -8,10 +8,12 @@ import sys
 import pytest
 
 from onecomp import cli
-from onecomp.classify import MAX_DEPTH
+from onecomp.classify import MAX_DEPTH, classify
 from onecomp.cli import main
+from onecomp.families import SEEDED_FAMILY_BUILDERS
 from onecomp.inner import dump_zeros_csv, load_zeros_csv
 from onecomp.levelset import MAX_DEPTH as LEVEL_SET_MAX_DEPTH
+from onecomp.serialize import dumps
 
 
 def run_cli(args, capsys):
@@ -41,6 +43,36 @@ class TestSeedExamples:
     def test_seeded_files_parse(self, seeds):
         for p in seeds.iterdir():
             json.loads(p.read_text())
+
+    # sha256 of each file, recorded when seed-examples still listed each
+    # family's prefix from a generator before writing it
+    SEEDED = {
+        "atom1.json": "c392f50ce18c16d2ab6b56836356ed6ee2cbd90b14558808c9ac11f87991ddd5",
+        "atoms2.json": "7c4c6aedf0dbeaa2a2c428a2fd2a3e82017c00f4b2acf4e209da3cb5546d11ba",
+        "cantor.json": "67e36757165c6f774303f32871deae2209020195a6a13d54897a10a4552d8441",
+        "example1.json": "61a520efca9f902ab6d0c570188d092b579a31fdd0230e25bfee890f46c962cf",
+        "radial_geometric.json":
+            "cef65ce4954c2fd94377105584e86d33cf564487c99060f560c899833caaca1f",
+        "radial_sparse.json":
+            "7dfe95df7660eb924e37a69c60eed69359d4e3fe82a29d036911155b3917979d",
+    }
+
+    def test_golden_seeded_files(self, seeds):
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in seeds.iterdir()} == self.SEEDED
+
+    # not cantor: its sawtooth test takes about 30 s at any depth, and its
+    # file is the label "middle-thirds", which the golden above pins
+    @pytest.mark.parametrize("name", ["atom1", "atoms2", "example1",
+                                      "radial_geometric", "radial_sparse"])
+    def test_seeded_file_classifies_as_the_family(self, name, seeds, capsys):
+        code, out, _ = run_cli(["classify", "--inner", str(seeds / (name + ".json")),
+                                "--depth", "14"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        del doc["metadata"]
+        report = classify(SEEDED_FAMILY_BUILDERS[name](), 14).to_json_dict()
+        assert doc == json.loads(dumps(report))
 
 
 class TestClassifyCommand:
@@ -272,6 +304,18 @@ class TestErrorHandling:
         assert code == 3
         assert err.count("\n") == 1 and "tail" in err
 
+    def test_zero_tail_larger_than_a_scan_square_exit_code(self, capsys, tmp_path):
+        # the tail 2 exceeds the side of level 2's squares, so their zero
+        # mass is not certified: exit 3, naming the input field
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n",
+                                    "zeros_tail_blaschke_sum": "2"}))
+        code, out, err = run_cli(["classify", "--inner", str(path), "--depth", "4"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err == ("precision exhausted: zeros_tail_blaschke_sum 2 exceeds "
+                       "the square side 0.589049\n")
+
     @pytest.mark.parametrize("delta", ["1e-300", "1e-10"])
     def test_collapsed_cantor_generations_exit_code(self, delta, capsys, tmp_path):
         # generation 2's intervals, 4e-602 and 4e-22 radians wide, round to
@@ -446,8 +490,19 @@ class TestInputValidation:
     ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
     def test_shallow_depth_rejected_before_evaluation(self, args, least, capsys,
                                                       tmp_path, monkeypatch):
+        self.rejected_before_evaluation(args, "--depth", least, capsys, tmp_path,
+                                        monkeypatch)
+
+    def test_one_zero_horizon_rejected_before_evaluation(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # the separation check of the placed zeros needs two of them
+        self.rejected_before_evaluation(["construct", "--horizon", "1", "--depth", "4"],
+                                        "--horizon", 2, capsys, tmp_path, monkeypatch)
+
+    @staticmethod
+    def rejected_before_evaluation(args, option, least, capsys, tmp_path, monkeypatch):
         def evaluation(*_args, **_kwargs):
-            raise AssertionError("evaluated before --depth was checked")
+            raise AssertionError("evaluated before %s was checked" % option)
 
         for name in ("classify", "level_set_components", "construct_companion",
                      "_load_inner"):
@@ -458,7 +513,7 @@ class TestInputValidation:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert "--depth" in err and "at least %d" % least in err
+        assert option in err and "at least %d" % least in err
 
     @staticmethod
     def deep_depth_rejected_before_loading(command, evaluator, cap, depth, capsys,

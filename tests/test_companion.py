@@ -227,7 +227,7 @@ class TestConstructCompanion:
 
     def test_radial_zeros_theta(self):
         # sing Theta = {1}: zeros of Theta on the positive real axis stay
-        # below the curve; the cutoff is matched to the generator's depth cap
+        # below the curve; the cutoff is matched to the scan depth
         theta = families.radial_geometric()
         result = construct_companion(theta, horizon=300, depth=9,
                                      cutoff=TWO_PI * 2.0 ** -9)

@@ -8,9 +8,7 @@ import pytest
 
 from onecomp.classify import EVAL_TOL, criterion_scan
 from onecomp.companion import construct_companion
-from onecomp.errors import (BlaschkeConditionError, DomainError,
-                            HorizonExceeded, PrecisionExhausted,
-                            TailBoundInsufficient)
+from onecomp.errors import DomainError, PrecisionExhausted, TailBoundInsufficient
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
                               radial_geometric, radial_geometric_zeros,
                               radial_sparse, single_atom, two_atoms)
@@ -47,6 +45,7 @@ class TestLogModulus:
         assert tuple(b.modulus_bounds(0.5)) == (0.0, 0.0)
 
     def test_tail_bound_insufficient_without_generator(self):
+        # a declared tail too large for the tolerance raises
         zs = ZeroSequence([0.5], tail_blaschke_sum=0.2)
         b = BlaschkeProduct(zs)
         with pytest.raises(TailBoundInsufficient):
@@ -115,32 +114,23 @@ class TestEvaluate:
 
 class TestCertifiedTails:
     def test_interval_contains_doubled_truncation(self):
+        # the geometric zeros n <= 32 with their exact tail 2^-32 against all
+        # 48 listed zeros, whose tail 2^-48 is bracketed at tol / 1000
+        full = radial_geometric_zeros()
+        prefix = ZeroSequence(full.zeros[:32], tail_blaschke_sum=2.0 ** -32)
+        assert len(full) == 48
         rng = np.random.default_rng(21)
-        failures = 0
+        failures = moved = 0
         for _ in range(1000):
             z = 0.8 * math.sqrt(rng.random()) * cmath.exp(1j * TWO_PI * rng.random())
             tol = 10.0 ** (-3 - 4 * rng.random())
-            zs = radial_geometric_zeros()
-            b = BlaschkeProduct(zs)
-            iv = b.log_modulus(z, tol)
-            n = len(zs)
-            zs2 = radial_geometric_zeros()
-            zs2.materialize_count(2 * n)
-            fine = BlaschkeProduct(zs2).log_modulus(z, tol * 1e-3)
+            iv = BlaschkeProduct(prefix).log_modulus(z, tol)
+            fine = BlaschkeProduct(full).log_modulus(z, tol * 1e-3)
             if not (iv.lo - 1e-13 <= fine.mid <= iv.hi + 1e-13):
                 failures += 1
-        assert failures == 0
-
-    def test_budget_violation_rejected(self):
-        def bad_gen():
-            n = 1
-            while True:
-                yield (complex(1.0 - 2.0 ** -n, 0.0), 1.0)  # tail never shrinks
-                n += 1
-
-        zs = ZeroSequence(generator=bad_gen(), tail_blaschke_sum=1.0)
-        with pytest.raises(BlaschkeConditionError):
-            zs.materialize_count(10)
+            # the zeros past the prefix move the sum off the prefix's own
+            moved += fine.mid < iv.hi - 1e-13
+        assert failures == 0 and moved == 1000
 
 
 class TestTailBound:
@@ -209,17 +199,12 @@ class TestMu:
         assert mu.of_square_bounds(carleson_square(0.9)) == (0.0, 0.0)
 
     def test_horizon_error_on_fine_queries(self):
-        zs = radial_geometric_zeros()
-        zs.materialize_count(4)          # listed down to 1 - 2^-4
-
-        def frozen():
-            yield from ()
-
-        partial = ZeroSequence(zs.zeros, generator=iter([(complex(1 - 2.0 ** -5, 0), 2.0 ** -5)]),
-                               tail_blaschke_sum=2.0 ** -4, ordered_by_modulus=True)
-        theta = InnerFunction(blaschke=BlaschkeProduct(partial))
-        mu = theta.mu(min_side=2.0 ** -4)
-        with pytest.raises(HorizonExceeded):
+        # zeros listed down to 1 - 2^-4, then the declared tail 2^-4: a
+        # square smaller than the tail raises, naming the input field
+        partial = ZeroSequence(radial_geometric_zeros().zeros[:4], tail_blaschke_sum=2.0 ** -4)
+        mu = InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
+        assert mu.of_square_bounds(carleson_square(1.0 - 2.0 ** -4))[0] > 0.0
+        with pytest.raises(TailBoundInsufficient, match="zeros_tail_blaschke_sum 0.0625 "):
             mu.of_square_bounds(carleson_square(1.0 - 2.0 ** -9))
 
     def test_window_matches_member_loop(self, companion200):
@@ -234,7 +219,6 @@ class TestMu:
             return angular_gap(cmath.phase(w) if aw > 0.0 else 0.0, center) <= half
 
         geometric = radial_geometric_zeros()
-        geometric.materialize_count(50)
         squares = [carleson_square(0.0)] + [
             carleson_square(z) for level in range(2, 11)
             for z in level_points(level).tolist()]
@@ -262,8 +246,8 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
     boundary masses are bracketed to 1e-9."""
     side, center, half, base, whole = square_row(square)
     if not whole and side < mu.horizon:
-        raise HorizonExceeded("square side %g below materialization horizon %g"
-                              % (side, mu.horizon))
+        raise TailBoundInsufficient("zeros_tail_blaschke_sum %g exceeds the square side %g"
+                                    % (mu.horizon, side))
     total = 0.0
     if mu.zero_atoms:
         zs = np.array([z for z, _ in mu.zero_atoms], dtype=np.complex128)
@@ -287,20 +271,6 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
     return (total + blo, total + bhi)
 
 
-def scan_tail_mu(theta: InnerFunction, depth: int) -> MuMeasure:
-    """theta's mu, materialized as criterion_scan materializes it."""
-    min_side = 0.75 * math.pi * 2.0 ** -depth
-    sigma = theta.singular.sigma if theta.singular is not None else None
-    if isinstance(sigma, AtomicMeasure) and sigma.tail_mass > 0.0:
-        sigma.materialize_until_tail(max(min_side ** 4, 1e-40))
-    return theta.mu(min_side=min_side)
-
-
-def level_position(z: complex, level: int) -> int:
-    """Position of a scan point in level_points(level)."""
-    return round(cmath.phase(z) % TWO_PI / (math.pi * 2.0 ** -level)) % (2 << level)
-
-
 @pytest.fixture(scope="module")
 def companion200():
     return construct_companion(single_atom(), horizon=200, depth=6)
@@ -319,7 +289,6 @@ class TestLevelKernel:
     @staticmethod
     def _cases(companion200):
         geometric = radial_geometric_zeros()
-        geometric.materialize_count(50)
         cdf = CdfMeasure([(0.0, 0.0), (1.0, 0.2), (2.0, 0.5), (4.0, 0.9), (TWO_PI, 1.0)])
         return {
             "atom1": single_atom(), "atoms2": two_atoms(), "example1": example1(),
@@ -335,7 +304,7 @@ class TestLevelKernel:
                                       "cantor", "no_zeros"])
     def test_lower_masses_match_per_square_loop(self, case, companion200):
         theta = self._cases(companion200)[case]
-        mu = scan_tail_mu(theta, 12)
+        mu = theta.mu()
         positive = 0
         for level in range(2, 13):
             points = level_points(level)
@@ -352,15 +321,12 @@ class TestLevelKernel:
         squares = [carleson_square(0.0), carleson_square(0.5 + 0.5j), wide,
                    carleson_square(-0.999)]
         for theta in self._cases(companion200).values():
-            mu = scan_tail_mu(theta, 10)
+            mu = theta.mu()
             for square in squares:
                 assert mu.of_square_bounds(square) == reference_square_bounds(mu, square)
 
     def test_horizon_exceeded_at_the_same_first_square(self):
-        zs = radial_geometric_zeros()
-        zs.materialize_count(6)
-        partial = ZeroSequence(zs.zeros, generator=iter(()),
-                               tail_blaschke_sum=2.0 ** -6, ordered_by_modulus=True)
+        partial = ZeroSequence(radial_geometric_zeros().zeros[:6], tail_blaschke_sum=2.0 ** -6)
         mu = InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
         assert mu.horizon > 0.0
         for level in range(2, 13):
@@ -368,14 +334,14 @@ class TestLevelKernel:
             try:
                 for z in points.tolist():
                     reference_square_bounds(mu, carleson_square(z))
-            except HorizonExceeded as exc:
+            except TailBoundInsufficient as exc:
                 expected = str(exc)
                 break
         else:
             pytest.fail("no level reached the horizon")
         for before in range(2, level):
             mu.lower_masses(level_points(before))
-        with pytest.raises(HorizonExceeded) as info:
+        with pytest.raises(TailBoundInsufficient) as info:
             mu.lower_masses(points)
         assert str(info.value) == expected
 
@@ -404,84 +370,38 @@ class TestLevelKernel:
         with pytest.raises(DomainError):
             carleson_squares(np.array([0.5, 1.0 + 0j]))
 
-    @pytest.mark.parametrize("depth", [2, 3, 4, 6])
-    def test_positive_squares_follow_lazily_listed_atoms(self, depth):
-        # evaluating Theta lists more atoms at shallow scan depths, here at
-        # golden-angle steps around the first quarter circle, so later
-        # squares of the same level gain mass; their masses must be those of
-        # a query made then.  Atom 22, listed while level 2 is scanned at
-        # every depth here, lands at 5 pi / 4, in a box that held no listed
-        # mass when the level began
-        def build():
-            gen = ((1.25 * math.pi if n == 22 else n * 2.399963229728653 % (0.5 * math.pi),
-                    2.0 ** -n, 2.0 ** -n) for n in range(1, 60))
-            sigma = AtomicMeasure([(0.0, 1.0)], generator=gen, tail_mass=1.0)
-            return InnerFunction(singular=SingularInner(sigma))
-
-        def scan(positive_of):
-            theta = build()
-            mu = scan_tail_mu(theta, depth)
-            hits, dead = [], 0
-            for level in range(2, depth + 1):
-                live = mu._live_points(level).tolist()
-                for z, mass in positive_of(mu, level):
-                    hits.append((level, z, mass))
-                    dead += level_position(z, level) not in live
-                    theta.modulus_bounds(z, 1e-6)
-            return hits, mu.boundary.atom_count, dead
-
-        def per_point(mu, level):
-            for z in level_points(level).tolist():
-                mass = reference_square_bounds(mu, carleson_square(z))[0]
-                if mass > 0.0:
-                    yield z, mass
-
-        expected, listed, dead = scan(per_point)
-        assert listed > scan_tail_mu(build(), depth).boundary.atom_count
-        assert scan(lambda mu, level: mu.positive_squares(level)) == \
-            (expected, listed, dead)
-        assert dead > 0
-
 
 def full_level_scan(theta: InnerFunction, depth: int) -> list:
     """(level, z, lower mass, |Theta| bracket) of each scan point with
-    positive mass, as the scan found them before pruning: every point of
-    every level queried, and the rest of a level queried again after an
-    evaluation listed more atoms."""
-    mu = scan_tail_mu(theta, depth)
+    positive mass, as the scan found them before pruning and per point:
+    every point of every level queried, and |Theta| bracketed at each
+    positive one in turn."""
+    mu = theta.mu()
     record = []
     for level in range(2, depth + 1):
         points = level_points(level)
-        start = 0
-        while start < len(points):
-            atoms = mu.boundary.atom_count if mu.boundary is not None else 0
-            lower = mu.lower_masses(points[start:])
-            for i in np.flatnonzero(lower > 0.0).tolist():
-                z = complex(points[start + i])
-                record.append((level, z, float(lower[i]),
-                               tuple(theta.modulus_bounds(z, EVAL_TOL))))
-                if mu.boundary is not None and mu.boundary.atom_count != atoms:
-                    start += i + 1
-                    break
-            else:
-                break
+        lower = mu.lower_masses(points)
+        for i in np.flatnonzero(lower > 0.0).tolist():
+            z = complex(points[i])
+            record.append((level, z, float(lower[i]),
+                           tuple(theta.modulus_bounds(z, EVAL_TOL))))
     return record
 
 
 def criterion_scan_record(theta: InnerFunction, depth: int, monkeypatch) -> list:
-    """The same tuples, read off criterion_scan's positive_squares items
-    and |Theta| evaluations."""
+    """The same tuples, read off criterion_scan's positive_squares arrays
+    and its one |Theta| call per level."""
     hits, brackets = [], []
     positive_squares, modulus_bounds = MuMeasure.positive_squares, theta.modulus_bounds
 
     def recording(mu, level):
-        for z, mass in positive_squares(mu, level):
-            hits.append((level, z, mass))
-            yield z, mass
+        points, masses = positive_squares(mu, level)
+        hits.extend((level, z, mass) for z, mass in zip(points.tolist(), masses.tolist()))
+        return points, masses
 
     def evaluate(z, tol):
         bracket = modulus_bounds(z, tol)
-        brackets.append(tuple(bracket))
+        brackets.extend(zip(bracket.lo.tolist(), bracket.hi.tolist()))
         return bracket
 
     with monkeypatch.context() as patch:
@@ -536,17 +456,15 @@ class TestPrunedScan:
         # zeros 1 - 2^-n, n <= 6, and a declared tail: level 8 is the first
         # whose side is below the horizon 2^-6, and no zero lies that deep
         def partial_mu():
-            zs = radial_geometric_zeros()
-            zs.materialize_count(6)
-            partial = ZeroSequence(zs.zeros, generator=iter(()),
-                                   tail_blaschke_sum=2.0 ** -6, ordered_by_modulus=True)
+            partial = ZeroSequence(radial_geometric_zeros().zeros[:6],
+                                   tail_blaschke_sum=2.0 ** -6)
             return InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
 
         def first_failure(query):
             for level in range(2, 13):
                 try:
                     query(level)
-                except HorizonExceeded as exc:
+                except TailBoundInsufficient as exc:
                     return level, str(exc)
             pytest.fail("no level reached the horizon")
 
@@ -555,7 +473,7 @@ class TestPrunedScan:
             reference_square_bounds(reference, carleson_square(z))
             for z in level_points(level).tolist()])
         mu = partial_mu()
-        assert first_failure(lambda level: list(mu.positive_squares(level))) == expected
+        assert first_failure(mu.positive_squares) == expected
         assert expected[0] == 8 and mu._live_points(8).size == 0
 
 
@@ -600,12 +518,8 @@ class TestModulusBounds:
 
 
 def truncated_geometric_zeros() -> ZeroSequence:
-    # zeros 1 - 2^-n for n <= 20, then an exhausted generator with tail 2^-20
-    def gen():
-        for n in range(1, 21):
-            yield (complex(1.0 - 2.0 ** -n, 0.0), 2.0 ** -n)
-
-    return ZeroSequence(generator=gen(), tail_blaschke_sum=1.0, ordered_by_modulus=True)
+    # zeros 1 - 2^-n for n <= 20, then the tail 2^-20
+    return ZeroSequence(radial_geometric_zeros().zeros[:20], tail_blaschke_sum=2.0 ** -20)
 
 
 def bracket_loop(b: BlaschkeProduct, points, tol: float) -> list:
@@ -624,8 +538,8 @@ def bracket_loop(b: BlaschkeProduct, points, tol: float) -> list:
 @pytest.mark.filterwarnings("error")
 class TestModulusBoundsMany:
     """BlaschkeProduct.modulus_bounds called at many points on one instance
-    against a fresh instance per point, so zeros listed by earlier calls
-    cannot change a later bracket."""
+    against a fresh instance per point, so no call changes a later
+    bracket."""
 
     def test_points_at_zeros_and_no_zeros(self):
         zeros = [0.5, 0.3 + 0.4j, -0.7j]
@@ -644,13 +558,10 @@ class TestModulusBoundsMany:
         reference = BlaschkeProduct(truncated_geometric_zeros())
         expected = bracket_loop(reference, points, 1e-3)
         assert expected[-1][0] is TailBoundInsufficient and len(expected) > 100
-        assert reference.zeros.exhausted and reference.zeros.tail_blaschke_sum > 0.0
-        # a fresh instance fails at the same point; the budget in the message
-        # depends on how many zeros were listed before the call
+        # a fresh instance fails at the same point, with the same message
         failing = points[len(expected) - 1]
         fresh = BlaschkeProduct(truncated_geometric_zeros())
-        assert bracket_loop(fresh, [failing], 1e-3)[0][0] is TailBoundInsufficient
-        assert fresh.zeros.zeros == reference.zeros.zeros
+        assert bracket_loop(fresh, [failing], 1e-3) == [expected[-1]]
 
 
 def per_point_bounds(f, points: np.ndarray, tol: float) -> tuple:
@@ -700,21 +611,6 @@ class TestModulusBoundsArray:
         on_zeros = slice(len(head), len(head) + min(count, 3))
         assert lower[on_zeros].tolist() == upper[on_zeros].tolist() == [0.0] * min(count, 3)
 
-    def test_listing_grows_in_the_middle_of_the_array(self, monkeypatch):
-        points = some_points(12)
-        reference = BlaschkeProduct(radial_geometric_zeros())
-        expected = per_point_bounds(reference, points, 1e-6)
-        batch = BlaschkeProduct(radial_geometric_zeros())
-        calls = []
-        log_sums = batch._log_sums
-        monkeypatch.setattr(batch, "_log_sums",
-                            lambda pts: calls.append(len(pts)) or log_sums(pts))
-        assert array_bounds(batch, points, 1e-6) == expected
-        assert batch.zeros.zeros == reference.zeros.zeros
-        # the first call sums the whole array; a later point lists more
-        # zeros and the rest of the array is summed again
-        assert calls[0] == len(points) and len(points) > min(calls[1:]) > 0
-
     @pytest.mark.parametrize("theta", [single_atom, example1, two_atoms,
                                        lambda: InnerFunction(
                                            blaschke=BlaschkeProduct([0.5, -0.3j]),
@@ -722,18 +618,12 @@ class TestModulusBoundsArray:
                                                AtomicMeasure([(1.0, 0.5)])))],
                              ids=["atom1", "example1", "atoms2", "zeros_and_atom"])
     def test_atomic_singular_part(self, theta):
-        points = some_points(6)
+        # first -0.5, which needs a fine pass, then a point at depth 1e-6
+        points = np.concatenate([[-0.5, (1.0 - 1e-6) * cmath.exp(0.3j), 0.25j, -0.9],
+                                 some_points(6)])
         for tol in (1e-9, 1e-3):
             assert array_bounds(theta(), points, tol) == \
                 per_point_bounds(theta(), points, tol)
-
-    def test_coarse_pass_lists_no_atom_ahead_of_a_fine_pass(self):
-        # the first point needs a fine pass; the second, far deeper, lists
-        # more atoms in its coarse pass than that fine pass does
-        points = np.array([-0.5, (1.0 - 1e-6) * cmath.exp(0.3j), 0.25j, -0.9])
-        reference, batch = example1(), example1()
-        assert array_bounds(batch, points, 1e-3) == per_point_bounds(reference, points, 1e-3)
-        assert batch.singular.sigma.atoms == reference.singular.sigma.atoms
 
     def test_precision_exhausted_at_the_same_point(self):
         # a fine pass fails at the first point, before the coarse pass of
@@ -764,33 +654,23 @@ class TestModulusBoundsArray:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
     def test_kernel_mixes_zeros_small_moduli_and_listing(self, tol, monkeypatch):
-        # the zeros 0.5 and 0.75 are listed, and the first four points hit or
-        # nearly hit them; deeper points list more zeros mid-array
+        # the listed zeros 0.5 and 0.75, and the first four points hit or
+        # nearly hit them; deeper points need the declared tail's bound
         points = np.concatenate([[0.5, 0.75, 0.5 + 1e-12, 0.75 + 1e-13j],
                                  some_points(7), 1.0 - 2.0 ** -np.arange(4.5, 12.0)])
         reference, batch = (BlaschkeProduct(radial_geometric_zeros()) for _ in range(2))
-        for f in (reference, batch):
-            f.zeros.materialize_count(2)
         expected = per_point_bounds(reference, points, tol)
         scalar = []
         bracket = batch._bracket
-
-        def counted(z, s, t):
-            listed = len(batch.zeros)
-            out = bracket(z, s, t)
-            scalar.append((z, len(batch.zeros) > listed))
-            return out
-
-        monkeypatch.setattr(batch, "_bracket", counted)
+        monkeypatch.setattr(batch, "_bracket",
+                            lambda z, s, t: scalar.append(z) or bracket(z, s, t))
         assert array_bounds(batch, points, tol) == expected
-        assert batch.zeros.zeros == reference.zeros.zeros
         lower, upper = batch.modulus_bounds(points, tol)
         assert lower[:4].tolist() == [0.0] * 4 and upper[:2].tolist() == [0.0, 0.0]
         assert 0.0 < upper[2] <= 0.5 * tol and 0.0 < upper[3] <= 0.5 * tol
         assert 0.0 < lower[-1] < upper[-1]
-        # only points that list more zeros go through the scalar bracket
-        assert scalar and all(grew for _, grew in scalar)
-        assert not {complex(z) for z in points[:4]} & {z for z, _ in scalar}
+        # no budget fails, so no point goes through the scalar bracket
+        assert scalar == []
 
     def test_tail_bound_insufficient_at_the_same_point_as_the_loop(self):
         points = some_points(8)
@@ -801,25 +681,41 @@ class TestModulusBoundsArray:
             batch.modulus_bounds(points, 1e-3)
         assert expected[-1] == (TailBoundInsufficient, str(err.value))
         assert err.value.index == len(expected) - 1 == 511
-        assert batch.zeros.zeros == reference.zeros.zeros
 
-    def test_a_complete_product_takes_one_log_sums_call(self, monkeypatch):
-        # with nothing left to list, no point goes through the scalar
-        # bracket, and the upper ends are math.exp of the log sums
-        points = some_points(8)
-        assert len(points) == 1016
-        zeros = [0.5, 0.5j, -0.5]
-        batch = BlaschkeProduct(zeros)
+    @staticmethod
+    def count_calls(batch, monkeypatch) -> dict:
         calls = {"_bracket": 0, "_log_sums": 0}
         for name in calls:
             method = getattr(batch, name)
             monkeypatch.setattr(batch, name, lambda *a, name=name, method=method:
                                 calls.__setitem__(name, calls[name] + 1) or method(*a))
+        return calls
+
+    def test_a_complete_product_takes_one_log_sums_call(self, monkeypatch):
+        # with no tail, no point goes through the scalar bracket, and the
+        # upper ends are math.exp of the log sums
+        points = some_points(8)
+        assert len(points) == 1016
+        zeros = [0.5, 0.5j, -0.5]
+        batch = BlaschkeProduct(zeros)
+        calls = self.count_calls(batch, monkeypatch)
         lower, upper = batch.modulus_bounds(points, 1e-9)
         assert calls == {"_bracket": 0, "_log_sums": 1}
         sums = BlaschkeProduct(zeros)._log_sums(points).tolist()
         assert upper.tolist() == [math.exp(s) for s in sums]
         assert lower.tolist() == upper.tolist()
+
+    def test_a_declared_tail_takes_one_log_sums_call(self, monkeypatch):
+        # the tail 2^-20 meets every budget down to level 6: one pass, and
+        # each lower end is math.exp of the log sum less the tail's bound
+        points = some_points(6)
+        batch = BlaschkeProduct(truncated_geometric_zeros())
+        calls = self.count_calls(batch, monkeypatch)
+        lower, upper = batch.modulus_bounds(points, 1e-3)
+        assert calls == {"_bracket": 0, "_log_sums": 1}
+        assert (lower.tobytes(), upper.tobytes()) == per_point_bounds(
+            BlaschkeProduct(truncated_geometric_zeros()), points, 1e-3)
+        assert (lower < upper).all()
 
     def test_empty_array(self):
         empty = np.zeros(0, dtype=np.complex128)
@@ -833,11 +729,8 @@ class TestModulusBoundsArray:
     def test_outside_point_rejected_before_any_zero_is_listed(self, outside):
         points = np.concatenate([some_points(8), [outside], level_points(9)])
         for f in (BlaschkeProduct(radial_geometric_zeros()), radial_geometric()):
-            zeros = f.zeros if isinstance(f, BlaschkeProduct) else f.blaschke.zeros
-            listed = len(zeros)
             with pytest.raises(DomainError, match="require"):
                 f.modulus_bounds(points, 1e-9)
-            assert len(zeros) == listed
 
 
 class TestDiagnostics:
@@ -900,11 +793,6 @@ class TestZeroSequence:
         with pytest.raises(DomainError):
             ZeroSequence([nan])
 
-        def gen():
-            yield (nan, 0.0)
-
-        with pytest.raises(DomainError):
-            ZeroSequence(generator=gen(), tail_blaschke_sum=0.5).materialize_count(1)
         b = BlaschkeProduct([0.5])
         for query in (b.log_modulus, b.modulus_bounds, b.evaluate):
             with pytest.raises(DomainError):
@@ -913,11 +801,3 @@ class TestZeroSequence:
         for query in (sigma.poisson_bounds, sigma.herglotz_integral):
             with pytest.raises(DomainError):
                 query(nan)
-
-    def test_materialize_until_depth_requires_order(self):
-        def gen():
-            yield (0.5 + 0.0j, 0.0)
-
-        zs = ZeroSequence(generator=gen(), tail_blaschke_sum=0.5)
-        with pytest.raises(DomainError):
-            zs.materialize_until_depth(0.1)

