@@ -228,7 +228,6 @@ class Placement:
     zeros: list[complex]                 # chain order across components
     consecutive_rhos: list[float]        # per chain-adjacent pair
     covered_angle: float
-    components_used: int
     exhausted: bool                      # every component fully marched
 
 
@@ -281,14 +280,12 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
     zeros: list[complex] = []
     rhos: list[float] = []
     covered = 0.0
-    used = 0
     exhausted = True
     remaining = horizon
     for comp in gamma.components:
         if remaining <= 0:
             exhausted = False
             break
-        used += 1
         t0 = comp.min_modulus_param()
         z0 = comp.point(t0)
         # per direction: parameter, last zero, zeros placed, alive
@@ -317,7 +314,7 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
             covered += comp.covered_angle()
     if not zeros:
         raise CurveExhausted("no zeros could be placed on the curve")
-    return Placement(zeros, rhos, covered, used, exhausted)
+    return Placement(zeros, rhos, covered, exhausted)
 
 
 @dataclass

@@ -2,13 +2,7 @@
 
 
 class OnecompError(Exception):
-    """Base class for library errors.
-
-    ``index`` is the failing point's index when an array call fails at one
-    point, and None otherwise.
-    """
-
-    index = None
+    """Base class for library errors."""
 
 
 class DomainError(OnecompError, ValueError):

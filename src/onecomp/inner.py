@@ -104,6 +104,19 @@ def _tail_neg_log_bound(tail: float, depth: float) -> float:
     return u / (1.0 - u)
 
 
+def _array_bounds(f, points: np.ndarray, tol: float) -> Interval:
+    """f.modulus_bounds on a complex array: its batch kernel's answer.  When
+    the kernel raises, f.modulus_bounds runs at each point in turn, so the
+    error raised is the per-point loop's first; the kernel's own error is
+    raised only if no point raises."""
+    try:
+        return f._modulus_bounds_many(points, tol)
+    except OnecompError:
+        for z in points.tolist():
+            f.modulus_bounds(z, tol)
+        raise
+
+
 class BlaschkeProduct:
     """Blaschke product over a ZeroSequence."""
 
@@ -171,12 +184,11 @@ class BlaschkeProduct:
 
         A 1-D complex array z gives Interval(lower array, upper array), each
         entry the bits of the per-point call: one _log_sums call, math.exp
-        of each sum, and the tail bound and its budget as arrays.  The
-        first point whose budget fails raises the per-point call's error,
-        with the point's index as ``index``.
+        of each sum, and the tail bound and its budget as arrays.  A failing
+        array raises the per-point loop's error (_array_bounds).
         """
         if isinstance(z, np.ndarray):
-            return self._modulus_bounds_many(z, tol)
+            return _array_bounds(self, z, tol)
         z = complex(z)
         if not abs(z) < 1.0:
             raise DomainError("modulus bounds require |z| < 1")
@@ -198,15 +210,8 @@ class BlaschkeProduct:
                 bound = np.where(u >= 0.5, math.inf, u / (1.0 - u))
             small = (sums == -math.inf) | (upper <= 0.5 * tol)
             met = bound <= np.maximum(1e-15, 0.5 * tol / upper)
-        failed = np.flatnonzero(~(small | met))
-        if failed.size:
-            # the per-point call raises there, with its message
-            i = int(failed[0])
-            try:
-                self._bracket(complex(points[i]), float(sums[i]), tol)
-            except OnecompError as err:
-                err.index = i
-                raise
+        if not (small | met).all():
+            raise TailBoundInsufficient("certified tail exceeds a point's budget")
         lower = np.array(list(map(math.exp, (sums - bound).tolist())))
         lower[small] = 0.0
         return Interval(lower, upper)
@@ -260,26 +265,19 @@ class SingularInner:
         A 1-D complex array z gives Interval(lower array, upper array), each
         entry the bits of the per-point call.  The coarse pass is one
         poisson_bounds_many call; the fine pass runs point by point where
-        the coarse bracket is wider than tol.  A point that
-        poisson_bounds_many leaves out, whose coarse pass raises, is taken
-        alone after the points before it.
+        the coarse bracket is wider than tol.  A failing array raises the
+        per-point loop's error (_array_bounds).
         """
         if isinstance(z, np.ndarray):
-            return self._modulus_bounds_many(z, tol)
+            return _array_bounds(self, z, tol)
         plo, phi = self.sigma.poisson_bounds(z, tol=0.25)
         return self._refine(z, plo, phi, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
-        lower, upper = np.empty(len(points)), np.empty(len(points))
-        i = 0
-        while i < len(points):
-            lo, hi = self.sigma.poisson_bounds_many(points[i:], 0.25)
-            # empty when the coarse pass fails at point i: it goes alone
-            coarse = list(zip(lo.tolist(), hi.tolist())) or \
-                [self.sigma.poisson_bounds(complex(points[i]), tol=0.25)]
-            for plo, phi in coarse:
-                lower[i], upper[i] = self._refine(complex(points[i]), plo, phi, tol)
-                i += 1
+        lo, hi = self.sigma.poisson_bounds_many(points, 0.25)
+        bounds = [self._refine(z, plo, phi, tol)
+                  for z, plo, phi in zip(points.tolist(), lo.tolist(), hi.tolist())]
+        lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return Interval(lower, upper)
 
     def _refine(self, z: complex, plo: float, phi: float, tol: float) -> Interval:
@@ -395,11 +393,12 @@ class MuMeasure:
                           & (radii >= sq.base_modulus[rows, None]))
                 for i in np.flatnonzero(inside.any(axis=1)).tolist():
                     total[s + i] = math.fsum(weights[inside[i]].tolist())
+        # the unlisted zeros' weights sum to at most the declared tail
         if self.boundary is None:
-            return (total, total)
+            return (total, total + self.horizon)
         blo, bhi = self.boundary.mass_of_arc_bounds_many(
             sq.center_angle, sq.half_window, closed_ends=True, tol=MASS_TOL)
-        return (total + blo, total + bhi)
+        return (total + blo, total + bhi + self.horizon)
 
 
 class InnerFunction:
@@ -441,23 +440,28 @@ class InnerFunction:
 
         Part brackets are subsets of [0, 1], so their product has width at
         most the sum of the part widths.  A 1-D complex array z gives
-        Interval(lower array, upper array), as the parts do; with no part
-        the bracket is (1.0, 1.0), or arrays of ones.
+        Interval(lower array, upper array), the parts' arrays multiplied
+        as the per-point call multiplies, and a failing array raises the
+        per-point loop's error (_array_bounds); with no part the bracket is
+        (1.0, 1.0), or arrays of ones.
         """
-        lo = hi = np.ones(len(z)) if isinstance(z, np.ndarray) else 1.0
+        if isinstance(z, np.ndarray):
+            return _array_bounds(self, z, tol)
+        lo = hi = 1.0
         if self.blaschke is not None:
-            try:
-                part = self.blaschke.modulus_bounds(z, 0.5 * tol)
-            except OnecompError as err:
-                if self.singular is not None and err.index is not None:
-                    # point by point, the singular part is bracketed at every
-                    # point before the failing one, and may fail first
-                    self.singular.modulus_bounds(z[:err.index], 0.5 * tol)
-                raise
+            part = self.blaschke.modulus_bounds(z, 0.5 * tol)
             lo, hi = lo * part.lo, hi * part.hi
         if self.singular is not None:
             part = self.singular.modulus_bounds(z, 0.5 * tol)
             lo, hi = lo * part.lo, hi * part.hi
+        return Interval(lo, hi)
+
+    def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
+        lo = hi = np.ones(len(points))
+        for part in (self.blaschke, self.singular):
+            if part is not None:
+                bounds = part.modulus_bounds(points, 0.5 * tol)
+                lo, hi = lo * bounds.lo, hi * bounds.hi
         return Interval(lo, hi)
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
@@ -519,20 +523,6 @@ class UnionSupport(BoundarySupport):
             hi = min(hi, b)
         return (lo, hi)
 
-    def chord_distance_to_point(self, p, tol: float = 1e-12):
-        lo = hi = math.inf
-        for part in self.parts:
-            a, b = part.chord_distance_to_point(p, tol)
-            lo = min(lo, a)
-            hi = min(hi, b)
-        return (lo, hi)
-
-    def cover_arcs(self, scale):
-        out = []
-        for p in self.parts:
-            out.extend(p.cover_arcs(scale))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Zero-sequence diagnostics
@@ -573,11 +563,11 @@ def separation_constants(zeros: ZeroSequence, horizon: int) -> tuple[float, floa
             continue
         ks = np.floor(angles[sel] / (2.0 * math.pi * 2.0 ** -n)).astype(np.int64)
         ks = np.clip(ks, 0, (1 << n) - 1)
-        sums: dict[int, float] = {}
-        for k, wt in zip(ks, weights[sel]):
-            sums[int(k)] = sums.get(int(k), 0.0) + float(wt)
+        # each box's weights added in zero order, over the occupied boxes
+        # only: a deep zero's box number can pass 2^40
+        sums = np.bincount(np.searchsorted(np.unique(ks), ks), weights[sel])
         side = 2.0 * math.pi * 2.0 ** -n
-        box_constant = max(box_constant, max(sums.values()) / side)
+        box_constant = max(box_constant, float(sums.max()) / side)
     return (delta, box_constant)
 
 

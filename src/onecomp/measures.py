@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -126,18 +127,9 @@ class SingularMeasure:
     def poisson_bounds_many(self, points: np.ndarray, tol: float
                             ) -> tuple[np.ndarray, np.ndarray]:
         """poisson_bounds of the points of a complex array in turn, as a
-        lower-end array and an upper-end array.
-
-        The arrays stop before the first point whose call would raise
-        PrecisionExhausted; the caller takes that point alone with
-        poisson_bounds, after any work it does at the points before it.
-        """
-        bounds = []
-        for z in points.tolist():
-            try:
-                bounds.append(self.poisson_bounds(z, tol))
-            except PrecisionExhausted:
-                break
+        lower-end array and an upper-end array; the first call that raises
+        raises."""
+        bounds = [self.poisson_bounds(z, tol) for z in points.tolist()]
         lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return lo, hi
 
@@ -245,13 +237,16 @@ class AtomicMeasure(SingularMeasure):
                             ) -> tuple[np.ndarray, np.ndarray]:
         """A point x atom matrix of the terms m P(z, t) of poisson_bounds, in
         row blocks of about BLOCK_ELEMENTS, each row added with math.fsum as
-        poisson_bounds adds its terms; it stops before a point whose tail
-        cannot meet tol.  e^{i t} is taken once
+        poisson_bounds adds its terms.  At the first point outside the disc
+        or whose tail cannot meet tol, poisson_bounds there raises the
+        per-point error.  e^{i t} is taken once
         per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
         np.float_power, which match abs(complex) and float ** 2; np.abs on
         complex128 and squaring by multiplication differ from them in the
         last bit."""
-        moduli = [abs(_check_interior(z)) for z in points.tolist()]
+        zs = points.tolist()
+        moduli = list(itertools.takewhile(lambda r: r < 1.0, map(abs, zs)))
+        points = points[:len(moduli)]
         lower, upper = [], []
         masses = np.array([m for _, m in self._atoms], dtype=np.float64)
         xi = np.array([cmath.exp(1j * t) for t, _ in self._atoms], dtype=np.complex128)
@@ -264,14 +259,16 @@ class AtomicMeasure(SingularMeasure):
             np.float_power(terms, 2.0, out=terms)
             np.divide(np.array([1.0 - r ** 2 for r in block])[:, None], terms, out=terms)
             terms *= masses
-            for z_abs, row in zip(block, terms):
+            for z, z_abs, row in zip(zs[s:s + step], block, terms):
                 max_kernel = (1.0 + z_abs) / (1.0 - z_abs)
                 slack = self._tail * max_kernel
                 if slack > tol:
-                    return np.array(lower), np.array(upper)
+                    self.poisson_bounds(z, tol)  # raises PrecisionExhausted
                 total = math.fsum(row.tolist())
                 lower.append(total)
                 upper.append(total + slack)
+        if len(moduli) < len(zs):
+            self.poisson_bounds(zs[len(moduli)], tol)  # raises DomainError
         return np.array(lower), np.array(upper)
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:

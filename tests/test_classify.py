@@ -220,7 +220,7 @@ class TestSawtoothBatched:
         lambda: InnerFunction(blaschke=BlaschkeProduct([0.9, 0.5 * cmath.exp(3.0j)]),
                               singular=SingularInner(AtomicMeasure([(0.0, 1.0), (3.0, 0.5)])))],
         ids=["example1_listed", "zeros_and_atoms"])
-    def test_listed_and_lazy_atoms(self, make):
+    def test_atoms_with_and_without_a_tail(self, make):
         got = sawtooth_test(make()).trace
         assert got == reference_sawtooth_trace(make())
 

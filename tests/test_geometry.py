@@ -9,7 +9,6 @@ from onecomp.geometry import (TWO_PI, ArcSupport, BoundaryArc, PointSupport,
                               SawtoothRegion, StolzAngle, carleson_square,
                               level_points, mobius_shift, pseudo_distance,
                               whitney_arcs)
-from onecomp.inner import UnionSupport
 from onecomp.measures import CantorMeasure, CantorSupport
 
 
@@ -146,8 +145,6 @@ SUPPORTS = {
     "empty": lambda: PointSupport.of([]),
     "arcs": lambda: ArcSupport((BoundaryArc(0.5, 0.1), BoundaryArc(3.0, 0.4))),
     "cantor": lambda: CantorSupport(CantorMeasure.middle_thirds()),
-    "union": lambda: UnionSupport((PointSupport.of([], accumulation=[1.0]),
-                                   PointSupport.of([0.0, 2.0], hull=[BoundaryArc(2.2, 0.1)]))),
 }
 
 

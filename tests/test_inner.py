@@ -207,6 +207,16 @@ class TestMu:
         with pytest.raises(TailBoundInsufficient, match="zeros_tail_blaschke_sum 0.0625 "):
             mu.of_square_bounds(carleson_square(1.0 - 2.0 ** -9))
 
+    def test_upper_end_holds_the_unlisted_zeros(self):
+        # the zeros 1 - 2^-n listed to n = 32 with the tail 2^-32: the square
+        # of 1 - 2^-20 also holds the zeros 33..48 listed in the full family
+        square = carleson_square(1.0 - 2.0 ** -20)
+        partial = ZeroSequence(radial_geometric_zeros().zeros[:32], tail_blaschke_sum=2.0 ** -32)
+        lo, hi = InnerFunction(blaschke=BlaschkeProduct(partial)).mu().of_square_bounds(square)
+        full, _ = radial_geometric().mu().of_square_bounds(square)
+        assert lo < full <= hi
+        assert hi - lo == pytest.approx(2.0 ** -32)
+
     def test_window_matches_member_loop(self, companion200):
         # reference: the per-zero loop, fsum of the weights of member zeros
         def member(square, w):
@@ -243,7 +253,8 @@ def square_row(square: SquareArrays) -> tuple:
 def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
     """The per-square of_square_bounds that the batched kernel replaced,
     with the per-atom loop of AtomicMeasure.mass_of_arc_bounds inlined; the
-    boundary masses are bracketed to 1e-9."""
+    boundary masses are bracketed to 1e-9, and the upper end adds the
+    declared zero tail."""
     side, center, half, base, whole = square_row(square)
     if not whole and side < mu.horizon:
         raise TailBoundInsufficient("zeros_tail_blaschke_sum %g exceeds the square side %g"
@@ -257,7 +268,7 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
         inside = (gap <= half) & (radii >= base)
         total = math.fsum(weights[inside].tolist())
     if mu.boundary is None:
-        return (total, total)
+        return (total, total + mu.horizon)
     arc = BoundaryArc(center, half)
     if isinstance(mu.boundary, AtomicMeasure):
         atomic = 0.0
@@ -268,7 +279,7 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
         blo, bhi = atomic, atomic + mu.boundary.tail_mass
     else:
         blo, bhi = mu.boundary.mass_of_arc_bounds(arc, closed_ends=True, tol=1e-9)
-    return (total + blo, total + bhi)
+    return (total + blo, total + bhi + mu.horizon)
 
 
 @pytest.fixture(scope="module")
@@ -653,7 +664,7 @@ class TestModulusBoundsArray:
         assert batched.value.bracket == reference.value.bracket
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
-    def test_kernel_mixes_zeros_small_moduli_and_listing(self, tol, monkeypatch):
+    def test_kernel_mixes_zeros_small_moduli_and_the_tail(self, tol, monkeypatch):
         # the listed zeros 0.5 and 0.75, and the first four points hit or
         # nearly hit them; deeper points need the declared tail's bound
         points = np.concatenate([[0.5, 0.75, 0.5 + 1e-12, 0.75 + 1e-13j],
@@ -680,7 +691,7 @@ class TestModulusBoundsArray:
         with pytest.raises(TailBoundInsufficient) as err:
             batch.modulus_bounds(points, 1e-3)
         assert expected[-1] == (TailBoundInsufficient, str(err.value))
-        assert err.value.index == len(expected) - 1 == 511
+        assert len(expected) - 1 == 511
 
     @staticmethod
     def count_calls(batch, monkeypatch) -> dict:
@@ -726,11 +737,35 @@ class TestModulusBoundsArray:
 
     @pytest.mark.parametrize("outside", [1.0, -1.5j, complex(math.nan, 0.0),
                                          complex(math.inf, 0.0)])
-    def test_outside_point_rejected_before_any_zero_is_listed(self, outside):
+    def test_outside_point_raises_domain_error(self, outside):
         points = np.concatenate([some_points(8), [outside], level_points(9)])
         for f in (BlaschkeProduct(radial_geometric_zeros()), radial_geometric()):
             with pytest.raises(DomainError, match="require"):
                 f.modulus_bounds(points, 1e-9)
+
+    def test_a_failing_point_before_an_outside_point_raises_first(self):
+        # point by point, the tail fails at 1 - 2^-12 before 1.5 is reached
+        def zeros():
+            return ZeroSequence(radial_geometric_zeros().zeros[:8], tail_blaschke_sum=2.0 ** -8)
+
+        points = np.array([0.5, 1.0 - 2.0 ** -12, 1.5])
+        for make in (lambda: BlaschkeProduct(zeros()),
+                     lambda: InnerFunction(blaschke=BlaschkeProduct(zeros()))):
+            expected = bracket_loop(make(), points.tolist(), 1e-3)
+            with pytest.raises(TailBoundInsufficient) as err:
+                make().modulus_bounds(points, 1e-3)
+            assert expected[1:] == [(TailBoundInsufficient, str(err.value))]
+            assert str(err.value).endswith("at |z| = 0.999756")
+
+    def test_kernel_error_raised_when_no_point_fails(self, monkeypatch):
+        # the per-point replay finds no error, so the kernel's own is raised
+        def kernel(points, tol):
+            raise PrecisionExhausted("kernel")
+
+        b = BlaschkeProduct([0.5])
+        monkeypatch.setattr(b, "_modulus_bounds_many", kernel)
+        with pytest.raises(PrecisionExhausted, match="^kernel$"):
+            b.modulus_bounds(np.array([0.25, -0.5j]), 1e-9)
 
 
 class TestDiagnostics:
@@ -766,6 +801,30 @@ class TestDiagnostics:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_box_constant_of_deep_zeros_away_from_angle_0(self):
+        # at depth 22 the zero at angle 3 lies in box 2^21 or so; the box
+        # sums are the per-zero loop's, and no array of 2^22 boxes (32 MiB)
+        # is built
+        pts = [0.5, (1.0 - 2.0 ** -20) * cmath.exp(3.0j), (1.0 - 2.0 ** -12) * cmath.exp(0.1j)]
+        arr = np.array(pts)
+        weights, angles = 1.0 - np.abs(arr), np.mod(np.angle(arr), TWO_PI)
+        expected = 0.0
+        for n in range(2, 23):
+            sums: dict[int, float] = {}
+            for z, wt, a in zip(pts, weights.tolist(), angles.tolist()):
+                if abs(z) >= 1.0 - math.pi * 2.0 ** -n:
+                    k = min(max(math.floor(a / (TWO_PI * 2.0 ** -n)), 0), (1 << n) - 1)
+                    sums[k] = sums.get(k, 0.0) + wt
+            expected = max([expected] + [s / (TWO_PI * 2.0 ** -n) for s in sums.values()])
+        separation_constants(ZeroSequence(pts), 3)   # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            got = separation_constants(ZeroSequence(pts), 3)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected and peak < 2 ** 20
 
 
 class TestZerosCsv:

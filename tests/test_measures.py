@@ -184,40 +184,40 @@ class TestPoisson:
 
 def per_point_poisson(sigma, points, tol):
     """poisson_bounds at each point in turn: (lower bytes, upper bytes, the
-    index and bracket of a PrecisionExhausted or None)."""
+    index, message and bracket of a PrecisionExhausted or None)."""
     bounds, failure = [], None
     for i, z in enumerate(points.tolist()):
         try:
             bounds.append(sigma.poisson_bounds(z, tol))
         except PrecisionExhausted as exc:
-            failure = (i, exc.bracket)
+            failure = (i, str(exc), exc.bracket)
             break
     lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
     return lower.tobytes(), upper.tobytes(), failure
 
 
 def batched_poisson(sigma, points, tol):
-    """per_point_poisson through poisson_bounds_many: each call answers a
-    prefix, and the point after it is taken alone.  Also the prefix lengths."""
-    lower, upper, prefixes, failure = [], [], [], None
-    i = 0
-    while i < len(points):
-        lo, hi = sigma.poisson_bounds_many(points[i:], tol)
-        assert lo.shape == hi.shape
-        prefixes.append(len(lo))
-        lower += lo.tolist()
-        upper += hi.tolist()
-        i += len(lo)
-        if i < len(points):
-            try:
-                a, b = sigma.poisson_bounds(complex(points[i]), tol)
-            except PrecisionExhausted as exc:
-                failure = (i, exc.bracket)
-                break
-            lower.append(a)
-            upper.append(b)
-            i += 1
-    return (np.array(lower).tobytes(), np.array(upper).tobytes(), failure), prefixes
+    """per_point_poisson through poisson_bounds_many, whose one call either
+    answers every point or raises.  On an error, the failing index i is the
+    first whose prefix call raises: the call on points[:i] gives their
+    bits, and the call on points[:i + 1] raises the whole call's message
+    and bracket."""
+    try:
+        lo, hi = sigma.poisson_bounds_many(points, tol)
+    except PrecisionExhausted as exc:
+        error = (str(exc), exc.bracket)
+    else:
+        assert lo.shape == hi.shape == points.shape
+        return lo.tobytes(), hi.tobytes(), None
+    for i in range(len(points)):
+        try:
+            sigma.poisson_bounds_many(points[:i + 1], tol)
+        except PrecisionExhausted as exc:
+            assert (str(exc), exc.bracket) == error
+            lo, hi = sigma.poisson_bounds_many(points[:i], tol)
+            assert lo.shape == hi.shape == (i,)
+            return lo.tobytes(), hi.tobytes(), (i,) + error
+    pytest.fail("the whole call raised, but no prefix call does")
 
 
 def depth_points(deepest, per_depth=96):
@@ -247,15 +247,15 @@ class TestPoissonBoundsMany:
         points = depth_points(14)
         make = self.MEASURES[name]
         reference, batch = make(), make()
-        got, prefixes = batched_poisson(batch, points, tol)
+        got = batched_poisson(batch, points, tol)
         assert got == per_point_poisson(reference, points, tol)
-        assert prefixes == [len(points)]
+        assert got[2] is None
 
     def test_cantor_points_one_by_one(self):
         points = np.array([0.0, 0.5 + 0.3j, (1.0 - 2.0 ** -9) * cmath.exp(0.5j * math.pi)])
-        got, prefixes = batched_poisson(cantor(), points, 1e-4)
+        got = batched_poisson(cantor(), points, 1e-4)
         assert got == per_point_poisson(cantor(), points, 1e-4)
-        assert prefixes == [len(points)]
+        assert got[2] is None
 
     @pytest.mark.parametrize("tail_hull", [(), (BoundaryArc(0.5, 0.1),)])
     def test_precision_exhausted_at_the_same_point(self, tail_hull):
@@ -264,7 +264,7 @@ class TestPoissonBoundsMany:
         make = lambda: AtomicMeasure([(0.0, 1.0), (0.5, 0.25)], tail_mass=1e-9,  # noqa: E731
                                      tail_hull=tail_hull)
         expected = per_point_poisson(make(), points, 1e-6)
-        got, _ = batched_poisson(make(), points, 1e-6)
+        got = batched_poisson(make(), points, 1e-6)
         assert expected[2] is not None and 0 < expected[2][0] < len(points) - 1
         assert got == expected
 
@@ -272,12 +272,19 @@ class TestPoissonBoundsMany:
         import onecomp.measures as measures
         monkeypatch.setattr(measures, "BLOCK_ELEMENTS", 7)
         points = depth_points(8, per_depth=16)
-        got, _ = batched_poisson(example1_measure(), points, 1e-9)
+        got = batched_poisson(example1_measure(), points, 1e-9)
         assert got == per_point_poisson(example1_measure(), points, 1e-9)
 
     def test_outside_point_rejected(self):
         with pytest.raises(DomainError):
             AtomicMeasure([(0.0, 1.0)]).poisson_bounds_many(np.array([0.5, 1.0 + 0j]), 1e-9)
+
+    def test_outside_point_after_a_failing_point(self):
+        # the loop fails at the deep point before it reaches the outside one
+        make = lambda: AtomicMeasure([(0.0, 1.0)], tail_mass=1e-9)  # noqa: E731
+        points = np.array([0.5, 1.0 - 1e-6, 1.5, 0.25j])
+        assert per_point_poisson(make(), points, 1e-6)[2][0] == 1
+        assert batched_poisson(make(), points, 1e-6) == per_point_poisson(make(), points, 1e-6)
 
     def test_float_power_squares_as_python_does(self):
         # the term matrix squares |z - e^{it}| with np.float_power, standing
