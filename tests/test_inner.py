@@ -737,11 +737,15 @@ class TestModulusBoundsArray:
 
     @pytest.mark.parametrize("outside", [1.0, -1.5j, complex(math.nan, 0.0),
                                          complex(math.inf, 0.0)])
-    def test_outside_point_raises_domain_error(self, outside):
+    def test_outside_point_rejected_before_any_zero_is_listed(self, outside):
+        # the zero list is fixed at construction; a rejected query leaves it as it was
         points = np.concatenate([some_points(8), [outside], level_points(9)])
         for f in (BlaschkeProduct(radial_geometric_zeros()), radial_geometric()):
+            zeros = f.zeros if isinstance(f, BlaschkeProduct) else f.blaschke.zeros
+            listed = len(zeros)
             with pytest.raises(DomainError, match="require"):
                 f.modulus_bounds(points, 1e-9)
+            assert len(zeros) == listed
 
     def test_a_failing_point_before_an_outside_point_raises_first(self):
         # point by point, the tail fails at 1 - 2^-12 before 1.5 is reached
