@@ -15,10 +15,12 @@ Three variants are provided:
 
 Cantor Poisson and Herglotz integrals share one vectorized adaptive cell
 subdivision (``CantorMeasure._cells``): a cell is split while a bound on the
-kernel's oscillation over it times its mass exceeds the error budget.  The
-Poisson kernel's extrema on a cell come from the closest and farthest
-points of the cell (the kernel is monotone in chord distance); the Herglotz
-kernel is bounded through its derivative at the closest point.
+kernel's oscillation over it times its mass exceeds the error budget.  Each
+cell is bounded once, when it is made, and the Poisson sums reuse the kernel
+range that bounded it.  The Poisson kernel's extrema on a cell come from the
+closest and farthest points of the cell (the kernel is monotone in chord
+distance); the Herglotz kernel is bounded through its derivative at the
+closest point.  The Cantor CDF descends in Python integers, exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .geometry import (BLOCK_ELEMENTS, TWO_PI, ArcSupport, BoundaryArc,
                        BoundarySupport, PointSupport, angle_mod)
 
 _TWO_PI_FRAC = Fraction(TWO_PI)  # the double nearest 2*pi, as an exact rational
+_TWO_PI_RATIO = TWO_PI.as_integer_ratio()
 
 
 def poisson_kernel(z: complex, theta: float) -> float:
@@ -50,18 +53,18 @@ def _herglotz_kernel(z: complex, theta: float) -> complex:
     return (z + xi) / (z - xi)
 
 
-def _cell_distances2(z: complex, lo: np.ndarray, hi: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of |z - e^{it}|^2 over each cell [lo, hi] (radians)."""
+def _cell_distances2(z: complex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(min, max) of |z - e^{it}|^2 over each cell [lo, hi] (radians), as
+    the two rows of one array."""
     r = abs(z)
     phase = cmath.phase(z) if r > 0.0 else 0.0
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     d = np.abs(np.mod(phase - center + math.pi, TWO_PI) - math.pi)
-    gmin = np.maximum(0.0, d - half)
-    gmax = np.minimum(math.pi, d + half)
-    return ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmin) ** 2,
-            (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmax) ** 2)
+    gap = np.empty((2, d.size))
+    np.maximum(0.0, d - half, out=gap[0])
+    np.minimum(math.pi, d + half, out=gap[1])
+    return (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gap) ** 2
 
 
 def _check_interior(z: complex) -> complex:
@@ -300,6 +303,7 @@ class CantorMeasure(SingularMeasure):
     """
 
     MAX_GENERATION = 48
+    _MASSES = np.exp2(-np.arange(MAX_GENERATION + 1.0))   # 2^{-n}, exact
 
     def __init__(self, ratios: Sequence[Fraction] | Fraction = MIDDLE_THIRDS_RATIO):
         if isinstance(ratios, Fraction):
@@ -312,8 +316,11 @@ class CantorMeasure(SingularMeasure):
                 raise DomainError("generation ratios must lie in (0, 1), got %s" % (r,))
         # generation cache: list of (a, b) Fractions in turn units
         self._gens: list[list[tuple[Fraction, Fraction]]] = [[(Fraction(0), Fraction(1))]]
-        self._ratio_floats = np.array(
-            [float(self._ratio(k)) for k in range(self.MAX_GENERATION + 1)])
+        ratios = [self._ratio(k) for k in range(self.MAX_GENERATION + 1)]
+        self._ratio_floats = np.array([float(q) for q in ratios])
+        # (2 s, p, 2 s - p) of each ratio q = p / s, for cdf_bounds
+        self._ratio_ints = [(2 * q.denominator, q.numerator, 2 * q.denominator - q.numerator)
+                            for q in ratios]
 
     @classmethod
     def middle_thirds(cls) -> "CantorMeasure":
@@ -381,119 +388,174 @@ class CantorMeasure(SingularMeasure):
 
     # -- CDF --
 
-    def _to_turns(self, t: float) -> Fraction:
-        return Fraction(t) / _TWO_PI_FRAC
-
     def cdf_bounds(self, t: float, tol: float = 1e-12) -> tuple[float, float]:
         """Bracket for phi(t) = sigma([0, t]), t in radians in [0, 2*pi].
 
         Exact once t falls in a removed gap; while t stays inside a
         generation interval the bracket width is the interval mass 2^{-n}.
+        The descent keeps t's place in its generation interval [a, b] as the
+        exact ratio u / v = (t - a) / (b - a) of Python ints.
         """
-        tt = self._to_turns(t)
-        if tt <= 0:
+        tn, td = float(t).as_integer_ratio()
+        u, v = tn * _TWO_PI_RATIO[1], td * _TWO_PI_RATIO[0]   # t / (2 pi)
+        if u <= 0:
             return (0.0, 0.0)
-        if tt >= 1:
+        if u >= v:
             return (1.0, 1.0)
         below = 0.0
-        a, b = Fraction(0), Fraction(1)
         for n in range(1, self.MAX_GENERATION + 1):
-            q = self._ratio(n - 1)
-            child_len = (b - a) * q / 2
-            c1 = (a, a + child_len)
-            c2 = (b - child_len, b)
+            # the children of [0, 1] are [0, q/2] and [1 - q/2, 1], q = p/s
+            two_s, p, right = self._ratio_ints[n - 1]
             mass = 2.0 ** -n
-            if tt <= c1[1]:
-                a, b = c1
-            elif tt < c2[0]:
-                return (below + mass, below + mass)   # in the removed gap
-            else:
+            u *= two_s
+            if u > p * v:                # past the left child
+                if u < right * v:
+                    return (below + mass, below + mass)   # in the removed gap
                 below += mass
-                a, b = c2
+                u -= right * v
+            v *= p
             if mass <= tol:
                 return (below, below + mass)
         return (below, below + 2.0 ** -self.MAX_GENERATION)
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
                            tol: float = 1e-12) -> tuple[float, float]:
-        lo_total, hi_total = 0.0, 0.0
-        for wlo, whi in _arc_windows(arc):
-            alo, ahi = self.cdf_bounds(wlo, tol * 0.25)
-            blo, bhi = self.cdf_bounds(whi, tol * 0.25)
-            lo_total += max(0.0, blo - ahi)
-            hi_total += max(0.0, bhi - alo)
-        if hi_total - lo_total > 4.0 * tol + 1e-15:
+        lo, hi = self.mass_of_arc_bounds_many(np.array([arc.center_angle]),
+                                              np.array([arc.half_width]),
+                                              closed_ends, tol)
+        return (float(lo[0]), float(hi[0]))
+
+    def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
+                                closed_ends: bool = True, tol: float = 1e-12
+                                ) -> tuple[np.ndarray, np.ndarray]:
+        """CDF differences over each arc's _arc_windows, the windows taken
+        as arrays in the same float steps; the first arc whose bracket is
+        wider than tol raises."""
+        whole = half_widths >= math.pi
+        start = np.fmod(centers - half_widths, TWO_PI)
+        start = np.where(whole, 0.0, np.where(start < 0.0, start + TWO_PI, start))
+        end = np.where(whole, TWO_PI, start + 2.0 * half_widths)
+        # the windows [start, min(end, 2 pi)] and, past 2 pi, [0, end - 2 pi],
+        # whose CDF at 0 is (0, 0); an arc that does not wrap adds
+        # cdf_bounds(end - 2 pi <= 0) = (0, 0)
+        ends = np.concatenate([start, np.minimum(end, TWO_PI), end - TWO_PI])
+        a, b, c = np.array([self.cdf_bounds(t, tol * 0.25)
+                            for t in ends.tolist()]).reshape(3, -1, 2)
+        lo_total = np.maximum(0.0, b[:, 0] - a[:, 1]) + c[:, 0]
+        hi_total = np.maximum(0.0, b[:, 1] - a[:, 0]) + c[:, 1]
+        wide = np.flatnonzero(hi_total - lo_total > 4.0 * tol + 1e-15)
+        if wide.size:
+            lo, hi = float(lo_total[wide[0]]), float(hi_total[wide[0]])
             raise PrecisionExhausted(
                 "Cantor arc mass bracket stuck at width %g for tol %g"
-                % (hi_total - lo_total, tol), bracket=(lo_total, hi_total))
-        return (lo_total, hi_total)
+                % (hi - lo, tol), bracket=(lo, hi))
+        return lo_total, hi_total
 
     # -- Poisson / Herglotz over generation cells --
 
-    def _cells(self, tol: float, osc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Generation cells (lo, hi, mass) whose errors osc * mass sum below tol.
+    def _cells(self, tol: float, bound) -> tuple[np.ndarray, ...]:
+        """Generation cells whose errors sum below tol: (lo, hi, mass, *values).
 
-        ``osc(lo, hi)`` bounds the integrand's oscillation over each cell of
-        the endpoint arrays (radians).  A cell is split while its error is at
-        least tol divided by the current cell count; when the rule
-        stabilizes, the summed error is below tol.  Children are derived
-        from parent endpoints directly (float endpoints, exact masses
-        2^{-n}), so deep refinement near the kernel peak stays local and
-        never builds a whole generation.
+        ``bound(lo, hi)`` takes the endpoint arrays (radians) of new cells and
+        returns a tuple of arrays: the integrand's oscillation over each
+        cell, then any per-cell values the caller wants back.  It runs once
+        per cell, when the cell is made; a cell's error is its oscillation
+        times its mass 2^{-n}.  Each round splits the cells whose error is at
+        least tol divided by the live cell count; when no cell splits, the
+        summed error is below tol.
+
+        Cells are rows of column arrays in creation order.  A split cell
+        stays as a dead row (error -inf) and its children are appended,
+        left ones first, so the live rows keep the order [kept, left
+        children, right children] of each round; dead rows are dropped, in
+        order, when the columns are full, and the columns grow only when
+        that leaves too little room.  New cells are bounded in blocks of
+        BLOCK_ELEMENTS, so the bound's temporaries stay small, and the cell
+        cap is checked before they are made.  Children are derived from
+        parent endpoints directly (float endpoints, exact masses 2^{-n}), so
+        deep refinement near the kernel peak stays local and never builds a
+        whole generation.
         """
         base = self.generation(2)
-        n = np.full(len(base), 2, dtype=np.int64)
         lo = np.array([float(a) * TWO_PI for a, _ in base])
         hi = np.array([float(b) * TWO_PI for _, b in base])
+        gen = np.full(len(base), 2)
+        osc, *values = bound(lo, hi)
+        # columns: lo, hi, generation, error, then bound's values
+        cols = [lo, hi, gen, osc * self._MASSES.take(gen), *values]
+        rows = live = len(base)
         max_cells = 400000
-        while True:
-            err = osc(lo, hi) * np.exp2(-n.astype(np.float64))
-            split = (err >= tol / n.size) & (n < self.MAX_GENERATION)
-            if not np.any(split):
+        for child_gen in itertools.count(3):   # the deepest a child can be
+            lo, hi, gen, err = cols[:4]
+            split = (err[:rows] >= tol / live).nonzero()[0]
+            slo, shi, sgen = lo.take(split), hi.take(split), gen.take(split)
+            if child_gen > self.MAX_GENERATION:
+                below_cap = sgen < self.MAX_GENERATION
+                split, slo, shi, sgen = (split[below_cap], slo[below_cap],
+                                         shi[below_cap], sgen[below_cap])
+            k = split.size
+            if not k:
                 break
-            keep_n, keep_lo, keep_hi = n[~split], lo[~split], hi[~split]
-            sn, slo, shi = n[split], lo[split], hi[split]
-            q = self._ratio_floats[sn]
-            clen = (shi - slo) * q * 0.5
-            n = np.concatenate([keep_n, sn + 1, sn + 1])
-            lo = np.concatenate([keep_lo, slo, shi - clen])
-            hi = np.concatenate([keep_hi, slo + clen, shi])
-            if n.size > max_cells:
+            if live + k > max_cells:
                 raise PrecisionExhausted(
                     "Cantor quadrature needs more than %d cells for tol %g"
                     % (max_cells, tol))
+            err.put(split, -math.inf)
+            live += k
+            if rows + 2 * k > len(err):
+                # drop the dead rows; grow only if the live ones need it
+                alive = (err[:rows] > -math.inf).nonzero()[0]
+                rows = alive.size
+                if rows + 2 * k <= len(err):
+                    for col in cols:
+                        col[:rows] = col.take(alive)
+                else:
+                    size = min(2 * (rows + 2 * k), max_cells)
+                    for i, col in enumerate(cols):
+                        cols[i] = np.empty(size, col.dtype)
+                        cols[i][:rows] = col.take(alive)
+                    lo, hi, gen, err = cols[:4]
+            clen = (shi - slo) * self._ratio_floats.take(sgen) * 0.5
+            mid, end = rows + k, rows + 2 * k
+            lo[rows:mid], lo[mid:end] = slo, shi - clen
+            hi[rows:mid], hi[mid:end] = slo + clen, shi
+            gen[rows:mid] = gen[mid:end] = sgen + 1
+            for start in range(rows, end, BLOCK_ELEMENTS):
+                block = slice(start, min(start + BLOCK_ELEMENTS, end))
+                osc, *values = bound(lo[block], hi[block])
+                err[block] = osc * self._MASSES.take(gen[block])
+                for col, v in zip(cols[4:], values):
+                    col[block] = v
+            rows = end
+        alive = (cols[3][:rows] > -math.inf).nonzero()[0]
+        lo, hi, gen, err, *values = (col.take(alive) for col in cols)
         total_err = float(np.sum(err))
         if total_err > tol:
             raise PrecisionExhausted(
                 "Cantor quadrature hit the generation cap with error %g > tol %g"
                 % (total_err, tol))
-        return lo, hi, np.exp2(-n.astype(np.float64))
+        return (lo, hi, self._MASSES.take(gen), *values)
 
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
         z = _check_interior(z)
         r = abs(z)
         one_minus_r2 = 1.0 - r * r
 
-        def kernel_range(lo, hi):
-            d2min, d2max = _cell_distances2(z, lo, hi)
-            return one_minus_r2 / d2max, one_minus_r2 / d2min
+        def bound(lo, hi):
+            kmax, kmin = one_minus_r2 / _cell_distances2(z, lo, hi)
+            return kmax - kmin, kmin, kmax
 
-        def osc(lo, hi):
-            kmin, kmax = kernel_range(lo, hi)
-            return kmax - kmin
-
-        lo, hi, masses = self._cells(tol, osc)
-        kmin, kmax = kernel_range(lo, hi)
+        _, _, masses, kmin, kmax = self._cells(tol, bound)
         return (float(np.sum(kmin * masses)), float(np.sum(kmax * masses)))
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)
 
-        def osc(lo, hi):
+        def bound(lo, hi):
             # |d/dt (z+e^{it})/(z-e^{it})| = 2|z| / |z - e^{it}|^2
-            return (hi - lo) * 2.0 * abs(z) / _cell_distances2(z, lo, hi)[0]
+            return ((hi - lo) * 2.0 * abs(z) / _cell_distances2(z, lo, hi)[0],)
 
-        lo, hi, masses = self._cells(tol, osc)
+        lo, hi, masses = self._cells(tol, bound)
         xi = np.exp(1j * (0.5 * (lo + hi)))
         return complex(np.sum(masses * (z + xi) / (z - xi)))
 

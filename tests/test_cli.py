@@ -1,9 +1,12 @@
+import cmath
 import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -250,6 +253,71 @@ class TestMeasureCommand:
                                 "--tol", "1e-20"], capsys)
         assert code == 3
         assert "precision exhausted" in err
+
+
+class TestCantorMeasureGoldens:
+    """sha256 of Cantor measure reports (Poisson, Herglotz and arc mass),
+    metadata removed, recorded with the quadrature that recomputed every
+    cell's bound on each round and the CDF in Fraction arithmetic."""
+
+    MIDDLE_THIRDS = {"kind": "cantor", "delta": "middle-thirds"}
+    # (measure, turn, depth, arc half-width in turns, tol, sha256): the
+    # point is (1 - 2^-depth) e^{2 pi i turn} and the arc is centred on its
+    # angle; the first two are the benchmark's Cantor queries
+    CASES = {
+        "bench-1/4": (MIDDLE_THIRDS, "1/4", 9, 3.0 ** -4, "1e-4",
+                      "bfccc75d95bc4af24833f1fed16b6539d42363fc73815e435c8951c1063a00b7"),
+        "bench-1/10": (MIDDLE_THIRDS, "1/10", 9, 3.0 ** -4, "1e-4",
+                       "1281d6ac2bfd755148b861b8779539d301465d918e47a8d8de0353fd75e3514d"),
+        "depth3": (MIDDLE_THIRDS, "0.37", 3, 0.05, "1e-6",
+                   "fc7c477973b91be29358c8e16d62918e2ef4e858866ce99c53338ee436138938"),
+        "depth6": (MIDDLE_THIRDS, "2/3", 6, 0.01, "1e-6",
+                   "9da23e6a37b422b4dc236cc60f9062337a6344cc2f31bb17f939436b79bdd2fd"),
+        "depth10": (MIDDLE_THIRDS, "7/9", 10, 1e-3, "1e-6",
+                    "5cc301a87827895977355ae9d48db8795713d23e879b100073c19c1e33b9bb07"),
+        "depth12": (MIDDLE_THIRDS, "1/2", 12, 1e-4, "1e-6",
+                    "10c4d24bca0fe9351fdb8e96b1b3c8891743bf42792b0b3c87226a23e29609ee"),
+        "removed-half": ({"kind": "cantor", "delta": {"ratio": "1/2"}}, "1/5", 7, 0.02,
+                         "1e-6",
+                         "6a5434aede8e99a13aa4d307078be1aadfee1ac2453af049e2085106defc5b06"),
+        "delta-list": ({"kind": "cantor", "delta": ["3.0", "1.2", "0.5", "0.1"]}, "1/10", 5,
+                       0.1, "1e-6",
+                       "55af1c571c3216b58e744d8c12e18603ea0439d7b1c0692d8ac3eae20e37e54a"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_measure_report(self, case, capsys, tmp_path):
+        doc, turn, depth, half_turns, tol, digest = self.CASES[case]
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(doc))
+        t = float(Fraction(turn))
+        z = (1.0 - 2.0 ** -depth) * cmath.exp(2j * math.pi * t)
+        code, out, _ = run_cli(["measure", "--measure", str(path),
+                                "--at=%r,%r" % (z.real, z.imag),
+                                "--arc", "%r,%r" % (2 * math.pi * t, 2 * math.pi * half_turns),
+                                "--tol", tol], capsys)
+        assert code == 0
+        assert TestGoldenScans.digest(out) == digest
+
+    def test_default_tol_out_of_reach_in_bounded_memory(self, capsys, tmp_path):
+        # README's example: at 0.5 + 0.5i the default tol 1e-9 needs more
+        # cells than the cap.  The quadrature that recomputed every cell's
+        # bound peaked at 29.5 MB of traced memory on this query; bounding
+        # new cells in blocks and reusing the room of split ones keeps it
+        # near 24 MB
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(self.MIDDLE_THIRDS))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["measure", "--measure", str(path),
+                                      "--at", "0.5,0.5", "--arc", "0.3,0.2"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == ("precision exhausted: Cantor quadrature needs more than "
+                       "400000 cells for tol 1e-09\n")
+        assert peak < 28 * 10 ** 6
 
 
 class TestErrorHandling:

@@ -7,7 +7,8 @@ import pytest
 
 from onecomp.errors import DomainError, PrecisionExhausted
 from onecomp.families import example1_measure
-from onecomp.geometry import TWO_PI, BoundaryArc, angle_mod, angular_gap, level_points
+from onecomp.geometry import (TWO_PI, BoundaryArc, angle_mod, angular_gap,
+                              carleson_squares, level_points)
 from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
                               _herglotz_kernel, poisson_kernel)
 
@@ -522,3 +523,215 @@ class TestCantorDescent:
                 for tol in (1e-12, 1e-13 * depth):
                     assert support.chord_distance_to_point(p, tol) == \
                         _reference_chord_distance(measure, p, tol), (p, tol)
+
+
+# Reference copy of the Cantor quadrature before each cell was bounded
+# once: every round recomputes the oscillation of every live cell and
+# rebuilds the cell arrays as [kept, left children, right children], and
+# the Poisson sum recomputes the kernel range of the final cells.  The
+# quadrature must reproduce it bit for bit, failures included.
+
+def _reference_distances2(z, lo, hi):
+    r = abs(z)
+    phase = cmath.phase(z) if r > 0.0 else 0.0
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    d = np.abs(np.mod(phase - center + math.pi, TWO_PI) - math.pi)
+    gmin = np.maximum(0.0, d - half)
+    gmax = np.minimum(math.pi, d + half)
+    return ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmin) ** 2,
+            (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gmax) ** 2)
+
+
+def _reference_cells(measure, tol, osc):
+    base = measure.generation(2)
+    n = np.full(len(base), 2, dtype=np.int64)
+    lo = np.array([float(a) * TWO_PI for a, _ in base])
+    hi = np.array([float(b) * TWO_PI for _, b in base])
+    max_cells = 400000
+    while True:
+        err = osc(lo, hi) * np.exp2(-n.astype(np.float64))
+        split = (err >= tol / n.size) & (n < measure.MAX_GENERATION)
+        if not np.any(split):
+            break
+        keep_n, keep_lo, keep_hi = n[~split], lo[~split], hi[~split]
+        sn, slo, shi = n[split], lo[split], hi[split]
+        q = measure._ratio_floats[sn]
+        clen = (shi - slo) * q * 0.5
+        n = np.concatenate([keep_n, sn + 1, sn + 1])
+        lo = np.concatenate([keep_lo, slo, shi - clen])
+        hi = np.concatenate([keep_hi, slo + clen, shi])
+        if n.size > max_cells:
+            raise PrecisionExhausted(
+                "Cantor quadrature needs more than %d cells for tol %g"
+                % (max_cells, tol))
+    total_err = float(np.sum(err))
+    if total_err > tol:
+        raise PrecisionExhausted(
+            "Cantor quadrature hit the generation cap with error %g > tol %g"
+            % (total_err, tol))
+    return lo, hi, np.exp2(-n.astype(np.float64))
+
+
+def _reference_poisson_bounds(measure, z, tol):
+    r = abs(z)
+    one_minus_r2 = 1.0 - r * r
+
+    def kernel_range(lo, hi):
+        d2min, d2max = _reference_distances2(z, lo, hi)
+        return one_minus_r2 / d2max, one_minus_r2 / d2min
+
+    def osc(lo, hi):
+        kmin, kmax = kernel_range(lo, hi)
+        return kmax - kmin
+
+    lo, hi, masses = _reference_cells(measure, tol, osc)
+    kmin, kmax = kernel_range(lo, hi)
+    return (float(np.sum(kmin * masses)), float(np.sum(kmax * masses)))
+
+
+def _reference_herglotz_integral(measure, z, tol):
+    def osc(lo, hi):
+        return (hi - lo) * 2.0 * abs(z) / _reference_distances2(z, lo, hi)[0]
+
+    lo, hi, masses = _reference_cells(measure, tol, osc)
+    xi = np.exp(1j * (0.5 * (lo + hi)))
+    return complex(np.sum(masses * (z + xi) / (z - xi)))
+
+
+def _outcome(f, *args):
+    """The hex digits of a call's floats, or the message it raises."""
+    try:
+        value = f(*args)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    return tuple(v.hex() for v in value)
+
+
+@pytest.mark.parametrize("name", sorted(CANTOR_VARIANTS))
+class TestCantorQuadrature:
+    @pytest.mark.parametrize("tol", [0.25, 1e-4, 1e-6])
+    def test_matches_the_recomputing_loop(self, name, tol):
+        measure = CANTOR_VARIANTS[name]()
+        rng = np.random.default_rng(31)
+        points = [(1.0 - 2.0 ** -d) * cmath.exp(1j * angle)
+                  for d in range(3, 13)
+                  for angle in (TWO_PI * rng.random(), 0.5 * math.pi)]
+        outcomes = []
+        for z in points:
+            for new, reference in ((measure.poisson_bounds, _reference_poisson_bounds),
+                                   (measure.herglotz_integral, _reference_herglotz_integral)):
+                got = _outcome(new, z, tol)
+                assert got == _outcome(reference, measure, z, tol), (z, new.__name__)
+                outcomes.append(got)
+        if tol == 0.25:
+            assert all(isinstance(o, tuple) for o in outcomes)
+
+    def test_failures_match_the_recomputing_loop(self, name):
+        measure = CANTOR_VARIANTS[name]()
+        got = _outcome(measure.poisson_bounds, 0.5 + 0.5j, 1e-9)
+        assert got == _outcome(_reference_poisson_bounds, measure, 0.5 + 0.5j, 1e-9)
+        if name == "middle-thirds":
+            assert got == "Cantor quadrature needs more than 400000 cells for tol 1e-09"
+        z = (1.0 - 2.0 ** -10) * cmath.exp(0.6j * math.pi)
+        got = _outcome(measure.herglotz_integral, z, 1e-6)
+        assert got == _outcome(_reference_herglotz_integral, measure, z, 1e-6)
+        if name == "middle-thirds":
+            assert got == "Cantor quadrature needs more than 400000 cells for tol 1e-06"
+            # 1 - 2^-48 at the Cantor point 0: the cells next to it reach
+            # generation 48 while the error is still above tol
+            z = 1.0 - 2.0 ** -48
+            got = _outcome(measure.poisson_bounds, z, 1e-3)
+            assert got.startswith("Cantor quadrature hit the generation cap with error")
+            assert got == _outcome(_reference_poisson_bounds, measure, z, 1e-3)
+
+
+# Reference copy of cdf_bounds before it worked on integers: the descent
+# in exact Fraction arithmetic on turns.
+
+def _reference_cdf_bounds(measure, t, tol=1e-12):
+    tt = Fraction(t) / Fraction(TWO_PI)
+    if tt <= 0:
+        return (0.0, 0.0)
+    if tt >= 1:
+        return (1.0, 1.0)
+    below = 0.0
+    a, b = Fraction(0), Fraction(1)
+    for n in range(1, measure.MAX_GENERATION + 1):
+        q = measure._ratio(n - 1)
+        child_len = (b - a) * q / 2
+        c1 = (a, a + child_len)
+        c2 = (b - child_len, b)
+        mass = 2.0 ** -n
+        if tt <= c1[1]:
+            a, b = c1
+        elif tt < c2[0]:
+            return (below + mass, below + mass)
+        else:
+            below += mass
+            a, b = c2
+        if mass <= tol:
+            return (below, below + mass)
+    return (below, below + 2.0 ** -measure.MAX_GENERATION)
+
+
+def _reference_arc_bounds(measure, center, half, tol):
+    from onecomp.measures import _arc_windows
+    lo_total, hi_total = 0.0, 0.0
+    for wlo, whi in _arc_windows(BoundaryArc(center, half)):
+        alo, ahi = _reference_cdf_bounds(measure, wlo, tol * 0.25)
+        blo, bhi = _reference_cdf_bounds(measure, whi, tol * 0.25)
+        lo_total += max(0.0, blo - ahi)
+        hi_total += max(0.0, bhi - alo)
+    return (lo_total, hi_total)
+
+
+@pytest.mark.parametrize("name", sorted(CANTOR_VARIANTS))
+class TestCantorCdf:
+    def test_matches_the_fraction_descent(self, name):
+        measure = CANTOR_VARIANTS[name]()
+        two_pi = Fraction(TWO_PI)
+        # every endpoint of generations 1-12 (1-6 off middle-thirds), which
+        # are the endpoints of the deepest one, as the nearest double and
+        # one ulp to either side, and the midpoint of every gap they remove
+        deepest = 12 if name == "middle-thirds" else 6
+        angles = []
+        for a, b in measure.generation(deepest):
+            for e in (a, b):
+                t = float(e * two_pi)
+                angles += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        angles += [float((a + b) / 2 * two_pi) for a, b in measure.generation(deepest - 1)]
+        angles += [0.0, -0.0, TWO_PI, math.nextafter(TWO_PI, 7.0), -0.5, 7.0]
+        # at the arc-mass tolerance of mu(Q) the descent stops at generation
+        # 32, whose intervals are a few ulps of 2 pi wide
+        for t in angles:
+            assert measure.cdf_bounds(t, 2.5e-10) == _reference_cdf_bounds(measure, t, 2.5e-10), t
+        rng = np.random.default_rng(37)
+        for t in rng.uniform(0.0, TWO_PI, 4000).tolist():
+            for tol in (1e-12, 1e-3):
+                assert measure.cdf_bounds(t, tol) == _reference_cdf_bounds(measure, t, tol), t
+
+    @pytest.mark.parametrize("closed_ends", [True, False])
+    def test_arc_masses_of_scan_squares(self, name, closed_ends):
+        from onecomp.inner import MASS_TOL
+        measure = CANTOR_VARIANTS[name]()
+        squares = carleson_squares(np.concatenate(
+            [np.zeros(1)] + [level_points(d) for d in range(2, 11)]))
+        # and arcs, some across angle 0, whose ends lie next to the points
+        # 1/4, 3/4 and 1/10 turn of the middle-thirds set, where the CDF
+        # bracket keeps a width
+        ends = np.array([[0.25, 0.75], [-0.25, 0.1], [0.1, 0.25], [-0.75, 0.1],
+                         [0.75, 1.1], [0.1, 0.75]]) * TWO_PI
+        centers = np.concatenate([squares.center_angle, 0.5 * (ends[:, 0] + ends[:, 1])])
+        halves = np.concatenate([squares.half_window, 0.5 * (ends[:, 1] - ends[:, 0])])
+        lo, hi = measure.mass_of_arc_bounds_many(centers, halves, closed_ends, MASS_TOL)
+        bounds = [measure.mass_of_arc_bounds(BoundaryArc(c, h), closed_ends, MASS_TOL)
+                  for c, h in zip(centers.tolist(), halves.tolist())]
+        assert list(zip(lo.tolist(), hi.tolist())) == bounds
+        assert bounds == [_reference_arc_bounds(measure, c, h, MASS_TOL)
+                          for c, h in zip(centers.tolist(), halves.tolist())]
+        assert 0.0 < max(lo.tolist()) and min(hi.tolist()) < 1.0
+        if name == "middle-thirds":
+            assert all(b[0] < b[1] for b in bounds[-len(ends):])
