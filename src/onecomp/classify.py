@@ -66,6 +66,9 @@ class ClassificationReport:
     c_star: float
     depth_trace: list[float]
     witnesses: list[ScanWitness]
+    # every point the scan bracketed, in scan order, and its certified lower
+    # |Theta|; kept for the companion's spot check, not reported
+    visited: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     tests: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
@@ -115,7 +118,8 @@ def criterion_scan(theta: InnerFunction, depth: int,
     Samples each top half at its center and its low-angle corner; a sample z
     becomes a witness when mu(Theta)(Q(z)) is certifiably positive, and then
     contributes its certified modulus bracket to the C* trace.  One
-    modulus_bounds call brackets a level's witnesses.
+    modulus_bounds call brackets a level's witnesses; the report keeps them
+    all, with their lower ends, as ``visited``.
     """
     if depth < 2:
         raise DomainError("scan depth must be >= 2")
@@ -126,11 +130,15 @@ def criterion_scan(theta: InnerFunction, depth: int,
 
     trace: list[float] = []
     witnesses: list[ScanWitness] = []
+    seen_points: list[np.ndarray] = []
+    seen_lower: list[np.ndarray] = []
     crossed = False
     c_star = 0.0
     for level in range(2, depth + 1):
         points, masses = mu.positive_squares(level)
         lower, upper = theta.modulus_bounds(points, EVAL_TOL)
+        seen_points.append(points)
+        seen_lower.append(lower)
         for z, mu_q, lo, hi in zip(points.tolist(), masses.tolist(),
                                    lower.tolist(), upper.tolist()):
             if lo > 1.0 - tol:
@@ -147,6 +155,7 @@ def criterion_scan(theta: InnerFunction, depth: int,
         notes.append("constant inner function: mu(Theta) is identically zero")
     return ClassificationReport(
         verdict=verdict, c_star=c_star, depth_trace=trace, witnesses=witnesses,
+        visited=(np.concatenate(seen_points), np.concatenate(seen_lower)),
         params={"depth": depth, "tol": tol, "margin": MARGIN,
                 "eval_tol": EVAL_TOL, "samples": "top-half centers and corners"},
         notes=notes)
@@ -286,11 +295,12 @@ def sawtooth_test(theta: InnerFunction,
     support = sigma.support()
     region = SawtoothRegion(support)
     if theta.blaschke is not None:
-        for w in theta.blaschke.zeros.zeros:
-            if w != 0 and not region.contains(w):
-                raise HypothesisViolated(
-                    "hypothesis violated: zero %r lies outside the sawtooth "
-                    "region" % (w,))
+        zeros = [w for w in theta.blaschke.zeros.zeros if w != 0]
+        outside = np.flatnonzero(~region.contains(np.array(zeros, dtype=np.complex128)))
+        if outside.size:
+            raise HypothesisViolated(
+                "hypothesis violated: zero %r lies outside the sawtooth "
+                "region" % (zeros[outside[0]],))
 
     if r_levels is None:
         r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]

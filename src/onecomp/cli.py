@@ -168,7 +168,7 @@ def cmd_measure(args) -> int:
         if len(parts) != 2:
             raise DomainError("--arc must be 'center,half_width'")
         arc = BoundaryArc(_num(parts[0], "arc center"), _num(parts[1], "arc half_width"))
-        doc["arc_mass"] = sigma.mass_of_arc(arc, closed_ends=True, tol=tol)
+        doc["arc_mass"] = sigma.mass_of_arc(arc, tol=tol)
     if args.at:
         z = _parse_point(args.at)
         doc["poisson"] = sigma.poisson_integral(z, tol)

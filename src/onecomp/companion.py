@@ -17,8 +17,13 @@ Verification of the result is numeric evidence on the placed prefix:
 separation and Carleson box constants, criterion scans of B and of
 B * Theta, and the spot check that every scanned point with certified
 |B| > 12/21 has mu(B)(Q) = 0 exactly.  A point with mu(B)(Q) = 0 cannot
-break that, so the spot check brackets |B| only at the scan points whose
-square holds a zero of B, the ones the scan of B visits.
+break that, so the spot check reads the points whose square holds a zero
+of B, and their lower |B|, off the scan of B, which visits exactly those.
+
+A radius walk that the declared zero tail stops, because |Theta| cannot be
+certified that close to the circle, raises TailBoundInsufficient naming
+zeros_tail_blaschke_sum; one stopped by sampled moduli raises
+RadiusSearchExhausted.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from .errors import (CurveExhausted, DomainError, HypothesisViolated,
 from .geometry import TWO_PI, BoundaryArc, pseudo_distance, whitney_arcs
 # not called here: bench/tracer.py counts carleson_square calls through this name
 from .geometry import carleson_square  # noqa: F401
-from .inner import (BlaschkeProduct, InnerFunction, MuMeasure, ZeroSequence,
-                    separation_constants)
+from .inner import BlaschkeProduct, InnerFunction, ZeroSequence, separation_constants
 
 GRID_MAX_K = 50
 STEP = 0.1                 # pseudohyperbolic distance between marched zeros
@@ -138,7 +142,9 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
     failing band j, continues from k = j + 1.  Every k' from k to j has band
     j in its window and fails, so the walk stops at the smallest passing k,
     evaluating each band at most once and assuming nothing about the order
-    of passing and failing k.
+    of passing and failing k.  A walk past 1 - 2^{-GRID_MAX_K} raises
+    TailBoundInsufficient when its last failing band could not be certified
+    for the declared zero tail, RadiusSearchExhausted otherwise.
     """
     radii: list[float] = []
     epsilons: list[float] = []
@@ -146,7 +152,8 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
         eps = min(0.5, arc.length)
         tol = max(1e-12, eps * 1e-2)
 
-        def first_failing_band(k: int) -> Optional[int]:
+        def first_failing_band(k: int) -> Optional[tuple[int, bool]]:
+            # the first failing band, and whether the zero tail failed it
             for j in range(k, min(k + 4, 52)):
                 r_band = 1.0 - 2.0 ** -j
                 count = int(arc.length / 2.0 ** -j) + 2
@@ -157,15 +164,22 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
                     try:
                         bound = theta.modulus_bounds(z, tol).lo
                     except TailBoundInsufficient:
-                        return j   # cannot certify this deep; not passing
+                        return j, True   # cannot certify this deep; not passing
                     if bound < 1.0 - eps:
-                        return j
+                        return j, False
             return None
 
         k = 1
         while (bad := first_failing_band(k)) is not None:
-            k = bad + 1
+            j, tail_failed = bad
+            k = j + 1
             if k > GRID_MAX_K:
+                if tail_failed:
+                    raise TailBoundInsufficient(
+                        "zeros_tail_blaschke_sum %g is too large to certify the "
+                        "1 - %g floor down to 1 - 2^-%d on arc at angle %g"
+                        % (theta.blaschke.zeros.tail_blaschke_sum, eps, GRID_MAX_K,
+                           arc.center_angle))
                 raise RadiusSearchExhausted(
                     "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
                     "arc at angle %g; singular set under-described?"
@@ -350,22 +364,17 @@ class CompanionResult:
                 and self.spot_check.passed)
 
 
-def _spot_check_b(blaschke: BlaschkeProduct, mu: MuMeasure, depth: int) -> SpotCheck:
+def _spot_check_b(report_b: ClassificationReport) -> SpotCheck:
     """Scan points where |B| stays above 12/21 must carry no mu mass.
 
-    mu is B's own zero measure, so only the points that
-    mu.positive_squares gives, the ones criterion_scan(B) visits, can break
-    this.  |B| is bracketed at a level's points with one call, at the
-    Blaschke half of InnerFunction.modulus_bounds' 1e-9 tolerance.
+    Only the points whose square holds mu(B) mass can break this, and those
+    are the points criterion_scan(B) visits, so the check reads their
+    certified lower |B| off the scan's report.  B is a finite product: its
+    lower end is exp of the log sum, or 0 when that is at most half the
+    tolerance, so the test against 12/21 does not depend on the tolerance.
     """
-    checked = 0
-    violations: list[complex] = []
-    for level in range(2, depth + 1):
-        points, _ = mu.positive_squares(level)
-        lower = blaschke.modulus_bounds(points, 0.5e-9).lo
-        checked += len(points)
-        violations += points[lower > 12.0 / 21.0].tolist()
-    return SpotCheck(checked, violations)
+    points, lower = report_b.visited
+    return SpotCheck(len(points), points[lower > 12.0 / 21.0].tolist())
 
 
 def construct_companion(theta: InnerFunction, horizon: int = 2000,
@@ -409,7 +418,7 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
 
     report_b = criterion_scan(companion, depth)
     report_btheta = criterion_scan(product, depth)
-    spot = _spot_check_b(companion.blaschke, companion.mu(), depth)
+    spot = _spot_check_b(report_b)
 
     tail_estimate = 8.0 * max(0.0, TWO_PI - placement.covered_angle)
     if placement.exhausted:

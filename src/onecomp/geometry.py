@@ -253,24 +253,20 @@ class PointSupport(BoundarySupport):
             lo = min(lo, arc.angular_distance_to_arc(h))
         return (lo, hi)
 
-    def chord_distance_to_point(self, p: complex, tol: float = 1e-12) -> tuple[float, float]:
-        if self.is_empty():
-            return (math.inf, math.inf)
-        hi = min((abs(p - cmath.exp(1j * a)) for a in self._known()), default=math.inf)
-        return (self.hull_bound(p, hi), hi)
-
     def hull_bound(self, p: complex, hi: float) -> float:
-        """The lower end of chord_distance_to_point at p, given its upper end."""
+        """The lower end of the chord distance from p to this set, given its
+        upper end hi, the distance to the known angles."""
         lo = hi
         for h in self.hull:
             lo = min(lo, h.chord_distance_to_point(p))
         return lo
 
     def known_chord_distances(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        """The upper end of chord_distance_to_point at each point re + i im,
-        bit for bit: a point x known-angle matrix in row blocks of about
-        BLOCK_ELEMENTS, with e^{i a} taken once per angle by cmath.exp and
-        |.| by np.hypot, which matches abs(complex)."""
+        """The least |p - e^{i a}| over the known angles a at each point
+        p = re + i im, the upper end of the chord distance to this set: a
+        point x known-angle matrix in row blocks of about BLOCK_ELEMENTS,
+        with e^{i a} taken once per angle by cmath.exp and |.| by np.hypot,
+        which matches abs(complex)."""
         known = self._known()
         hi = np.full(len(re), math.inf)
         if not known:
@@ -306,12 +302,6 @@ class ArcSupport(BoundarySupport):
     def described_length(self) -> float:
         return sum(a.length for a in self.arcs)
 
-    def angular_distance_to_arc(self, arc: BoundaryArc) -> tuple[float, float]:
-        if not self.arcs:
-            return (math.inf, math.inf)
-        d = min(arc.angular_distance_to_arc(a) for a in self.arcs)
-        return (d, d)
-
     def chord_distance_to_point(self, p: complex, tol: float = 1e-12) -> tuple[float, float]:
         if not self.arcs:
             return (math.inf, math.inf)
@@ -329,41 +319,36 @@ class SawtoothRegion:
     support: BoundarySupport
 
     def contains(self, z, limit: Optional[int] = None):
-        """Membership of z.  A 1-D complex array z gives a boolean array,
-        entry i the answer at z[i] bit for bit; with ``limit``, only the
-        first ``limit`` points inside read True.
+        """Membership of every point of a 1-D complex array z, as a boolean
+        array; with ``limit``, only the first ``limit`` points inside read
+        True.  A scalar z is the one-point array and gives a bool.
 
-        On a PointSupport the known angles are one array query, and the
-        hull, which only lowers the lower end, is consulted point by point
-        where hi <= depth < 2 hi leaves the answer open.  Other supports are
-        asked point by point, up to the ``limit``-th point inside.
+        Every point is checked before any is decided.  On a PointSupport
+        the known angles are one array query, and the hull, which only
+        lowers the lower end, is consulted point by point where
+        hi <= depth < 2 hi leaves the answer open.  Other supports bracket
+        the distance point by point, up to the ``limit``-th point inside.
         """
-        if isinstance(z, np.ndarray):
-            return self._contains_many(z, limit)
-        z = complex(z)
-        az = abs(z)
-        _check_sawtooth_modulus(az)
+        if not isinstance(z, np.ndarray):
+            return bool(self.contains(np.array([complex(z)]))[0])
+        az = np.hypot(z.real, z.imag)
+        bad = np.flatnonzero(~((az != 0.0) & (az < 1.0)))
+        if bad.size:
+            if az[bad[0]] == 0.0:
+                raise DomainError("sawtooth membership is undefined at z = 0")
+            raise DomainError("sawtooth membership requires |z| < 1")
         depth = 1.0 - az
-        proj = z / az
-        lo, hi = self.support.chord_distance_to_point(proj, tol=1e-13 * max(depth, 1e-30))
-        return _sawtooth_decision(depth, lo, hi)
-
-    def _contains_many(self, z: np.ndarray, limit: Optional[int]) -> np.ndarray:
         support = self.support
         if not isinstance(support, PointSupport):
             inside = np.zeros(len(z), dtype=bool)
             count = 0
-            for i, point in enumerate(z.tolist()):
+            for i, (point, a, d) in enumerate(zip(z.tolist(), az.tolist(), depth.tolist())):
                 if count == limit:
                     break
-                inside[i] = self.contains(point)
+                lo, hi = support.chord_distance_to_point(point / a, tol=1e-13 * max(d, 1e-30))
+                inside[i] = _sawtooth_decision(d, lo, hi)
                 count += inside[i]
             return inside
-        az = np.hypot(z.real, z.imag)
-        bad = ~((az != 0.0) & (az < 1.0))
-        if bad.any():
-            _check_sawtooth_modulus(float(az[bad][0]))
-        depth = 1.0 - az
         # per component, as complex / float divides; numpy's complex
         # division differs from it in the last bit
         hi = support.known_chord_distances(z.real / az, z.imag / az)
@@ -376,13 +361,6 @@ class SawtoothRegion:
         if limit is not None:
             inside[np.flatnonzero(inside)[limit:]] = False
         return inside
-
-
-def _check_sawtooth_modulus(az: float) -> None:
-    if az == 0.0:
-        raise DomainError("sawtooth membership is undefined at z = 0")
-    if not az < 1.0:
-        raise DomainError("sawtooth membership requires |z| < 1")
 
 
 def _sawtooth_decision(depth: float, lo: float, hi: float) -> bool:

@@ -397,7 +397,7 @@ class MuMeasure:
         if self.boundary is None:
             return (total, total + self.horizon)
         blo, bhi = self.boundary.mass_of_arc_bounds_many(
-            sq.center_angle, sq.half_window, closed_ends=True, tol=MASS_TOL)
+            sq.center_angle, sq.half_window, tol=MASS_TOL)
         return (total + blo, total + bhi + self.horizon)
 
 

@@ -86,7 +86,8 @@ def _arc_windows(arc: BoundaryArc) -> list[tuple[float, float]]:
 
 
 class SingularMeasure:
-    """Common query surface of the three measure variants."""
+    """Common query surface of the three measure variants; every arc is
+    closed, so an atom on an arc's endpoint counts toward its mass."""
 
     def total_mass(self) -> float:
         raise NotImplementedError
@@ -94,21 +95,18 @@ class SingularMeasure:
     def support(self) -> BoundarySupport:
         raise NotImplementedError
 
-    def mass_of_arc(self, arc: BoundaryArc, closed_ends: bool = True,
-                    tol: float = 1e-12) -> float:
-        lo, hi = self.mass_of_arc_bounds(arc, closed_ends, tol)
+    def mass_of_arc(self, arc: BoundaryArc, tol: float = 1e-12) -> float:
+        lo, hi = self.mass_of_arc_bounds(arc, tol)
         return 0.5 * (lo + hi)
 
-    def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
-                           tol: float = 1e-12) -> tuple[float, float]:
+    def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         raise NotImplementedError
 
     def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
-                                closed_ends: bool = True, tol: float = 1e-12
-                                ) -> tuple[np.ndarray, np.ndarray]:
+                                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         """mass_of_arc_bounds of each arc (centers[i], half_widths[i]), as a
         lower-end array and an upper-end array."""
-        bounds = [self.mass_of_arc_bounds(BoundaryArc(c, h), closed_ends, tol)
+        bounds = [self.mass_of_arc_bounds(BoundaryArc(c, h), tol)
                   for c, h in zip(centers.tolist(), half_widths.tolist())]
         lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return lo, hi
@@ -195,16 +193,13 @@ class AtomicMeasure(SingularMeasure):
         thetas = np.array([t for t, _ in self._atoms], dtype=np.float64)
         return thetas, thetas
 
-    def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
-                           tol: float = 1e-12) -> tuple[float, float]:
+    def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         lo, hi = self.mass_of_arc_bounds_many(np.array([arc.center_angle]),
-                                              np.array([arc.half_width]),
-                                              closed_ends, tol)
+                                              np.array([arc.half_width]), tol)
         return (float(lo[0]), float(hi[0]))
 
     def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
-                                closed_ends: bool = True, tol: float = 1e-12
-                                ) -> tuple[np.ndarray, np.ndarray]:
+                                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         """An arc x atom matrix, in row blocks of about BLOCK_ELEMENTS.
 
         The gap is geometry.angular_gap elementwise (fmod, then one wrap into
@@ -220,8 +215,7 @@ class AtomicMeasure(SingularMeasure):
                 a = np.fmod(thetas - centers[s:s + step, None], TWO_PI)
                 gap = np.abs(np.where(a > math.pi, a - TWO_PI,
                                       np.where(a <= -math.pi, a + TWO_PI, a)))
-                inside = (gap <= half) if closed_ends else (gap < half)
-                inside |= half >= math.pi
+                inside = (gap <= half) | (half >= math.pi)
                 total[s:s + step] = np.cumsum(np.where(inside, masses, 0.0), axis=1)[:, -1]
         return total, total + self._tail
 
@@ -418,16 +412,13 @@ class CantorMeasure(SingularMeasure):
                 return (below, below + mass)
         return (below, below + 2.0 ** -self.MAX_GENERATION)
 
-    def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
-                           tol: float = 1e-12) -> tuple[float, float]:
+    def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         lo, hi = self.mass_of_arc_bounds_many(np.array([arc.center_angle]),
-                                              np.array([arc.half_width]),
-                                              closed_ends, tol)
+                                              np.array([arc.half_width]), tol)
         return (float(lo[0]), float(hi[0]))
 
     def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
-                                closed_ends: bool = True, tol: float = 1e-12
-                                ) -> tuple[np.ndarray, np.ndarray]:
+                                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         """CDF differences over each arc's _arc_windows, the windows taken
         as arrays in the same float steps; the first arc whose bracket is
         wider than tol raises."""
@@ -703,8 +694,7 @@ class CdfMeasure(SingularMeasure):
                 arcs.append(BoundaryArc.from_endpoints(t0, t1))
         return ArcSupport(tuple(arcs))
 
-    def mass_of_arc_bounds(self, arc: BoundaryArc, closed_ends: bool = True,
-                           tol: float = 1e-12) -> tuple[float, float]:
+    def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         total = 0.0
         for lo, hi in _arc_windows(arc):
             total += self.cdf(hi) - self.cdf(lo)

@@ -187,12 +187,9 @@ def test_criterion_7_invariant_suites():
                 lo, mid, hi = cuts
                 if hi <= lo:
                     continue
-                whole = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, hi),
-                                          closed_ends=False, tol=1e-14)
-                left = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, mid),
-                                         closed_ends=False, tol=1e-14)
-                right = sigma.mass_of_arc(BoundaryArc.from_endpoints(mid, hi),
-                                          closed_ends=False, tol=1e-14)
+                whole = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, hi), tol=1e-14)
+                left = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, mid), tol=1e-14)
+                right = sigma.mass_of_arc(BoundaryArc.from_endpoints(mid, hi), tol=1e-14)
                 assert abs(left + right - whole) <= 1e-12
                 assert left <= whole + 1e-12 and right <= whole + 1e-12
 

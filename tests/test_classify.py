@@ -2,6 +2,7 @@ import importlib.util
 import math
 import cmath
 import pathlib
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -161,6 +162,17 @@ class TestSawtooth:
     def test_requires_singular_part(self):
         with pytest.raises(HypothesisViolated):
             sawtooth_test(families.finite_blaschke([0.5]))
+
+    def test_first_zero_outside_is_named(self):
+        # 0.9 lies on the atom's radius; 0.9i and -0.9 are both outside
+        def theta():
+            return InnerFunction(blaschke=BlaschkeProduct([0.9, 0.9j, -0.9]),
+                                 singular=SingularInner(AtomicMeasure([(0.0, 1.0)])))
+
+        with pytest.raises(HypothesisViolated, match=re.escape("zero 0.9j lies outside")):
+            sawtooth_test(theta())
+        rep = classify(theta(), 6)
+        assert rep.tests == {}
 
 
 def reference_sawtooth_trace(theta, r_levels=None):

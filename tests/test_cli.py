@@ -372,6 +372,15 @@ class TestErrorHandling:
         assert code == 3
         assert err.count("\n") == 1 and "tail" in err
 
+    def test_zero_tail_stops_the_radius_walk_exit_code(self, seeds, capsys):
+        # near the accumulation point no band deep enough to pass can be
+        # certified for the declared tail: exit 3, naming the input field
+        inner = str(seeds / "radial_geometric.json")
+        code, out, err = run_cli(["construct", "--inner", inner, "--horizon", "60",
+                                  "--depth", "6"], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "zeros_tail_blaschke_sum" in err
+
     def test_zero_tail_larger_than_a_scan_square_exit_code(self, capsys, tmp_path):
         # the tail 2 exceeds the side of level 2's squares, so their zero
         # mass is not certified: exit 3, naming the input field

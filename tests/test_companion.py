@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from onecomp import families
-from onecomp.classify import ONE_COMPONENT
+from onecomp.classify import ONE_COMPONENT, criterion_scan
 from onecomp.companion import (GRID_MAX_K, SpotCheck, _spot_check_b, build_gamma,
                                choose_radii, construct_companion, place_zeros)
 from onecomp.errors import (HypothesisViolated, RadiusSearchExhausted,
                             TailBoundInsufficient)
 from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, carleson_square,
                               level_points, pseudo_distance, whitney_arcs)
-from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, SingularInner,
-                           ZeroSequence)
+from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
+                           SingularInner, ZeroSequence)
 from onecomp.measures import CdfMeasure
 
 
@@ -131,11 +131,21 @@ class TestRadiusWalk:
             probe_and_bisect_radii(builder(), arcs)
 
     def test_exhausted_search_message(self):
-        message = ("no grid radius down to 1 - 2^-50 meets the 1 - 0.000383495 "
-                   "floor on arc at angle 0.000575243; singular set "
-                   "under-described?")
-        with pytest.raises(RadiusSearchExhausted, match=re.escape(message)):
+        # every band from 1 - 2^-26 down fails because the zero tail cannot
+        # be certified there, so the walk stops on the tail, not on samples
+        message = ("zeros_tail_blaschke_sum 3.55271e-15 is too large to certify "
+                   "the 1 - 0.000383495 floor down to 1 - 2^-50 on arc at angle "
+                   "0.000575243")
+        with pytest.raises(TailBoundInsufficient, match=re.escape(message)):
             construct_companion(families.radial_geometric(), horizon=60, depth=6)
+
+    def test_search_exhausted_by_samples(self):
+        theta = BandTheta(range(1, 52))
+        message = ("no grid radius down to 1 - 2^-50 meets the 1 - 0.25 floor on "
+                   "arc at angle 1.125; singular set under-described?")
+        with pytest.raises(RadiusSearchExhausted, match=re.escape(message)):
+            choose_radii(theta, [BoundaryArc.from_endpoints(1.0, 1.25)])
+        assert len(theta.points) == len(set(theta.points))
 
 
 class TestGamma:
@@ -329,8 +339,21 @@ class TestSpotCheck:
 
     @staticmethod
     def walked(zeros, depth: int) -> SpotCheck:
-        b = BlaschkeProduct(ZeroSequence(zeros))
-        return _spot_check_b(b, InnerFunction(blaschke=b).mu(), depth)
+        b = InnerFunction(blaschke=BlaschkeProduct(ZeroSequence(zeros)))
+        return _spot_check_b(criterion_scan(b, depth))
+
+    def test_mu_squares_walked_once_per_scan(self, monkeypatch):
+        # the scans of B and of B Theta walk them; the spot check reads B's
+        calls = []
+        walk = MuMeasure.positive_squares
+
+        def counted(mu, level):
+            calls.append(level)
+            return walk(mu, level)
+
+        monkeypatch.setattr(MuMeasure, "positive_squares", counted)
+        construct_companion(families.single_atom(), 500, 10)
+        assert len(calls) == 2 * (10 - 1)
 
     def test_companion_matches_per_point_reference(self):
         zeros = construct_companion(families.single_atom(), horizon=500,

@@ -6,9 +6,9 @@ import pytest
 
 from onecomp.errors import DomainError
 from onecomp.geometry import (TWO_PI, ArcSupport, BoundaryArc, PointSupport,
-                              SawtoothRegion, StolzAngle, carleson_square,
-                              level_points, mobius_shift, pseudo_distance,
-                              whitney_arcs)
+                              SawtoothRegion, StolzAngle, _sawtooth_decision,
+                              carleson_square, level_points, mobius_shift,
+                              pseudo_distance, whitney_arcs)
 from onecomp.measures import CantorMeasure, CantorSupport
 
 
@@ -170,14 +170,31 @@ def sawtooth_candidates(support):
                            random_disc_points(rng, 200), fan.ravel()])
 
 
+def reference_contains(support, z: complex) -> bool:
+    """Membership of one point, decided point by point: the distance bracket
+    from z/|z| to the support, then _sawtooth_decision.  On a PointSupport
+    the upper end is the least |p - e^{ia}| over the known angles, and
+    hull_bound gives the lower end."""
+    az = abs(z)
+    depth = 1.0 - az
+    p = z / az
+    if isinstance(support, PointSupport):
+        known = support.angles + support.accumulation
+        hi = min((abs(p - cmath.exp(1j * a)) for a in known), default=math.inf)
+        lo = support.hull_bound(p, hi)
+    else:
+        lo, hi = support.chord_distance_to_point(p, tol=1e-13 * max(depth, 1e-30))
+    return _sawtooth_decision(depth, lo, hi)
+
+
 class TestSawtoothArray:
-    """contains on a complex array against contains at each point, bit for bit."""
+    """contains on a complex array against the per-point reference, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(SUPPORTS))
     def test_matches_per_point(self, name):
         region = SawtoothRegion(SUPPORTS[name]())
         points = sawtooth_candidates(region.support)
-        expected = [region.contains(z) for z in points.tolist()]
+        expected = [reference_contains(region.support, z) for z in points.tolist()]
         got = region.contains(points)
         assert got.dtype == bool and got.tolist() == expected
         if name not in ("empty", "hull_only"):
@@ -202,6 +219,9 @@ class TestSawtoothArray:
         points = np.array([0.5, 0.3j, bad, 0.0, 2.0], dtype=np.complex128)
         with pytest.raises(DomainError, match=message):
             region.contains(points)
+        # every point is checked, also past the limit-th point inside
+        with pytest.raises(DomainError, match=message):
+            region.contains(points, limit=0)
 
 
 class TestStolz:

@@ -278,7 +278,7 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
                 atomic += mass
         blo, bhi = atomic, atomic + mu.boundary.tail_mass
     else:
-        blo, bhi = mu.boundary.mass_of_arc_bounds(arc, closed_ends=True, tol=1e-9)
+        blo, bhi = mu.boundary.mass_of_arc_bounds(arc, tol=1e-9)
     return (total + blo, total + bhi + mu.horizon)
 
 

@@ -25,11 +25,9 @@ class TestMassOfArc:
     def test_atom_on_endpoint_needs_closed_ends(self):
         sigma = AtomicMeasure([(0.1, 1.0)])
         arc = BoundaryArc(0.0, 0.1)
-        assert sigma.mass_of_arc(arc, closed_ends=True) == 1.0
-        assert sigma.mass_of_arc(arc, closed_ends=False) == 0.0
+        assert sigma.mass_of_arc(arc) == 1.0
 
-    @pytest.mark.parametrize("closed_ends", [True, False])
-    def test_batch_matches_per_atom_loop(self, closed_ends):
+    def test_batch_matches_per_atom_loop(self):
         # the loop mass_of_arc_bounds_many replaced: masses added in atom
         # order; random masses make pairwise summation differ in the last bit
         rng = np.random.default_rng(7)
@@ -45,20 +43,19 @@ class TestMassOfArc:
             total = 0.0
             for theta, mass in sigma.atoms:
                 gap = angular_gap(theta, c)
-                if (gap <= h if closed_ends else gap < h) or h >= math.pi:
+                if gap <= h or h >= math.pi:
                     total += mass
             expected.append(total)
-        lo, hi = sigma.mass_of_arc_bounds_many(centers, halves, closed_ends)
+        lo, hi = sigma.mass_of_arc_bounds_many(centers, halves)
         assert lo.tolist() == expected
         assert hi.tolist() == [t + 1e-3 for t in expected]
-        assert [sigma.mass_of_arc_bounds(BoundaryArc(c, h), closed_ends)[0]
+        assert [sigma.mass_of_arc_bounds(BoundaryArc(c, h))[0]
                 for c, h in zip(centers.tolist(), halves.tolist())] == expected
-        if closed_ends:
-            # the data can tell the two orders apart
-            pairwise = [float(np.sum([m for t, m in sigma.atoms
-                                      if angular_gap(t, c) <= h or h >= math.pi]))
-                        for c, h in zip(centers.tolist(), halves.tolist())]
-            assert pairwise != expected
+        # the data can tell the two orders apart
+        pairwise = [float(np.sum([m for t, m in sigma.atoms
+                                  if angular_gap(t, c) <= h or h >= math.pi]))
+                    for c, h in zip(centers.tolist(), halves.tolist())]
+        assert pairwise != expected
 
     def test_disjoint_arc_is_zero(self):
         sigma = AtomicMeasure([(0.0, 1.0)])
@@ -96,12 +93,9 @@ class TestMassOfArc:
                 lo, mid, hi = cuts
                 if hi - lo >= TWO_PI or hi <= lo:
                     continue
-                whole = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, hi),
-                                          closed_ends=False, tol=1e-14)
-                left = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, mid),
-                                         closed_ends=False, tol=1e-14)
-                right = sigma.mass_of_arc(BoundaryArc.from_endpoints(mid, hi),
-                                          closed_ends=False, tol=1e-14)
+                whole = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, hi), tol=1e-14)
+                left = sigma.mass_of_arc(BoundaryArc.from_endpoints(lo, mid), tol=1e-14)
+                right = sigma.mass_of_arc(BoundaryArc.from_endpoints(mid, hi), tol=1e-14)
                 assert left + right == pytest.approx(whole, abs=1e-12)
                 assert left <= whole + 1e-12 and right <= whole + 1e-12
 
@@ -136,7 +130,7 @@ class TestPoisson:
                 r = 0.2 + 0.78 * rng.random()
                 z = r * cmath.exp(1j * TWO_PI * rng.random())
                 arc = BoundaryArc(cmath.phase(z), 0.5 * (1.0 - r))
-                mass = sigma.mass_of_arc(arc, closed_ends=True, tol=1e-13)
+                mass = sigma.mass_of_arc(arc, tol=1e-13)
                 tol = 1e-6
                 p = sigma.poisson_integral(z, tol)
                 assert p + tol >= mass / (1.0 - r) * (1.0 - 1e-9)
@@ -713,8 +707,7 @@ class TestCantorCdf:
             for tol in (1e-12, 1e-3):
                 assert measure.cdf_bounds(t, tol) == _reference_cdf_bounds(measure, t, tol), t
 
-    @pytest.mark.parametrize("closed_ends", [True, False])
-    def test_arc_masses_of_scan_squares(self, name, closed_ends):
+    def test_arc_masses_of_scan_squares(self, name):
         from onecomp.inner import MASS_TOL
         measure = CANTOR_VARIANTS[name]()
         squares = carleson_squares(np.concatenate(
@@ -726,8 +719,8 @@ class TestCantorCdf:
                          [0.75, 1.1], [0.1, 0.75]]) * TWO_PI
         centers = np.concatenate([squares.center_angle, 0.5 * (ends[:, 0] + ends[:, 1])])
         halves = np.concatenate([squares.half_window, 0.5 * (ends[:, 1] - ends[:, 0])])
-        lo, hi = measure.mass_of_arc_bounds_many(centers, halves, closed_ends, MASS_TOL)
-        bounds = [measure.mass_of_arc_bounds(BoundaryArc(c, h), closed_ends, MASS_TOL)
+        lo, hi = measure.mass_of_arc_bounds_many(centers, halves, MASS_TOL)
+        bounds = [measure.mass_of_arc_bounds(BoundaryArc(c, h), MASS_TOL)
                   for c, h in zip(centers.tolist(), halves.tolist())]
         assert list(zip(lo.tolist(), hi.tolist())) == bounds
         assert bounds == [_reference_arc_bounds(measure, c, h, MASS_TOL)
