@@ -116,6 +116,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_levelset(args) -> int:
+    if args.pgm and not args.out:
+        raise DomainError("--pgm needs --out: the raster is written only "
+                          "as levelset.pgm under --out")
     epsilon = _num(args.epsilon, "--epsilon")
     depth = _depth(args.depth, 3, LEVEL_SET_MAX_DEPTH, "quadtree level")
     theta = _load_inner(args.inner)

@@ -212,7 +212,10 @@ class BlaschkeProduct:
             met = bound <= np.maximum(1e-15, 0.5 * tol / upper)
         if not (small | met).all():
             raise TailBoundInsufficient("certified tail exceeds a point's budget")
-        lower = np.array(list(map(math.exp, (sums - bound).tolist())))
+        if tail == 0.0:     # every bound is 0, so exp(sums - 0) is upper
+            lower = upper.copy()
+        else:
+            lower = np.array(list(map(math.exp, (sums - bound).tolist())))
         lower[small] = 0.0
         return Interval(lower, upper)
 

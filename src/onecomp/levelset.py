@@ -27,6 +27,11 @@ labelling and the exports.  Cells that share a side of positive length
 over the cells' sides, and components are labelled by min-index hooking
 and pointer jumping over those pairs, numbered by their first cell in
 depth-first order.
+
+The PGM export is run-length coded: a cell paints one run of the flat
+raster per pixel row whose centres it holds, and since quadtree cells nest
+or are disjoint, a run nested in another is dropped, so the shallowest
+cell holding a pixel centre wins (LevelSetAnalysis.to_pgm).
 """
 
 from __future__ import annotations
@@ -87,23 +92,37 @@ class LevelSetAnalysis:
 
         A pixel takes the label of the marked cell holding its centre
         ((i + 0.5) / size, (j + 0.5) / size), cell index int(x 2^d); where
-        cells of several depths hold it, the shallowest wins, so cells are
-        painted deepest first.
+        cells of several depths hold it, the shallowest wins.  Each cell
+        paints one run [row size + c0, row size + c1) of the flat raster
+        per pixel row it holds.  Quadtree cells nest or are disjoint, so
+        their runs do too: sorted by start, then widest first, then
+        shallowest first, a run that starts before the furthest end of the
+        runs ahead of it lies inside a shallower cell's run and is dropped.
+        The raster is then one np.repeat over the gaps and the runs.
         """
         d, k, j = self.cells
-        grey = 40 + (self.labels * 37) % 215
-        raster = np.zeros((size, size), dtype=np.uint8)
+        grey = (40 + (self.labels * 37) % 215).astype(np.uint8)
+        # the rows [i0, i1) and columns [c0, c1) whose centres each cell
+        # holds: int(x 2^d) < j exactly when x < j 2^-d, as scaling by a
+        # power of two is exact
         centres = (np.arange(size) + 0.5) / size
-        for depth in np.unique(d)[::-1].tolist():
-            index = (centres * (1 << depth)).astype(np.int64)     # non-decreasing
-            at = d == depth
-            lo = np.searchsorted(index, np.stack([j[at], k[at]], axis=1))
-            hi = np.searchsorted(index, np.stack([j[at] + 1, k[at] + 1], axis=1))
-            for g, (i0, j0), (i1, j1) in zip(grey[at].tolist(), lo.tolist(),
-                                             hi.tolist()):
-                raster[i0:i1, j0:j1] = g
+        i0, c0, i1, c1 = np.searchsorted(centres, np.ldexp(
+            np.stack([j, k, j + 1, k + 1]).astype(float), -d))
+        rows = np.where(c1 > c0, i1 - i0, 0)      # one run per row, none if empty
+        cell = np.repeat(np.arange(len(d)), rows)
+        first = np.cumsum(rows) - rows
+        row = i0[cell] + np.arange(len(cell)) - first[cell]
+        start, stop = row * size + c0[cell], row * size + c1[cell]
+        order = np.lexsort((d[cell], -stop, start))
+        start, stop, cell = start[order], stop[order], cell[order]
+        top = start >= np.maximum.accumulate(np.append(0, stop[:-1]))
+        # alternating gap and run lengths, from 0 to size^2
+        lengths = np.diff(np.stack([start[top], stop[top]], axis=1).ravel(),
+                          prepend=0, append=size * size)
+        values = np.zeros(len(lengths), dtype=np.uint8)
+        values[1::2] = grey[cell[top]]
         header = ("P5\n%d %d\n255\n" % (size, size)).encode()
-        return header + raster.data
+        return header + np.repeat(values, lengths).data
 
 
 def _children(k: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -338,6 +338,16 @@ class TestErrorHandling:
         assert code == 2
         assert "bogus" in err
 
+    def test_pgm_without_out_exit_code(self, seeds, capsys):
+        # rejected before the input is loaded, so a missing file is not named
+        for inner in (seeds / "atom1.json", "/nonexistent.json"):
+            code, out, err = run_cli(["levelset", "--inner", str(inner),
+                                      "--epsilon", "0.5", "--depth", "6", "--pgm"],
+                                     capsys)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "--pgm" in err and "--out" in err
+            assert "nonexistent" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["classify", "--inner", "/nonexistent.json",
                                 "--depth", "6"], capsys)
@@ -709,6 +719,28 @@ class TestGoldenScans:
         "0.9": ("6e8b2f4553987c9299a827659c70172c21d03824864624bf24e0162e364f8fd5",
                 "f913a1e628605c1df494c1b028cea0910edebb3ab5bd07224748e1689337cd01"),
     }
+    # the same on {0.5} and {0.5, 0.5i}, recorded with the per-depth slice
+    # loop that the run-length raster of to_pgm replaced
+    LEVELSET_DEPTH10_MORE = {
+        ("re,im\n0.5,0\n", "0.1"): (
+            "9645b6ad37853745c0fd2449307f72691b1d03ea7cc1d2700159c27164b121b3",
+            "bdccf90171c2728b270dc1804259f2173d2a98631a72a4221f4efa74a28090b5"),
+        ("re,im\n0.5,0\n", "0.5"): (
+            "7dfc4d148bfbd4b5a2d540ecd17adb1ce326430e3dc7cd59fa4352c7196e5044",
+            "d15e5ad75e67cf35ac6f6c1b4682d54609216afc52d0040073973694641ccb48"),
+        ("re,im\n0.5,0\n", "0.9"): (
+            "9bc423fdc81188edc5abb2bcd1be128c509fd8e4c74f44f0669830b1f01eb6c2",
+            "013b70828ef28b298cd4532097fb69cb7a67fd3493bd662f47f91514cd50c384"),
+        ("re,im\n0.5,0\n0,0.5\n", "0.1"): (
+            "77d0a4375d2c07bdc4adf64c50f29bd0705b0e4be8f48c5eb4f244d84280a0ca",
+            "4f1bfdc19ee877c75bc8b7ae25a5dc736677c3c97d00b52a0ec40a1ed2eeedd6"),
+        ("re,im\n0.5,0\n0,0.5\n", "0.5"): (
+            "38f406fc11e4160db3d120b36b926ad9df151eee217d4d490e1cf83a4dadd21a",
+            "f3143725ab1d08f382d6611870fce5f528bc63ba27fb9a0531ba4c670548d5f7"),
+        ("re,im\n0.5,0\n0,0.5\n", "0.9"): (
+            "a3569ac3a7de528e831b23fc2b5b10f7f34aa9abc0446287758655e6ebc4002b",
+            "684fb824a8d4f028923dd8a2773f2cfb1d9d3a442987ab4a4cdfb54af0138e2f"),
+    }
 
     @staticmethod
     def digest(text: str) -> str:
@@ -730,17 +762,26 @@ class TestGoldenScans:
         assert code == 0
         assert self.digest(out) == self.CLASSIFY_DEPTH18[family]
 
-    @pytest.mark.parametrize("epsilon", sorted(LEVELSET_DEPTH10))
-    def test_levelset_depth10(self, epsilon, capsys, tmp_path):
+    @staticmethod
+    def levelset_digests(zeros_csv, epsilon, capsys, tmp_path):
         inner = tmp_path / "inner.json"
-        inner.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n0,0.5\n-0.5,0\n"}))
+        inner.write_text(json.dumps({"zeros_csv": zeros_csv}))
         code, _, _ = run_cli(["levelset", "--inner", str(inner), "--depth", "10",
                               "--epsilon", epsilon, "--pgm", "--out", str(tmp_path)],
                              capsys)
         assert code == 0
-        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                     for name in ("levelset.csv", "levelset.pgm")) \
-            == self.LEVELSET_DEPTH10[epsilon]
+        return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("levelset.csv", "levelset.pgm"))
+
+    @pytest.mark.parametrize("epsilon", sorted(LEVELSET_DEPTH10))
+    def test_levelset_depth10(self, epsilon, capsys, tmp_path):
+        assert self.levelset_digests("re,im\n0.5,0\n0,0.5\n-0.5,0\n", epsilon,
+                                     capsys, tmp_path) == self.LEVELSET_DEPTH10[epsilon]
+
+    @pytest.mark.parametrize("zeros_csv,epsilon", sorted(LEVELSET_DEPTH10_MORE))
+    def test_levelset_depth10_more(self, zeros_csv, epsilon, capsys, tmp_path):
+        assert self.levelset_digests(zeros_csv, epsilon, capsys, tmp_path) \
+            == self.LEVELSET_DEPTH10_MORE[(zeros_csv, epsilon)]
 
     def construct_digests(self, inner, depth, capsys, tmp_path):
         code, _, _ = run_cli(["construct", "--inner", str(inner),

@@ -716,6 +716,32 @@ class TestModulusBoundsArray:
         assert upper.tolist() == [math.exp(s) for s in sums]
         assert lower.tolist() == upper.tolist()
 
+    def test_a_complete_product_takes_one_exp_per_point(self, monkeypatch):
+        # a listed zero at 0 and at 0.5, points whose upper end is at most
+        # tol / 2 next to them, and ordinary points: the lower ends are the
+        # upper ends except at those small entries, where they are 0; a
+        # declared tail still takes a second exp per point
+        tol = 1e-9
+        zeros = [0.0, 0.5, 0.5j]
+        near = [1e-12, 0.5 + 1e-12, 0.5j - 1e-13j]
+        points = np.concatenate([[0.0, 0.5], near, some_points(6)])
+        exps = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: exps.append(x) or exp(x))
+        for make, at, passes in (
+                (lambda: BlaschkeProduct(zeros), tol, 1),
+                (lambda: BlaschkeProduct(truncated_geometric_zeros()), 1e-3, 2)):
+            exps.clear()
+            lower, upper = make().modulus_bounds(points, at)
+            assert len(exps) == passes * len(points)
+            assert (lower.tobytes(), upper.tobytes()) == per_point_bounds(
+                make(), points, at)
+        lower, upper = BlaschkeProduct(zeros).modulus_bounds(points, tol)
+        small = upper <= 0.5 * tol
+        assert small[:5].all() and upper[:2].tolist() == [0.0, 0.0]
+        assert 0.0 < upper[2:5].min() and np.count_nonzero(small) == 5
+        assert lower.tolist() == np.where(small, 0.0, upper).tolist()
+
     def test_a_declared_tail_takes_one_log_sums_call(self, monkeypatch):
         # the tail 2^-20 meets every budget down to level 6: one pass, and
         # each lower end is math.exp of the log sum less the tail's bound

@@ -507,6 +507,51 @@ class TestPgmRaster:
         raster = np.frombuffer(data[header:], dtype=np.uint8).reshape(64, 64)
         assert set(np.unique(raster)) == {0, 40 + (2 * 37) % 215}
 
+    @pytest.mark.parametrize("deep_first", [True, False])
+    def test_shallow_cell_wins_a_tie_of_equal_runs(self, deep_first):
+        # at size 64 both cells hold only the centre of pixel (row 9,
+        # column 5), so both paint the same one-pixel run; a sort on start
+        # and width alone keeps the deep cell when it is listed first
+        shallow, deep = PolarCell(6, 5, 9), PolarCell(8, 22, 38)
+        assert (deep.k_theta >> 2, deep.j_radius >> 2) == shallow[1:]
+        cells = [(shallow, 2), (deep, 1)]
+        analysis = hand_built(cells[::-1] if deep_first else cells)
+        data = analysis.to_pgm(64)
+        assert data == first_match_pgm(analysis, 64)
+        raster = np.frombuffer(data[len(b"P5\n64 64\n255\n"):], dtype=np.uint8)
+        assert np.flatnonzero(raster).tolist() == [9 * 64 + 5]
+        assert raster[9 * 64 + 5] == 40 + (2 * 37) % 215
+
+    @staticmethod
+    def nested_cells(rng) -> list:
+        """40 distinct (cell, label) pairs at depths 1-12: a cell holding one
+        of six pixel centres, or a cell inside an earlier one."""
+        sizes = rng.choice([64, 100, 512], 6)
+        pixels = [((rng.integers(size) + 0.5) / size, (rng.integers(size) + 0.5) / size)
+                  for size in sizes.tolist()]
+        cells = {}
+        while len(cells) < 40:
+            if cells and rng.random() < 0.5:
+                d0, k0, j0 = list(cells)[rng.integers(len(cells))]
+                if d0 == 12:
+                    continue
+                d = int(rng.integers(d0 + 1, 13))
+                k, j = ((x << (d - d0)) + int(rng.integers(1 << (d - d0)))
+                        for x in (k0, j0))
+            else:
+                d = int(rng.integers(1, 13))
+                turn, r = pixels[rng.integers(len(pixels))]
+                k, j = int(turn * (1 << d)), int(r * (1 << d))
+            cells.setdefault(PolarCell(d, k, j), int(rng.integers(20)))
+        return list(cells.items())
+
+    @pytest.mark.parametrize("size", [64, 100, 512])
+    def test_nested_and_disjoint_cells_match_first_match_loop(self, size):
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            analysis = hand_built(self.nested_cells(rng), depth=12)
+            assert analysis.to_pgm(size) == first_match_pgm(analysis, size)
+
 
 class TestDeepExports:
     """Cells at depths 40 and 45, whose indices (k << d) | j pass 2^63."""
