@@ -402,7 +402,7 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
     zseq = ZeroSequence(placement.zeros)
     max_step_error = max((abs(r - STEP) for r in placement.consecutive_rhos),
                          default=0.0)
-    delta, box_constant = separation_constants(zseq, len(placement.zeros))
+    delta, box_constant = separation_constants(zseq)
 
     companion = InnerFunction(blaschke=BlaschkeProduct(zseq))
     merged = list(placement.zeros)

@@ -531,15 +531,15 @@ class UnionSupport(BoundarySupport):
 # Zero-sequence diagnostics
 # ---------------------------------------------------------------------------
 
-def separation_constants(zeros: ZeroSequence, horizon: int) -> tuple[float, float]:
-    """(min pairwise rho, Carleson dyadic box constant) over a finite prefix.
+def separation_constants(zeros: ZeroSequence) -> tuple[float, float]:
+    """(min pairwise rho, Carleson dyadic box constant) over the listed zeros.
 
-    Both numbers are evidence computed on the listed prefix, not proofs
+    Both numbers are evidence computed on the listed zeros, not proofs
     for infinite families.  The box constant is the maximum over
     dyadic boxes Q_{n,k} (depths 2 up to the scale of the shallowest zero)
     of sum_{z_j in Q} (1 - |z_j|) / l(Q) with l(Q) the angular side.
     """
-    pts = np.array(zeros.zeros[:horizon], dtype=np.complex128)
+    pts = np.array(zeros.zeros, dtype=np.complex128)
     if pts.size < 2:
         raise DomainError("separation needs at least two zeros")
     delta = math.inf

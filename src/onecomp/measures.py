@@ -42,6 +42,11 @@ from .geometry import (BLOCK_ELEMENTS, TWO_PI, ArcSupport, BoundaryArc,
 _TWO_PI_FRAC = Fraction(TWO_PI)  # the double nearest 2*pi, as an exact rational
 _TWO_PI_RATIO = TWO_PI.as_integer_ratio()
 
+# P(z, t) <= (1 + |z|) / (1 - |z|) <= 2^54 at every double |z| < 1, so under
+# this mass every Poisson and Herglotz sum, slack and bracket midpoint stays
+# near 2^1015 or below, short of overflow
+_MAX_MASS = 2.0 ** 960
+
 
 def poisson_kernel(z: complex, theta: float) -> float:
     """(1 - |z|^2) / |z - e^{i theta}|^2."""
@@ -127,9 +132,10 @@ class SingularMeasure:
 
     def poisson_bounds_many(self, points: np.ndarray, tol: float
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """poisson_bounds of the points of a complex array in turn, as a
-        lower-end array and an upper-end array; the first call that raises
-        raises."""
+        """poisson_bounds of each point of a complex array, as a lower-end
+        array and an upper-end array.  It answers every point or raises an
+        OnecompError; which point's error a caller sees is decided by
+        inner._array_bounds, which replays the points one at a time."""
         bounds = [self.poisson_bounds(z, tol) for z in points.tolist()]
         lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return lo, hi
@@ -168,6 +174,10 @@ class AtomicMeasure(SingularMeasure):
         if tail_mass < 0.0:
             raise DomainError("tail mass bound must be nonnegative")
         self._tail = float(tail_mass)
+        # the masses scaled by a power of two, so their sum cannot overflow
+        scaled = [m / _MAX_MASS for _, m in self._atoms] + [self._tail / _MAX_MASS]
+        if not math.fsum(scaled) <= 1.0:
+            raise DomainError("atom masses plus tail mass exceed the bound 2^960")
         self._hull = tuple(tail_hull)
         self._accumulation = tuple(float(a) for a in accumulation)
 
@@ -234,39 +244,34 @@ class AtomicMeasure(SingularMeasure):
                             ) -> tuple[np.ndarray, np.ndarray]:
         """A point x atom matrix of the terms m P(z, t) of poisson_bounds, in
         row blocks of about BLOCK_ELEMENTS, each row added with math.fsum as
-        poisson_bounds adds its terms.  At the first point outside the disc
-        or whose tail cannot meet tol, poisson_bounds there raises the
-        per-point error.  e^{i t} is taken once
-        per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
+        poisson_bounds adds its terms.  It answers every point or raises: a
+        point outside the disc raises DomainError, and a tail that cannot
+        meet tol at some point raises PrecisionExhausted.  e^{i t} is taken
+        once per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
         np.float_power, which match abs(complex) and float ** 2; np.abs on
         complex128 and squaring by multiplication differ from them in the
         last bit."""
-        zs = points.tolist()
-        moduli = list(itertools.takewhile(lambda r: r < 1.0, map(abs, zs)))
-        points = points[:len(moduli)]
-        lower, upper = [], []
+        moduli = np.hypot(points.real, points.imag)
+        if not np.all(moduli < 1.0):
+            raise DomainError("integral requires |z| < 1 at every point")
+        slack = self._tail * ((1.0 + moduli) / (1.0 - moduli))
+        if np.any(slack > tol):
+            raise PrecisionExhausted("atomic tail bound %g cannot meet tol %g" % (self._tail, tol))
+        one_minus_r2 = 1.0 - np.float_power(moduli, 2.0)
+        lower = []
         masses = np.array([m for _, m in self._atoms], dtype=np.float64)
         xi = np.array([cmath.exp(1j * t) for t, _ in self._atoms], dtype=np.complex128)
         step = max(1, BLOCK_ELEMENTS // max(1, xi.size))
-        for s in range(0, len(moduli), step):
-            block = moduli[s:s + step]
+        for s in range(0, len(points), step):
             # |z - e^{it}| from the parts of z - e^{it}, then the terms in place
             terms = points.real[s:s + step, None] - xi.real
             np.hypot(terms, points.imag[s:s + step, None] - xi.imag, out=terms)
             np.float_power(terms, 2.0, out=terms)
-            np.divide(np.array([1.0 - r ** 2 for r in block])[:, None], terms, out=terms)
+            np.divide(one_minus_r2[s:s + step, None], terms, out=terms)
             terms *= masses
-            for z, z_abs, row in zip(zs[s:s + step], block, terms):
-                max_kernel = (1.0 + z_abs) / (1.0 - z_abs)
-                slack = self._tail * max_kernel
-                if slack > tol:
-                    self.poisson_bounds(z, tol)  # raises PrecisionExhausted
-                total = math.fsum(row.tolist())
-                lower.append(total)
-                upper.append(total + slack)
-        if len(moduli) < len(zs):
-            self.poisson_bounds(zs[len(moduli)], tol)  # raises DomainError
-        return np.array(lower), np.array(upper)
+            lower += map(math.fsum, terms.tolist())
+        lower = np.array(lower, dtype=np.float64)
+        return lower, lower + slack
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)
@@ -662,6 +667,10 @@ class CdfMeasure(SingularMeasure):
                 raise DomainError("CDF sample abscissae must be strictly increasing")
             if v1 < v0:
                 raise DomainError("CDF samples must be non-decreasing")
+            if not (v1 - v0) / (t1 - t0) <= _MAX_MASS:
+                raise DomainError("CDF slope on [%r, %r] exceeds the bound 2^960" % (t0, t1))
+        if not pts[-1][1] - pts[0][1] <= _MAX_MASS:
+            raise DomainError("CDF total rise exceeds the bound 2^960")
         if pts[0][0] < 0.0 or pts[-1][0] > TWO_PI + 1e-12:
             raise DomainError("CDF samples must lie in [0, 2*pi]")
         self._pts = pts

@@ -152,7 +152,8 @@ def measure_to_json(measure: SingularMeasure) -> dict:
             return {"kind": "cantor",
                     "delta": {"ratio": str(1 - measure._ratios[0])}}
         return {"kind": "cantor",
-                "delta": [fmt(measure.delta(n)) for n in range(1, 9)]}
+                "delta": [fmt(measure.delta(n))
+                          for n in range(1, len(measure._ratios) + 1)]}
     if isinstance(measure, CdfMeasure):
         return {"kind": "cdf",
                 "samples": [[fmt(t), fmt(v)] for t, v in measure._pts]}

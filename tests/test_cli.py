@@ -455,6 +455,26 @@ MALFORMED_CASES = {
 }
 
 
+HUGE_ATOMS = {"kind": "atoms", "atoms": [{"theta": "0", "mass": "1e308"},
+                                         {"theta": "1", "mass": "1e308"}]}
+CLOSE_ATOMS = {"kind": "atoms", "atoms": [{"theta": "0", "mass": "5e307"},
+                                          {"theta": "0.001", "mass": "5e307"}]}
+STEEP_CDF = {"kind": "cdf", "samples": [["0", "0"], ["1", "1e308"], ["6", "1.5e308"]]}
+INFINITE_SLOPE_CDF = {"kind": "cdf", "samples": [["0", "0"], ["1e-320", "1"], ["6", "2"]]}
+OVERFLOW_CASES = {
+    "atoms-measure": (["measure", "--at", "0.5,0"], HUGE_ATOMS),
+    "atoms-levelset": (["levelset", "--depth", "4", "--epsilon", "0.5"],
+                       {"measure": HUGE_ATOMS}),
+    "close-atoms-measure": (["measure", "--at", "0.33,0"], CLOSE_ATOMS),
+    "cdf-rise-measure": (["measure", "--at", "0.5,0"], STEEP_CDF),
+    "cdf-rise-eval": (["eval", "--at", "0.5,0"], {"measure": STEEP_CDF}),
+    "cdf-rise-classify": (["classify", "--depth", "4"], {"measure": STEEP_CDF}),
+    "cdf-slope-measure": (["measure", "--at", "0.5,0"], INFINITE_SLOPE_CDF),
+    "cdf-slope-eval": (["eval", "--at", "0.5,0"], {"measure": INFINITE_SLOPE_CDF}),
+    "cdf-slope-classify": (["classify", "--depth", "4"], {"measure": INFINITE_SLOPE_CDF}),
+}
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
     def test_non_finite_input_exit_code(self, case, capsys, tmp_path):
@@ -466,6 +486,36 @@ class TestInputValidation:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+    def test_mass_past_2_960_exit_code(self, case, capsys, tmp_path):
+        # these crashed with an OverflowError in math.fsum, or put nan into
+        # a report, before a measure's mass and CDF slopes were bounded
+        args, doc = OVERFLOW_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        flag = "--measure" if args[0] == "measure" else "--inner"
+        code, out, err = run_cli(args[:1] + [flag, str(path)] + args[1:], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "2^960" in err
+
+    def test_atomic_mass_of_2_960_answers(self, capsys, tmp_path):
+        # P <= 2^54 at the deepest double point, so the Poisson midpoint
+        # stays finite; at twice the mass per atom, past the bound, the
+        # midpoint sum overflowed to inf
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "atoms", "atoms": [
+            {"theta": "0", "mass": repr(2.0 ** 959)},
+            {"theta": "1e-300", "mass": repr(2.0 ** 959)}]}))
+        code, out, err = run_cli(["measure", "--measure", str(path), "--at",
+                                  "0.99999999999999989,0", "--arc", "0,0.1"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert float(report["total_mass"]) == 2.0 ** 960
+        values = [report["poisson"], report["arc_mass"], report["herglotz"]["re"],
+                  report["herglotz"]["im"]]
+        assert all(math.isfinite(float(v)) for v in values)
 
     @pytest.mark.parametrize("command", [
         ["eval", "--at", "0.5,0"], ["classify", "--depth", "4"],

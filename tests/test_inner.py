@@ -800,14 +800,14 @@ class TestModulusBoundsArray:
 
 class TestDiagnostics:
     def test_separation_two_points(self):
-        delta, box = separation_constants(ZeroSequence([0.0, 0.5]), 2)
+        delta, box = separation_constants(ZeroSequence([0.0, 0.5]))
         assert delta == pytest.approx(0.5)
         assert box > 0.0
 
     def test_radial_consecutive_separation_approaches_third(self):
         # rho(1-2^-n, 1-2^-(n+1)) = 1 / (3 - 2^{1-n}) -> 1/3 from above
-        zs = radial_geometric_zeros()
-        delta, _ = separation_constants(zs, 20)
+        zs = ZeroSequence(radial_geometric_zeros().zeros[:20])
+        delta, _ = separation_constants(zs)
         assert delta > 1.0 / 3.0
         assert delta == pytest.approx(1.0 / 3.0, abs=2e-3)
 
@@ -816,7 +816,7 @@ class TestDiagnostics:
         pts = 0.99 * np.sqrt(rng.random(400)) * np.exp(1j * TWO_PI * rng.random(400))
         d = np.abs(pts[:, None] - pts[None, :]) / np.abs(1.0 - np.conj(pts)[:, None] * pts)
         np.fill_diagonal(d, np.inf)
-        assert separation_constants(ZeroSequence(pts.tolist()), 400)[0] == d.min()
+        assert separation_constants(ZeroSequence(pts.tolist()))[0] == d.min()
 
     def test_separation_memory_stays_flat(self):
         # the pairwise rho matrix is built in row blocks of BLOCK_ELEMENTS
@@ -826,7 +826,7 @@ class TestDiagnostics:
         zeros = ZeroSequence(pts.tolist())
         tracemalloc.start()
         try:
-            separation_constants(zeros, 2000)
+            separation_constants(zeros)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -847,10 +847,10 @@ class TestDiagnostics:
                     k = min(max(math.floor(a / (TWO_PI * 2.0 ** -n)), 0), (1 << n) - 1)
                     sums[k] = sums.get(k, 0.0) + wt
             expected = max([expected] + [s / (TWO_PI * 2.0 ** -n) for s in sums.values()])
-        separation_constants(ZeroSequence(pts), 3)   # numpy's first-call set-up
+        separation_constants(ZeroSequence(pts))   # numpy's first-call set-up
         tracemalloc.start()
         try:
-            got = separation_constants(ZeroSequence(pts), 3)[1]
+            got = separation_constants(ZeroSequence(pts))[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from onecomp.errors import DomainError, PrecisionExhausted
+from onecomp.errors import DomainError, OnecompError, PrecisionExhausted
 from onecomp.families import example1_measure
 from onecomp.geometry import (TWO_PI, BoundaryArc, angle_mod, angular_gap,
                               carleson_squares, level_points)
+from onecomp.inner import SingularInner
 from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
                               _herglotz_kernel, poisson_kernel)
 
@@ -177,28 +178,47 @@ class TestPoisson:
             sigma.poisson_bounds(0.5, 1e-6)
 
 
-def per_point_poisson(sigma, points, tol):
-    """poisson_bounds at each point in turn: (lower bytes, upper bytes, the
+def per_point(bounds, points):
+    """bounds(z) at each point in turn: (lower bytes, upper bytes, the
     index, message and bracket of a PrecisionExhausted or None)."""
-    bounds, failure = [], None
+    pairs, failure = [], None
     for i, z in enumerate(points.tolist()):
         try:
-            bounds.append(sigma.poisson_bounds(z, tol))
+            pairs.append(tuple(bounds(z)))
         except PrecisionExhausted as exc:
             failure = (i, str(exc), exc.bracket)
             break
-    lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
+    lower, upper = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     return lower.tobytes(), upper.tobytes(), failure
+
+
+def per_point_poisson(sigma, points, tol):
+    return per_point(lambda z: sigma.poisson_bounds(z, tol), points)
+
+
+def per_point_modulus(f, points, tol):
+    return per_point(lambda z: f.modulus_bounds(z, tol), points)
 
 
 def batched_poisson(sigma, points, tol):
     """per_point_poisson through poisson_bounds_many, whose one call either
-    answers every point or raises.  On an error, the failing index i is the
-    first whose prefix call raises: the call on points[:i] gives their
-    bits, and the call on points[:i + 1] raises the whole call's message
-    and bracket."""
+    answers every point or raises an OnecompError; None when it raises."""
     try:
         lo, hi = sigma.poisson_bounds_many(points, tol)
+    except OnecompError:
+        return None
+    assert lo.shape == hi.shape == points.shape
+    return lo.tobytes(), hi.tobytes(), None
+
+
+def batched_modulus(f, points, tol):
+    """per_point(f.modulus_bounds) through modulus_bounds on the array,
+    which answers every point or raises the per-point loop's first error.
+    On an error, the failing index i is the first whose prefix call raises:
+    the call on points[:i] gives their bits, and the call on points[:i + 1]
+    raises the whole call's message and bracket."""
+    try:
+        lo, hi = f.modulus_bounds(points, tol)
     except PrecisionExhausted as exc:
         error = (str(exc), exc.bracket)
     else:
@@ -206,10 +226,10 @@ def batched_poisson(sigma, points, tol):
         return lo.tobytes(), hi.tobytes(), None
     for i in range(len(points)):
         try:
-            sigma.poisson_bounds_many(points[:i + 1], tol)
+            f.modulus_bounds(points[:i + 1], tol)
         except PrecisionExhausted as exc:
             assert (str(exc), exc.bracket) == error
-            lo, hi = sigma.poisson_bounds_many(points[:i], tol)
+            lo, hi = f.modulus_bounds(points[:i], tol)
             assert lo.shape == hi.shape == (i,)
             return lo.tobytes(), hi.tobytes(), (i,) + error
     pytest.fail("the whole call raised, but no prefix call does")
@@ -234,6 +254,7 @@ class TestPoissonBoundsMany:
         "rotated": lambda: AtomicMeasure([(4.1, 0.3), (4.1 + 1e-3, 0.2), (1.0, 0.5)]),
         "example1_listed": example1_measure,
         "cdf": lambda: CdfMeasure([(0.0, 0.0), (1.0, 0.4), (4.0, 0.4), (TWO_PI, 1.0)]),
+        "no_atoms": lambda: AtomicMeasure([]),
     }
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -245,6 +266,8 @@ class TestPoissonBoundsMany:
         got = batched_poisson(batch, points, tol)
         assert got == per_point_poisson(reference, points, tol)
         assert got[2] is None
+        assert batched_poisson(batch, points[:0], tol) == \
+            per_point_poisson(reference, points[:0], tol)
 
     def test_cantor_points_one_by_one(self):
         points = np.array([0.0, 0.5 + 0.3j, (1.0 - 2.0 ** -9) * cmath.exp(0.5j * math.pi)])
@@ -254,14 +277,17 @@ class TestPoissonBoundsMany:
 
     @pytest.mark.parametrize("tail_hull", [(), (BoundaryArc(0.5, 0.1),)])
     def test_precision_exhausted_at_the_same_point(self, tail_hull):
-        # tail * (1 + r) / (1 - r) passes tol 1e-6 at depth 11 or so
+        # the fine pass of |S| at tol 1e-6 fails from depth 9 or so, where
+        # tail * (1 + r) / (1 - r) passes its Poisson tolerance, and the
+        # array call raises the per-point loop's error; the kernel called at
+        # tol 1e-6 raises too
         points = depth_points(14, per_depth=8)
         make = lambda: AtomicMeasure([(0.0, 1.0), (0.5, 0.25)], tail_mass=1e-9,  # noqa: E731
                                      tail_hull=tail_hull)
-        expected = per_point_poisson(make(), points, 1e-6)
-        got = batched_poisson(make(), points, 1e-6)
+        expected = per_point_modulus(SingularInner(make()), points, 1e-6)
         assert expected[2] is not None and 0 < expected[2][0] < len(points) - 1
-        assert got == expected
+        assert batched_modulus(SingularInner(make()), points, 1e-6) == expected
+        assert batched_poisson(make(), points, 1e-6) is None
 
     def test_one_row_blocks_give_the_same_bits(self, monkeypatch):
         import onecomp.measures as measures
@@ -275,11 +301,26 @@ class TestPoissonBoundsMany:
             AtomicMeasure([(0.0, 1.0)]).poisson_bounds_many(np.array([0.5, 1.0 + 0j]), 1e-9)
 
     def test_outside_point_after_a_failing_point(self):
-        # the loop fails at the deep point before it reaches the outside one
+        # the kernel raises DomainError at the outside point; the loop fails
+        # first, in the fine pass of the deep point before it (off the atom,
+        # so |S| is not 0 there and the fine pass runs)
         make = lambda: AtomicMeasure([(0.0, 1.0)], tail_mass=1e-9)  # noqa: E731
-        points = np.array([0.5, 1.0 - 1e-6, 1.5, 0.25j])
-        assert per_point_poisson(make(), points, 1e-6)[2][0] == 1
-        assert batched_poisson(make(), points, 1e-6) == per_point_poisson(make(), points, 1e-6)
+        points = np.array([0.5, (1.0 - 1e-6) * 1j, 1.5, 0.25j])
+        with pytest.raises(DomainError):
+            make().poisson_bounds_many(points, 0.25)
+        expected = per_point_modulus(SingularInner(make()), points, 1e-6)
+        assert expected[2][0] == 1
+        assert batched_modulus(SingularInner(make()), points, 1e-6) == expected
+
+    def test_kernel_error_gives_way_to_the_loops_first(self):
+        # the coarse kernel fails at the deepest points, the loop's fine
+        # pass at the first point
+        points = depth_points(14, per_depth=8)
+        make = lambda: AtomicMeasure([(0.0, 1.0), (0.5, 0.25)], tail_mass=3e-5)  # noqa: E731
+        assert batched_poisson(make(), points, 0.25) is None
+        expected = per_point_modulus(SingularInner(make()), points, 1e-6)
+        assert expected[2][0] == 0
+        assert batched_modulus(SingularInner(make()), points, 1e-6) == expected
 
     def test_float_power_squares_as_python_does(self):
         # the term matrix squares |z - e^{it}| with np.float_power, standing

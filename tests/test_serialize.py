@@ -62,6 +62,16 @@ class TestMeasureRoundTrip:
         assert [sigma.delta(n) for n in (1, 2, 3)] == [4.0, 2.5, 2.5 * 2.5 / 4.0]
         assert measure_from_json(measure_to_json(sigma)).delta(8) == sigma.delta(8)
 
+    def test_ten_entry_delta_list_round_trip(self):
+        # one entry is written per listed ratio: a list longer than 8 keeps
+        # its deep entries, and the ratio that continues past it
+        deltas = [6.0 * 0.6 ** n for n in range(1, 11)]
+        deltas[-1] *= 0.1
+        sigma = measure_from_json({"kind": "cantor", "delta": [repr(d) for d in deltas]})
+        back = measure_from_json(measure_to_json(sigma))
+        assert [back.delta(n) for n in range(13)] == [sigma.delta(n) for n in range(13)]
+        assert back.poisson_bounds(0.99, 1e-6) == sigma.poisson_bounds(0.99, 1e-6)
+
 
 class TestInnerRoundTrip:
     def test_blaschke_with_singular(self):
