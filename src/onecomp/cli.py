@@ -4,9 +4,9 @@ Commands: eval, classify, levelset, construct, measure, seed-examples.
 Outputs are deterministic for identical inputs (fixed iteration orders, all
 reals printed as 17-digit decimals); the only run-dependent content is the
 isolated metadata.generated_at field.  Exit codes: 0 success, 2 on domain or
-input errors and on an unusable output path, 3 when a tolerance is
-unattainable (precision exhausted, or a declared zero tail too large to
-certify).
+input errors (argparse's own among them, each in one line) and on an
+unusable output path, 3 when a tolerance is unattainable (precision
+exhausted, or a declared zero tail too large to certify).
 """
 
 from __future__ import annotations
@@ -196,12 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the unit disc")
     parser.add_argument("--threads", default="1",
                         help="cap on internal workers (outputs never depend on it)")
-    parser.add_argument("--seed-examples", action="store_true",
-                        help="write the example families as input files and exit "
-                             "(same as the seed-examples command)")
-    parser.add_argument("--out", dest="top_out", default=".",
-                        help="output directory for --seed-examples")
-    sub = parser.add_subparsers(dest="command", required=False)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an inner function at a point")
     p.add_argument("--inner", required=True)
@@ -247,7 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the example families as input files")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_seed_examples)
+    for p in (parser, *sub.choices.values()):
+        p.error = _reject
     return parser
+
+
+def _reject(message: str):
+    """argparse's error hook: main reports the message in one line, exit 2."""
+    raise DomainError(message)
 
 
 def _attach_point_values(argv: list[str]) -> list[str]:
@@ -264,15 +266,9 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_point_values(
-        sys.argv[1:] if argv is None else list(argv)))
-    if args.seed_examples:
-        args.out = args.top_out
-        args.func = cmd_seed_examples
-    elif args.command is None:
-        parser.error("a command is required (or --seed-examples)")
     try:
+        args = build_parser().parse_args(_attach_point_values(
+            sys.argv[1:] if argv is None else list(argv)))
         args.threads = _integer(args.threads, "--threads", least=1)
         return args.func(args)
     except (PrecisionExhausted, TailBoundInsufficient) as exc:

@@ -245,9 +245,9 @@ class Placement:
     exhausted: bool                      # every component fully marched
 
 
-def _march_next(comp: GammaComponent, t: float, origin: complex, step: float,
+def _march_next(comp: GammaComponent, t: float, origin: complex,
                 direction: int) -> Optional[float]:
-    """First parameter beyond t (in the given direction) at rho == step."""
+    """First parameter beyond t (in the given direction) at rho == STEP."""
     end = comp.length if direction > 0 else 0.0
     h = max(1e-15, 0.05 * (1.0 - abs(origin)))
     t1 = t
@@ -257,7 +257,7 @@ def _march_next(comp: GammaComponent, t: float, origin: complex, step: float,
         if past_end:
             t2 = end
         rho2 = pseudo_distance(comp.point(t2), origin)
-        if rho2 >= step:
+        if rho2 >= STEP:
             break
         if past_end:
             return None
@@ -266,17 +266,16 @@ def _march_next(comp: GammaComponent, t: float, origin: complex, step: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rho = pseudo_distance(comp.point(mid), origin)
-        if abs(rho - step) <= RHO_TOL:
+        if abs(rho - STEP) <= RHO_TOL:
             return mid
-        if (rho < step) == (direction > 0):
+        if (rho < STEP) == (direction > 0):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def place_zeros(gamma: GammaCurve, step: float = STEP,
-                horizon: int = 2000) -> Placement:
+def place_zeros(gamma: GammaCurve, horizon: int = 2000) -> Placement:
     """March zeros along the curve at fixed pseudohyperbolic steps.
 
     Components are visited in order of their smallest modulus.  Each march
@@ -289,8 +288,6 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
     march the horizon stops with a frontier alive counts as partly covered,
     in proportion to the arclength marched.
     """
-    if not (0.0 < step < 1.0):
-        raise DomainError("step must lie in (0, 1)")
     zeros: list[complex] = []
     rhos: list[float] = []
     covered = 0.0
@@ -309,10 +306,10 @@ def place_zeros(gamma: GammaCurve, step: float = STEP,
         while 1 + len(placed[1]) + len(placed[-1]) < remaining \
                 and (alive[1] or alive[-1]):
             d = 1 if alive[1] and (not alive[-1] or abs(last[1]) <= abs(last[-1])) else -1
-            nxt = _march_next(comp, t[d], last[d], step, d)
+            nxt = _march_next(comp, t[d], last[d], d)
             cand = None if nxt is None else comp.point(nxt)
             if cand is None or (comp.closed and len(placed[d]) > 1
-                                and pseudo_distance(cand, z0) < step - RHO_TOL):
+                                and pseudo_distance(cand, z0) < STEP - RHO_TOL):
                 alive[d] = False
                 continue
             t[d], last[d] = nxt, cand

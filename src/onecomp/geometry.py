@@ -204,9 +204,6 @@ class BoundarySupport:
     def is_empty(self) -> bool:
         raise NotImplementedError
 
-    def covers_circle(self) -> bool:
-        return False
-
     def described_length(self) -> float:
         """Lebesgue measure of the description (0 for genuinely null sets)."""
         return 0.0
@@ -295,9 +292,6 @@ class ArcSupport(BoundarySupport):
 
     def is_empty(self) -> bool:
         return not self.arcs
-
-    def covers_circle(self) -> bool:
-        return sum(a.length for a in self.arcs) >= TWO_PI
 
     def described_length(self) -> float:
         return sum(a.length for a in self.arcs)
@@ -388,8 +382,6 @@ def whitney_arcs(support: BoundarySupport,
     Arcs shorter than ``min_length`` that still fail are abandoned, which
     bounds the work near E for infinite families.
     """
-    if support.covers_circle():
-        raise DomainError("E covers the whole circle; nothing to decompose")
     if support.described_length() > 0.0:
         raise DomainError("E has positive measure under its own description")
 

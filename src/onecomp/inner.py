@@ -328,12 +328,8 @@ class MuMeasure:
 
     def lower_masses(self, points: np.ndarray) -> np.ndarray:
         """Lower ends of of_square_bounds(carleson_square(z)) for every point
-        z of a complex array, bit for bit, in blocks of points."""
-        lower = np.empty(len(points))
-        for s in range(0, len(points), BLOCK_ELEMENTS):
-            block = points[s:s + BLOCK_ELEMENTS]
-            lower[s:s + len(block)] = self._squares_bounds(carleson_squares(block))[0]
-        return lower
+        z of a complex array, bit for bit."""
+        return self._squares_bounds(carleson_squares(points))[0]
 
     def positive_squares(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(points, lower masses) of the scan points of a level
@@ -511,9 +507,6 @@ class UnionSupport(BoundarySupport):
 
     def is_empty(self) -> bool:
         return all(p.is_empty() for p in self.parts)
-
-    def covers_circle(self) -> bool:
-        return any(p.covers_circle() for p in self.parts)
 
     def described_length(self) -> float:
         return sum(p.described_length() for p in self.parts)

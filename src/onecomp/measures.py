@@ -10,8 +10,10 @@ Three variants are provided:
   2^n intervals of length 2^{-n} delta_n, each carrying mass exactly 2^{-n};
   the removed segment is centered.  All endpoint arithmetic is exact
   (rational multiples of the circle) so deep generations do not cancel.
-- ``CdfMeasure``: a monotone CDF supplied as piecewise-linear samples.
-  Singularity of the supplied CDF is asserted by the caller, not verified.
+- ``CdfMeasure``: a monotone CDF supplied as piecewise-linear samples.  It
+  has density (v1 - v0)/(t1 - t0) on each sample interval, so it is
+  absolutely continuous, not singular, unless the CDF is constant; its
+  support is a union of arcs, which ``construct`` rejects.
 
 Cantor Poisson and Herglotz integrals share one vectorized adaptive cell
 subdivision (``CantorMeasure._cells``): a cell is split while a bound on the

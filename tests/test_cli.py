@@ -592,33 +592,85 @@ class TestInputValidation:
         assert out == ""
         assert err.count("\n") == 1 and option in err
 
-    @pytest.mark.parametrize("command", [
+    OUT_COMMANDS = [
         ["eval", "--at", "0.5,0"], ["classify", "--depth", "4"],
         ["levelset", "--epsilon", "0.5", "--depth", "4", "--pgm"],
         ["construct", "--horizon", "3", "--depth", "4"],
-        ["measure", "--at", "0.5,0"], ["seed-examples"], ["--seed-examples"]],
-        ids=lambda c: c[0])
+        ["measure", "--at", "0.5,0"], ["seed-examples"]]
+
+    @staticmethod
+    def with_input(command, tmp_path):
+        """command with its input: a one-atom measure or a one-zero product."""
+        argv = list(command)
+        path = tmp_path / "doc.json"
+        if command[0] == "measure":
+            path.write_text(json.dumps({"kind": "atoms",
+                                        "atoms": [{"theta": "0", "mass": "1"}]}))
+            argv[1:1] = ["--measure", str(path)]
+        elif command[0] != "seed-examples":
+            path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
+            argv[1:1] = ["--inner", str(path)]
+        return argv
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS, ids=lambda c: c[0])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     def test_unusable_out_exit_code(self, command, below, capsys, tmp_path):
         # a regular file where the output directory, or its parent, should be
         taken = tmp_path / "taken"
         taken.write_text("")
         out_dir = str(taken / "sub" if below else taken)
-        argv = command + ["--out", out_dir]
-        if command[0] == "measure":
-            path = tmp_path / "doc.json"
-            path.write_text(json.dumps({"kind": "atoms",
-                                        "atoms": [{"theta": "0", "mass": "1"}]}))
-            argv[1:1] = ["--measure", str(path)]
-        elif not command[0].startswith(("seed", "--")):
-            path = tmp_path / "doc.json"
-            path.write_text(json.dumps({"zeros_csv": "re,im\n0.5,0\n"}))
-            argv[1:1] = ["--inner", str(path)]
+        argv = self.with_input(command, tmp_path) + ["--out", out_dir]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "taken" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS, ids=lambda c: c[0])
+    def test_out_before_the_command_rejected(self, command, capsys, tmp_path,
+                                             monkeypatch):
+        # --out is each command's own option; before the command it is none
+        argv = ["--out", "d"] + self.with_input(command, tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--seed-examples"],
+                                      ["--seed-examples", "--out", "d"]],
+                             ids=["bare", "with-out"])
+    def test_seed_examples_flag_rejected(self, argv, capsys, tmp_path, monkeypatch):
+        # the seed-examples command is the one way to write the examples
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, words", [
+        ([], "required: command"),
+        (["classify"], "required: --inner"),
+        (["classify", "--inner", "doc.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["nope"], "invalid choice: 'nope'"),
+    ], ids=["missing-command", "missing-option", "unknown-option", "invalid-choice"])
+    def test_argparse_error_one_line(self, argv, words, capsys):
+        # main returns 2, with no usage block and no SystemExit
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+
+    def test_command_help_exits_zero(self, capsys):
+        # help is argparse's exit, not an error: it still prints and exits 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: onecomp classify")
 
     @pytest.mark.parametrize("args, least", [
         (["classify", "--depth", "1"], 2),

@@ -179,7 +179,7 @@ class TestGamma:
 class TestPlaceZeros:
     def test_circle_equal_spacing(self):
         _, gamma = circle_gamma()
-        placement = place_zeros(gamma, step=0.1, horizon=500)
+        placement = place_zeros(gamma, horizon=500)
         # solve rho(0.5 e^{i phi}, 0.5) = 1/10 for the angular gap
         # rho = 2 r sin(phi/2) / |1 - r^2 e^{i phi}|
         r = 0.5

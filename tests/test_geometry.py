@@ -104,10 +104,11 @@ class TestWhitneyArcs:
         assert totals[-1] > 0.9 * TWO_PI
 
     def test_positive_measure_description_rejected(self):
-        from onecomp.geometry import ArcSupport
-        fat = ArcSupport((BoundaryArc(0.0, 0.3),))
-        with pytest.raises(DomainError):
-            list(whitney_arcs(fat))
+        # a set covering the circle is the extreme case: length 2 pi
+        for half_width in (0.3, math.pi):
+            fat = ArcSupport((BoundaryArc(0.0, half_width),))
+            with pytest.raises(DomainError, match="positive measure"):
+                list(whitney_arcs(fat))
 
 
 class TestSawtooth:
