@@ -34,8 +34,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
-from .errors import (CurveExhausted, DomainError, HypothesisViolated,
+from .errors import (CurveExhausted, DomainError, HypothesisViolated, OnecompError,
                      RadiusSearchExhausted, TailBoundInsufficient)
 from .geometry import TWO_PI, BoundaryArc, pseudo_distance, whitney_arcs
 # not called here: bench/tracer.py counts carleson_square calls through this name
@@ -142,7 +144,12 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
     failing band j, continues from k = j + 1.  Every k' from k to j has band
     j in its window and fails, so the walk stops at the smallest passing k,
     evaluating each band at most once and assuming nothing about the order
-    of passing and failing k.  A walk past 1 - 2^{-GRID_MAX_K} raises
+    of passing and failing k.  A band's sample 0 is bracketed alone, and
+    only if it passes are the band's other samples bracketed, by one array
+    modulus_bounds call; if that call raises, they are bracketed again one
+    at a time.  So a band fails at its first low or tail-failed sample in
+    angle order, and the walk stops and raises exactly as a loop over the
+    samples one at a time would.  A walk past 1 - 2^{-GRID_MAX_K} raises
     TailBoundInsufficient when its last failing band could not be certified
     for the declared zero tail, RadiusSearchExhausted otherwise.
     """
@@ -152,21 +159,40 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
         eps = min(0.5, arc.length)
         tol = max(1e-12, eps * 1e-2)
 
+        def failed_at(samples: list[complex]) -> Optional[bool]:
+            # per point in order: None when every sample passes, otherwise
+            # whether the zero tail (True) or a low sample (False) came first
+            for z in samples:
+                try:
+                    if theta.modulus_bounds(z, tol).lo < 1.0 - eps:
+                        return False
+                except TailBoundInsufficient:
+                    return True   # cannot certify this deep; not passing
+            return None
+
         def first_failing_band(k: int) -> Optional[tuple[int, bool]]:
             # the first failing band, and whether the zero tail failed it
             for j in range(k, min(k + 4, 52)):
                 r_band = 1.0 - 2.0 ** -j
                 count = int(arc.length / 2.0 ** -j) + 2
                 count = max(2, min(count, 96))
-                for i in range(count):
-                    ang = arc.lo + arc.length * i / (count - 1)
-                    z = r_band * cmath.exp(1j * ang)
+
+                def sample(i: int) -> complex:
+                    return r_band * cmath.exp(1j * (arc.lo + arc.length * i / (count - 1)))
+
+                # sample 0 alone decides most failing bands; building the
+                # rest only once it passes keeps them off those bands
+                failed = failed_at([sample(0)])
+                if failed is None:
+                    rest = [sample(i) for i in range(1, count)]
                     try:
-                        bound = theta.modulus_bounds(z, tol).lo
-                    except TailBoundInsufficient:
-                        return j, True   # cannot certify this deep; not passing
-                    if bound < 1.0 - eps:
-                        return j, False
+                        lower = theta.modulus_bounds(np.array(rest), tol).lo
+                    except OnecompError:
+                        failed = failed_at(rest)
+                    else:
+                        failed = False if (lower < 1.0 - eps).any() else None
+                if failed is not None:
+                    return j, failed
             return None
 
         k = 1

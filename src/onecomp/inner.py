@@ -267,9 +267,10 @@ class SingularInner:
 
         A 1-D complex array z gives Interval(lower array, upper array), each
         entry the bits of the per-point call.  The coarse pass is one
-        poisson_bounds_many call; the fine pass runs point by point where
-        the coarse bracket is wider than tol.  A failing array raises the
-        per-point loop's error (_array_bounds).
+        poisson_bounds_many call and math.exp of each end; the fine pass
+        runs point by point, in index order, only where the coarse bracket
+        is wider than tol.  A failing array raises the per-point loop's
+        error (_array_bounds).
         """
         if isinstance(z, np.ndarray):
             return _array_bounds(self, z, tol)
@@ -277,10 +278,14 @@ class SingularInner:
         return self._refine(z, plo, phi, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
-        lo, hi = self.sigma.poisson_bounds_many(points, 0.25)
-        bounds = [self._refine(z, plo, phi, tol)
-                  for z, plo, phi in zip(points.tolist(), lo.tolist(), hi.tolist())]
-        lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
+        plo, phi = self.sigma.poisson_bounds_many(points, 0.25)
+        # math.exp per entry: np.exp can differ in the last bit
+        lower = np.array(list(map(math.exp, (-phi).tolist())))
+        upper = np.array(list(map(math.exp, (-plo).tolist())))
+        # _refine's width test; a NaN width fails it there too
+        for i in np.flatnonzero(~(upper - lower <= tol)).tolist():
+            lower[i], upper[i] = self._refine(complex(points[i]), float(plo[i]),
+                                              float(phi[i]), tol)
         return Interval(lower, upper)
 
     def _refine(self, z: complex, plo: float, phi: float, tol: float) -> Interval:

@@ -11,13 +11,13 @@ from onecomp import families
 from onecomp.classify import ONE_COMPONENT, criterion_scan
 from onecomp.companion import (GRID_MAX_K, SpotCheck, _spot_check_b, build_gamma,
                                choose_radii, construct_companion, place_zeros)
-from onecomp.errors import (HypothesisViolated, RadiusSearchExhausted,
-                            TailBoundInsufficient)
+from onecomp.errors import (HypothesisViolated, OnecompError, PrecisionExhausted,
+                            RadiusSearchExhausted, TailBoundInsufficient)
 from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, carleson_square,
                               level_points, pseudo_distance, whitney_arcs)
 from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                            SingularInner, ZeroSequence)
-from onecomp.measures import CdfMeasure
+from onecomp.measures import AtomicMeasure, CdfMeasure
 
 
 def circle_gamma():
@@ -93,18 +93,103 @@ def probe_and_bisect_radii(theta, arcs):
     return radii
 
 
+def per_point_radii(theta, arcs):
+    """The radius walk with every sample bracketed by its own scalar call,
+    kept as a reference: the radii of choose_radii, or its error."""
+    radii = []
+    for arc in arcs:
+        eps = min(0.5, arc.length)
+        tol = max(1e-12, eps * 1e-2)
+
+        def first_failing_band(k):
+            for j in range(k, min(k + 4, 52)):
+                r_band = 1.0 - 2.0 ** -j
+                count = max(2, min(int(arc.length / 2.0 ** -j) + 2, 96))
+                for i in range(count):
+                    z = r_band * cmath.exp(1j * (arc.lo + arc.length * i / (count - 1)))
+                    try:
+                        if theta.modulus_bounds(z, tol).lo < 1.0 - eps:
+                            return j, False
+                    except TailBoundInsufficient:
+                        return j, True
+            return None
+
+        k = 1
+        while (bad := first_failing_band(k)) is not None:
+            j, tail_failed = bad
+            k = j + 1
+            if k > GRID_MAX_K:
+                if tail_failed:
+                    raise TailBoundInsufficient(
+                        "zeros_tail_blaschke_sum %g is too large to certify the "
+                        "1 - %g floor down to 1 - 2^-%d on arc at angle %g"
+                        % (theta.blaschke.zeros.tail_blaschke_sum, eps, GRID_MAX_K,
+                           arc.center_angle))
+                raise RadiusSearchExhausted(
+                    "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
+                    "arc at angle %g; singular set under-described?"
+                    % (GRID_MAX_K, eps, arc.center_angle))
+        radii.append(1.0 - 2.0 ** -k)
+    return radii
+
+
+def walk_outcome(walk, theta, arcs):
+    """The radii a walk returns, or the type and message of its error."""
+    try:
+        return walk(theta, arcs)
+    except OnecompError as exc:
+        return type(exc), str(exc)
+
+
+def walked_radii(theta, arcs):
+    return choose_radii(theta, arcs).radii
+
+
+def zeros_and_atom():
+    return InnerFunction(blaschke=BlaschkeProduct([0.5, -0.3j]),
+                         singular=SingularInner(AtomicMeasure([(1.0, 0.5)])))
+
+
+def band(z):
+    return round(-math.log2(1.0 - abs(z)))
+
+
 class BandTheta:
     """|Theta| is 0 on the listed radius bands 1 - 2^-j and 1 elsewhere;
-    every evaluated point is recorded."""
+    every evaluated point is recorded.  A 1-D array gets InnerFunction's
+    array answer: an Interval of arrays, each entry the scalar answer."""
 
     def __init__(self, failing):
         self.failing = set(failing)
         self.points = []
 
     def modulus_bounds(self, z, tol):
+        if isinstance(z, np.ndarray):
+            lower, upper = zip(*(self.modulus_bounds(w, tol) for w in z.tolist()))
+            return Interval(np.array(lower), np.array(upper))
         self.points.append(z)
-        band = round(-math.log2(1.0 - abs(z)))
-        return Interval(0.0 if band in self.failing else 1.0, 1.0)
+        return Interval(self.lower(z), 1.0)
+
+    def lower(self, z):
+        return 0.0 if band(z) in self.failing else 1.0
+
+
+class LowThenRaisingTheta(BandTheta):
+    """On the arc from angle 1, bands 2 and deeper pass at sample 0, are low
+    in the next 0.2 radians and raise ``error`` beyond, so a band's array
+    call raises while an earlier sample of it is low."""
+
+    def __init__(self, error):
+        super().__init__(())
+        self.error = error
+
+    def lower(self, z):
+        offset = cmath.phase(z) - 1.0   # sample 0's is about 1e-16
+        if band(z) < 2 or abs(offset) < 1e-9:
+            return 1.0
+        if offset < 0.2:
+            return 0.0
+        raise self.error("sample at angle %g" % cmath.phase(z))
 
 
 class TestRadiusWalk:
@@ -129,6 +214,53 @@ class TestRadiusWalk:
                                  min_length=TWO_PI * 2.0 ** -8))
         assert choose_radii(builder(), arcs).radii == \
             probe_and_bisect_radii(builder(), arcs)
+
+    @pytest.mark.parametrize("builder, depth", [
+        (families.single_atom, 14), (families.two_atoms, 14),
+        (families.example1, 14), (zeros_and_atom, 14),
+        (families.radial_sparse, 14), (families.radial_geometric, 14),
+        (families.cantor_inner, 8)],
+        ids=["atom1", "atoms2", "example1", "zeros_and_atom", "radial_sparse",
+             "radial_geometric", "cantor"])
+    def test_same_radii_as_per_point_walk(self, builder, depth):
+        arcs = list(whitney_arcs(builder().singular_set(),
+                                 min_length=TWO_PI * 2.0 ** -depth))
+        if builder is families.cantor_inner:
+            # every 17th of 42 arcs: each Cantor bracket is a quadrature
+            arcs = arcs[::17]
+        expected = walk_outcome(per_point_radii, builder(), arcs)
+        assert walk_outcome(walked_radii, builder(), arcs) == expected
+        if builder is families.radial_geometric:
+            assert expected[0] is TailBoundInsufficient
+
+    @pytest.mark.parametrize("error", [TailBoundInsufficient, PrecisionExhausted])
+    def test_low_sample_before_the_array_error_decides(self, error):
+        # every band from 2 on is low at sample 1 and raises at its last
+        # sample: point by point it fails on samples, so the walk is
+        # exhausted by samples and never sees the error
+        arc = BoundaryArc.from_endpoints(1.0, 1.25)
+        expected = walk_outcome(per_point_radii, LowThenRaisingTheta(error), [arc])
+        assert expected[0] is RadiusSearchExhausted
+        assert walk_outcome(walked_radii, LowThenRaisingTheta(error), [arc]) == expected
+
+    def test_one_scalar_probe_and_at_most_one_array_call_per_band(self, monkeypatch):
+        calls = []
+        bounds = InnerFunction.modulus_bounds
+
+        def recorded(theta, z, tol):
+            calls.append(z)
+            return bounds(theta, z, tol)
+
+        theta = families.single_atom()
+        arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -14))
+        monkeypatch.setattr(InnerFunction, "modulus_bounds", recorded)
+        choose_radii(theta, arcs)
+        arrays = [i for i, z in enumerate(calls) if isinstance(z, np.ndarray)]
+        assert (len(calls) - len(arrays), len(arrays)) == (647, 147)
+        # each array call holds the rest of the band its scalar probe opened
+        for i in arrays:
+            assert i > 0 and not isinstance(calls[i - 1], np.ndarray)
+            assert {band(z) for z in calls[i].tolist()} == {band(calls[i - 1])}
 
     def test_exhausted_search_message(self):
         # every band from 1 - 2^-26 down fails because the zero tail cannot

@@ -18,7 +18,7 @@ from onecomp.geometry import (TWO_PI, BoundaryArc, SquareArrays, angular_gap,
 from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure,
                            SingularInner, ZeroSequence, dump_zeros_csv,
                            load_zeros_csv, separation_constants)
-from onecomp.measures import AtomicMeasure, CdfMeasure
+from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
 
 
 class TestLogModulus:
@@ -635,6 +635,18 @@ class TestModulusBoundsArray:
         for tol in (1e-9, 1e-3):
             assert array_bounds(theta(), points, tol) == \
                 per_point_bounds(theta(), points, tol)
+
+    @pytest.mark.parametrize("theta", [lambda: SingularInner(CantorMeasure.middle_thirds()),
+                                       cantor_inner], ids=["singular", "inner"])
+    def test_cantor_singular_part(self, theta):
+        # the measure whose poisson_bounds_many loops over poisson_bounds; at
+        # tol 1e-3 the coarse bracket is wide enough at -0.5, 0.9 e^{2i} and
+        # 0.97 to need the fine pass, and narrow enough near angle 0 not to
+        points = np.array([0.99, 0.995, -0.5, 0.999, 0.9 * cmath.exp(2j), 0.97])
+        lo, hi = CantorMeasure.middle_thirds().poisson_bounds_many(points, 0.25)
+        assert (np.exp(-lo) - np.exp(-hi) > 1e-3).tolist() == \
+            [False, False, True, False, True, True]
+        assert array_bounds(theta(), points, 1e-3) == per_point_bounds(theta(), points, 1e-3)
 
     def test_precision_exhausted_at_the_same_point(self):
         # a fine pass fails at the first point, before the coarse pass of
