@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolated, PrecisionExhausted
-from .geometry import SawtoothRegion, StolzAngle
+from .errors import DomainError, HypothesisViolated, OnecompError, PrecisionExhausted
+from .geometry import BLOCK_ELEMENTS, SawtoothRegion, StolzAngle
 # not called here: bench/tracer.py counts carleson_square calls through this name
 from .geometry import carleson_square  # noqa: F401
 from .inner import InnerFunction, ZeroSequence, _tail_neg_log_bound
@@ -118,8 +118,11 @@ def criterion_scan(theta: InnerFunction, depth: int,
     Samples each top half at its center and its low-angle corner; a sample z
     becomes a witness when mu(Theta)(Q(z)) is certifiably positive, and then
     contributes its certified modulus bracket to the C* trace.  One
-    modulus_bounds call brackets a level's witnesses; the report keeps them
-    all, with their lower ends, as ``visited``.
+    positive_squares call finds the witnesses of every level and one
+    modulus_bounds call brackets them all; the report keeps them, with
+    their lower ends, as ``visited``.  An error is the one a level-by-level
+    scan meets first, a level's squares before its |Theta|: when either
+    call raises, the scan is replayed level by level.
     """
     if depth < 2:
         raise DomainError("scan depth must be >= 2")
@@ -127,35 +130,37 @@ def criterion_scan(theta: InnerFunction, depth: int,
         raise PrecisionExhausted("scan depth %d is past %d, the deepest level "
                                  "double precision resolves" % (depth, MAX_DEPTH))
     mu = theta.mu()
+    levels = range(2, depth + 1)
+    try:
+        points, masses, at = mu.positive_squares(levels)
+        lower, upper = theta.modulus_bounds(points, EVAL_TOL)
+    except OnecompError:
+        for level in levels:
+            theta.modulus_bounds(mu.positive_squares([level])[0], EVAL_TOL)
+        raise
 
     trace: list[float] = []
     witnesses: list[ScanWitness] = []
-    seen_points: list[np.ndarray] = []
-    seen_lower: list[np.ndarray] = []
     crossed = False
     c_star = 0.0
-    for level in range(2, depth + 1):
-        points, masses = mu.positive_squares(level)
-        lower, upper = theta.modulus_bounds(points, EVAL_TOL)
-        seen_points.append(points)
-        seen_lower.append(lower)
-        for z, mu_q, lo, hi in zip(points.tolist(), masses.tolist(),
-                                   lower.tolist(), upper.tolist()):
-            if lo > 1.0 - tol:
-                crossed = True
-            if hi > c_star:
-                c_star = hi
-                if len(witnesses) >= 64:
-                    witnesses.pop(0)
-                witnesses.append(ScanWitness(z, lo, hi, mu_q, level))
-        trace.append(c_star)
+    for level, z, mu_q, lo, hi in zip(at.tolist(), points.tolist(), masses.tolist(),
+                                      lower.tolist(), upper.tolist()):
+        trace += [c_star] * (level - 2 - len(trace))    # the levels before this one
+        if lo > 1.0 - tol:
+            crossed = True
+        if hi > c_star:
+            c_star = hi
+            if len(witnesses) >= 64:
+                witnesses.pop(0)
+            witnesses.append(ScanWitness(z, lo, hi, mu_q, level))
+    trace += [c_star] * (len(levels) - len(trace))
 
     verdict, notes = _verdict_from_trace(trace, tol, crossed)
     if theta.is_constant:
         notes.append("constant inner function: mu(Theta) is identically zero")
     return ClassificationReport(
         verdict=verdict, c_star=c_star, depth_trace=trace, witnesses=witnesses,
-        visited=(np.concatenate(seen_points), np.concatenate(seen_lower)),
+        visited=(points, lower),
         params={"depth": depth, "tol": tol, "margin": MARGIN,
                 "eval_tol": EVAL_TOL, "samples": "top-half centers and corners"},
         notes=notes)
@@ -178,32 +183,44 @@ class LimitTestResult:
                 "trace": self.trace, "params": self.params, "notes": self.notes}
 
 
-def _log_abs_blaschke_radial(zeros: ZeroSequence, vertex_angle: float,
-                             s: float) -> float:
-    """log|B| at the radial point (1-s) e^{i vertex}, cancellation-free.
+def _log_abs_blaschke_radial_many(zeros: ZeroSequence, vertex_angle: float,
+                                  depths: np.ndarray) -> np.ndarray:
+    """log|B| at each radial point (1-s) e^{i vertex}, s in depths,
+    cancellation-free.
 
     Works directly with zero depths u_j = 1 - |z_j| and angular offsets, so
     the value stays accurate for s far below double resolution of 1 - s.
-    Returns the sum over the listed zeros; the caller bounds the tail.
+    Returns the sum over the listed zeros, -inf where s puts the point on
+    one of them; the caller bounds the tail.  The per-zero terms are
+    scalar calls; a depth x zero matrix takes the depth-dependent steps in
+    the scalar order, math.log per entry (np.log can differ in the last
+    bit), and each row is a running sum in zero order.
     """
-    total = 0.0
-    for w in zeros.zeros:
-        u = 1.0 - abs(w)
-        psi = cmath.phase(w) - vertex_angle
-        mod_w = abs(w)
-        versin = 2.0 * math.sin(0.5 * psi) ** 2    # 1 - cos(psi), stable
+    ws = zeros.zeros
+    u = np.array([1.0 - abs(w) for w in ws])
+    psi = [cmath.phase(w) - vertex_angle for w in ws]
+    mod_w = np.array([abs(w) for w in ws])
+    versin = np.array([2.0 * math.sin(0.5 * p) ** 2 for p in psi])  # 1 - cos(psi)
+    sin_psi = np.array([math.sin(p) for p in psi])
+    totals = np.empty(len(depths))
+    step = max(1, BLOCK_ELEMENTS // max(1, len(ws)))
+    for start in range(0, len(depths), step):
+        s = depths[start:start + step, None]
         # z - w rotated by e^{-i vertex}: (u - s) + |w| (1 - e^{i psi})
         re_num = (u - s) + mod_w * versin
-        im_num = -mod_w * math.sin(psi)
+        im_num = -mod_w * sin_psi
         num2 = re_num * re_num + im_num * im_num
-        if num2 == 0.0:
-            return -math.inf
         # 1 - conj(w) z = (u + s - u s) + |w| (1-s) (1 - e^{-i psi})
         re_den = (u + s - u * s) + mod_w * (1.0 - s) * versin
-        im_den = mod_w * (1.0 - s) * math.sin(psi)
+        im_den = mod_w * (1.0 - s) * sin_psi
         den2 = re_den * re_den + im_den * im_den
-        total += 0.5 * math.log(num2 / den2)
-    return total
+        on_zero = num2 == 0.0
+        ratio = np.where(on_zero, 1.0, num2 / den2).ravel().tolist()
+        terms = np.zeros((len(s), len(ws) + 1))     # column 0: total = 0.0
+        terms[:, 1:] = 0.5 * np.array(list(map(math.log, ratio))).reshape(len(s), len(ws))
+        totals[start:start + step] = np.where(on_zero.any(axis=1), -math.inf,
+                                              np.cumsum(terms, axis=1)[:, -1])
+    return totals
 
 
 def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
@@ -229,8 +246,8 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
 
     crossed = False
     sups: list[tuple[float, float]] = []
-    for s in depth_grid:
-        val = _log_abs_blaschke_radial(zeros, vertex_angle, s)
+    vals = _log_abs_blaschke_radial_many(zeros, vertex_angle, np.array(depth_grid))
+    for s, val in zip(depth_grid, vals.tolist()):
         tail_term = _tail_neg_log_bound(zeros.tail_blaschke_sum, s)
         upper = math.exp(min(0.0, val))
         lower = math.exp(val - tail_term) if tail_term < math.inf else 0.0
@@ -283,9 +300,12 @@ def sawtooth_test(theta: InnerFunction,
     Samples Omega on the circles |z| = r for each level, at angular
     resolution proportional to 1 - r near the support (support cover arcs
     keep the sample count bounded).  A level's candidate points are built
-    in arc order, one membership call keeps the first ``per_level`` points
-    inside Omega, and one modulus_bounds call brackets |Theta| at all of
-    them; the level's sup is the largest upper end, 0 when none is inside.
+    in arc order as one array, one membership call keeps the first
+    ``per_level`` points inside Omega, and one modulus_bounds call brackets
+    |Theta| at the points inside on every level; a level's sup is the
+    largest upper end among its points, 0 when none is inside.  A
+    membership error is raised after the |Theta| brackets of the levels
+    before it, as level by level.
     The per-level sups feed the shared trace logic; for one-component
     singular data they decay to 0.
     """
@@ -307,21 +327,28 @@ def sawtooth_test(theta: InnerFunction,
     r_levels = sorted(float(r) for r in r_levels)
     per_level = max(24, 4096 // max(1, len(r_levels)))
 
-    level_sups: list[float] = []
-    for r in r_levels:
-        width = 1.0 - r
-        cover = support.cover_arcs(width)
-        stride = max(1, len(cover) // max(1, per_level // 4))
-        candidates = []
-        for arc in cover[::stride]:
-            lo = arc.lo - 0.75 * width
-            hi = arc.hi + 0.75 * width
-            count = max(2, min(int((hi - lo) / (0.5 * width)) + 1, 8))
-            candidates += [r * cmath.exp(1j * (lo + (hi - lo) * j / (count - 1)))
-                           for j in range(count)]
-        points = np.array(candidates, dtype=np.complex128)
-        inside = points[region.contains(points, limit=per_level)]
-        level_sups.append(float(theta.modulus_bounds(inside, EVAL_TOL).hi.max(initial=0.0)))
+    inside = [np.empty(0, dtype=np.complex128)]     # then one array per level
+    try:
+        for r in r_levels:
+            width = 1.0 - r
+            cover = support.cover_arcs(width)
+            stride = max(1, len(cover) // max(1, per_level // 4))
+            arcs = np.array([(arc.lo, arc.hi) for arc in cover[::stride]]).reshape(-1, 2)
+            lo, hi = (arcs + (-0.75 * width, 0.75 * width)).T
+            count = np.minimum(((hi - lo) / (0.5 * width)).astype(np.int64) + 1, 8)
+            count = np.maximum(count, 2)[:, None]
+            # an arc x sample matrix; its rows' first count entries, in order
+            j = np.arange(8.0)
+            angles = lo[:, None] + (hi - lo)[:, None] * j / (count - 1)
+            points = r * np.exp(1j * angles[j < count])
+            inside.append(points[region.contains(points, limit=per_level)])
+    except OnecompError:
+        # a level's |Theta| comes before the next level's membership
+        theta.modulus_bounds(np.concatenate(inside), EVAL_TOL)
+        raise
+    upper = theta.modulus_bounds(np.concatenate(inside), EVAL_TOL).hi
+    ends = np.cumsum([part.size for part in inside]).tolist()
+    level_sups = [float(upper[a:b].max(initial=0.0)) for a, b in zip(ends, ends[1:])]
 
     estimate = max(level_sups[-2:]) if len(level_sups) >= 2 else \
         (level_sups[-1] if level_sups else 0.0)

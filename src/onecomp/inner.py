@@ -127,12 +127,14 @@ class BlaschkeProduct:
 
     def _ensure_tail(self, z_abs: float, budget: float) -> float:
         """The declared tail's bound at |z| = z_abs; raises when it exceeds
-        the budget."""
-        bound = _tail_neg_log_bound(self.zeros.tail_blaschke_sum, 1.0 - z_abs)
+        the budget, naming the depth 1 - |z|, which %g keeps apart where it
+        would round |z| to 1."""
+        depth = 1.0 - z_abs
+        bound = _tail_neg_log_bound(self.zeros.tail_blaschke_sum, depth)
         if bound > budget:
             raise TailBoundInsufficient(
-                "certified tail %g exceeds budget %g at |z| = %g"
-                % (bound, budget, z_abs))
+                "certified tail %g exceeds budget %g at 1 - |z| = %g"
+                % (bound, budget, depth))
         return bound
 
     def _log_sum(self, z: complex) -> float:
@@ -311,9 +313,9 @@ class MuMeasure:
     exactly with math.fsum.  A square smaller than the declared zero tail,
     which may hide unlisted zeros of that depth, raises instead of
     silently undercounting.
-    Many squares, such as one scan level's, are answered by one batched
-    call; a single square is a one-row batch.  The boundary part's masses
-    are bracketed to MASS_TOL.
+    Many squares, such as every level of a scan, are answered by one
+    batched call; a single square is a one-row batch.  The boundary part's
+    masses are bracketed to MASS_TOL.
     """
 
     zero_atoms: list[tuple[complex, float]]
@@ -336,19 +338,23 @@ class MuMeasure:
         z of a complex array, bit for bit."""
         return self._squares_bounds(carleson_squares(points))[0]
 
-    def positive_squares(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """(points, lower masses) of the scan points of a level
+    def positive_squares(self, levels: Sequence[int]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, lower masses, levels) of the scan points of the levels
         (level_points) whose Carleson square has certifiably positive mass,
-        in point order.
+        in level-then-point order.
 
-        Only the points next to listed mass (_live_points) are built and
-        queried, and point 0, whose square stands for the level's side in
-        the horizon check.
+        Only the points next to listed mass (_live_points) are built, and
+        each level's point 0, whose square stands for the level's side in
+        the horizon check; one lower_masses call queries all of them.
         """
-        points = level_points(level, np.union1d(self._live_points(level), [0]))
+        parts = [level_points(level, np.union1d(self._live_points(level), [0]))
+                 for level in levels]
+        points = np.concatenate(parts)
         lower = self.lower_masses(points)
+        at = np.repeat(levels, [part.size for part in parts])
         positive = lower > 0.0
-        return points[positive], lower[positive]
+        return points[positive], lower[positive], at[positive]
 
     def _live_points(self, level: int) -> np.ndarray:
         """Sorted positions, in level_points order, of the level's points

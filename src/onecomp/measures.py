@@ -60,18 +60,59 @@ def _herglotz_kernel(z: complex, theta: float) -> complex:
     return (z + xi) / (z - xi)
 
 
-def _cell_distances2(z: complex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(min, max) of |z - e^{it}|^2 over each cell [lo, hi] (radians), as
-    the two rows of one array."""
+def _cell_distances2(z: complex, lo: np.ndarray, hi: np.ndarray,
+                     far: bool) -> np.ndarray:
+    """The min of |z - e^{it}|^2 over each cell [lo, hi] (radians), and
+    with ``far`` its max, as the rows of one array."""
     r = abs(z)
     phase = cmath.phase(z) if r > 0.0 else 0.0
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     d = np.abs(np.mod(phase - center + math.pi, TWO_PI) - math.pi)
-    gap = np.empty((2, d.size))
+    gap = np.empty((2 if far else 1, d.size))
     np.maximum(0.0, d - half, out=gap[0])
-    np.minimum(math.pi, d + half, out=gap[1])
+    if far:
+        np.minimum(math.pi, d + half, out=gap[1])
     return (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * gap) ** 2
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and the exact error a + b - s."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a matrix of finite terms >= 0, bit for bit.
+
+    A row's m terms are added in pairs, level by level, with _two_sum,
+    which keeps each addition's exact error: S is their float sum and c
+    the float sum of the k = m - 1 errors, and r, rho = _two_sum(S, c).  The
+    exact row sum is r + rho plus the rounding of c.  Each error is at most
+    u S (u = 2^-53; the partial sums are at most S), so c, added in any
+    order, errs by less than 2 k^2 u^2 S.  Where |rho| plus that bound is
+    below half the gap from r down to its neighbour, r is fsum's; the other
+    rows, such as ties, are fsum'ed.  The pairs are rows of the transpose,
+    which are contiguous.
+    """
+    if terms.shape[1] <= 2:     # fsum of two terms or fewer is their float sum
+        return terms.sum(axis=1)
+    rows, errors = terms.T.copy(), []
+    while len(rows) > 1:
+        half = len(rows) // 2
+        total, error = _two_sum(rows[:half], rows[half:2 * half])
+        errors.append(error)
+        rows = total if len(rows) == 2 * half else np.concatenate([total, rows[2 * half:]])
+    total, k = rows[0], terms.shape[1] - 1
+    r, rho = _two_sum(total, np.concatenate(errors).sum(axis=0))
+    gap = r - r * (1.0 - 2.0 ** -53)    # r minus its lower neighbour, r normal
+    with np.errstate(invalid="ignore"):
+        sure = ((np.abs(rho) + 2.0 * k * k * 2.0 ** -106 * total < 0.5 * gap)
+                & (total >= 2.0 ** -900))
+    for i in np.flatnonzero(~sure).tolist():
+        r[i] = math.fsum(terms[i].tolist())
+    return r
 
 
 def _check_interior(z: complex) -> complex:
@@ -238,17 +279,18 @@ class AtomicMeasure(SingularMeasure):
         slack = self._tail * max_kernel
         if slack > tol:
             raise PrecisionExhausted(
-                "atomic tail bound %g cannot meet tol %g at |z|=%g"
-                % (self._tail, tol, abs(z)), bracket=(total, total + slack))
+                "atomic tail bound %g cannot meet tol %g at 1 - |z| = %g"
+                % (self._tail, tol, 1.0 - abs(z)), bracket=(total, total + slack))
         return (total, total + slack)
 
     def poisson_bounds_many(self, points: np.ndarray, tol: float
                             ) -> tuple[np.ndarray, np.ndarray]:
         """A point x atom matrix of the terms m P(z, t) of poisson_bounds, in
-        row blocks of about BLOCK_ELEMENTS, each row added with math.fsum as
-        poisson_bounds adds its terms.  It answers every point or raises: a
-        point outside the disc raises DomainError, and a tail that cannot
-        meet tol at some point raises PrecisionExhausted.  e^{i t} is taken
+        row blocks of about BLOCK_ELEMENTS, each row summed by _fsum_rows to
+        the bits of the math.fsum that poisson_bounds takes of its terms.
+        It answers every point or raises: a point outside the disc raises
+        DomainError, and a tail that cannot meet tol at some point raises
+        PrecisionExhausted.  e^{i t} is taken
         once per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
         np.float_power, which match abs(complex) and float ** 2; np.abs on
         complex128 and squaring by multiplication differ from them in the
@@ -260,7 +302,7 @@ class AtomicMeasure(SingularMeasure):
         if np.any(slack > tol):
             raise PrecisionExhausted("atomic tail bound %g cannot meet tol %g" % (self._tail, tol))
         one_minus_r2 = 1.0 - np.float_power(moduli, 2.0)
-        lower = []
+        lower = np.empty(len(points))
         masses = np.array([m for _, m in self._atoms], dtype=np.float64)
         xi = np.array([cmath.exp(1j * t) for t, _ in self._atoms], dtype=np.complex128)
         step = max(1, BLOCK_ELEMENTS // max(1, xi.size))
@@ -271,8 +313,7 @@ class AtomicMeasure(SingularMeasure):
             np.float_power(terms, 2.0, out=terms)
             np.divide(one_minus_r2[s:s + step, None], terms, out=terms)
             terms *= masses
-            lower += map(math.fsum, terms.tolist())
-        lower = np.array(lower, dtype=np.float64)
+            lower[s:s + step] = _fsum_rows(terms)
         return lower, lower + slack
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
@@ -540,7 +581,7 @@ class CantorMeasure(SingularMeasure):
         one_minus_r2 = 1.0 - r * r
 
         def bound(lo, hi):
-            kmax, kmin = one_minus_r2 / _cell_distances2(z, lo, hi)
+            kmax, kmin = one_minus_r2 / _cell_distances2(z, lo, hi, True)
             return kmax - kmin, kmin, kmax
 
         _, _, masses, kmin, kmax = self._cells(tol, bound)
@@ -551,7 +592,7 @@ class CantorMeasure(SingularMeasure):
 
         def bound(lo, hi):
             # |d/dt (z+e^{it})/(z-e^{it})| = 2|z| / |z - e^{it}|^2
-            return ((hi - lo) * 2.0 * abs(z) / _cell_distances2(z, lo, hi)[0],)
+            return ((hi - lo) * 2.0 * abs(z) / _cell_distances2(z, lo, hi, False)[0],)
 
         lo, hi, masses = self._cells(tol, bound)
         xi = np.exp(1j * (0.5 * (lo + hi)))

@@ -6,12 +6,13 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from onecomp import families
 from onecomp.classify import (EVAL_TOL, INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONENT,
-                              ONE_COMPONENT, classify, criterion_scan,
-                              radial_limit_test, sawtooth_test)
+                              ONE_COMPONENT, _log_abs_blaschke_radial_many, classify,
+                              criterion_scan, radial_limit_test, sawtooth_test)
 from onecomp.errors import HypothesisViolated, PrecisionExhausted
 from onecomp.geometry import TWO_PI, BoundaryArc, SawtoothRegion, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
@@ -135,6 +136,71 @@ class TestRadialLimit:
             radial_limit_test(zs, 0.0, aperture=2.0)
 
 
+def log_abs_blaschke_radial(zeros: ZeroSequence, vertex_angle: float, s: float) -> float:
+    """log|B| at the radial point (1-s) e^{i vertex}, one zero at a time:
+    the reference for _log_abs_blaschke_radial_many."""
+    total = 0.0
+    for w in zeros.zeros:
+        u = 1.0 - abs(w)
+        psi = cmath.phase(w) - vertex_angle
+        mod_w = abs(w)
+        versin = 2.0 * math.sin(0.5 * psi) ** 2    # 1 - cos(psi), stable
+        # z - w rotated by e^{-i vertex}: (u - s) + |w| (1 - e^{i psi})
+        re_num = (u - s) + mod_w * versin
+        im_num = -mod_w * math.sin(psi)
+        num2 = re_num * re_num + im_num * im_num
+        if num2 == 0.0:
+            return -math.inf
+        # 1 - conj(w) z = (u + s - u s) + |w| (1-s) (1 - e^{-i psi})
+        re_den = (u + s - u * s) + mod_w * (1.0 - s) * versin
+        im_den = mod_w * (1.0 - s) * math.sin(psi)
+        den2 = re_den * re_den + im_den * im_den
+        total += 0.5 * math.log(num2 / den2)
+    return total
+
+
+RADIAL_GRID = [2.0 ** (-k / 4.0) for k in range(16, 177)]
+
+
+def turned(zeros: ZeroSequence, alpha: float) -> ZeroSequence:
+    return ZeroSequence([w * cmath.exp(1j * alpha) for w in zeros.zeros],
+                        zeros.tail_blaschke_sum, [alpha])
+
+
+class TestRadialArray:
+    """_log_abs_blaschke_radial_many against the zero-at-a-time reference,
+    bit for bit, on radial_limit_test's depth grid."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.5, math.pi])
+    @pytest.mark.parametrize("make", [families.radial_geometric_zeros,
+                                      families.radial_sparse_zeros],
+                             ids=["geometric", "sparse"])
+    def test_matches_the_reference(self, make, alpha):
+        zeros = turned(make(), alpha) if alpha else make()
+        got = _log_abs_blaschke_radial_many(zeros, alpha, np.array(RADIAL_GRID))
+        assert got.tolist() == [log_abs_blaschke_radial(zeros, alpha, s)
+                                for s in RADIAL_GRID]
+
+    def test_a_zero_on_the_ray_gives_minus_infinity(self):
+        # 1 - 2^-6 is the grid point k = 24, and 1 - 2^-4 the first one
+        zeros = ZeroSequence([0.5, 1.0 - 2.0 ** -6, 0.9 * cmath.exp(0.01j), 1.0 - 2.0 ** -4],
+                             tail_blaschke_sum=1e-6)
+        got = _log_abs_blaschke_radial_many(zeros, 0.0, np.array(RADIAL_GRID)).tolist()
+        assert got == [log_abs_blaschke_radial(zeros, 0.0, s) for s in RADIAL_GRID]
+        assert [s for s, v in zip(RADIAL_GRID, got) if v == -math.inf] == [2.0 ** -4, 2.0 ** -6]
+
+    def test_no_listed_zero_gives_zero(self):
+        got = _log_abs_blaschke_radial_many(ZeroSequence([], 1e-6), 0.0, np.array(RADIAL_GRID))
+        assert got.tolist() == [0.0] * len(RADIAL_GRID)
+
+    def test_blocks_of_depths_give_the_same_rows(self):
+        # 200 zeros: the depths go through the matrix in blocks of 40 rows
+        zeros = ZeroSequence([(1.0 - 2.0 ** (-n / 8.0)) * cmath.exp(1j * 2.0 ** -n)
+                              for n in range(8, 208)], tail_blaschke_sum=1e-9)
+        got = _log_abs_blaschke_radial_many(zeros, 0.0, np.array(RADIAL_GRID))
+        assert got.tolist() == [log_abs_blaschke_radial(zeros, 0.0, s) for s in RADIAL_GRID]
+
+
 class TestSawtooth:
     def test_cantor_decays(self):
         levels = [1 - 2 * math.pi * (1 / 3.0) ** n for n in range(5, 11)]
@@ -210,6 +276,34 @@ def reference_sawtooth_trace(theta, r_levels=None):
     return level_sups
 
 
+def per_level_sawtooth_trace(theta, r_levels=None):
+    """The level sups of sawtooth_test, one level at a time: the level's
+    candidates one cmath.exp each, one membership call and one |Theta|
+    call."""
+    support = theta.singular.sigma.support()
+    region = SawtoothRegion(support)
+    if r_levels is None:
+        r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]
+    r_levels = sorted(float(r) for r in r_levels)
+    per_level = max(24, 4096 // max(1, len(r_levels)))
+    level_sups = []
+    for r in r_levels:
+        width = 1.0 - r
+        cover = support.cover_arcs(width)
+        stride = max(1, len(cover) // max(1, per_level // 4))
+        candidates = []
+        for arc in cover[::stride]:
+            lo = arc.lo - 0.75 * width
+            hi = arc.hi + 0.75 * width
+            count = max(2, min(int((hi - lo) / (0.5 * width)) + 1, 8))
+            candidates += [r * cmath.exp(1j * (lo + (hi - lo) * j / (count - 1)))
+                           for j in range(count)]
+        points = np.array(candidates, dtype=np.complex128)
+        inside = points[region.contains(points, limit=per_level)]
+        level_sups.append(float(theta.modulus_bounds(inside, EVAL_TOL).hi.max(initial=0.0)))
+    return level_sups
+
+
 def seeded_family(name, seed):
     """A seeded family as the benchmark feeds it: its input document turned
     by the seed's angle."""
@@ -245,6 +339,56 @@ class TestSawtoothBatched:
         got = sawtooth_test(make(), r_levels=[0.9, 0.97]).trace
         assert got == reference_sawtooth_trace(make(), [0.9, 0.97])
         assert any(got)
+
+    @pytest.mark.parametrize("make", [
+        families.single_atom, families.two_atoms, families.example1,
+        lambda: seeded_family("atom1", 3)], ids=["atom1", "atoms2", "example1", "atom1_turned"])
+    def test_matches_the_per_level_loop(self, make):
+        got = sawtooth_test(make()).trace
+        assert got == per_level_sawtooth_trace(make())
+        assert any(got)
+
+    def test_cantor_matches_the_per_level_loop(self):
+        levels = [1 - 2 * math.pi * (1 / 3.0) ** n for n in (2, 3, 4)]
+        got = sawtooth_test(families.cantor_inner(), r_levels=levels).trace
+        assert got == per_level_sawtooth_trace(families.cantor_inner(), levels)
+        assert len(got) == 3
+
+    @pytest.mark.parametrize("theta_level, expected", [
+        (1, "|Theta| at level 1"), (2, "membership at level 2"), (3, "membership at level 2")])
+    def test_error_order_as_per_level(self, theta_level, expected, monkeypatch):
+        # stubs: membership raises on level 2, |Theta| on theta_level; level
+        # by level, a level's |Theta| comes before the next level's
+        # membership
+        r_levels = [round(1.0 - 2.0 ** -k, 12) for k in range(3, 13)]   # the default
+        contains = SawtoothRegion.contains
+
+        def level(points):
+            return {r_levels.index(r) for r in np.round(np.abs(points), 12).tolist()}
+
+        def membership(region, points, limit=None):
+            if 2 in level(points):
+                raise PrecisionExhausted("membership at level 2")
+            return contains(region, points, limit)
+
+        def theta():
+            f = families.single_atom()
+            modulus_bounds = f.modulus_bounds
+
+            def stub(points, tol):
+                if theta_level in level(points):
+                    raise PrecisionExhausted("|Theta| at level %d" % theta_level)
+                return modulus_bounds(points, tol)
+
+            f.modulus_bounds = stub
+            return f
+
+        monkeypatch.setattr(SawtoothRegion, "contains", membership)
+        with pytest.raises(PrecisionExhausted) as reference:
+            per_level_sawtooth_trace(theta())
+        with pytest.raises(PrecisionExhausted) as batched:
+            sawtooth_test(theta())
+        assert str(batched.value) == str(reference.value) == expected
 
     def test_precision_exhausted_as_per_point(self):
         # Example 1 with its two first atoms and the rest, of mass 8^-2 / 7,

@@ -475,17 +475,18 @@ class TestSpotCheck:
         return _spot_check_b(criterion_scan(b, depth))
 
     def test_mu_squares_walked_once_per_scan(self, monkeypatch):
-        # the scans of B and of B Theta walk them; the spot check reads B's
+        # the scans of B and of B Theta walk them, all levels in one call;
+        # the spot check reads B's
         calls = []
         walk = MuMeasure.positive_squares
 
-        def counted(mu, level):
-            calls.append(level)
-            return walk(mu, level)
+        def counted(mu, levels):
+            calls.append(list(levels))
+            return walk(mu, levels)
 
         monkeypatch.setattr(MuMeasure, "positive_squares", counted)
         construct_companion(families.single_atom(), 500, 10)
-        assert len(calls) == 2 * (10 - 1)
+        assert calls == [list(range(2, 11))] * 2
 
     def test_companion_matches_per_point_reference(self):
         zeros = construct_companion(families.single_atom(), horizon=500,

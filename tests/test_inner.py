@@ -8,14 +8,15 @@ import pytest
 
 from onecomp.classify import EVAL_TOL, criterion_scan
 from onecomp.companion import construct_companion
-from onecomp.errors import DomainError, PrecisionExhausted, TailBoundInsufficient
+from onecomp.errors import (DomainError, OnecompError, PrecisionExhausted,
+                            TailBoundInsufficient)
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
                               radial_geometric, radial_geometric_zeros,
                               radial_sparse, single_atom, two_atoms)
 from onecomp.geometry import (TWO_PI, BoundaryArc, SquareArrays, angular_gap,
                               carleson_square, carleson_squares, level_points,
                               pseudo_distance)
-from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure,
+from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                            SingularInner, ZeroSequence, dump_zeros_csv,
                            load_zeros_csv, separation_constants)
 from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
@@ -400,27 +401,28 @@ def full_level_scan(theta: InnerFunction, depth: int) -> list:
 
 
 def criterion_scan_record(theta: InnerFunction, depth: int, monkeypatch) -> list:
-    """The same tuples, read off criterion_scan's positive_squares arrays
-    and its one |Theta| call per level."""
+    """The same tuples, read off criterion_scan's one positive_squares call
+    and its one |Theta| call."""
     hits, brackets = [], []
     positive_squares, modulus_bounds = MuMeasure.positive_squares, theta.modulus_bounds
 
-    def recording(mu, level):
-        points, masses = positive_squares(mu, level)
-        hits.extend((level, z, mass) for z, mass in zip(points.tolist(), masses.tolist()))
-        return points, masses
+    def recording(mu, levels):
+        assert not hits and list(levels) == list(range(2, depth + 1))
+        points, masses, at = positive_squares(mu, levels)
+        hits.append(list(zip(at.tolist(), points.tolist(), masses.tolist())))
+        return points, masses, at
 
     def evaluate(z, tol):
         bracket = modulus_bounds(z, tol)
-        brackets.extend(zip(bracket.lo.tolist(), bracket.hi.tolist()))
+        brackets.append(list(zip(bracket.lo.tolist(), bracket.hi.tolist())))
         return bracket
 
     with monkeypatch.context() as patch:
         patch.setattr(MuMeasure, "positive_squares", recording)
         patch.setattr(theta, "modulus_bounds", evaluate)
         criterion_scan(theta, depth)
-    assert len(hits) == len(brackets)
-    return [hit + (bracket,) for hit, bracket in zip(hits, brackets)]
+    assert len(hits) == len(brackets) == 1 and len(hits[0]) == len(brackets[0])
+    return [hit + (bracket,) for hit, bracket in zip(hits[0], brackets[0])]
 
 
 RISING_CDF = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (4.0, 0.5), (5.0, 1.0), (TWO_PI, 1.0)]
@@ -484,8 +486,63 @@ class TestPrunedScan:
             reference_square_bounds(reference, carleson_square(z))
             for z in level_points(level).tolist()])
         mu = partial_mu()
-        assert first_failure(mu.positive_squares) == expected
+        assert first_failure(lambda level: mu.positive_squares([level])) == expected
         assert expected[0] == 8 and mu._live_points(8).size == 0
+        with pytest.raises(TailBoundInsufficient) as batched:
+            partial_mu().positive_squares(range(2, 13))
+        assert str(batched.value) == expected[1]
+
+
+def level_by_level_scan(theta: InnerFunction, depth: int) -> None:
+    """The scan's squares and |Theta| brackets, level by level: a level's
+    squares, then |Theta| at its positive points."""
+    mu = theta.mu()
+    for level in range(2, depth + 1):
+        theta.modulus_bounds(mu.positive_squares([level])[0], EVAL_TOL)
+
+
+class TestScanErrorOrder:
+    """criterion_scan raises the error the level-by-level scan meets first.
+
+    The zeros 1 - 2^-n, n <= 6, with tail 2^-6 give positive squares on
+    levels 2-7 and a horizon error on level 8's squares.  A stub |Theta|
+    raises at the first point of a chosen level, as a per-point loop
+    would; an array of points of other levels gets (0, 1/2) brackets.
+    """
+
+    @staticmethod
+    def theta(failing_level: int) -> InnerFunction:
+        partial = ZeroSequence(radial_geometric_zeros().zeros[:6], tail_blaschke_sum=2.0 ** -6)
+        theta = InnerFunction(blaschke=BlaschkeProduct(partial))
+
+        def stub(points, tol):
+            # |z| = 1 - 0.75 pi 2^-level
+            levels = [round(-math.log2((1.0 - abs(z)) / (0.75 * math.pi)))
+                      for z in points.tolist()]
+            if failing_level in levels:
+                raise PrecisionExhausted("|Theta| at level %d" % failing_level)
+            return Interval(np.zeros(len(points)), np.full(len(points), 0.5))
+
+        theta.modulus_bounds = stub
+        return theta
+
+    @pytest.mark.parametrize("failing_level, expected", [
+        (5, "|Theta| at level 5"), (7, "|Theta| at level 7"),
+        (8, "zeros_tail_blaschke_sum 0.015625 exceeds the square side"),
+        (9, "zeros_tail_blaschke_sum 0.015625 exceeds the square side")])
+    def test_first_error_in_level_order(self, failing_level, expected):
+        with pytest.raises(OnecompError) as reference:
+            level_by_level_scan(self.theta(failing_level), 12)
+        with pytest.raises(OnecompError) as batched:
+            criterion_scan(self.theta(failing_level), 12)
+        assert type(batched.value) is type(reference.value)
+        assert str(batched.value) == str(reference.value)
+        assert str(batched.value).startswith(expected)
+
+    def test_levels_before_the_horizon_are_scanned(self):
+        # down to level 7 no error: the batch answers, with level 7 positive
+        report = criterion_scan(self.theta(9), 7)
+        assert report.depth_trace == [0.5] * 6
 
 
 @pytest.fixture(scope="module")
@@ -657,7 +714,7 @@ class TestModulusBoundsArray:
             per_point_bounds(make(), points, 1e-6)
         with pytest.raises(PrecisionExhausted) as batched:
             make().modulus_bounds(points, 1e-6)
-        assert str(batched.value) == str(reference.value) and "|z|=0.5" in str(reference.value)
+        assert str(batched.value) == str(reference.value) and "at 1 - |z| = 0.5" in str(reference.value)
         assert batched.value.bracket == reference.value.bracket
 
     def test_singular_error_before_the_failing_blaschke_point(self):
@@ -672,7 +729,7 @@ class TestModulusBoundsArray:
             per_point_bounds(make(), points, 1e-6)
         with pytest.raises(PrecisionExhausted) as batched:
             make().modulus_bounds(points, 1e-6)
-        assert str(batched.value) == str(reference.value) and "|z|=0.5" in str(reference.value)
+        assert str(batched.value) == str(reference.value) and "at 1 - |z| = 0.5" in str(reference.value)
         assert batched.value.bracket == reference.value.bracket
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
@@ -797,7 +854,7 @@ class TestModulusBoundsArray:
             with pytest.raises(TailBoundInsufficient) as err:
                 make().modulus_bounds(points, 1e-3)
             assert expected[1:] == [(TailBoundInsufficient, str(err.value))]
-            assert str(err.value).endswith("at |z| = 0.999756")
+            assert str(err.value).endswith("at 1 - |z| = 0.000244141")
 
     def test_kernel_error_raised_when_no_point_fails(self, monkeypatch):
         # the per-point replay finds no error, so the kernel's own is raised

@@ -1,16 +1,19 @@
+import contextlib
 import math
 import cmath
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecomp.errors import DomainError, OnecompError, PrecisionExhausted
 from onecomp.families import example1_measure
 from onecomp.geometry import (TWO_PI, BoundaryArc, angle_mod, angular_gap,
                               carleson_squares, level_points)
 from onecomp.inner import SingularInner
-from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
+from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure, _fsum_rows,
                               _herglotz_kernel, poisson_kernel)
 
 
@@ -154,12 +157,24 @@ class TestPoisson:
             z = 0.95 * math.sqrt(rng.random()) * cmath.exp(1j * TWO_PI * rng.random())
             lo = TWO_PI * rng.random()
             hi = lo + (TWO_PI - 1e-9) * rng.random()
-            d2min, d2max = _cell_distances2(z, np.array([lo]), np.array([hi]))
+            d2min, d2max = _cell_distances2(z, np.array([lo]), np.array([hi]), True)
             one_minus_r2 = 1.0 - abs(z) ** 2
             kmin, kmax = one_minus_r2 / d2max[0], one_minus_r2 / d2min[0]
             for t in np.linspace(lo, hi, 64):
                 val = poisson_kernel(z, t)
                 assert kmin - 1e-12 * kmax <= val <= kmax * (1 + 1e-12)
+
+    def test_near_row_alone_has_the_bits_of_both_rows(self):
+        # the Herglotz bound asks for the near row only
+        from onecomp.measures import _cell_distances2
+        rng = np.random.default_rng(29)
+        for n in (1, 7, 100, 5000):
+            z = 0.99 * math.sqrt(rng.random()) * cmath.exp(1j * TWO_PI * rng.random())
+            lo = TWO_PI * rng.random(n)
+            hi = lo + rng.random(n) * 2.0 ** -rng.integers(0, 30, n)
+            near = _cell_distances2(z, lo, hi, False)
+            assert near.shape == (1, n)
+            assert near.tobytes() == _cell_distances2(z, lo, hi, True)[0].tobytes()
 
     def test_example1_family_upper_bound(self):
         # sum alpha_n theta_n^{-2} = 1, so P[sigma](r) <= 3 (1 - r^2) for
@@ -255,6 +270,10 @@ class TestPoissonBoundsMany:
         "example1_listed": example1_measure,
         "cdf": lambda: CdfMeasure([(0.0, 0.0), (1.0, 0.4), (4.0, 0.4), (TWO_PI, 1.0)]),
         "no_atoms": lambda: AtomicMeasure([]),
+        # masses over 30 orders of magnitude, angles spread over the circle
+        "atoms300": lambda: AtomicMeasure(
+            [(TWO_PI * k / 300.0 + 1e-3 * math.sin(k), 10.0 ** (-30.0 * ((7 * k) % 300) / 300.0))
+             for k in range(300)]),
     }
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -328,6 +347,97 @@ class TestPoissonBoundsMany:
         rng = np.random.default_rng(7)
         x = np.concatenate([rng.random(200000) * 2.0, rng.random(200000) * 1e-6])
         assert np.float_power(x, 2.0).tolist() == [v ** 2 for v in x.tolist()]
+
+
+ROW_SUMS = settings(max_examples=120, derandomize=True, deadline=None, database=None)
+FSUM = math.fsum
+
+
+@st.composite
+def term_matrices(draw, lowest=-1074, highest=1014):
+    """A nonnegative matrix of 1-3 rows and 1-300 columns whose terms are
+    m 2^e, m in [0.5, 1), e drawn from a random window of [lowest, highest];
+    some terms are set to 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 300)))
+    top = draw(st.integers(lowest, highest))
+    bottom = draw(st.integers(lowest, top))
+    terms = np.ldexp(0.5 + 0.5 * rng.random(shape), rng.integers(bottom, top + 1, shape))
+    terms[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = 0.0
+    return terms
+
+
+@contextlib.contextmanager
+def fsum_calls():
+    """The list of the rows handed to math.fsum inside the block."""
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return FSUM(values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(math, "fsum", counted)
+        yield calls
+
+
+class TestRowSums:
+    """_fsum_rows, the atomic Poisson kernel's row sums, against math.fsum
+    row by row, bit for bit."""
+
+    @staticmethod
+    def check(terms):
+        """Asserts the bits; returns the number of rows fsum'ed."""
+        with fsum_calls() as calls:
+            got = _fsum_rows(terms)
+        assert got.dtype == np.float64 and got.shape == (len(terms),)
+        assert got.tolist() == [FSUM(row) for row in terms.tolist()]
+        return len(calls)
+
+    @ROW_SUMS
+    @given(terms=term_matrices())
+    def test_nonnegative_rows_of_widths_1_to_300(self, terms):
+        self.check(terms)
+
+    @ROW_SUMS
+    @given(rows=st.lists(st.lists(st.floats(0.0, 2.0 ** 1014), min_size=5, max_size=5),
+                         min_size=1, max_size=4))
+    def test_edge_floats(self, rows):
+        # hypothesis's own floats: 0, subnormals, powers of two, 2^1014
+        self.check(np.array(rows))
+
+    @ROW_SUMS
+    @given(mantissa=st.integers(2 ** 52, 2 ** 53 - 1), exponent=st.integers(-900, 960),
+           pieces=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+    def test_exact_midpoints_fall_back(self, mantissa, exponent, pieces, seed):
+        # x + ulp(x) / 2 split into 2^pieces equal parts, in shuffled order:
+        # the row's exact sum is a midpoint, which fsum rounds to even
+        x = math.ldexp(mantissa, exponent - 52)
+        parts = [math.ldexp(1.0, exponent - 53 - pieces)] * 2 ** pieces
+        row = np.random.default_rng(seed).permutation([x] + parts)
+        assert self.check(row[None, :]) == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 300])
+    def test_zero_and_subnormal_rows(self, width):
+        rng = np.random.default_rng(width)
+        zero = np.zeros((1, width))
+        subnormal = np.ldexp(rng.random((3, width)), rng.integers(-1074, -1022, (3, width)))
+        self.check(np.concatenate([zero, subnormal, subnormal * 2.0 ** 50]))
+
+    @pytest.mark.parametrize("width", [3, 64, 300])
+    def test_terms_near_2_to_the_1014(self, width):
+        # masses up to 2^960 times a kernel up to 2^54
+        rng = np.random.default_rng(width)
+        self.check(np.ldexp(0.5 + 0.5 * rng.random((20, width)),
+                            rng.integers(990, 1015, (20, width))))
+
+    def test_example1_rows_take_the_array_path(self):
+        points = depth_points(14)
+        sigma = example1_measure()
+        expected = [sigma.poisson_bounds(z, 1e-9)[0] for z in points.tolist()]
+        with fsum_calls() as calls:
+            lower, _ = sigma.poisson_bounds_many(points, 1e-9)
+        assert lower.tolist() == expected and len(calls) <= 2
 
 
 class TestHerglotz:
