@@ -4,7 +4,7 @@ classification, and companion Blaschke product construction."""
 from .errors import (BlaschkeConditionError, CurveExhausted, DomainError,
                      HypothesisViolated, OnecompError, PrecisionExhausted,
                      RadiusSearchExhausted, TailBoundInsufficient)
-from .geometry import (BoundaryArc, PointSupport, ArcSupport,
+from .geometry import (BoundaryArc, PointSupport,
                        SawtoothRegion, StolzAngle, carleson_square, level_points,
                        mobius_shift, pseudo_distance, whitney_arcs)
 from .inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,

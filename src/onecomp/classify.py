@@ -126,6 +126,8 @@ def criterion_scan(theta: InnerFunction, depth: int,
     """
     if depth < 2:
         raise DomainError("scan depth must be >= 2")
+    if not 0.0 < tol < 1.0:
+        raise DomainError("scan tol must lie in (0, 1), got %r" % (tol,))
     if depth > MAX_DEPTH:
         raise PrecisionExhausted("scan depth %d is past %d, the deepest level "
                                  "double precision resolves" % (depth, MAX_DEPTH))
@@ -309,6 +311,13 @@ def sawtooth_test(theta: InnerFunction,
     The per-level sups feed the shared trace logic; for one-component
     singular data they decay to 0.
     """
+    if r_levels is None:
+        r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]
+    r_levels = [float(r) for r in r_levels]
+    bad = [r for r in r_levels if not 0.0 < r < 1.0]
+    if bad:
+        raise DomainError("sawtooth level %r is not in (0, 1)" % (bad[0],))
+    r_levels.sort()
     if theta.singular is None:
         raise HypothesisViolated("sawtooth test needs a singular part")
     sigma = theta.singular.sigma
@@ -322,9 +331,6 @@ def sawtooth_test(theta: InnerFunction,
                 "hypothesis violated: zero %r lies outside the sawtooth "
                 "region" % (zeros[outside[0]],))
 
-    if r_levels is None:
-        r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]
-    r_levels = sorted(float(r) for r in r_levels)
     per_level = max(24, 4096 // max(1, len(r_levels)))
 
     inside = [np.empty(0, dtype=np.complex128)]     # then one array per level

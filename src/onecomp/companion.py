@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
-from .errors import (CurveExhausted, DomainError, HypothesisViolated, OnecompError,
-                     RadiusSearchExhausted, TailBoundInsufficient)
+from .errors import (CurveExhausted, DomainError, OnecompError, RadiusSearchExhausted,
+                     TailBoundInsufficient)
 from .geometry import TWO_PI, BoundaryArc, pseudo_distance, whitney_arcs
 # not called here: bench/tracer.py counts carleson_square calls through this name
 from .geometry import carleson_square  # noqa: F401
@@ -411,13 +411,7 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
     (zeros per arc are bounded by |I| / (0.1 (1 - r)) going steps, so each
     unmarched arc contributes at most about 8 |I| to the sum).
     """
-    sing = theta.singular_set()
-    if sing.described_length() > 0.0:
-        raise HypothesisViolated(
-            "singular set has positive measure under its own description; "
-            "the companion construction needs |sing Theta| = 0")
-
-    arcs = list(whitney_arcs(sing, min_length=cutoff))
+    arcs = list(whitney_arcs(theta.singular_set(), min_length=cutoff))
     chain = choose_radii(theta, arcs)
     gamma = build_gamma(chain)
     placement = place_zeros(gamma, horizon=horizon)

@@ -197,16 +197,13 @@ class BoundarySupport:
     """Oracle for a closed subset E of the circle.
 
     Distance queries return certified brackets (lo, hi) with
-    lo <= dist <= hi; point and arc supports are exact (lo == hi), set
-    oracles backed by lazy descriptions may be conservative.
+    lo <= dist <= hi; a point support without hull arcs is exact
+    (lo == hi), hulls and set oracles backed by lazy descriptions may be
+    conservative.
     """
 
     def is_empty(self) -> bool:
         raise NotImplementedError
-
-    def described_length(self) -> float:
-        """Lebesgue measure of the description (0 for genuinely null sets)."""
-        return 0.0
 
     def angular_distance_to_arc(self, arc: BoundaryArc) -> tuple[float, float]:
         raise NotImplementedError
@@ -285,28 +282,6 @@ class PointSupport(BoundarySupport):
 
 
 @dataclass(frozen=True)
-class ArcSupport(BoundarySupport):
-    """Finite union of closed arcs (positive measure unless degenerate)."""
-
-    arcs: tuple[BoundaryArc, ...]
-
-    def is_empty(self) -> bool:
-        return not self.arcs
-
-    def described_length(self) -> float:
-        return sum(a.length for a in self.arcs)
-
-    def chord_distance_to_point(self, p: complex, tol: float = 1e-12) -> tuple[float, float]:
-        if not self.arcs:
-            return (math.inf, math.inf)
-        d = min(a.chord_distance_to_point(p) for a in self.arcs)
-        return (d, d)
-
-    def cover_arcs(self, scale: float) -> list[BoundaryArc]:
-        return list(self.arcs)
-
-
-@dataclass(frozen=True)
 class SawtoothRegion:
     """Region 1 - |z| >= 2 dist(z/|z|, support), chord distance in the plane."""
 
@@ -382,9 +357,6 @@ def whitney_arcs(support: BoundarySupport,
     Arcs shorter than ``min_length`` that still fail are abandoned, which
     bounds the work near E for infinite families.
     """
-    if support.described_length() > 0.0:
-        raise DomainError("E has positive measure under its own description")
-
     empty = support.is_empty()
 
     def visit(lo: float, hi: float) -> Iterator[BoundaryArc]:

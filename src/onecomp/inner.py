@@ -30,7 +30,7 @@ from .errors import (BlaschkeConditionError, DomainError, OnecompError,
                      TailBoundInsufficient)
 from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, PointSupport,
                        SquareArrays, carleson_squares, level_points)
-from .measures import SingularMeasure
+from .measures import CdfMeasure, SingularMeasure
 
 
 class Interval(NamedTuple):
@@ -255,6 +255,9 @@ class SingularInner:
     """exp of the Herglotz transform of a positive singular measure."""
 
     def __init__(self, sigma: SingularMeasure):
+        if isinstance(sigma, CdfMeasure):
+            raise DomainError("measure kind cdf is absolutely continuous, not "
+                              "singular: exp(-P[sigma]) is not inner")
         self.sigma = sigma
 
     def log_modulus(self, z: complex, tol: float = 1e-9) -> Interval:
@@ -470,7 +473,8 @@ class InnerFunction:
         lo = hi = np.ones(len(points))
         for part in (self.blaschke, self.singular):
             if part is not None:
-                bounds = part.modulus_bounds(points, 0.5 * tol)
+                # the parts' kernels: only our caller, _array_bounds, replays a failure
+                bounds = part._modulus_bounds_many(points, 0.5 * tol)
                 lo, hi = lo * bounds.lo, hi * bounds.hi
         return Interval(lo, hi)
 
@@ -518,9 +522,6 @@ class UnionSupport(BoundarySupport):
 
     def is_empty(self) -> bool:
         return all(p.is_empty() for p in self.parts)
-
-    def described_length(self) -> float:
-        return sum(p.described_length() for p in self.parts)
 
     def angular_distance_to_arc(self, arc):
         lo = hi = math.inf

@@ -12,8 +12,8 @@ Three variants are provided:
   (rational multiples of the circle) so deep generations do not cancel.
 - ``CdfMeasure``: a monotone CDF supplied as piecewise-linear samples.  It
   has density (v1 - v0)/(t1 - t0) on each sample interval, so it is
-  absolutely continuous, not singular, unless the CDF is constant; its
-  support is a union of arcs, which ``construct`` rejects.
+  absolutely continuous, not singular, unless the CDF is constant; it
+  answers measure queries only, and ``SingularInner`` refuses it.
 
 Cantor Poisson and Herglotz integrals share one vectorized adaptive cell
 subdivision (``CantorMeasure._cells``): a cell is split while a bound on the
@@ -38,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, PrecisionExhausted
-from .geometry import (BLOCK_ELEMENTS, TWO_PI, ArcSupport, BoundaryArc,
-                       BoundarySupport, PointSupport, angle_mod)
+from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundaryArc, BoundarySupport,
+                       PointSupport, angle_mod)
 
 _TWO_PI_FRAC = Fraction(TWO_PI)  # the double nearest 2*pi, as an exact rational
 _TWO_PI_RATIO = TWO_PI.as_integer_ratio()
@@ -135,7 +135,11 @@ def _arc_windows(arc: BoundaryArc) -> list[tuple[float, float]]:
 
 class SingularMeasure:
     """Common query surface of the three measure variants; every arc is
-    closed, so an atom on an arc's endpoint counts toward its mass."""
+    closed, so an atom on an arc's endpoint counts toward its mass.  The
+    kinds that SingularInner accepts also give MuMeasure
+    mass_of_arc_bounds_many (many arcs' brackets as two arrays) and
+    lower_mass_arcs(scale), closed arcs about scale long or shorter
+    outside which the lower end of every arc mass is 0."""
 
     def total_mass(self) -> float:
         raise NotImplementedError
@@ -149,22 +153,6 @@ class SingularMeasure:
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         raise NotImplementedError
-
-    def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
-                                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-        """mass_of_arc_bounds of each arc (centers[i], half_widths[i]), as a
-        lower-end array and an upper-end array."""
-        bounds = [self.mass_of_arc_bounds(BoundaryArc(c, h), tol)
-                  for c, h in zip(centers.tolist(), half_widths.tolist())]
-        lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
-        return lo, hi
-
-    def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) angles of closed arcs, in radians, outside which the
-        lower end of every mass_of_arc_bounds is 0; each is about ``scale``
-        long or shorter where the description allows.  The whole circle by
-        default."""
-        return np.array([0.0]), np.array([TWO_PI])
 
     def poisson_integral(self, z: complex, tol: float = 1e-9) -> float:
         lo, hi = self.poisson_bounds(z, tol)
@@ -731,20 +719,6 @@ class CdfMeasure(SingularMeasure):
 
     def total_mass(self) -> float:
         return self._pts[-1][1] - self._pts[0][1]
-
-    def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        # the sample intervals on which the CDF rises
-        rising = [(t0, t1) for (t0, v0), (t1, v1) in zip(self._pts, self._pts[1:])
-                  if v1 > v0]
-        ends = np.array(rising, dtype=np.float64).reshape(-1, 2)
-        return ends[:, 0], ends[:, 1]
-
-    def support(self) -> BoundarySupport:
-        arcs = []
-        for (t0, v0), (t1, v1) in zip(self._pts, self._pts[1:]):
-            if v1 > v0:
-                arcs.append(BoundaryArc.from_endpoints(t0, t1))
-        return ArcSupport(tuple(arcs))
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         total = 0.0

@@ -13,10 +13,10 @@ from onecomp import families
 from onecomp.classify import (EVAL_TOL, INCONCLUSIVE, MAX_DEPTH, NOT_ONE_COMPONENT,
                               ONE_COMPONENT, _log_abs_blaschke_radial_many, classify,
                               criterion_scan, radial_limit_test, sawtooth_test)
-from onecomp.errors import HypothesisViolated, PrecisionExhausted
+from onecomp.errors import DomainError, HypothesisViolated, PrecisionExhausted
 from onecomp.geometry import TWO_PI, BoundaryArc, SawtoothRegion, carleson_square
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner, ZeroSequence
-from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
+from onecomp.measures import AtomicMeasure, CantorMeasure
 from onecomp.serialize import inner_from_json, inner_to_json
 
 _spec = importlib.util.spec_from_file_location(
@@ -100,6 +100,14 @@ class TestCriterionScan:
     def test_depth_past_the_cap_rejected(self):
         with pytest.raises(PrecisionExhausted):
             criterion_scan(families.single_atom(), MAX_DEPTH + 1)
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("make", [lambda: families.finite_blaschke([0.5]),
+                                      families.single_atom], ids=["product", "atom1"])
+    def test_tol_outside_0_1_rejected(self, make, tol):
+        # at tol >= 1 every lower end passes the witness threshold 1 - tol
+        with pytest.raises(DomainError, match="tol must lie in [(]0, 1[)]"):
+            classify(make(), 6, tol)
 
     def test_atom_rotation_invariance(self):
         base = criterion_scan(families.single_atom(), depth=9)
@@ -225,6 +233,14 @@ class TestSawtooth:
         with pytest.raises(HypothesisViolated):
             sawtooth_test(theta)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level", [1.0, 0.0, -0.5, math.nan])
+    def test_level_outside_0_1_rejected(self, level):
+        # the first bad level is named before any array is built, so no
+        # numpy warning escapes
+        with pytest.raises(DomainError, match=re.escape("level %r is not in (0, 1)" % level)):
+            sawtooth_test(families.single_atom(), r_levels=[0.9, level, 2.0])
+
     def test_requires_singular_part(self):
         with pytest.raises(HypothesisViolated):
             sawtooth_test(families.finite_blaschke([0.5]))
@@ -332,8 +348,8 @@ class TestSawtoothBatched:
 
     @pytest.mark.parametrize("measure", [
         lambda: CantorMeasure.from_removed_fraction(Fraction(1, 2)),
-        lambda: CdfMeasure([(0.0, 0.0), (0.5, 0.0), (0.5 + 1e-3, 1.0), (TWO_PI, 1.0)])],
-        ids=["cantor", "cdf"])
+        lambda: CantorMeasure.from_delta_radians([1e-3])],
+        ids=["cantor", "narrow_cantor"])
     def test_supports_asked_point_by_point(self, measure):
         make = lambda: InnerFunction(singular=SingularInner(measure()))  # noqa: E731
         got = sawtooth_test(make(), r_levels=[0.9, 0.97]).trace

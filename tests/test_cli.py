@@ -565,6 +565,42 @@ class TestInputValidation:
         assert out == ""
         assert err.count("\n") == 1 and "--tol" in err
 
+    @pytest.mark.parametrize("zeros_csv, measure", [
+        ("re,im\n0.5,0\n", None),
+        (None, {"kind": "atoms", "atoms": [{"theta": "0", "mass": "1"}]})],
+        ids=["product", "atom1"])
+    @pytest.mark.parametrize("tol", ["1", "2"])
+    def test_classify_tol_of_one_or_more_exit_code(self, zeros_csv, measure, tol, capsys,
+                                                   tmp_path):
+        # at tol >= 1 every lower end passes the witness threshold 1 - tol
+        doc = {"zeros_csv": zeros_csv} if zeros_csv else {"measure": measure}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["classify", "--inner", str(path), "--depth", "6",
+                                  "--tol", tol], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: scan tol must lie in (0, 1), got %r\n" % float(tol)
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--at", "0.5,0"], ["classify", "--depth", "6"],
+        ["levelset", "--epsilon", "0.5", "--depth", "4"],
+        ["construct", "--horizon", "10", "--depth", "4"]],
+        ids=["eval", "classify", "levelset", "construct"])
+    def test_cdf_inner_document_exit_code(self, args, capsys, tmp_path):
+        # a CDF rising on [0, 1] is absolutely continuous, so exp(-P[sigma])
+        # is not inner; measure still answers on the measure alone
+        rising = {"kind": "cdf", "samples": [["0", "0"], ["1", "1"], ["6", "1"]]}
+        inner, measure = tmp_path / "inner.json", tmp_path / "measure.json"
+        inner.write_text(json.dumps({"measure": rising}))
+        measure.write_text(json.dumps(rising))
+        code, out, err = run_cli(args[:1] + ["--inner", str(inner)] + args[1:], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "kind cdf is absolutely continuous" in err
+        code, out, err = run_cli(["measure", "--measure", str(measure), "--at", "0.5,0",
+                                  "--arc", "0.5,0.25"], capsys)
+        assert (code, err) == (0, "")
+        assert float(json.loads(out)["arc_mass"]) == 0.5
+
     @pytest.mark.parametrize("args, option", [
         (["levelset", "--epsilon", "abc"], "--epsilon"),
         (["levelset", "--epsilon", "nan"], "--epsilon"),

@@ -11,7 +11,7 @@ from onecomp import families
 from onecomp.classify import ONE_COMPONENT, criterion_scan
 from onecomp.companion import (GRID_MAX_K, SpotCheck, _spot_check_b, build_gamma,
                                choose_radii, construct_companion, place_zeros)
-from onecomp.errors import (HypothesisViolated, OnecompError, PrecisionExhausted,
+from onecomp.errors import (DomainError, OnecompError, PrecisionExhausted,
                             RadiusSearchExhausted, TailBoundInsufficient)
 from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, carleson_square,
                               level_points, pseudo_distance, whitney_arcs)
@@ -383,10 +383,10 @@ class TestConstructCompanion:
                     break
 
     def test_positive_measure_description_rejected(self):
-        fat = InnerFunction(singular=SingularInner(
-            CdfMeasure([(0.0, 0.0), (1.0, 1.0), (TWO_PI, 1.0)])))
-        with pytest.raises(HypothesisViolated):
-            construct_companion(fat, horizon=50, depth=6)
+        # a CDF's support has positive length, and the measure is absolutely
+        # continuous: no inner function, so no companion, is built on it
+        with pytest.raises(DomainError, match="^measure kind cdf is absolutely continuous"):
+            SingularInner(CdfMeasure([(0.0, 0.0), (1.0, 1.0), (TWO_PI, 1.0)]))
 
     def test_tail_estimate_finite(self):
         result = construct_companion(families.single_atom(), horizon=200,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from onecomp.errors import DomainError
-from onecomp.geometry import (TWO_PI, ArcSupport, BoundaryArc, PointSupport,
+from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport,
                               SawtoothRegion, StolzAngle, _sawtooth_decision,
                               carleson_square, level_points, mobius_shift,
                               pseudo_distance, whitney_arcs)
@@ -103,13 +103,6 @@ class TestWhitneyArcs:
         assert totals[0] < totals[1] < totals[2]
         assert totals[-1] > 0.9 * TWO_PI
 
-    def test_positive_measure_description_rejected(self):
-        # a set covering the circle is the extreme case: length 2 pi
-        for half_width in (0.3, math.pi):
-            fat = ArcSupport((BoundaryArc(0.0, half_width),))
-            with pytest.raises(DomainError, match="positive measure"):
-                list(whitney_arcs(fat))
-
 
 class TestSawtooth:
     def test_radial_ray_always_inside(self):
@@ -144,7 +137,6 @@ SUPPORTS = {
         hull=[BoundaryArc.from_endpoints(0.0, 2.0 ** -20), BoundaryArc(2.5, 0.2)]),
     "hull_only": lambda: PointSupport.of([], hull=[BoundaryArc(1.0, 0.05)]),
     "empty": lambda: PointSupport.of([]),
-    "arcs": lambda: ArcSupport((BoundaryArc(0.5, 0.1), BoundaryArc(3.0, 0.4))),
     "cantor": lambda: CantorSupport(CantorMeasure.middle_thirds()),
 }
 
@@ -213,7 +205,7 @@ class TestSawtoothArray:
         region = SawtoothRegion(SUPPORTS["points_hull"]())
         assert region.contains(np.zeros(0, dtype=np.complex128)).tolist() == []
 
-    @pytest.mark.parametrize("name", ["points", "arcs"])
+    @pytest.mark.parametrize("name", ["points", "cantor"])
     @pytest.mark.parametrize("bad, message", [(0.0, "z = 0"), (1.0, "< 1"), (math.nan, "< 1")])
     def test_first_bad_point_raises_the_per_point_error(self, name, bad, message):
         region = SawtoothRegion(SUPPORTS[name]())

@@ -1,6 +1,7 @@
 """Source hygiene: no private helper outlives its last caller, every public
-name has a caller, every name the bench tracer patches still exists, and an
-import kept only for the tracer goes with its tracer entry."""
+name has a caller, every name the bench tracer patches still exists, an
+import kept only for the tracer goes with its tracer entry, and every
+measure kind an inner function accepts answers a scan's queries itself."""
 
 import ast
 import importlib
@@ -104,6 +105,34 @@ def test_unused_imports_name_only_what_the_tracer_patches_there():
                           if (module, alias.asname or alias.name) not in patched]
     assert imports, "no imports found; is the source path right?"
     assert stray == []
+
+
+MU_QUERIES = ("support", "lower_mass_arcs", "mass_of_arc_bounds_many", "poisson_bounds")
+
+
+def test_every_singular_kind_defines_the_queries_of_a_scan():
+    # SingularMeasure gives no lower_mass_arcs or mass_of_arc_bounds_many and
+    # only NotImplementedError for the others, so a kind that SingularInner
+    # accepts without them fails mid-scan: a traceback, exit 1
+    from onecomp.errors import DomainError
+    from onecomp.inner import SingularInner
+    from onecomp.measures import SingularMeasure
+
+    kinds, accepted, missing = [SingularMeasure], [], []
+    while kinds:
+        kind = kinds.pop()
+        kinds += kind.__subclasses__()
+        if kind is SingularMeasure:
+            continue
+        try:
+            SingularInner(kind.__new__(kind))
+        except DomainError:
+            continue
+        accepted.append(kind.__name__)
+        missing += ["%s.%s" % (kind.__name__, name) for name in MU_QUERIES
+                    if name not in vars(kind)]
+    assert "AtomicMeasure" in accepted and "CdfMeasure" not in accepted
+    assert missing == []
 
 
 ROOT = SRC.parent.parent

@@ -19,7 +19,7 @@ from onecomp.geometry import (TWO_PI, BoundaryArc, SquareArrays, angular_gap,
 from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                            SingularInner, ZeroSequence, dump_zeros_csv,
                            load_zeros_csv, separation_constants)
-from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
+from onecomp.measures import AtomicMeasure, CantorMeasure
 
 
 class TestLogModulus:
@@ -301,18 +301,16 @@ class TestLevelKernel:
     @staticmethod
     def _cases(companion200):
         geometric = radial_geometric_zeros()
-        cdf = CdfMeasure([(0.0, 0.0), (1.0, 0.2), (2.0, 0.5), (4.0, 0.9), (TWO_PI, 1.0)])
         return {
             "atom1": single_atom(), "atoms2": two_atoms(), "example1": example1(),
             "companion200": finite_blaschke(companion200.zeros.zeros),
             "radial_geometric": finite_blaschke(geometric.zeros),
             "product": _product_with_atom1(companion200.zeros.zeros),
-            "cdf": InnerFunction(singular=SingularInner(cdf)),
             "cantor": cantor_inner(), "no_zeros": finite_blaschke([]),
         }
 
     @pytest.mark.parametrize("case", ["atom1", "atoms2", "example1", "companion200",
-                                      "radial_geometric", "product", "cdf",
+                                      "radial_geometric", "product",
                                       "cantor", "no_zeros"])
     def test_lower_masses_match_per_square_loop(self, case, companion200):
         theta = self._cases(companion200)[case]
@@ -425,9 +423,6 @@ def criterion_scan_record(theta: InnerFunction, depth: int, monkeypatch) -> list
     return [hit + (bracket,) for hit, bracket in zip(hits[0], brackets[0])]
 
 
-RISING_CDF = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (4.0, 0.5), (5.0, 1.0), (TWO_PI, 1.0)]
-
-
 class TestPrunedScan:
     """criterion_scan, which queries mu only next to listed mass, against
     the full-level scan, bit for bit."""
@@ -436,7 +431,6 @@ class TestPrunedScan:
         "atom1": (single_atom, 14), "atoms2": (two_atoms, 14),
         "radial_geometric": (radial_geometric, 14), "radial_sparse": (radial_sparse, 14),
         "cantor": (cantor_inner, 6),
-        "cdf": (lambda: InnerFunction(singular=SingularInner(CdfMeasure(RISING_CDF))), 10),
         "constant": (InnerFunction, 8),
         **{"example1-%d" % d: (example1, d) for d in range(2, 9)},
     }
@@ -855,6 +849,24 @@ class TestModulusBoundsArray:
                 make().modulus_bounds(points, 1e-3)
             assert expected[1:] == [(TailBoundInsufficient, str(err.value))]
             assert str(err.value).endswith("at 1 - |z| = 0.000244141")
+
+    def test_a_failing_array_is_replayed_once(self, monkeypatch):
+        # the tail fails at the last of 101 points alone: InnerFunction
+        # replays the points, one scalar Blaschke bracket each, and its
+        # part's kernel does not replay them first
+        zeros = ZeroSequence(radial_geometric_zeros().zeros[:8], tail_blaschke_sum=2.0 ** -8)
+        points = np.append(0.5 * np.exp(1j * np.linspace(0.0, 6.0, 100)), 1.0 - 2.0 ** -12)
+        scalar, bounds = [], BlaschkeProduct.modulus_bounds
+
+        def counted(self, z, tol=1e-9):
+            if not isinstance(z, np.ndarray):
+                scalar.append(z)
+            return bounds(self, z, tol)
+
+        monkeypatch.setattr(BlaschkeProduct, "modulus_bounds", counted)
+        with pytest.raises(TailBoundInsufficient, match="at 1 - [|]z[|] = 0.000244141$"):
+            InnerFunction(blaschke=BlaschkeProduct(zeros)).modulus_bounds(points, 0.5)
+        assert scalar == points.tolist()
 
     def test_kernel_error_raised_when_no_point_fails(self, monkeypatch):
         # the per-point replay finds no error, so the kernel's own is raised
