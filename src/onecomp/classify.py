@@ -235,6 +235,8 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
     criterion scan: a rising, non-stabilizing trace is evidence that the
     limsup equals 1.
     """
+    if not 0.0 < tol < 1.0:
+        raise DomainError("radial tol must lie in (0, 1), got %r" % (tol,))
     if zeros.tail_blaschke_sum == 0.0:
         raise HypothesisViolated("finite zero set: the radial-limit "
                                  "criterion needs infinitely many zeros")
@@ -311,6 +313,8 @@ def sawtooth_test(theta: InnerFunction,
     The per-level sups feed the shared trace logic; for one-component
     singular data they decay to 0.
     """
+    if not 0.0 < tol < 1.0:
+        raise DomainError("sawtooth tol must lie in (0, 1), got %r" % (tol,))
     if r_levels is None:
         r_levels = [1.0 - 2.0 ** -k for k in range(3, 13)]
     r_levels = [float(r) for r in r_levels]

@@ -3,11 +3,11 @@
 Given an inner function whose declared singular set is Lebesgue-null, build
 the chain curve Gamma from a dyadic Whitney decomposition of the
 complementary arcs: each arc I_n is lifted to the circle of radius r_n,
-where r_n is the smallest dyadic grid radius 1 - 2^{-k} such that the
-certified lower bound of |Theta| on a sampled sector {|z| >= r_n,
-arg z in I_n} stays above 1 - eps_n, found by one upward walk over the
-sector's radius bands, and consecutive arcs are joined by radial segments
-at their shared endpoint angle.  Zeros are then marched
+where r_n is the smallest dyadic grid radius 1 - 2^{-k} such that |Theta|
+>= 1 - eps_n is certified on the whole region {2^{-(k+3)} <= 1 - |z| <=
+2^{-k}, arg z in I_n} by an upper bound of -log|Theta| over it
+(sector_bounds), and consecutive arcs are joined by radial segments at
+their shared endpoint angle.  Zeros are then marched
 along Gamma at pseudohyperbolic steps of 1/10, starting from the curve
 point of smallest modulus (ties to the smallest angle) and walking both
 ways, so every interior zero has exactly two neighbors at pseudohyperbolic
@@ -22,7 +22,7 @@ of B, and their lower |B|, off the scan of B, which visits exactly those.
 
 A radius walk that the declared zero tail stops, because |Theta| cannot be
 certified that close to the circle, raises TailBoundInsufficient naming
-zeros_tail_blaschke_sum; one stopped by sampled moduli raises
+zeros_tail_blaschke_sum; one stopped by low regions raises
 RadiusSearchExhausted.
 """
 
@@ -37,14 +37,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import ONE_COMPONENT, ClassificationReport, criterion_scan
-from .errors import (CurveExhausted, DomainError, OnecompError, RadiusSearchExhausted,
+from .errors import (CurveExhausted, DomainError, RadiusSearchExhausted,
                      TailBoundInsufficient)
 from .geometry import TWO_PI, BoundaryArc, pseudo_distance, whitney_arcs
 # not called here: bench/tracer.py counts carleson_square calls through this name
 from .geometry import carleson_square  # noqa: F401
-from .inner import BlaschkeProduct, InnerFunction, ZeroSequence, separation_constants
+from .inner import (BlaschkeProduct, InnerFunction, ZeroSequence, _tail_neg_log_bound,
+                    separation_constants)
 
 GRID_MAX_K = 50
+SPLITS = 6                 # halvings of a failing sector (_passing_k)
+SECTOR_TOL = 1e-3          # relative tolerance of a quadrature's sector bound
 STEP = 0.1                 # pseudohyperbolic distance between marched zeros
 JOIN_TOL = 1e-9            # arcs whose endpoint angles differ less are joined
 RHO_TOL = 1e-8             # march bisection stops this close to the step
@@ -132,84 +135,86 @@ class GammaCurve:
         return "\n".join(lines) + "\n"
 
 
+def _passing_k(theta: InnerFunction, arc: BoundaryArc, floor: float,
+               ks: np.ndarray) -> Optional[int]:
+    """The smallest k of ks whose region {2^{-(k+3)} <= 1 - |z| <= 2^{-k},
+    arg z in the arc} has |Theta| >= floor certified, or None.
+
+    A region passes when exp(-b) >= floor, lowered past exp's 4 ulp, for b
+    the sector_bounds bound of the arc, or of each of the pieces it is
+    halved into.  A bound adds up each term's sup, each taken at the
+    piece's end nearest that term's pole, so poles on both sides of a piece,
+    or inside it, overstate it.  So a failing k before the first passing
+    one is bounded again on the halves of its failing pieces, up to SPLITS
+    times, while the ends of every piece, bounded as pieces of no width,
+    pass and every piece's bound is at most twice -log(floor).  A failing
+    end cannot pass on any halving.  A larger bound is no overstatement
+    either: when every pole is at least the arc's length away, as for a
+    Whitney arc, each term at either end of the arc is at least a quarter
+    of its sup, so the piece holds a point past the floor.
+    """
+    if not ks.size:
+        return None
+    x_lo, x_hi = 2.0 ** -(ks + 3.0), 2.0 ** -ks
+    centers, half_widths = np.array([arc.center_angle]), np.array([arc.half_width])
+    first, open_ = len(ks), np.arange(len(ks))
+    for level in range(SPLITS + 1):
+        # each piece, then each piece's two ends as pieces of no width
+        n = len(centers)
+        rows = theta.sector_bounds(np.concatenate([centers, centers - half_widths,
+                                                   centers + half_widths]),
+                                   np.concatenate([half_widths, np.zeros(2 * n)]),
+                                   x_lo[open_], x_hi[open_], SECTOR_TOL)
+        low = ~(np.exp(-rows) * (1.0 - 2.0 ** -50) >= floor)
+        passed = open_[~low[:n].any(axis=0)]
+        first = min(first, passed[0]) if passed.size else first
+        keep = (low[:n].any(axis=0) & ~low[n:].any(axis=0) & (open_ < first)
+                & (rows[:n].max(axis=0) <= -2.0 * math.log(floor)))
+        if level == SPLITS or not keep.any():
+            break
+        # halve the pieces that fail a k still open; the halves' ends stray
+        # from the piece's by rounding, far less than SECTOR_SLACK
+        split = low[:n, keep].any(axis=1)
+        open_ = open_[keep]
+        half_widths = np.repeat(0.5 * half_widths[split], 2)
+        centers = np.repeat(centers[split], 2) + np.tile([-1.0, 1.0], split.sum()) * half_widths
+    return int(ks[first]) if first < len(ks) else None
+
+
 def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyChain:
     """Smallest grid radius per arc with the certified modulus floor.
 
-    Radius 1 - 2^{-k} passes for an arc I when the certified lower bound of
-    |Theta| stays at or above 1 - eps, eps = min(1/2, |I|), on every sample
-    of the sector {|z| >= 1 - 2^{-k}, arg z in I}: the four dyadic radius
-    bands j = k .. k + 3 (below 52), each sampled at angular spacing
-    comparable to 2^{-j}, at most 96 points.  The search walks upward from
-    k = 1: it evaluates the bands of k shallow to deep and, at the first
-    failing band j, continues from k = j + 1.  Every k' from k to j has band
-    j in its window and fails, so the walk stops at the smallest passing k,
-    evaluating each band at most once and assuming nothing about the order
-    of passing and failing k.  A band's sample 0 is bracketed alone, and
-    only if it passes are the band's other samples bracketed, by one array
-    modulus_bounds call; if that call raises, they are bracketed again one
-    at a time.  So a band fails at its first low or tail-failed sample in
-    angle order, and the walk stops and raises exactly as a loop over the
-    samples one at a time would.  A walk past 1 - 2^{-GRID_MAX_K} raises
-    TailBoundInsufficient when its last failing band could not be certified
-    for the declared zero tail, RadiusSearchExhausted otherwise.
+    Radius 1 - 2^{-k} passes for an arc I when |Theta| >= 1 - eps,
+    eps = min(1/2, |I|), is certified on the whole region
+    {2^{-(k+3)} <= 1 - |z| <= 2^{-k}, arg z in I} by theta.sector_bounds'
+    upper bounds of -log|Theta| (_passing_k).  Arc by arc, every k from 1
+    to GRID_MAX_K is bounded in one sector_bounds call, and the smallest
+    passing k is taken, so each (arc, k) is bounded once and nothing is
+    assumed about the order of passing and failing k.  An arc fails a k on
+    the declared zero tail, with no bound taken, when the tail's bound at
+    depth 2^{-(k+3)} is over a quarter of max(1e-12, eps / 100), the budget
+    that modulus_bounds at that tol gives it.  The first arc with no
+    passing k raises: TailBoundInsufficient when the zero tail failed its
+    k = GRID_MAX_K, RadiusSearchExhausted otherwise.
     """
-    radii: list[float] = []
-    epsilons: list[float] = []
+    zero_tail = theta.blaschke.zeros.tail_blaschke_sum if theta.blaschke is not None else 0.0
+    ks = np.arange(1, GRID_MAX_K + 1)
+    tails = np.array([_tail_neg_log_bound(zero_tail, 2.0 ** -(k + 3)) for k in ks.tolist()])
+    radii, epsilons = [], []
     for arc in arcs:
         eps = min(0.5, arc.length)
-        tol = max(1e-12, eps * 1e-2)
-
-        def failed_at(samples: list[complex]) -> Optional[bool]:
-            # per point in order: None when every sample passes, otherwise
-            # whether the zero tail (True) or a low sample (False) came first
-            for z in samples:
-                try:
-                    if theta.modulus_bounds(z, tol).lo < 1.0 - eps:
-                        return False
-                except TailBoundInsufficient:
-                    return True   # cannot certify this deep; not passing
-            return None
-
-        def first_failing_band(k: int) -> Optional[tuple[int, bool]]:
-            # the first failing band, and whether the zero tail failed it
-            for j in range(k, min(k + 4, 52)):
-                r_band = 1.0 - 2.0 ** -j
-                count = int(arc.length / 2.0 ** -j) + 2
-                count = max(2, min(count, 96))
-
-                def sample(i: int) -> complex:
-                    return r_band * cmath.exp(1j * (arc.lo + arc.length * i / (count - 1)))
-
-                # sample 0 alone decides most failing bands; building the
-                # rest only once it passes keeps them off those bands
-                failed = failed_at([sample(0)])
-                if failed is None:
-                    rest = [sample(i) for i in range(1, count)]
-                    try:
-                        lower = theta.modulus_bounds(np.array(rest), tol).lo
-                    except OnecompError:
-                        failed = failed_at(rest)
-                    else:
-                        failed = False if (lower < 1.0 - eps).any() else None
-                if failed is not None:
-                    return j, failed
-            return None
-
-        k = 1
-        while (bad := first_failing_band(k)) is not None:
-            j, tail_failed = bad
-            k = j + 1
-            if k > GRID_MAX_K:
-                if tail_failed:
-                    raise TailBoundInsufficient(
-                        "zeros_tail_blaschke_sum %g is too large to certify the "
-                        "1 - %g floor down to 1 - 2^-%d on arc at angle %g"
-                        % (theta.blaschke.zeros.tail_blaschke_sum, eps, GRID_MAX_K,
-                           arc.center_angle))
-                raise RadiusSearchExhausted(
-                    "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
-                    "arc at angle %g; singular set under-described?"
-                    % (GRID_MAX_K, eps, arc.center_angle))
+        live = tails <= 0.25 * max(1e-12, eps * 1e-2)
+        k = _passing_k(theta, arc, 1.0 - eps, ks[live])
+        if k is None:
+            if not live[-1]:
+                raise TailBoundInsufficient(
+                    "zeros_tail_blaschke_sum %g is too large to certify the "
+                    "1 - %g floor down to 1 - 2^-%d on arc at angle %g"
+                    % (zero_tail, eps, GRID_MAX_K, arc.center_angle))
+            raise RadiusSearchExhausted(
+                "no grid radius down to 1 - 2^-%d meets the 1 - %g floor on "
+                "arc at angle %g; singular set under-described?"
+                % (GRID_MAX_K, eps, arc.center_angle))
         radii.append(1.0 - 2.0 ** -k)
         epsilons.append(eps)
     return WhitneyChain(list(arcs), radii, epsilons)

@@ -30,7 +30,8 @@ from .errors import (BlaschkeConditionError, DomainError, OnecompError,
                      TailBoundInsufficient)
 from .geometry import (BLOCK_ELEMENTS, TWO_PI, BoundarySupport, PointSupport,
                        SquareArrays, carleson_squares, level_points)
-from .measures import CdfMeasure, SingularMeasure
+from .measures import (SECTOR_SLACK, SECTOR_WIDEN, CdfMeasure, SingularMeasure,
+                       _sector_gaps)
 
 
 class Interval(NamedTuple):
@@ -230,6 +231,46 @@ class BlaschkeProduct:
         log_budget = max(1e-15, 0.5 * tol / upper)
         tail_bound = self._ensure_tail(abs(z), log_budget)
         return Interval(math.exp(s - tail_bound), upper)
+
+    def sector_bounds(self, centers: np.ndarray, half_widths: np.ndarray,
+                      x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
+        """Per arc (a row) and depth range (a column), an upper bound of
+        -log|B| over the polar rectangle {x_lo <= 1 - |z| <= x_hi, arg z on
+        the arc}: for each listed zero w, -log rho at its least
+        pseudohyperbolic distance from the rectangle, plus
+        _tail_neg_log_bound at depth x_lo for the declared tail.
+
+        At depths x = 1 - |z|, y = 1 - |w| and s = sin(g / 2), g the
+        angular gap, -log rho = log1p(x (2 - x) y (2 - y) / N) / 2 with
+        N = (x - y)^2 + 4 (1 - x)(1 - y) s^2.  It falls as g grows, and in x
+        it rises up to
+            x* = (E + sqrt(E F)) / (1 + (1 - y)^2 + sqrt(E F)),
+            E = y^2 + 4 (1 - y) s^2,  F = (2 - y)^2 - 4 (1 - y) s^2,
+        and falls after, so its sup is at x* clamped into [x_lo, x_hi] (an
+        x* off by rounding loses a second-order amount).  y is widened by
+        SECTOR_SLACK each way, outward in every factor.  An arc x zero x
+        depth range array, in row blocks of about BLOCK_ELEMENTS.
+        """
+        tail = self.zeros.tail_blaschke_sum
+        total = np.tile([_tail_neg_log_bound(tail, x) for x in x_lo.tolist()], (len(centers), 1))
+        arr = self.zeros.as_array()
+        if arr.size == 0:
+            return total * SECTOR_WIDEN
+        angles, y = np.angle(arr), 1.0 - np.hypot(arr.real, arr.imag)
+        y_hi = np.minimum(y + SECTOR_SLACK, 1.0)[:, None]
+        step = max(1, BLOCK_ELEMENTS // (arr.size * len(x_lo)))
+        with np.errstate(divide="ignore"):
+            for s in range(0, len(centers), step):
+                rows = slice(s, s + step)
+                s2 = np.sin(0.5 * _sector_gaps(angles, centers[rows], half_widths[rows, None])) ** 2
+                e = y * y + 4.0 * (1.0 - y) * s2
+                root = np.sqrt(e * ((2.0 - y) ** 2 - 4.0 * (1.0 - y) * s2))
+                x_star = (e + root) / (1.0 + (1.0 - y) ** 2 + root)
+                x = np.clip(x_star[:, :, None], x_lo, x_hi)
+                n = (np.maximum(np.abs(x - y[:, None]) - SECTOR_SLACK, 0.0) ** 2
+                     + 4.0 * (1.0 - x) * (1.0 - y_hi) * s2[:, :, None])
+                total[rows] += 0.5 * np.log1p(x * (2.0 - x) * y_hi * (2.0 - y_hi) / n).sum(axis=1)
+        return total * SECTOR_WIDEN
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
         """Value of the product of the listed zeros, once the declared tail
@@ -477,6 +518,19 @@ class InnerFunction:
                 bounds = part._modulus_bounds_many(points, 0.5 * tol)
                 lo, hi = lo * bounds.lo, hi * bounds.hi
         return Interval(lo, hi)
+
+    def sector_bounds(self, centers: np.ndarray, half_widths: np.ndarray,
+                      x_lo: np.ndarray, x_hi: np.ndarray, tol: float) -> np.ndarray:
+        """Per arc (a row) and depth range (a column), an upper bound of
+        -log|Theta| over the polar rectangle {x_lo <= 1 - |z| <= x_hi, arg z
+        on the arc}: the parts' bounds summed, the singular part's within
+        the relative tol of its quadrature; 0 with no part."""
+        total = np.zeros((len(centers), len(x_lo)))
+        if self.blaschke is not None:
+            total += self.blaschke.sector_bounds(centers, half_widths, x_lo, x_hi)
+        if self.singular is not None:
+            total += self.singular.sigma.sector_bounds(centers, half_widths, x_lo, x_hi, tol)
+        return total
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
         val = self.unimodular

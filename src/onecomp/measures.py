@@ -22,7 +22,9 @@ cell is bounded once, when it is made, and the Poisson sums reuse the kernel
 range that bounded it.  The Poisson kernel's extrema on a cell come from the
 closest and farthest points of the cell (the kernel is monotone in chord
 distance); the Herglotz kernel is bounded through its derivative at the
-closest point.  The Cantor CDF descends in Python integers, exactly.
+closest point.  Sector bounds split the cells by a rule of geometry alone
+(``CantorMeasure.sector_bounds``).  The Cantor CDF descends in Python
+integers, exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +50,45 @@ _TWO_PI_RATIO = TWO_PI.as_integer_ratio()
 # this mass every Poisson and Herglotz sum, slack and bracket midpoint stays
 # near 2^1015 or below, short of overflow
 _MAX_MASS = 2.0 ** 960
+
+# Sector bounds hold past rounding.  Their terms are positive, each a product
+# and quotient of at most 40 correctly rounded operations (relative error
+# 2^-53 each) and 4 calls of numpy's sin, cos, sqrt and log1p, each taken to
+# be within 4 ulp (2^-50), and a term is at most twice as sensitive to a
+# sine as the sine is rounded: a term, or a pairwise sum of up to 2^20 of
+# them, is within 2^-44, and SECTOR_WIDEN raises each sector bound by 2^-40.
+# Angular gaps taken from doubles below 4 pi, and zero depths 1 - |w|, err
+# by a few ulp of 4 pi, and a Cantor cell's float endpoints drift by about
+# 2^-49 per generation; SECTOR_SLACK lowers every gap, and widens every
+# depth, by 2^-40 radians.
+SECTOR_WIDEN = 1.0 + 2.0 ** -40
+SECTOR_SLACK = 2.0 ** -40
+
+
+def _sector_gaps(angles: np.ndarray, centers: np.ndarray, reach) -> np.ndarray:
+    """max(0, |angle - center| - reach - SECTOR_SLACK), the circular distance
+    reduced as geometry.angular_gap does, for each center (a row) and angle
+    (a column); ``reach`` broadcasts against that matrix."""
+    a = np.fmod(angles - centers[:, None], TWO_PI)
+    d = np.abs(np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a)))
+    return np.maximum(d - reach - SECTOR_SLACK, 0.0)
+
+
+def _sector_kernel(gap: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
+    """The sup of the Poisson kernel (1 - |z|^2) / |z - e^{it}|^2 over the z
+    with x_lo <= x = 1 - |z| <= x_hi at angular distance >= ``gap`` from t,
+    for every gap (an array ending in an axis of length 1) and depth range
+    (the last axis).
+
+    With s = sin(gap / 2) and c = cos(gap / 2) the kernel is
+    x (2 - x) / (x^2 + 4 (1 - x) s^2): it falls as the gap grows, and in x
+    it rises up to x* = 2 s / (c + s) and falls after, so the sup is its
+    value at x* clamped into [x_lo, x_hi].  An x* off by rounding loses a
+    second-order amount, far inside SECTOR_WIDEN.
+    """
+    s, c = np.sin(0.5 * gap), np.cos(0.5 * gap)
+    x = np.clip(2.0 * s / (c + s), x_lo, x_hi)
+    return x * (2.0 - x) / (x * x + 4.0 * (1.0 - x) * s * s)
 
 
 def poisson_kernel(z: complex, theta: float) -> float:
@@ -139,7 +180,12 @@ class SingularMeasure:
     kinds that SingularInner accepts also give MuMeasure
     mass_of_arc_bounds_many (many arcs' brackets as two arrays) and
     lower_mass_arcs(scale), closed arcs about scale long or shorter
-    outside which the lower end of every arc mass is 0."""
+    outside which the lower end of every arc mass is 0, and give
+    companion.choose_radii sector_bounds(centers, half_widths, x_lo, x_hi,
+    tol): per arc (a row) and depth range (a column), an upper bound of
+    P[sigma] over the polar rectangle {x_lo <= 1 - |z| <= x_hi, arg z on
+    the arc}, within a relative tol of the integral of _sector_kernel
+    against sigma."""
 
     def total_mass(self) -> float:
         raise NotImplementedError
@@ -303,6 +349,30 @@ class AtomicMeasure(SingularMeasure):
             terms *= masses
             lower[s:s + step] = _fsum_rows(terms)
         return lower, lower + slack
+
+    def sector_bounds(self, centers: np.ndarray, half_widths: np.ndarray,
+                      x_lo: np.ndarray, x_hi: np.ndarray, tol: float) -> np.ndarray:
+        """Each listed mass times _sector_kernel at its atom's gap from the
+        arc, and the tail mass times it at the gap from the arc to
+        tail_hull, 0 with no hull, summed: a closed form, so tol is not
+        needed.  An arc x atom x depth range array, in row blocks of about
+        BLOCK_ELEMENTS."""
+        total = np.zeros((len(centers), len(x_lo)))
+        if self._atoms:
+            thetas, masses = np.array(self._atoms).T
+            step = max(1, BLOCK_ELEMENTS // (thetas.size * len(x_lo)))
+            for s in range(0, len(centers), step):
+                rows = slice(s, s + step)
+                gap = _sector_gaps(thetas, centers[rows], half_widths[rows, None])
+                kernel = _sector_kernel(gap[:, :, None], x_lo, x_hi)
+                total[rows] = (kernel * masses[:, None]).sum(axis=1)
+        if self._tail:
+            gap = np.zeros(len(centers))
+            if self._hull:
+                hull = np.array([(h.center_angle, h.half_width) for h in self._hull]).T
+                gap = _sector_gaps(hull[0], centers, half_widths[:, None] + hull[1]).min(axis=1)
+            total += self._tail * _sector_kernel(gap[:, None], x_lo, x_hi)
+        return total * SECTOR_WIDEN
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)
@@ -574,6 +644,33 @@ class CantorMeasure(SingularMeasure):
 
         _, _, masses, kmin, kmax = self._cells(tol, bound)
         return (float(np.sum(kmin * masses)), float(np.sum(kmax * masses)))
+
+    def sector_bounds(self, centers: np.ndarray, half_widths: np.ndarray,
+                      x_lo: np.ndarray, x_hi: np.ndarray, tol: float) -> np.ndarray:
+        """The cells of one _cells call, each no wider than tol / 2 of its
+        gap from every arc, so a call should hold nearby arcs: per arc,
+        each cell's mass times _sector_kernel at the cell's gap from the
+        arc, summed, for every depth range.  log _sector_kernel falls at
+        most twice as fast as log gap, so over a cell of width w and gap g
+        the kernel falls by less than the factor exp(2 w / g) <= exp(tol):
+        each sum is within a relative tol of the kernel's integral against
+        sigma, at every depth range.  A cell wider than that is given an
+        infinite oscillation, so _cells splits it, and every other cell
+        none."""
+        def bound(lo, hi):
+            width = hi - lo
+            gap = _sector_gaps(0.5 * (lo + hi), centers, half_widths[:, None] + 0.5 * width)
+            return (np.where(2.0 * width > tol * gap.min(axis=0), math.inf, 0.0),)
+
+        lo, hi, masses = self._cells(tol, bound)
+        out = np.zeros((len(centers), len(x_lo)))
+        step = max(1, BLOCK_ELEMENTS // (len(centers) * len(x_lo)))
+        for s in range(0, len(lo), step):
+            cells = slice(s, s + step)
+            gap = _sector_gaps(0.5 * (lo[cells] + hi[cells]), centers,
+                               half_widths[:, None] + 0.5 * (hi[cells] - lo[cells]))
+            out += (masses[cells, None] * _sector_kernel(gap[:, :, None], x_lo, x_hi)).sum(axis=1)
+        return out * SECTOR_WIDEN
 
     def herglotz_integral(self, z: complex, tol: float = 1e-9) -> complex:
         z = _check_interior(z)

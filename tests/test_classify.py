@@ -135,6 +135,13 @@ class TestRadialLimit:
         with pytest.raises(HypothesisViolated, match="finite"):
             radial_limit_test(ZeroSequence([0.5, 0.9]), 0.0)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 0.0, -0.5, math.nan])
+    def test_tol_outside_0_1_rejected(self, tol):
+        # at tol >= 1 every lower end passes 1 - tol, so the test crosses
+        with pytest.raises(DomainError, match=re.escape("radial tol must lie in (0, 1), got %r"
+                                                        % tol)):
+            radial_limit_test(families.radial_geometric_zeros(), 0.0, tol=tol)
+
     def test_non_stolz_zero_rejected(self):
         # zeros accumulate tangentially to the vertex at angle 0.1, so they
         # eventually leave every Stolz angle with vertex at angle 0
@@ -240,6 +247,12 @@ class TestSawtooth:
         # numpy warning escapes
         with pytest.raises(DomainError, match=re.escape("level %r is not in (0, 1)" % level)):
             sawtooth_test(families.single_atom(), r_levels=[0.9, level, 2.0])
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 0.0, -0.5, math.nan])
+    def test_tol_outside_0_1_rejected(self, tol):
+        with pytest.raises(DomainError, match=re.escape("sawtooth tol must lie in (0, 1), got %r"
+                                                        % tol)):
+            sawtooth_test(families.single_atom(), tol=tol)
 
     def test_requires_singular_part(self):
         with pytest.raises(HypothesisViolated):

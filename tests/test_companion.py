@@ -3,20 +3,22 @@ import math
 import cmath
 import re
 import tracemalloc
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 from onecomp import families
 from onecomp.classify import ONE_COMPONENT, criterion_scan
-from onecomp.companion import (GRID_MAX_K, SpotCheck, _spot_check_b, build_gamma,
-                               choose_radii, construct_companion, place_zeros)
-from onecomp.errors import (DomainError, OnecompError, PrecisionExhausted,
-                            RadiusSearchExhausted, TailBoundInsufficient)
+from onecomp.companion import (GRID_MAX_K, SECTOR_TOL, SpotCheck, _spot_check_b,
+                               build_gamma, choose_radii, construct_companion, place_zeros)
+from onecomp.errors import (DomainError, OnecompError, RadiusSearchExhausted,
+                            TailBoundInsufficient)
 from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport, carleson_square,
                               level_points, pseudo_distance, whitney_arcs)
-from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
-                           SingularInner, ZeroSequence)
+from onecomp.inner import (BlaschkeProduct, InnerFunction, MuMeasure, SingularInner,
+                           ZeroSequence)
 from onecomp.measures import AtomicMeasure, CdfMeasure
 
 
@@ -150,46 +152,23 @@ def zeros_and_atom():
                          singular=SingularInner(AtomicMeasure([(1.0, 0.5)])))
 
 
-def band(z):
-    return round(-math.log2(1.0 - abs(z)))
-
-
 class BandTheta:
-    """|Theta| is 0 on the listed radius bands 1 - 2^-j and 1 elsewhere;
-    every evaluated point is recorded.  A 1-D array gets InnerFunction's
-    array answer: an Interval of arrays, each entry the scalar answer."""
+    """-log|Theta| is unbounded on the listed radius bands 1 - 2^-j and 0
+    elsewhere, so the region of k fails when one of its bands k .. k + 3 is
+    listed; with a declared zero tail, the walk fails the deep k on the
+    tail.  Every bounded (center, half width, k) is recorded."""
 
-    def __init__(self, failing):
+    def __init__(self, failing, zero_tail=0.0):
         self.failing = set(failing)
-        self.points = []
+        self.blaschke = BlaschkeProduct(ZeroSequence([], tail_blaschke_sum=zero_tail))
+        self.regions = []
 
-    def modulus_bounds(self, z, tol):
-        if isinstance(z, np.ndarray):
-            lower, upper = zip(*(self.modulus_bounds(w, tol) for w in z.tolist()))
-            return Interval(np.array(lower), np.array(upper))
-        self.points.append(z)
-        return Interval(self.lower(z), 1.0)
-
-    def lower(self, z):
-        return 0.0 if band(z) in self.failing else 1.0
-
-
-class LowThenRaisingTheta(BandTheta):
-    """On the arc from angle 1, bands 2 and deeper pass at sample 0, are low
-    in the next 0.2 radians and raise ``error`` beyond, so a band's array
-    call raises while an earlier sample of it is low."""
-
-    def __init__(self, error):
-        super().__init__(())
-        self.error = error
-
-    def lower(self, z):
-        offset = cmath.phase(z) - 1.0   # sample 0's is about 1e-16
-        if band(z) < 2 or abs(offset) < 1e-9:
-            return 1.0
-        if offset < 0.2:
-            return 0.0
-        raise self.error("sample at angle %g" % cmath.phase(z))
+    def sector_bounds(self, centers, half_widths, x_lo, x_hi, tol):
+        ks = np.round(-np.log2(x_hi)).astype(int).tolist()
+        self.regions += [(c, h, k) for c, h in zip(centers.tolist(), half_widths.tolist())
+                         for k in ks]
+        low = [bool(self.failing & set(range(k, k + 4))) for k in ks]
+        return np.tile(np.where(low, math.inf, 0.0), (len(centers), 1))
 
 
 class TestRadiusWalk:
@@ -204,7 +183,7 @@ class TestRadiusWalk:
         chain = choose_radii(theta, [BoundaryArc.from_endpoints(1.0, 1.25)])
         assert smallest == 9
         assert chain.radii == [1.0 - 2.0 ** -smallest]
-        assert len(theta.points) == len(set(theta.points))
+        assert len(theta.regions) == len(set(theta.regions))
 
     @pytest.mark.parametrize("family", ["single_atom", "two_atoms", "example1",
                                         "radial_sparse"])
@@ -233,34 +212,70 @@ class TestRadiusWalk:
         if builder is families.radial_geometric:
             assert expected[0] is TailBoundInsufficient
 
-    @pytest.mark.parametrize("error", [TailBoundInsufficient, PrecisionExhausted])
-    def test_low_sample_before_the_array_error_decides(self, error):
-        # every band from 2 on is low at sample 1 and raises at its last
-        # sample: point by point it fails on samples, so the walk is
-        # exhausted by samples and never sees the error
+    @pytest.mark.parametrize("zero_tail, error", [(2.0 ** -48, TailBoundInsufficient),
+                                                   (0.0, RadiusSearchExhausted)],
+                             ids=["tail", "no_tail"])
+    def test_the_last_k_decides_the_error(self, zero_tail, error):
+        # every region is low; with radial_geometric's tail the deep k fail
+        # on the tail, unbounded, and the last of them names the tail
+        theta = BandTheta(range(1, 54), zero_tail)
         arc = BoundaryArc.from_endpoints(1.0, 1.25)
-        expected = walk_outcome(per_point_radii, LowThenRaisingTheta(error), [arc])
-        assert expected[0] is RadiusSearchExhausted
-        assert walk_outcome(walked_radii, LowThenRaisingTheta(error), [arc]) == expected
+        with pytest.raises(error):
+            choose_radii(theta, [arc])
+        bounded = sorted(k for _, half, k in theta.regions if half)   # arcs, not their ends
+        if zero_tail:
+            assert bounded == list(range(1, bounded[-1] + 1)) and bounded[-1] < GRID_MAX_K
+        else:
+            assert bounded == list(range(1, GRID_MAX_K + 1))
 
-    def test_one_scalar_probe_and_at_most_one_array_call_per_band(self, monkeypatch):
-        calls = []
-        bounds = InnerFunction.modulus_bounds
+    @pytest.mark.parametrize("builder", [families.single_atom, zeros_and_atom],
+                             ids=["atom1", "zeros_and_atom"])
+    def test_no_modulus_bounds_and_one_bound_per_region(self, builder, monkeypatch):
+        def unused(*args):
+            raise AssertionError("choose_radii brackets a point")
 
-        def recorded(theta, z, tol):
-            calls.append(z)
-            return bounds(theta, z, tol)
+        for owner in (InnerFunction, BlaschkeProduct, SingularInner):
+            monkeypatch.setattr(owner, "modulus_bounds", unused)
+        monkeypatch.setattr(AtomicMeasure, "poisson_bounds", unused)
+        regions = []
+        bounds = InnerFunction.sector_bounds
 
-        theta = families.single_atom()
+        def recorded(theta, centers, half_widths, x_lo, x_hi, tol):
+            regions.extend((c, h, x) for c, h in zip(centers.tolist(), half_widths.tolist())
+                           for x in x_hi.tolist())
+            return bounds(theta, centers, half_widths, x_lo, x_hi, tol)
+
+        monkeypatch.setattr(InnerFunction, "sector_bounds", recorded)
+        theta = builder()
         arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -14))
-        monkeypatch.setattr(InnerFunction, "modulus_bounds", recorded)
         choose_radii(theta, arcs)
-        arrays = [i for i, z in enumerate(calls) if isinstance(z, np.ndarray)]
-        assert (len(calls) - len(arrays), len(arrays)) == (647, 147)
-        # each array call holds the rest of the band its scalar probe opened
-        for i in arrays:
-            assert i > 0 and not isinstance(calls[i - 1], np.ndarray)
-            assert {band(z) for z in calls[i].tolist()} == {band(calls[i - 1])}
+        # pieces of no width are the ends of pieces, which halves share
+        pieces = [region for region in regions if region[1]]
+        assert len(pieces) == len(set(pieces))
+        # each arc's every k is bounded once, in one call; halves come after
+        whole = [(c, h) for c, h, _ in regions if (c, h) in
+                 {(arc.center_angle, arc.half_width) for arc in arcs}]
+        assert Counter(whole) == {(arc.center_angle, arc.half_width): GRID_MAX_K
+                                  for arc in arcs}
+
+    def test_a_dip_between_samples_fails_the_region(self):
+        # the zero at angle -1.9 lies under the arc [pi, 3 pi / 2]: at depth
+        # 2^-5, |Theta| dips below 1 - eps = 1/2 between the samples that the
+        # sampled walk bracketed, so k = 5 is not certified, and k = 6 is
+        zeros = [0.9 * cmath.exp(-1.9j), 0.8 * cmath.exp(0.13j), 0.23 * cmath.exp(0.15j),
+                 0.38 * cmath.exp(0.79j), 0.88 * cmath.exp(-1.1j), 0.34 * cmath.exp(0.28j)]
+        theta = families.finite_blaschke(zeros)
+        arc = BoundaryArc.from_endpoints(math.pi, 1.5 * math.pi)
+        assert abs(theta.evaluate((1.0 - 2.0 ** -5) * cmath.exp(4.3846j))) < 0.5
+        assert per_point_radii(theta, [arc]) == [1.0 - 2.0 ** -5]
+        assert choose_radii(theta, [arc]).radii == [1.0 - 2.0 ** -6]
+
+    def test_a_tail_failing_every_k_raises_on_the_tail(self):
+        theta = InnerFunction(blaschke=BlaschkeProduct(ZeroSequence([0.0], 2.7e-4)))
+        arcs = list(whitney_arcs(theta.singular_set()))
+        expected = walk_outcome(per_point_radii, theta, arcs)
+        assert expected[0] is TailBoundInsufficient
+        assert walk_outcome(walked_radii, theta, arcs) == expected
 
     def test_exhausted_search_message(self):
         # every band from 1 - 2^-26 down fails because the zero tail cannot
@@ -277,7 +292,155 @@ class TestRadiusWalk:
                    "arc at angle 1.125; singular set under-described?")
         with pytest.raises(RadiusSearchExhausted, match=re.escape(message)):
             choose_radii(theta, [BoundaryArc.from_endpoints(1.0, 1.25)])
-        assert len(theta.points) == len(set(theta.points))
+        assert len(theta.regions) == len(set(theta.regions))
+
+
+def mp_kernel(x, t, pole):
+    """(1 - |z|^2) / |z - e^{i pole}|^2 at z = (1 - x) e^{i t}."""
+    return x * (2 - x) / (x * x + 4 * (1 - x) * mpmath.sin((t - pole) / 2) ** 2)
+
+
+def mp_gap(t, lo, hi):
+    """Angular distance from the angle t to the arc [lo, hi]."""
+    center, half = (lo + hi) / 2, (hi - lo) / 2
+    d = abs(mpmath.fmod(t - center + 3 * mpmath.pi, 2 * mpmath.pi) - mpmath.pi)
+    return max(mpmath.mpf(0), d - half)
+
+
+def atoms_neg_log(atoms, tail=0.0, hull=()):
+    """P[sigma] at (1 - x) e^{it} for listed atoms (angle, mass) and a tail
+    mass placed where it hurts most: at the hull point nearest the angle."""
+    def neg_log(x, t):
+        total = mpmath.fsum(m * mp_kernel(x, t, a) for a, m in atoms)
+        if tail:
+            g = min(mp_gap(t, mpmath.mpf(h.center_angle) - mpmath.mpf(h.half_width),
+                           mpmath.mpf(h.center_angle) + mpmath.mpf(h.half_width))
+                    for h in hull)
+            total += tail * mp_kernel(x, t, t + g)
+        return total
+    return neg_log
+
+
+def cantor_neg_log(x, t):
+    """A lower bound of P[sigma] at (1 - x) e^{it} for the middle-thirds
+    measure: each generation cell's mass times the kernel at the cell's
+    point farthest from t, cells split while wider than 1/50 of that
+    distance, to generation 14."""
+    def cell(a, b, n):
+        lo, hi = 2 * mpmath.pi * a, 2 * mpmath.pi * b
+        near, mid = mp_gap(t, lo, hi), (lo + hi) / 2
+        if n < 14 and (b - a) * 2 * mpmath.pi * 50 > near:
+            third = (b - a) / 3
+            return cell(a, a + third, n + 1) + cell(b - third, b, n + 1)
+        far = min(mpmath.pi, abs(mpmath.fmod(t - mid + 3 * mpmath.pi, 2 * mpmath.pi)
+                                 - mpmath.pi) + (hi - lo) / 2)
+        return mpmath.mpf(2) ** -n * mp_kernel(x, t, t + far)
+    return cell(mpmath.mpf(0), mpmath.mpf(1), 0)
+
+
+def zeros_neg_log(zeros, tail):
+    """-log|B| at (1 - x) e^{it}: the listed factors, and the declared
+    tail's bound u / (1 - u), u = 4 T (2 - x) / x (None past u = 1/2)."""
+    ws = [mpmath.mpc(w.real, w.imag) for w in zeros]
+
+    def neg_log(x, t):
+        u = 4 * tail * (2 - x) / x
+        if u >= 0.5:
+            return None
+        z = (1 - x) * mpmath.expj(t)
+        return u / (1 - u) - mpmath.fsum(mpmath.log(abs(w - z) / abs(1 - mpmath.conj(w) * z))
+                                         for w in ws)
+    return neg_log
+
+
+def harm_depths(poles):
+    """For boundary poles: the depths of largest Poisson kernel at the arc's
+    nearest end, x* = 2 s / (c + s) with s, c = sin, cos of half the gap."""
+    def depths(neg_log, lo, hi, a, b):
+        for p in poles:
+            g = mp_gap(mpmath.mpf(p), lo, hi)
+            s, c = mpmath.sin(g / 2), mpmath.cos(g / 2)
+            yield 2 * s / (c + s)
+    return depths
+
+
+def searched_depths(poles):
+    """For zeros: the depth of largest -log|B| at the arc end nearest each
+    zero's angle, by a ternary search over [a, b]."""
+    def depths(neg_log, lo, hi, a, b):
+        for p in poles:
+            p = mpmath.mpf(p)
+            t = min((lo, hi), key=lambda end: mp_gap(p, end, end))
+            a_, b_ = a, b
+            for _ in range(40):
+                m1, m2 = a_ + (b_ - a_) / 3, b_ - (b_ - a_) / 3
+                v1, v2 = neg_log(m1, t), neg_log(m2, t)
+                if v1 is None or v2 is None:
+                    break
+                a_, b_ = (m1, b_) if v1 < v2 else (a_, m2)
+            yield (a_ + b_) / 2
+    return depths
+
+
+class TestSectorFloorOracle:
+    """The floor a region passes on, exp(-sector_bounds) lowered past exp's
+    rounding, never exceeds |Theta| at 50 digits on a grid of the region
+    {x_lo <= 1 - |z| <= x_hi, arg z in the arc}: its corners and edges,
+    interior points, the angles of poles inside the arc, and each pole's
+    depth of largest harm, clamped into the region."""
+
+    @staticmethod
+    def check(theta, neg_log, arcs, ks, poles, depths):
+        with mpmath.workdps(50):
+            for arc in arcs:
+                lo = mpmath.mpf(arc.center_angle) - mpmath.mpf(arc.half_width)
+                hi = mpmath.mpf(arc.center_angle) + mpmath.mpf(arc.half_width)
+                x_lo = np.array([2.0 ** -(k + 3) for k in ks])
+                x_hi = np.array([2.0 ** -k for k in ks])
+                bound = theta.sector_bounds(np.array([arc.center_angle]),
+                                            np.array([arc.half_width]), x_lo, x_hi,
+                                            SECTOR_TOL)[0]
+                floors = np.exp(-bound) * (1.0 - 2.0 ** -50)
+                angles = [lo + (hi - lo) * i / 4 for i in range(5)]
+                angles += [mpmath.mpf(p) for p in poles if mp_gap(mpmath.mpf(p), lo, hi) == 0]
+                for k, floor, a, b in zip(ks, floors.tolist(), x_lo.tolist(), x_hi.tolist()):
+                    a, b = mpmath.mpf(a), mpmath.mpf(b)
+                    xs = [a * 2 ** (j / 2) for j in range(7)]
+                    xs += [min(max(x, a), b) for x in depths(neg_log, lo, hi, a, b)]
+                    for x in xs:
+                        for t in angles:
+                            value = neg_log(x, t)
+                            assert value is None or floor <= mpmath.exp(-value), (arc, k, x, t)
+
+    def test_one_atom(self):
+        theta = families.single_atom()
+        arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -10))
+        self.check(theta, atoms_neg_log([(0.0, 1.0)]), arcs[::2], range(1, 34, 2), [0.0],
+                   harm_depths([0.0]))
+
+    def test_example1_with_its_tail_hull(self):
+        theta = families.example1()
+        measure = theta.singular.sigma
+        arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -8))
+        neg_log = atoms_neg_log(measure.atoms, measure.tail_mass, measure.support().hull)
+        poles = [a for a, _ in measure.atoms[:4]] + [0.0]
+        self.check(theta, neg_log, arcs[::6], range(1, 30, 5), poles, harm_depths(poles))
+
+    def test_middle_thirds_cantor(self):
+        theta = families.cantor_inner()
+        arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -6))
+        ends = [2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, 0.0]
+        self.check(theta, cantor_neg_log, arcs[::5], range(1, 20, 6), [], harm_depths(ends))
+
+    def test_zeros_with_a_declared_tail(self):
+        zeros = [0.5, -0.3j, 0.9 * cmath.exp(2j), 0.99 * cmath.exp(-1j),
+                 (1.0 - 2.0 ** -20) * cmath.exp(0.5j)]
+        theta = InnerFunction(blaschke=BlaschkeProduct(ZeroSequence(zeros, 1e-12)))
+        arcs = [BoundaryArc.from_endpoints(a, a + length) for a, length in
+                [(0.4, 0.2), (1.9, 0.05), (-1.2, 0.3), (3.0, 0.5), (4.5, 0.4)]]
+        angles = [cmath.phase(w) for w in zeros]
+        self.check(theta, zeros_neg_log(zeros, 1e-12), arcs, range(1, 26, 3), angles,
+                   searched_depths(angles))
 
 
 class TestGamma:
@@ -365,6 +528,18 @@ class TestConstructCompanion:
         assert result.report_b.verdict == ONE_COMPONENT
         assert result.report_btheta.verdict == ONE_COMPONENT
         assert result.spot_check.passed
+        assert result.verified
+
+    def test_cantor_continuous_example(self):
+        # the paper's theorem on a continuous singular measure: sigma the
+        # middle-thirds Cantor measure, whose support is null
+        result = construct_companion(families.cantor_inner(), horizon=200, depth=8,
+                                     cutoff=TWO_PI * 2.0 ** -10)
+        assert len(result.chain.arcs) == 136 and len(result.zeros.zeros) == 200
+        assert result.max_step_error < 1e-6
+        assert result.separation_delta == pytest.approx(0.1, abs=1e-6)
+        assert result.report_b.verdict == result.report_btheta.verdict == ONE_COMPONENT
+        assert result.spot_check.passed and result.spot_check.points_checked > 0
         assert result.verified
 
     def test_radial_zeros_theta(self):

@@ -107,13 +107,15 @@ def test_unused_imports_name_only_what_the_tracer_patches_there():
     assert stray == []
 
 
-MU_QUERIES = ("support", "lower_mass_arcs", "mass_of_arc_bounds_many", "poisson_bounds")
+KIND_QUERIES = ("support", "lower_mass_arcs", "mass_of_arc_bounds_many", "poisson_bounds",
+                "sector_bounds")
 
 
 def test_every_singular_kind_defines_the_queries_of_a_scan():
-    # SingularMeasure gives no lower_mass_arcs or mass_of_arc_bounds_many and
-    # only NotImplementedError for the others, so a kind that SingularInner
-    # accepts without them fails mid-scan: a traceback, exit 1
+    # SingularMeasure gives no lower_mass_arcs, mass_of_arc_bounds_many or
+    # sector_bounds and only NotImplementedError for the others, so a kind
+    # that SingularInner accepts without them fails mid-scan or mid-construct:
+    # a traceback, exit 1
     from onecomp.errors import DomainError
     from onecomp.inner import SingularInner
     from onecomp.measures import SingularMeasure
@@ -129,7 +131,7 @@ def test_every_singular_kind_defines_the_queries_of_a_scan():
         except DomainError:
             continue
         accepted.append(kind.__name__)
-        missing += ["%s.%s" % (kind.__name__, name) for name in MU_QUERIES
+        missing += ["%s.%s" % (kind.__name__, name) for name in KIND_QUERIES
                     if name not in vars(kind)]
     assert "AtomicMeasure" in accepted and "CdfMeasure" not in accepted
     assert missing == []
