@@ -10,8 +10,7 @@ from .geometry import (BoundaryArc, PointSupport,
 from .inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                     SingularInner, ZeroSequence, blaschke_factor, dump_zeros_csv,
                     load_zeros_csv, separation_constants)
-from .measures import (AtomicMeasure, CantorMeasure, CdfMeasure,
-                       SingularMeasure, poisson_kernel)
+from .measures import AtomicMeasure, CantorMeasure, CdfMeasure, SingularMeasure
 from .classify import (ClassificationReport, LimitTestResult,
                        classify, criterion_scan, radial_limit_test, sawtooth_test,
                        ONE_COMPONENT, NOT_ONE_COMPONENT, INCONCLUSIVE)

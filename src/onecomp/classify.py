@@ -250,9 +250,10 @@ def radial_limit_test(zeros: ZeroSequence, vertex_angle: float = 0.0,
 
     crossed = False
     sups: list[tuple[float, float]] = []
-    vals = _log_abs_blaschke_radial_many(zeros, vertex_angle, np.array(depth_grid))
-    for s, val in zip(depth_grid, vals.tolist()):
-        tail_term = _tail_neg_log_bound(zeros.tail_blaschke_sum, s)
+    depths = np.array(depth_grid)
+    vals = _log_abs_blaschke_radial_many(zeros, vertex_angle, depths)
+    tails = _tail_neg_log_bound(zeros.tail_blaschke_sum, depths)
+    for s, val, tail_term in zip(depth_grid, vals.tolist(), tails.tolist()):
         upper = math.exp(min(0.0, val))
         lower = math.exp(val - tail_term) if tail_term < math.inf else 0.0
         if lower > 1.0 - tol:

@@ -199,7 +199,7 @@ def choose_radii(theta: InnerFunction, arcs: Sequence[BoundaryArc]) -> WhitneyCh
     """
     zero_tail = theta.blaschke.zeros.tail_blaschke_sum if theta.blaschke is not None else 0.0
     ks = np.arange(1, GRID_MAX_K + 1)
-    tails = np.array([_tail_neg_log_bound(zero_tail, 2.0 ** -(k + 3)) for k in ks.tolist()])
+    tails = _tail_neg_log_bound(zero_tail, 2.0 ** -(ks + 3))
     radii, epsilons = [], []
     for arc in arcs:
         eps = min(0.5, arc.length)

@@ -14,6 +14,10 @@ so at depth s = 1 - |z| a declared tail Blaschke sum T gives
 no bound is claimed).  A query whose tolerance this bound cannot meet
 raises TailBoundInsufficient.  The radial-limit test in ``classify`` uses
 the same bound at each depth of its grid.
+
+Each modulus_bounds has one batch kernel, _modulus_bounds_many, over a
+complex array: a scalar is the one-point array, and when an array fails,
+_array_bounds replays the kernel one point at a time.
 """
 
 from __future__ import annotations
@@ -94,15 +98,15 @@ def blaschke_factor(w: complex, z: complex) -> complex:
     return (abs(w) / w) * (w - z) / (1.0 - w.conjugate() * z)
 
 
-def _tail_neg_log_bound(tail: float, depth: float) -> float:
-    """Upper bound for -sum_tail log rho(z, w) at 1 - |z| = depth, given
-    sum_tail (1 - |w|) <= tail; inf when the bound is not informative."""
+def _tail_neg_log_bound(tail: float, depths: np.ndarray) -> np.ndarray:
+    """Upper bounds for -sum_tail log rho(z, w) at each depth 1 - |z| of an
+    array, given sum_tail (1 - |w|) <= tail; inf where the bound is not
+    informative."""
     if tail == 0.0:
-        return 0.0
-    u = 4.0 * tail * (2.0 - depth) / depth
-    if u >= 0.5:
-        return math.inf
-    return u / (1.0 - u)
+        return np.zeros(len(depths))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = 4.0 * tail * (2.0 - depths) / depths
+        return np.where(u >= 0.5, math.inf, u / (1.0 - u))
 
 
 def _array_bounds(f, points: np.ndarray, tol: float) -> Interval:
@@ -118,6 +122,13 @@ def _array_bounds(f, points: np.ndarray, tol: float) -> Interval:
         raise
 
 
+def _point_bounds(f, z: complex, tol: float) -> Interval:
+    """f.modulus_bounds at one point: its batch kernel on a one-point
+    array, whose bracket and error are the point's."""
+    lo, hi = f._modulus_bounds_many(np.array([complex(z)]), tol)
+    return Interval(lo.item(), hi.item())
+
+
 class BlaschkeProduct:
     """Blaschke product over a ZeroSequence."""
 
@@ -126,38 +137,29 @@ class BlaschkeProduct:
             zeros = ZeroSequence(zeros)
         self.zeros = zeros
 
-    def _ensure_tail(self, z_abs: float, budget: float) -> float:
-        """The declared tail's bound at |z| = z_abs; raises when it exceeds
-        the budget, naming the depth 1 - |z|, which %g keeps apart where it
-        would round |z| to 1."""
-        depth = 1.0 - z_abs
-        bound = _tail_neg_log_bound(self.zeros.tail_blaschke_sum, depth)
-        if bound > budget:
+    def _ensure_tail(self, depths: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        """The declared tail's bounds at the depths 1 - |z|; raises at the
+        first that exceeds its budget, naming its depth, which %g keeps
+        apart where it would round |z| to 1."""
+        bound = _tail_neg_log_bound(self.zeros.tail_blaschke_sum, depths)
+        over = np.flatnonzero(bound > budgets)
+        if over.size:
+            i = over[0]
             raise TailBoundInsufficient(
                 "certified tail %g exceeds budget %g at 1 - |z| = %g"
-                % (bound, budget, depth))
+                % (bound[i], budgets[i], depths[i]))
         return bound
 
-    def _log_sum(self, z: complex) -> float:
-        """sum log|w - z| - log|1 - conj(w) z| over the listed zeros w;
-        -inf when z is one of them."""
-        arr = self.zeros.as_array()
-        if arr.size == 0:
-            return 0.0
-        num = np.abs(arr - z)
-        if not num.all():
-            return -math.inf
-        return float((np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))).sum())
-
     def _log_sums(self, points: np.ndarray) -> np.ndarray:
-        """_log_sum of every point of a complex array, bit for bit: a
-        point x zero matrix in row blocks of about BLOCK_ELEMENTS, each row
-        summed as _log_sum sums its vector; -inf in a row with a zero."""
+        """sum log|w - z| - log|1 - conj(w) z| over the listed zeros w, for
+        every point z of a complex array: a point x zero matrix in row
+        blocks of about BLOCK_ELEMENTS, each row summed in zero order; -inf
+        in a row with a zero."""
         arr = self.zeros.as_array()
         sums = np.zeros(len(points))
         if arr.size == 0:
             return sums
-        # 2-D: times a 1 x 1 block, a 1-D conj can miss _log_sum's bits
+        # 2-D: in a 1 x 1 block, a 1-D conj can change the product's last bit
         conj = np.conj(arr)[None, :]
         step = max(1, BLOCK_ELEMENTS // arr.size)
         with np.errstate(divide="ignore"):
@@ -172,11 +174,11 @@ class BlaschkeProduct:
         z = complex(z)
         if not abs(z) < 1.0:
             raise DomainError("log_modulus requires |z| < 1")
-        tail_bound = self._ensure_tail(abs(z), 0.5 * tol)
-        s = self._log_sum(z)
-        if s == -math.inf:
+        s = self._log_sums(np.array([z])).item()
+        if s == -math.inf:      # a listed zero: no tail bound is needed
             return MINUS_INF_INTERVAL
-        return Interval(s - tail_bound, s)
+        bound = self._ensure_tail(np.array([1.0 - abs(z)]), np.array([0.5 * tol]))
+        return Interval(s - bound.item(), s)
 
     def modulus_bounds(self, z: complex, tol: float = 1e-9) -> Interval:
         """Certified bracket for |B(z)| at value scale.
@@ -185,17 +187,14 @@ class BlaschkeProduct:
         below tol: the tail only shrinks the modulus, so (0, exp(sum)) is
         certified without a tail bound.
 
-        A 1-D complex array z gives Interval(lower array, upper array), each
-        entry the bits of the per-point call: one _log_sums call, math.exp
-        of each sum, and the tail bound and its budget as arrays.  A failing
+        A 1-D complex array z gives Interval(lower array, upper array), and
+        a scalar is the one-point array: one _log_sums call, math.exp of
+        each sum, and the tail bound and its budget as arrays.  A failing
         array raises the per-point loop's error (_array_bounds).
         """
         if isinstance(z, np.ndarray):
             return _array_bounds(self, z, tol)
-        z = complex(z)
-        if not abs(z) < 1.0:
-            raise DomainError("modulus bounds require |z| < 1")
-        return self._bracket(z, self._log_sum(z), tol)
+        return _point_bounds(self, z, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         moduli = np.hypot(points.real, points.imag)  # abs()'s bits
@@ -204,33 +203,18 @@ class BlaschkeProduct:
         sums = self._log_sums(points)
         # math.exp per entry: np.exp can differ in the last bit
         upper = np.array(list(map(math.exp, sums.tolist())))
-        tail, depth = self.zeros.tail_blaschke_sum, 1.0 - moduli
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # _tail_neg_log_bound and _bracket's tests, entry by entry
-            bound = np.zeros(len(depth))
-            if tail != 0.0:
-                u = 4.0 * tail * (2.0 - depth) / depth
-                bound = np.where(u >= 0.5, math.inf, u / (1.0 - u))
-            small = (sums == -math.inf) | (upper <= 0.5 * tol)
-            met = bound <= np.maximum(1e-15, 0.5 * tol / upper)
-        if not (small | met).all():
-            raise TailBoundInsufficient("certified tail exceeds a point's budget")
-        if tail == 0.0:     # every bound is 0, so exp(sums - 0) is upper
+        # a zero, or a product below tol / 2, is bracketed by (0, upper)
+        small = (sums == -math.inf) | (upper <= 0.5 * tol)
+        with np.errstate(over="ignore", divide="ignore"):
+            # value-scale budget: a log-width d gives value width <= upper * d
+            budgets = np.where(small, math.inf, np.maximum(1e-15, 0.5 * tol / upper))
+        bound = self._ensure_tail(1.0 - moduli, budgets)
+        if self.zeros.tail_blaschke_sum == 0.0:     # every bound is 0
             lower = upper.copy()
         else:
             lower = np.array(list(map(math.exp, (sums - bound).tolist())))
         lower[small] = 0.0
         return Interval(lower, upper)
-
-    def _bracket(self, z: complex, s: float, tol: float) -> Interval:
-        """modulus_bounds from the log sum s over the listed zeros."""
-        upper = math.exp(s)
-        if s == -math.inf or upper <= 0.5 * tol:
-            return Interval(0.0, upper)
-        # value-scale budget: a log-width d gives value width <= upper * d
-        log_budget = max(1e-15, 0.5 * tol / upper)
-        tail_bound = self._ensure_tail(abs(z), log_budget)
-        return Interval(math.exp(s - tail_bound), upper)
 
     def sector_bounds(self, centers: np.ndarray, half_widths: np.ndarray,
                       x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
@@ -252,7 +236,7 @@ class BlaschkeProduct:
         depth range array, in row blocks of about BLOCK_ELEMENTS.
         """
         tail = self.zeros.tail_blaschke_sum
-        total = np.tile([_tail_neg_log_bound(tail, x) for x in x_lo.tolist()], (len(centers), 1))
+        total = np.tile(_tail_neg_log_bound(tail, x_lo), (len(centers), 1))
         arr = self.zeros.as_array()
         if arr.size == 0:
             return total * SECTOR_WIDEN
@@ -284,8 +268,8 @@ class BlaschkeProduct:
         if not abs(z) < 1.0:
             if not (self.zeros.tail_blaschke_sum == 0.0 and abs(z) <= 1.0 + 1e-12):
                 raise DomainError("boundary evaluation needs a finite product")
-        else:
-            self._ensure_tail(abs(z), 0.5 * tol)
+        elif self._log_sums(np.array([z])).item() > -math.inf:  # a listed zero needs no tail
+            self._ensure_tail(np.array([1.0 - abs(z)]), np.array([0.5 * tol]))
         val = 1.0 + 0.0j
         for w in self.zeros.zeros:
             val *= blaschke_factor(w, z)
@@ -311,8 +295,8 @@ class SingularInner:
         A coarse Poisson pass decides how much log-scale accuracy the value
         actually needs: when P is large, |S| is already pinned near 0.
 
-        A 1-D complex array z gives Interval(lower array, upper array), each
-        entry the bits of the per-point call.  The coarse pass is one
+        A 1-D complex array z gives Interval(lower array, upper array), and
+        a scalar is the one-point array.  The coarse pass is one
         poisson_bounds_many call and math.exp of each end; the fine pass
         runs point by point, in index order, only where the coarse bracket
         is wider than tol.  A failing array raises the per-point loop's
@@ -320,8 +304,7 @@ class SingularInner:
         """
         if isinstance(z, np.ndarray):
             return _array_bounds(self, z, tol)
-        plo, phi = self.sigma.poisson_bounds(z, tol=0.25)
-        return self._refine(z, plo, phi, tol)
+        return _point_bounds(self, z, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         plo, phi = self.sigma.poisson_bounds_many(points, 0.25)
@@ -494,27 +477,20 @@ class InnerFunction:
 
         Part brackets are subsets of [0, 1], so their product has width at
         most the sum of the part widths.  A 1-D complex array z gives
-        Interval(lower array, upper array), the parts' arrays multiplied
-        as the per-point call multiplies, and a failing array raises the
-        per-point loop's error (_array_bounds); with no part the bracket is
-        (1.0, 1.0), or arrays of ones.
+        Interval(lower array, upper array), the parts' arrays multiplied,
+        and a scalar is the one-point array; a failing array raises the
+        per-point loop's error (_array_bounds).  With no part the bracket
+        is (1.0, 1.0), or arrays of ones.
         """
         if isinstance(z, np.ndarray):
             return _array_bounds(self, z, tol)
-        lo = hi = 1.0
-        if self.blaschke is not None:
-            part = self.blaschke.modulus_bounds(z, 0.5 * tol)
-            lo, hi = lo * part.lo, hi * part.hi
-        if self.singular is not None:
-            part = self.singular.modulus_bounds(z, 0.5 * tol)
-            lo, hi = lo * part.lo, hi * part.hi
-        return Interval(lo, hi)
+        return _point_bounds(self, z, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         lo = hi = np.ones(len(points))
         for part in (self.blaschke, self.singular):
             if part is not None:
-                # the parts' kernels: only our caller, _array_bounds, replays a failure
+                # the parts' kernels: a failing array is replayed by _array_bounds alone
                 bounds = part._modulus_bounds_many(points, 0.5 * tol)
                 lo, hi = lo * bounds.lo, hi * bounds.hi
         return Interval(lo, hi)

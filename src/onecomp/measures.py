@@ -91,11 +91,6 @@ def _sector_kernel(gap: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.nd
     return x * (2.0 - x) / (x * x + 4.0 * (1.0 - x) * s * s)
 
 
-def poisson_kernel(z: complex, theta: float) -> float:
-    """(1 - |z|^2) / |z - e^{i theta}|^2."""
-    return (1.0 - abs(z) ** 2) / abs(z - cmath.exp(1j * theta)) ** 2
-
-
 def _herglotz_kernel(z: complex, theta: float) -> complex:
     xi = cmath.exp(1j * theta)
     return (z + xi) / (z - xi)
@@ -210,9 +205,11 @@ class SingularMeasure:
     def poisson_bounds_many(self, points: np.ndarray, tol: float
                             ) -> tuple[np.ndarray, np.ndarray]:
         """poisson_bounds of each point of a complex array, as a lower-end
-        array and an upper-end array.  It answers every point or raises an
-        OnecompError; which point's error a caller sees is decided by
-        inner._array_bounds, which replays the points one at a time."""
+        array and an upper-end array: here a loop over poisson_bounds, while
+        a kind with its own kernel, such as AtomicMeasure, makes
+        poisson_bounds its one-point case.  It answers every point or
+        raises an OnecompError; which point's error a caller sees is decided
+        by inner._array_bounds, which replays the points one at a time."""
         bounds = [self.poisson_bounds(z, tol) for z in points.tolist()]
         lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return lo, hi
@@ -307,34 +304,27 @@ class AtomicMeasure(SingularMeasure):
         return total, total + self._tail
 
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
-        z = _check_interior(z)
-        max_kernel = (1.0 + abs(z)) / (1.0 - abs(z))
-        total = math.fsum(m * poisson_kernel(z, t) for t, m in self._atoms)
-        slack = self._tail * max_kernel
-        if slack > tol:
-            raise PrecisionExhausted(
-                "atomic tail bound %g cannot meet tol %g at 1 - |z| = %g"
-                % (self._tail, tol, 1.0 - abs(z)), bracket=(total, total + slack))
-        return (total, total + slack)
+        lo, hi = self.poisson_bounds_many(np.array([complex(z)]), tol)
+        return (lo.item(), hi.item())
 
     def poisson_bounds_many(self, points: np.ndarray, tol: float
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """A point x atom matrix of the terms m P(z, t) of poisson_bounds, in
-        row blocks of about BLOCK_ELEMENTS, each row summed by _fsum_rows to
-        the bits of the math.fsum that poisson_bounds takes of its terms.
-        It answers every point or raises: a point outside the disc raises
-        DomainError, and a tail that cannot meet tol at some point raises
-        PrecisionExhausted.  e^{i t} is taken
-        once per atom by cmath.exp, |.| by np.hypot and |.| ** 2 by
-        np.float_power, which match abs(complex) and float ** 2; np.abs on
-        complex128 and squaring by multiplication differ from them in the
-        last bit."""
+        """A point x atom matrix of the terms m P(z, t), P(z, t) =
+        (1 - |z|^2) / |z - e^{it}|^2, in row blocks of about BLOCK_ELEMENTS,
+        each row summed by _fsum_rows to the bits of math.fsum of the row;
+        the upper ends add the tail mass times P's sup, (1 + |z|) / (1 - |z|).
+        A scalar poisson_bounds is the one-point array.  It answers every
+        point or raises at the first failing point: DomainError for a point
+        outside the disc, then PrecisionExhausted, with the point's
+        bracket, where the tail cannot meet tol.  e^{i t} is taken once per
+        atom by cmath.exp, |.| by np.hypot and |.| ** 2 by np.float_power,
+        which match abs(complex) and float ** 2; np.abs on complex128 and
+        squaring by multiplication differ from them in the last bit."""
         moduli = np.hypot(points.real, points.imag)
-        if not np.all(moduli < 1.0):
-            raise DomainError("integral requires |z| < 1 at every point")
-        slack = self._tail * ((1.0 + moduli) / (1.0 - moduli))
-        if np.any(slack > tol):
-            raise PrecisionExhausted("atomic tail bound %g cannot meet tol %g" % (self._tail, tol))
+        outside = np.flatnonzero(~(moduli < 1.0))
+        if outside.size:
+            raise DomainError("integral requires |z| < 1, got |z| = %r"
+                              % (moduli[outside[0]].item(),))
         one_minus_r2 = 1.0 - np.float_power(moduli, 2.0)
         lower = np.empty(len(points))
         masses = np.array([m for _, m in self._atoms], dtype=np.float64)
@@ -348,6 +338,14 @@ class AtomicMeasure(SingularMeasure):
             np.divide(one_minus_r2[s:s + step, None], terms, out=terms)
             terms *= masses
             lower[s:s + step] = _fsum_rows(terms)
+        slack = self._tail * ((1.0 + moduli) / (1.0 - moduli))
+        short = np.flatnonzero(slack > tol)
+        if short.size:
+            i = short[0]
+            raise PrecisionExhausted(
+                "atomic tail bound %g cannot meet tol %g at 1 - |z| = %g"
+                % (self._tail, tol, 1.0 - moduli[i]),
+                bracket=(lower[i].item(), (lower[i] + slack[i]).item()))
         return lower, lower + slack
 
     def sector_bounds(self, centers: np.ndarray, half_widths: np.ndarray,

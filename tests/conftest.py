@@ -4,9 +4,101 @@ The pixel flood fill is the independent reference for level-set component
 counts: it rasterizes |Theta| on a uniform Cartesian grid and labels
 4-connected sublevel pixels with a run-length union-find, entirely apart
 from the package's quadtree path.
+
+The scalar brackets are the references for the package's array kernels,
+whose scalar calls are one-point arrays: reference_poisson_bounds sums an
+atomic measure's terms one atom at a time with math.fsum, and
+reference_modulus_bounds brackets |B| from one vector log sum and |S|
+from those Poisson brackets.  Each gives the kernel's bits, message and
+bracket at one point, by code that is not the kernel's.
 """
 
+import cmath
+import math
+
 import numpy as np
+
+from onecomp.errors import DomainError, PrecisionExhausted, TailBoundInsufficient
+from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner
+from onecomp.measures import AtomicMeasure
+
+
+def poisson_kernel(z: complex, theta: float) -> float:
+    """(1 - |z|^2) / |z - e^{i theta}|^2."""
+    return (1.0 - abs(z) ** 2) / abs(z - cmath.exp(1j * theta)) ** 2
+
+
+def reference_poisson_bounds(sigma, z, tol: float) -> tuple:
+    """poisson_bounds(z, tol): for an AtomicMeasure, math.fsum of the terms
+    m P(z, t) taken atom by atom, and the tail mass times P's sup
+    (1 + |z|) / (1 - |z|) added to the upper end; any other kind's own
+    scalar call."""
+    if not isinstance(sigma, AtomicMeasure):
+        return sigma.poisson_bounds(z, tol)
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise DomainError("integral requires |z| < 1, got |z| = %r" % (abs(z),))
+    total = math.fsum(m * poisson_kernel(z, t) for t, m in sigma.atoms)
+    slack = sigma.tail_mass * ((1.0 + abs(z)) / (1.0 - abs(z)))
+    if slack > tol:
+        raise PrecisionExhausted(
+            "atomic tail bound %g cannot meet tol %g at 1 - |z| = %g"
+            % (sigma.tail_mass, tol, 1.0 - abs(z)), bracket=(total, total + slack))
+    return (total, total + slack)
+
+
+def reference_tail_bound(tail: float, depth: float) -> float:
+    """Upper bound for -sum_tail log rho at 1 - |z| = depth for a declared
+    tail Blaschke sum; inf when it is not informative."""
+    if tail == 0.0:
+        return 0.0
+    u = 4.0 * tail * (2.0 - depth) / depth
+    return math.inf if u >= 0.5 else u / (1.0 - u)
+
+
+def reference_modulus_bounds(f, z, tol: float) -> tuple:
+    """modulus_bounds(z, tol) of a BlaschkeProduct, SingularInner or
+    InnerFunction, point by point.
+
+    |B|: the listed zeros' log sum as one vector, (0, exp(sum)) at a zero
+    or where exp(sum) <= tol / 2, and otherwise the declared tail's bound
+    against the value-scale budget max(1e-15, tol / (2 exp(sum))).  |S|: a
+    Poisson bracket at tol 0.25, and where exp(-P) is wider than tol, one at
+    max(1e-14, tol exp(min(P_lo, 60)) / 2), at most 0.25.  Theta: the parts'
+    brackets at tol / 2 multiplied, (1.0, 1.0) with no part."""
+    if isinstance(f, InnerFunction):
+        lo = hi = 1.0
+        for part in (f.blaschke, f.singular):
+            if part is not None:
+                plo, phi = reference_modulus_bounds(part, z, 0.5 * tol)
+                lo, hi = lo * plo, hi * phi
+        return (lo, hi)
+    if isinstance(f, SingularInner):
+        plo, phi = reference_poisson_bounds(f.sigma, z, 0.25)
+        lo, hi = math.exp(-phi), math.exp(-plo)
+        if hi - lo <= tol:
+            return (lo, hi)
+        log_tol = max(1e-14, 0.5 * tol * math.exp(min(plo, 60.0)))
+        plo, phi = reference_poisson_bounds(f.sigma, z, min(0.25, log_tol))
+        return (math.exp(-phi), math.exp(-plo))
+    assert isinstance(f, BlaschkeProduct)
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise DomainError("modulus bounds require |z| < 1")
+    arr, s = f.zeros.as_array(), 0.0
+    if arr.size:
+        num = np.abs(arr - z)
+        s = -math.inf if not num.all() else float(
+            (np.log(num) - np.log(np.abs(1.0 - np.conj(arr) * z))).sum())
+    upper = math.exp(s)
+    if s == -math.inf or upper <= 0.5 * tol:
+        return (0.0, upper)
+    budget, depth = max(1e-15, 0.5 * tol / upper), 1.0 - abs(z)
+    bound = reference_tail_bound(f.zeros.tail_blaschke_sum, depth)
+    if bound > budget:
+        raise TailBoundInsufficient("certified tail %g exceeds budget %g at 1 - |z| = %g"
+                                    % (bound, budget, depth))
+    return (math.exp(s - bound), upper)
 
 
 def brute_force_components(modulus_fn, eps, n=2048):

@@ -125,6 +125,19 @@ class TestEvalCommand:
         assert code2 == 0 and strip_timestamp(out1) == strip_timestamp(out2)
 
 
+    def test_listed_zero_of_an_infinite_product(self, seeds, capsys):
+        # Theta is 0 at the listed zero 1 - 2^-30, so neither its value nor
+        # its log modulus needs a bound of the declared tail
+        assert 1.0 - 2.0 ** -30 == 0.99999999906867743
+        code, out, err = run_cli(["eval", "--inner", str(seeds / "radial_geometric.json"),
+                                  "--at", "0.99999999906867743,0"], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["log_modulus"] == {"lo": "-inf", "hi": "-inf"}
+        assert doc["modulus"] == {"lo": "0", "hi": "0"}
+        assert float(doc["value"]["re"]) == float(doc["value"]["im"]) == 0.0
+
+
 class TestLevelsetCommand:
     def test_mobius_component_count(self, seeds, capsys, tmp_path):
         inner = tmp_path / "mobius.json"

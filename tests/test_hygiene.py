@@ -1,7 +1,8 @@
 """Source hygiene: no private helper outlives its last caller, every public
 name has a caller, every name the bench tracer patches still exists, an
-import kept only for the tracer goes with its tracer entry, and every
-measure kind an inner function accepts answers a scan's queries itself."""
+import kept only for the tracer goes with its tracer entry, every measure
+kind an inner function accepts answers a scan's queries itself, and every
+scalar bracket with an array kernel is that kernel on one point."""
 
 import ast
 import importlib
@@ -135,6 +136,29 @@ def test_every_singular_kind_defines_the_queries_of_a_scan():
                     if name not in vars(kind)]
     assert "AtomicMeasure" in accepted and "CdfMeasure" not in accepted
     assert missing == []
+
+
+def test_every_scalar_bracket_is_its_kernel_on_one_point(monkeypatch):
+    # a scalar call that reached its kernel with no one-point array, or
+    # more than once, would be a second copy of the bracket to keep in step
+    import numpy as np
+    from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner
+    from onecomp.measures import AtomicMeasure
+
+    sigma = AtomicMeasure([(0.0, 1.0)])
+    theta = InnerFunction(blaschke=BlaschkeProduct([0.5]), singular=SingularInner(sigma))
+    cases = ((BlaschkeProduct, "_modulus_bounds_many", theta.blaschke.modulus_bounds),
+             (SingularInner, "_modulus_bounds_many", theta.singular.modulus_bounds),
+             (InnerFunction, "_modulus_bounds_many", theta.modulus_bounds),
+             (AtomicMeasure, "poisson_bounds_many", sigma.poisson_bounds))
+    z = 0.25 + 0.5j
+    for owner, kernel, scalar in cases:
+        seen, original = [], vars(owner)[kernel]
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, kernel, lambda self, points, tol, original=original:
+                          seen.append(points.copy()) or original(self, points, tol))
+            scalar(z, 1e-9)
+        assert [(p.shape, p.tolist()) for p in seen] == [((1,), [z])], owner.__name__
 
 
 ROOT = SRC.parent.parent

@@ -21,6 +21,8 @@ from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                            load_zeros_csv, separation_constants)
 from onecomp.measures import AtomicMeasure, CantorMeasure
 
+from conftest import reference_modulus_bounds
+
 
 class TestLogModulus:
     def test_single_factor_at_origin(self):
@@ -53,6 +55,20 @@ class TestLogModulus:
             b.log_modulus(0.9, 1e-9)
         with pytest.raises(TailBoundInsufficient):
             b.modulus_bounds(0.9, 1e-9)
+
+    def test_a_small_product_needs_no_tail_bound(self):
+        # the tail 0.2 has no bound at depth 1/2, but at and next to the
+        # listed zero |B| <= tol / 2 whatever the tail, so (0, exp(sum)) is
+        # certified, and at the zero log|B| = -inf and B = 0 exactly
+        b = BlaschkeProduct(ZeroSequence([0.5], tail_blaschke_sum=0.2))
+        points = np.array([0.5, 0.5 + 1e-12])
+        lower, upper = b.modulus_bounds(points, 1e-9)
+        assert lower.tolist() == [0.0, 0.0] and 0.0 < upper[1] <= 0.5e-9
+        assert [tuple(b.modulus_bounds(z, 1e-9)) for z in points.tolist()] == \
+            list(zip(lower.tolist(), upper.tolist()))
+        assert b.log_modulus(0.5) == (-math.inf, -math.inf) and b.evaluate(0.5) == 0.0
+        with pytest.raises(TailBoundInsufficient):
+            b.log_modulus(0.5 + 1e-12)
 
 
 class TestEvaluate:
@@ -138,8 +154,9 @@ class TestTailBound:
     """The certified tail bound against -sum log rho computed at 50 digits.
 
     The bound is read through BlaschkeProduct._ensure_tail with an unlimited
-    budget: it returns the bound log_modulus subtracts at |z| = 1 - s, which
-    is _tail_neg_log_bound(T, s), the bound the radial-limit test uses.
+    budget: it returns the bound log_modulus subtracts at depth s = 1 - |z|,
+    which is _tail_neg_log_bound(T, s), the bound the radial-limit test
+    uses.
     """
 
     @staticmethod
@@ -162,7 +179,7 @@ class TestTailBound:
             finite = 0
             for k in range(1, 41):
                 s = 2.0 ** -k
-                bound = product._ensure_tail(1.0 - s, math.inf)
+                bound = product._ensure_tail(np.array([s]), np.array([math.inf])).item()
                 if bound == math.inf:
                     continue
                 finite += 1
@@ -584,13 +601,13 @@ def truncated_geometric_zeros() -> ZeroSequence:
     return ZeroSequence(radial_geometric_zeros().zeros[:20], tail_blaschke_sum=2.0 ** -20)
 
 
-def bracket_loop(b: BlaschkeProduct, points, tol: float) -> list:
-    """modulus_bounds at each point in turn on one instance, as the spot
-    check and the scans call it; (type, message) ends the list on an error."""
+def bracket_loop(f, points, tol: float, bounds=reference_modulus_bounds) -> list:
+    """bounds(f, z, tol) at each point in turn on one instance, by default
+    the reference bracket; (type, message) ends the list on an error."""
     out = []
     for z in points:
         try:
-            out.append(tuple(b.modulus_bounds(z, tol)))
+            out.append(tuple(bounds(f, z, tol)))
         except (DomainError, TailBoundInsufficient) as err:
             out.append((type(err), str(err)))
             break
@@ -600,14 +617,14 @@ def bracket_loop(b: BlaschkeProduct, points, tol: float) -> list:
 @pytest.mark.filterwarnings("error")
 class TestModulusBoundsMany:
     """BlaschkeProduct.modulus_bounds called at many points on one instance
-    against a fresh instance per point, so no call changes a later
-    bracket."""
+    against the reference bracket on a fresh instance per point, so no call
+    changes a later bracket."""
 
     def test_points_at_zeros_and_no_zeros(self):
         zeros = [0.5, 0.3 + 0.4j, -0.7j]
         points = [0.5, 0.0, 0.3 + 0.4j, -0.7j, 0.9 + 0.1j, 0.3 + 0.4j]
         for tol in (1e-9, 0.5):
-            got = bracket_loop(BlaschkeProduct(zeros), points, tol)
+            got = bracket_loop(BlaschkeProduct(zeros), points, tol, BlaschkeProduct.modulus_bounds)
             assert got == [bracket_loop(BlaschkeProduct(zeros), [z], tol)[0]
                            for z in points]
             assert [got[k] for k in (0, 2, 3, 5)] == [(0.0, 0.0)] * 4
@@ -620,15 +637,18 @@ class TestModulusBoundsMany:
         reference = BlaschkeProduct(truncated_geometric_zeros())
         expected = bracket_loop(reference, points, 1e-3)
         assert expected[-1][0] is TailBoundInsufficient and len(expected) > 100
-        # a fresh instance fails at the same point, with the same message
+        # the package's loop, and a fresh instance at the failing point alone,
+        # fail at the same point, with the same message
+        assert bracket_loop(BlaschkeProduct(truncated_geometric_zeros()), points, 1e-3,
+                            BlaschkeProduct.modulus_bounds) == expected
         failing = points[len(expected) - 1]
         fresh = BlaschkeProduct(truncated_geometric_zeros())
-        assert bracket_loop(fresh, [failing], 1e-3) == [expected[-1]]
+        assert bracket_loop(fresh, [failing], 1e-3, BlaschkeProduct.modulus_bounds) == [expected[-1]]
 
 
 def per_point_bounds(f, points: np.ndarray, tol: float) -> tuple:
-    """(lower, upper) arrays of modulus_bounds called at each point in turn."""
-    pairs = [tuple(f.modulus_bounds(z, tol)) for z in points.tolist()]
+    """(lower, upper) arrays of the reference bracket at each point in turn."""
+    pairs = [reference_modulus_bounds(f, z, tol) for z in points.tolist()]
     lower, upper = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     return lower.tobytes(), upper.tobytes()
 
@@ -645,8 +665,8 @@ def some_points(deepest: int) -> np.ndarray:
 
 @pytest.mark.filterwarnings("error")
 class TestModulusBoundsArray:
-    """modulus_bounds on a complex array against the per-point calls in the
-    same order on a separate instance, bit for bit."""
+    """modulus_bounds on a complex array against the reference bracket at
+    each point in the same order on a separate instance, bit for bit."""
 
     @pytest.mark.parametrize("count", [1, 3, 500])
     def test_finite_products(self, count, companion500):
@@ -734,17 +754,14 @@ class TestModulusBoundsArray:
                                  some_points(7), 1.0 - 2.0 ** -np.arange(4.5, 12.0)])
         reference, batch = (BlaschkeProduct(radial_geometric_zeros()) for _ in range(2))
         expected = per_point_bounds(reference, points, tol)
-        scalar = []
-        bracket = batch._bracket
-        monkeypatch.setattr(batch, "_bracket",
-                            lambda z, s, t: scalar.append(z) or bracket(z, s, t))
+        calls = self.count_calls(batch, monkeypatch)
         assert array_bounds(batch, points, tol) == expected
+        # no budget fails, so the kernel runs once, with no replay
+        assert calls == {"_modulus_bounds_many": [len(points)], "_log_sums": [len(points)]}
         lower, upper = batch.modulus_bounds(points, tol)
         assert lower[:4].tolist() == [0.0] * 4 and upper[:2].tolist() == [0.0, 0.0]
         assert 0.0 < upper[2] <= 0.5 * tol and 0.0 < upper[3] <= 0.5 * tol
         assert 0.0 < lower[-1] < upper[-1]
-        # no budget fails, so no point goes through the scalar bracket
-        assert scalar == []
 
     def test_tail_bound_insufficient_at_the_same_point_as_the_loop(self):
         points = some_points(8)
@@ -758,23 +775,25 @@ class TestModulusBoundsArray:
 
     @staticmethod
     def count_calls(batch, monkeypatch) -> dict:
-        calls = {"_bracket": 0, "_log_sums": 0}
+        """The length of the array of each kernel and _log_sums call on the
+        instance, by name."""
+        calls = {"_modulus_bounds_many": [], "_log_sums": []}
         for name in calls:
             method = getattr(batch, name)
-            monkeypatch.setattr(batch, name, lambda *a, name=name, method=method:
-                                calls.__setitem__(name, calls[name] + 1) or method(*a))
+            monkeypatch.setattr(batch, name, lambda points, *a, name=name, method=method:
+                                calls[name].append(len(points)) or method(points, *a))
         return calls
 
     def test_a_complete_product_takes_one_log_sums_call(self, monkeypatch):
-        # with no tail, no point goes through the scalar bracket, and the
-        # upper ends are math.exp of the log sums
+        # with no tail, one kernel call brackets every point, and the upper
+        # ends are math.exp of the log sums
         points = some_points(8)
         assert len(points) == 1016
         zeros = [0.5, 0.5j, -0.5]
         batch = BlaschkeProduct(zeros)
         calls = self.count_calls(batch, monkeypatch)
         lower, upper = batch.modulus_bounds(points, 1e-9)
-        assert calls == {"_bracket": 0, "_log_sums": 1}
+        assert calls == {"_modulus_bounds_many": [1016], "_log_sums": [1016]}
         sums = BlaschkeProduct(zeros)._log_sums(points).tolist()
         assert upper.tolist() == [math.exp(s) for s in sums]
         assert lower.tolist() == upper.tolist()
@@ -812,7 +831,7 @@ class TestModulusBoundsArray:
         batch = BlaschkeProduct(truncated_geometric_zeros())
         calls = self.count_calls(batch, monkeypatch)
         lower, upper = batch.modulus_bounds(points, 1e-3)
-        assert calls == {"_bracket": 0, "_log_sums": 1}
+        assert calls == {"_modulus_bounds_many": [len(points)], "_log_sums": [len(points)]}
         assert (lower.tobytes(), upper.tobytes()) == per_point_bounds(
             BlaschkeProduct(truncated_geometric_zeros()), points, 1e-3)
         assert (lower < upper).all()
@@ -852,28 +871,47 @@ class TestModulusBoundsArray:
 
     def test_a_failing_array_is_replayed_once(self, monkeypatch):
         # the tail fails at the last of 101 points alone: InnerFunction
-        # replays the points, one scalar Blaschke bracket each, and its
-        # part's kernel does not replay them first
+        # replays the points, one one-point Blaschke kernel call each and
+        # no BlaschkeProduct.modulus_bounds call, and its part's kernel does
+        # not replay them first
         zeros = ZeroSequence(radial_geometric_zeros().zeros[:8], tail_blaschke_sum=2.0 ** -8)
         points = np.append(0.5 * np.exp(1j * np.linspace(0.0, 6.0, 100)), 1.0 - 2.0 ** -12)
-        scalar, bounds = [], BlaschkeProduct.modulus_bounds
-
-        def counted(self, z, tol=1e-9):
-            if not isinstance(z, np.ndarray):
-                scalar.append(z)
-            return bounds(self, z, tol)
-
-        monkeypatch.setattr(BlaschkeProduct, "modulus_bounds", counted)
+        part = BlaschkeProduct(zeros)
+        arrays, kernel = [], part._modulus_bounds_many
+        monkeypatch.setattr(part, "_modulus_bounds_many",
+                            lambda z, tol: arrays.append(z.tolist()) or kernel(z, tol))
+        monkeypatch.setattr(BlaschkeProduct, "modulus_bounds", None)
         with pytest.raises(TailBoundInsufficient, match="at 1 - [|]z[|] = 0.000244141$"):
-            InnerFunction(blaschke=BlaschkeProduct(zeros)).modulus_bounds(points, 0.5)
-        assert scalar == points.tolist()
+            InnerFunction(blaschke=part).modulus_bounds(points, 0.5)
+        assert arrays == [points.tolist()] + [[z] for z in points.tolist()]
+
+    @pytest.mark.parametrize("z", [1.5, (1.0 - 2.0 ** -12) * 1j], ids=["outside", "tail"])
+    def test_one_point_errors_are_the_per_point_errors(self, z):
+        # at a point outside the disc, and at one where the tail cannot meet
+        # the budget, the kernel on the one-point array raises the scalar
+        # call's type and message, which are the reference's
+        b = BlaschkeProduct(truncated_geometric_zeros())
+        errors = []
+        for call in (lambda: b._modulus_bounds_many(np.array([z]), 1e-3),
+                     lambda: b.modulus_bounds(z, 1e-3),
+                     lambda: reference_modulus_bounds(b, z, 1e-3)):
+            with pytest.raises(OnecompError) as err:
+                call()
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0][1].endswith("require |z| < 1" if z == 1.5 else "at 1 - |z| = 0.000244141")
 
     def test_kernel_error_raised_when_no_point_fails(self, monkeypatch):
-        # the per-point replay finds no error, so the kernel's own is raised
-        def kernel(points, tol):
-            raise PrecisionExhausted("kernel")
-
+        # the kernel fails on the array but at no one point, so the per-point
+        # replay finds no error and the kernel's own is raised
         b = BlaschkeProduct([0.5])
+        one_point = b._modulus_bounds_many
+
+        def kernel(points, tol):
+            if len(points) > 1:
+                raise PrecisionExhausted("kernel")
+            return one_point(points, tol)
+
         monkeypatch.setattr(b, "_modulus_bounds_many", kernel)
         with pytest.raises(PrecisionExhausted, match="^kernel$"):
             b.modulus_bounds(np.array([0.25, -0.5j]), 1e-9)

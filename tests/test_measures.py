@@ -14,7 +14,9 @@ from onecomp.geometry import (TWO_PI, BoundaryArc, angle_mod, angular_gap,
                               carleson_squares, level_points)
 from onecomp.inner import SingularInner
 from onecomp.measures import (AtomicMeasure, CantorMeasure, CdfMeasure, _fsum_rows,
-                              _herglotz_kernel, poisson_kernel)
+                              _herglotz_kernel)
+
+from conftest import poisson_kernel, reference_modulus_bounds, reference_poisson_bounds
 
 
 def cantor():
@@ -208,11 +210,11 @@ def per_point(bounds, points):
 
 
 def per_point_poisson(sigma, points, tol):
-    return per_point(lambda z: sigma.poisson_bounds(z, tol), points)
+    return per_point(lambda z: reference_poisson_bounds(sigma, z, tol), points)
 
 
 def per_point_modulus(f, points, tol):
-    return per_point(lambda z: f.modulus_bounds(z, tol), points)
+    return per_point(lambda z: reference_modulus_bounds(f, z, tol), points)
 
 
 def batched_poisson(sigma, points, tol):
@@ -227,7 +229,7 @@ def batched_poisson(sigma, points, tol):
 
 
 def batched_modulus(f, points, tol):
-    """per_point(f.modulus_bounds) through modulus_bounds on the array,
+    """per_point_modulus through modulus_bounds on the array,
     which answers every point or raises the per-point loop's first error.
     On an error, the failing index i is the first whose prefix call raises:
     the call on points[:i] gives their bits, and the call on points[:i + 1]
@@ -260,8 +262,8 @@ def depth_points(deepest, per_depth=96):
 
 @pytest.mark.filterwarnings("error")
 class TestPoissonBoundsMany:
-    """poisson_bounds_many against poisson_bounds at each point in turn, on
-    separate instances, bit for bit."""
+    """poisson_bounds_many against the reference poisson_bounds at each
+    point in turn, on separate instances, bit for bit."""
 
     MEASURES = {
         "atom1": lambda: AtomicMeasure([(0.0, 1.0)]),
@@ -318,6 +320,22 @@ class TestPoissonBoundsMany:
     def test_outside_point_rejected(self):
         with pytest.raises(DomainError):
             AtomicMeasure([(0.0, 1.0)]).poisson_bounds_many(np.array([0.5, 1.0 + 0j]), 1e-9)
+
+    @pytest.mark.parametrize("z", [1.5, (1.0 - 1e-6) * 1j], ids=["outside", "tail"])
+    def test_one_point_errors_are_the_per_point_errors(self, z):
+        # at a point outside the disc, and at one where the tail 1e-9 cannot
+        # meet tol, the kernel on the one-point array raises the scalar
+        # call's type, message and bracket, which are the reference's
+        sigma = AtomicMeasure([(0.0, 1.0), (2.0, 0.5)], tail_mass=1e-9)
+        errors = []
+        for call in (lambda: sigma.poisson_bounds_many(np.array([z]), 1e-6),
+                     lambda: sigma.poisson_bounds(z, 1e-6),
+                     lambda: reference_poisson_bounds(sigma, z, 1e-6)):
+            with pytest.raises(OnecompError) as err:
+                call()
+            errors.append((type(err.value), str(err.value), getattr(err.value, "bracket", None)))
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0][1].endswith("got |z| = 1.5" if z == 1.5 else "at 1 - |z| = 1e-06")
 
     def test_outside_point_after_a_failing_point(self):
         # the kernel raises DomainError at the outside point; the loop fails
