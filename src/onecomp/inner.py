@@ -15,9 +15,9 @@ no bound is claimed).  A query whose tolerance this bound cannot meet
 raises TailBoundInsufficient.  The radial-limit test in ``classify`` uses
 the same bound at each depth of its grid.
 
-Each modulus_bounds has one batch kernel, _modulus_bounds_many, over a
-complex array: a scalar is the one-point array, and when an array fails,
-_array_bounds replays the kernel one point at a time.
+Each modulus_bounds is _bounds over its one batch kernel,
+_modulus_bounds_many, on a complex array: a scalar is the one-point array,
+and when the kernel fails, _bounds replays it one point at a time.
 """
 
 from __future__ import annotations
@@ -109,24 +109,21 @@ def _tail_neg_log_bound(tail: float, depths: np.ndarray) -> np.ndarray:
         return np.where(u >= 0.5, math.inf, u / (1.0 - u))
 
 
-def _array_bounds(f, points: np.ndarray, tol: float) -> Interval:
-    """f.modulus_bounds on a complex array: its batch kernel's answer.  When
-    the kernel raises, f.modulus_bounds runs at each point in turn, so the
-    error raised is the per-point loop's first; the kernel's own error is
-    raised only if no point raises."""
+def _bounds(f, z, tol: float) -> Interval:
+    """f.modulus_bounds: its batch kernel on a complex array, or on the
+    one-point array of a scalar, whose bracket is returned as floats.  When
+    the kernel raises, it runs on each point alone in turn, so the error
+    raised is the per-point loop's first; the kernel's own error is raised
+    only if no point raises."""
+    array = isinstance(z, np.ndarray)
+    points = z if array else np.array([complex(z)])
     try:
-        return f._modulus_bounds_many(points, tol)
+        lo, hi = f._modulus_bounds_many(points, tol)
     except OnecompError:
-        for z in points.tolist():
-            f.modulus_bounds(z, tol)
+        for p in points.tolist():
+            f._modulus_bounds_many(np.array([complex(p)]), tol)
         raise
-
-
-def _point_bounds(f, z: complex, tol: float) -> Interval:
-    """f.modulus_bounds at one point: its batch kernel on a one-point
-    array, whose bracket and error are the point's."""
-    lo, hi = f._modulus_bounds_many(np.array([complex(z)]), tol)
-    return Interval(lo.item(), hi.item())
+    return Interval(lo, hi) if array else Interval(lo.item(), hi.item())
 
 
 class BlaschkeProduct:
@@ -190,11 +187,9 @@ class BlaschkeProduct:
         A 1-D complex array z gives Interval(lower array, upper array), and
         a scalar is the one-point array: one _log_sums call, math.exp of
         each sum, and the tail bound and its budget as arrays.  A failing
-        array raises the per-point loop's error (_array_bounds).
+        array raises the per-point loop's error (_bounds).
         """
-        if isinstance(z, np.ndarray):
-            return _array_bounds(self, z, tol)
-        return _point_bounds(self, z, tol)
+        return _bounds(self, z, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         moduli = np.hypot(points.real, points.imag)  # abs()'s bits
@@ -297,34 +292,29 @@ class SingularInner:
 
         A 1-D complex array z gives Interval(lower array, upper array), and
         a scalar is the one-point array.  The coarse pass is one
-        poisson_bounds_many call and math.exp of each end; the fine pass
-        runs point by point, in index order, only where the coarse bracket
-        is wider than tol.  A failing array raises the per-point loop's
-        error (_array_bounds).
+        poisson_bounds_many call at tol 0.25 and math.exp of each end; the
+        fine pass is one more, on the points whose coarse bracket is wider
+        than tol, each at its own Poisson tolerance
+        min(0.25, max(1e-14, tol exp(min(P_lo, 60)) / 2)).  A failing array
+        raises the per-point loop's error (_bounds).
         """
-        if isinstance(z, np.ndarray):
-            return _array_bounds(self, z, tol)
-        return _point_bounds(self, z, tol)
+        return _bounds(self, z, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         plo, phi = self.sigma.poisson_bounds_many(points, 0.25)
         # math.exp per entry: np.exp can differ in the last bit
         lower = np.array(list(map(math.exp, (-phi).tolist())))
         upper = np.array(list(map(math.exp, (-plo).tolist())))
-        # _refine's width test; a NaN width fails it there too
-        for i in np.flatnonzero(~(upper - lower <= tol)).tolist():
-            lower[i], upper[i] = self._refine(complex(points[i]), float(plo[i]),
-                                              float(phi[i]), tol)
+        fine = np.flatnonzero(~(upper - lower <= tol))     # a NaN width too
+        if fine.size:
+            # a NaN P_lo keeps NaN through np.minimum, and np.fmax then
+            # gives 1e-14, as Python's min and max do
+            scale = np.array(list(map(math.exp, np.minimum(plo[fine], 60.0).tolist())))
+            tols = np.minimum(0.25, np.fmax(1e-14, 0.5 * tol * scale))
+            plo, phi = self.sigma.poisson_bounds_many(points[fine], tols)
+            lower[fine] = list(map(math.exp, (-phi).tolist()))
+            upper[fine] = list(map(math.exp, (-plo).tolist()))
         return Interval(lower, upper)
-
-    def _refine(self, z: complex, plo: float, phi: float, tol: float) -> Interval:
-        """modulus_bounds from the coarse Poisson bracket (plo, phi)."""
-        lo, hi = math.exp(-phi), math.exp(-plo)
-        if hi - lo <= tol:
-            return Interval(lo, hi)
-        log_tol = max(1e-14, 0.5 * tol * math.exp(min(plo, 60.0)))
-        plo, phi = self.sigma.poisson_bounds(z, tol=min(0.25, log_tol))
-        return Interval(math.exp(-phi), math.exp(-plo))
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
         return cmath.exp(self.sigma.herglotz_integral(z, tol))
@@ -479,18 +469,16 @@ class InnerFunction:
         most the sum of the part widths.  A 1-D complex array z gives
         Interval(lower array, upper array), the parts' arrays multiplied,
         and a scalar is the one-point array; a failing array raises the
-        per-point loop's error (_array_bounds).  With no part the bracket
+        per-point loop's error (_bounds).  With no part the bracket
         is (1.0, 1.0), or arrays of ones.
         """
-        if isinstance(z, np.ndarray):
-            return _array_bounds(self, z, tol)
-        return _point_bounds(self, z, tol)
+        return _bounds(self, z, tol)
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         lo = hi = np.ones(len(points))
         for part in (self.blaschke, self.singular):
             if part is not None:
-                # the parts' kernels: a failing array is replayed by _array_bounds alone
+                # the parts' kernels: a failing array is replayed by _bounds alone
                 bounds = part._modulus_bounds_many(points, 0.5 * tol)
                 lo, hi = lo * bounds.lo, hi * bounds.hi
         return Interval(lo, hi)

@@ -158,6 +158,14 @@ def _check_interior(z: complex) -> complex:
     return z
 
 
+def _arc_bounds(sigma, arc: BoundaryArc, tol: float) -> tuple[float, float]:
+    """sigma.mass_of_arc_bounds: its batch kernel on the one-arc arrays,
+    whose bracket and error are the arc's."""
+    lo, hi = sigma.mass_of_arc_bounds_many(np.array([arc.center_angle]),
+                                           np.array([arc.half_width]), tol)
+    return (float(lo[0]), float(hi[0]))
+
+
 def _arc_windows(arc: BoundaryArc) -> list[tuple[float, float]]:
     """Split an arc into linear windows inside [0, 2*pi]."""
     if arc.half_width >= math.pi:
@@ -202,15 +210,17 @@ class SingularMeasure:
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
         raise NotImplementedError
 
-    def poisson_bounds_many(self, points: np.ndarray, tol: float
+    def poisson_bounds_many(self, points: np.ndarray, tol: float | np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """poisson_bounds of each point of a complex array, as a lower-end
-        array and an upper-end array: here a loop over poisson_bounds, while
-        a kind with its own kernel, such as AtomicMeasure, makes
-        poisson_bounds its one-point case.  It answers every point or
-        raises an OnecompError; which point's error a caller sees is decided
-        by inner._array_bounds, which replays the points one at a time."""
-        bounds = [self.poisson_bounds(z, tol) for z in points.tolist()]
+        """poisson_bounds of each point of a complex array at its tol, a
+        float or an array of one per point, as a lower-end array and an
+        upper-end array: here a loop over poisson_bounds, while a kind with
+        its own kernel, such as AtomicMeasure, makes poisson_bounds its
+        one-point case.  It answers every point or raises an OnecompError;
+        which point's error a caller sees is decided by inner._bounds, which
+        replays the points one at a time."""
+        tols = np.broadcast_to(tol, points.shape).tolist()
+        bounds = [self.poisson_bounds(z, t) for z, t in zip(points.tolist(), tols)]
         lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
         return lo, hi
 
@@ -278,9 +288,7 @@ class AtomicMeasure(SingularMeasure):
         return thetas, thetas
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
-        lo, hi = self.mass_of_arc_bounds_many(np.array([arc.center_angle]),
-                                              np.array([arc.half_width]), tol)
-        return (float(lo[0]), float(hi[0]))
+        return _arc_bounds(self, arc, tol)
 
     def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
                                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +315,7 @@ class AtomicMeasure(SingularMeasure):
         lo, hi = self.poisson_bounds_many(np.array([complex(z)]), tol)
         return (lo.item(), hi.item())
 
-    def poisson_bounds_many(self, points: np.ndarray, tol: float
+    def poisson_bounds_many(self, points: np.ndarray, tol: float | np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
         """A point x atom matrix of the terms m P(z, t), P(z, t) =
         (1 - |z|^2) / |z - e^{it}|^2, in row blocks of about BLOCK_ELEMENTS,
@@ -316,7 +324,8 @@ class AtomicMeasure(SingularMeasure):
         A scalar poisson_bounds is the one-point array.  It answers every
         point or raises at the first failing point: DomainError for a point
         outside the disc, then PrecisionExhausted, with the point's
-        bracket, where the tail cannot meet tol.  e^{i t} is taken once per
+        bracket, where the tail cannot meet the point's tol (a float, or an
+        array of one per point).  e^{i t} is taken once per
         atom by cmath.exp, |.| by np.hypot and |.| ** 2 by np.float_power,
         which match abs(complex) and float ** 2; np.abs on complex128 and
         squaring by multiplication differ from them in the last bit."""
@@ -344,7 +353,7 @@ class AtomicMeasure(SingularMeasure):
             i = short[0]
             raise PrecisionExhausted(
                 "atomic tail bound %g cannot meet tol %g at 1 - |z| = %g"
-                % (self._tail, tol, 1.0 - moduli[i]),
+                % (self._tail, np.broadcast_to(tol, slack.shape)[i], 1.0 - moduli[i]),
                 bracket=(lower[i].item(), (lower[i] + slack[i]).item()))
         return lower, lower + slack
 
@@ -517,9 +526,7 @@ class CantorMeasure(SingularMeasure):
         return (below, below + 2.0 ** -self.MAX_GENERATION)
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
-        lo, hi = self.mass_of_arc_bounds_many(np.array([arc.center_angle]),
-                                              np.array([arc.half_width]), tol)
-        return (float(lo[0]), float(hi[0]))
+        return _arc_bounds(self, arc, tol)
 
     def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
                                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,9 @@ The scalar brackets are the references for the package's array kernels,
 whose scalar calls are one-point arrays: reference_poisson_bounds sums an
 atomic measure's terms one atom at a time with math.fsum, and
 reference_modulus_bounds brackets |B| from one vector log sum and |S|
-from those Poisson brackets.  Each gives the kernel's bits, message and
-bracket at one point, by code that is not the kernel's.
+from those Poisson brackets, the fine one at reference_fine_tol.  Each
+gives the kernel's bits, message and bracket at one point, by code that is
+not the kernel's.
 """
 
 import cmath
@@ -56,6 +57,15 @@ def reference_tail_bound(tail: float, depth: float) -> float:
     return math.inf if u >= 0.5 else u / (1.0 - u)
 
 
+def reference_fine_tol(plo: float, tol: float) -> float:
+    """The Poisson tolerance of |S|'s fine pass at a point whose coarse
+    Poisson bracket starts at plo, for a value-scale tol: P to within
+    tol / (2 |S|), |S| <= exp(-plo) taken no smaller than exp(-60), and
+    the result kept in [1e-14, 0.25].  Python's min and max: a NaN plo
+    gives 1e-14."""
+    return min(0.25, max(1e-14, 0.5 * tol * math.exp(min(plo, 60.0))))
+
+
 def reference_modulus_bounds(f, z, tol: float) -> tuple:
     """modulus_bounds(z, tol) of a BlaschkeProduct, SingularInner or
     InnerFunction, point by point.
@@ -64,7 +74,7 @@ def reference_modulus_bounds(f, z, tol: float) -> tuple:
     or where exp(sum) <= tol / 2, and otherwise the declared tail's bound
     against the value-scale budget max(1e-15, tol / (2 exp(sum))).  |S|: a
     Poisson bracket at tol 0.25, and where exp(-P) is wider than tol, one at
-    max(1e-14, tol exp(min(P_lo, 60)) / 2), at most 0.25.  Theta: the parts'
+    reference_fine_tol(P_lo, tol).  Theta: the parts'
     brackets at tol / 2 multiplied, (1.0, 1.0) with no part."""
     if isinstance(f, InnerFunction):
         lo = hi = 1.0
@@ -78,8 +88,7 @@ def reference_modulus_bounds(f, z, tol: float) -> tuple:
         lo, hi = math.exp(-phi), math.exp(-plo)
         if hi - lo <= tol:
             return (lo, hi)
-        log_tol = max(1e-14, 0.5 * tol * math.exp(min(plo, 60.0)))
-        plo, phi = reference_poisson_bounds(f.sigma, z, min(0.25, log_tol))
+        plo, phi = reference_poisson_bounds(f.sigma, z, reference_fine_tol(plo, tol))
         return (math.exp(-phi), math.exp(-plo))
     assert isinstance(f, BlaschkeProduct)
     z = complex(z)

@@ -820,6 +820,35 @@ class TestInputValidation:
         assert len(load_zeros_csv(json.loads(out)["zeros_csv"])) == 3
 
 
+class TestConstructNorthStar:
+    """What construct --horizon 2000 --depth 14 gives on each seeded family
+    but cantor (which verifies, in about 10 s), as README lists it: a change
+    that flips one of these shows here."""
+
+    EXPECTED = {
+        "atom1": (0, True, "OneComponentEvidence"),
+        "atoms2": (0, True, "OneComponentEvidence"),
+        # Theta is not one-component, and the B Theta scan says so at 2000
+        "example1": (0, False, "NotOneComponentEvidence"),
+        "radial_sparse": (0, False, "NotOneComponentEvidence"),
+        # the declared zero tail stops the radius walk
+        "radial_geometric": (3, None, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_construct_2000_14(self, name, seeds, capsys):
+        code, out, err = run_cli(["construct", "--inner", str(seeds / (name + ".json")),
+                                  "--horizon", "2000", "--depth", "14"], capsys)
+        if code:
+            assert (code, None, None) == self.EXPECTED[name]
+            assert out == "" and err.count("\n") == 1 and "zeros_tail_blaschke_sum" in err
+            return
+        doc = json.loads(out)
+        assert (code, doc["verified"], doc["report_btheta"]["verdict"]) == self.EXPECTED[name]
+        assert doc["report_b"]["verdict"] == "OneComponentEvidence"
+        assert len(load_zeros_csv(doc["zeros_csv"])) == 2000
+
+
 class TestGoldenScans:
     """sha256 of scan reports, metadata removed, recorded with the per-point
     scan that the one-call-per-level scan replaced."""

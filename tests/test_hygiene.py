@@ -141,24 +141,28 @@ def test_every_singular_kind_defines_the_queries_of_a_scan():
 def test_every_scalar_bracket_is_its_kernel_on_one_point(monkeypatch):
     # a scalar call that reached its kernel with no one-point array, or
     # more than once, would be a second copy of the bracket to keep in step
-    import numpy as np
+    from onecomp.geometry import BoundaryArc
     from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner
-    from onecomp.measures import AtomicMeasure
+    from onecomp.measures import AtomicMeasure, CantorMeasure
 
-    sigma = AtomicMeasure([(0.0, 1.0)])
+    sigma, cantor = AtomicMeasure([(0.0, 1.0)]), CantorMeasure.middle_thirds()
     theta = InnerFunction(blaschke=BlaschkeProduct([0.5]), singular=SingularInner(sigma))
-    cases = ((BlaschkeProduct, "_modulus_bounds_many", theta.blaschke.modulus_bounds),
-             (SingularInner, "_modulus_bounds_many", theta.singular.modulus_bounds),
-             (InnerFunction, "_modulus_bounds_many", theta.modulus_bounds),
-             (AtomicMeasure, "poisson_bounds_many", sigma.poisson_bounds))
-    z = 0.25 + 0.5j
-    for owner, kernel, scalar in cases:
+    z, arc = 0.25 + 0.5j, BoundaryArc(1.0, 0.5)
+    cases = ((BlaschkeProduct, "_modulus_bounds_many", theta.blaschke.modulus_bounds, z),
+             (SingularInner, "_modulus_bounds_many", theta.singular.modulus_bounds, z),
+             (InnerFunction, "_modulus_bounds_many", theta.modulus_bounds, z),
+             (AtomicMeasure, "poisson_bounds_many", sigma.poisson_bounds, z),
+             (AtomicMeasure, "mass_of_arc_bounds_many", sigma.mass_of_arc_bounds, arc),
+             (CantorMeasure, "mass_of_arc_bounds_many", cantor.mass_of_arc_bounds, arc))
+    for owner, kernel, scalar, at in cases:
         seen, original = [], vars(owner)[kernel]
         with monkeypatch.context() as patch:
-            patch.setattr(owner, kernel, lambda self, points, tol, original=original:
-                          seen.append(points.copy()) or original(self, points, tol))
-            scalar(z, 1e-9)
-        assert [(p.shape, p.tolist()) for p in seen] == [((1,), [z])], owner.__name__
+            patch.setattr(owner, kernel, lambda self, *args, original=original:
+                          seen.append([a.copy() for a in args[:-1]]) or original(self, *args))
+            scalar(at, 1e-9)
+        want = [[z]] if at is z else [[arc.center_angle], [arc.half_width]]
+        assert [[(a.shape, a.tolist()) for a in call] for call in seen] == \
+            [[((1,), w) for w in want]], (owner.__name__, kernel)
 
 
 ROOT = SRC.parent.parent

@@ -21,7 +21,7 @@ from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
                            load_zeros_csv, separation_constants)
 from onecomp.measures import AtomicMeasure, CantorMeasure
 
-from conftest import reference_modulus_bounds
+from conftest import reference_fine_tol, reference_modulus_bounds
 
 
 class TestLogModulus:
@@ -915,6 +915,67 @@ class TestModulusBoundsArray:
         monkeypatch.setattr(b, "_modulus_bounds_many", kernel)
         with pytest.raises(PrecisionExhausted, match="^kernel$"):
             b.modulus_bounds(np.array([0.25, -0.5j]), 1e-9)
+
+
+class LadderStub:
+    """A measure that records each poisson_bounds_many call (its points and
+    tol) and answers the first with the given coarse brackets and every
+    later one with (1, 1 + tol) at each point.  Not a SingularMeasure
+    subclass, which would have to give every query of a scan."""
+
+    def __init__(self, plo, phi):
+        self.coarse, self.calls = (np.array(plo), np.array(phi)), []
+
+    def poisson_bounds_many(self, points, tol):
+        self.calls.append((points.copy(), tol))
+        if len(self.calls) == 1:
+            return self.coarse
+        return np.ones(len(points)), 1.0 + np.broadcast_to(tol, points.shape)
+
+
+class TestFinePass:
+    """SingularInner's coarse -> fine ladder: one coarse poisson_bounds_many
+    call at tol 0.25, then one fine call on the points whose coarse |S|
+    bracket is wider than tol, each at reference_fine_tol of its coarse
+    lower end."""
+
+    # coarse (P_lo, P_hi): narrow; wide; pinned near 0; a NaN end each way;
+    # a NaN upper end past the clamp at 60; an infinite upper end
+    PLO = [0.0, 0.0, 100.0, math.nan, 1.0, 70.0, 0.5]
+    PHI = [1e-6, 1.0, 101.0, 1.0, math.nan, math.nan, math.inf]
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-20])
+    def test_two_calls_coarse_then_fine(self, tol):
+        points = 0.1 * np.arange(1, 8) * 1j
+        sigma = LadderStub(self.PLO, self.PHI)
+        lower, upper = SingularInner(sigma).modulus_bounds(points, tol)
+        fine = [1, 3, 4, 5, 6] if tol == 1e-3 else [0, 1, 3, 4, 5, 6]
+        (coarse_points, coarse_tol), (fine_points, tols) = sigma.calls     # two calls
+        assert coarse_points.tolist() == points.tolist() and coarse_tol == 0.25
+        assert fine_points.tolist() == points[fine].tolist()
+        expected = [reference_fine_tol(self.PLO[i], tol) for i in fine]
+        assert tols.tolist() == expected
+        if tol == 1e-3:     # the NaN P_lo row, the clamp and the cap
+            assert expected[1] == 1e-14 and expected[3] == 0.25
+        else:               # the floor
+            assert expected[0] == 1e-14
+        coarse = [i for i in range(7) if i not in fine]
+        assert lower[coarse].tolist() == [math.exp(-self.PHI[i]) for i in coarse]
+        assert upper[coarse].tolist() == [math.exp(-self.PLO[i]) for i in coarse]
+        assert lower[fine].tolist() == [math.exp(-(1.0 + t)) for t in expected]
+        assert upper[fine].tolist() == [math.exp(-1.0)] * len(fine)
+
+    def test_no_fine_call_where_every_bracket_is_narrow(self):
+        sigma = LadderStub([0.0, 100.0], [1e-6, 101.0])
+        SingularInner(sigma).modulus_bounds(np.array([0.5, -0.5]), 1e-3)
+        assert [(len(p), t) for p, t in sigma.calls] == [(2, 0.25)]
+
+    def test_a_scalar_takes_the_same_ladder(self):
+        sigma = LadderStub([0.0], [1.0])
+        bounds = SingularInner(sigma).modulus_bounds(0.5j, 1e-3)
+        assert [(p.tolist(), np.asarray(t).tolist()) for p, t in sigma.calls] == \
+            [([0.5j], 0.25), ([0.5j], [reference_fine_tol(0.0, 1e-3)])]
+        assert bounds == (math.exp(-(1.0 + 5e-4)), math.exp(-1.0))
 
 
 class TestDiagnostics:

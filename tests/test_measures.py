@@ -310,6 +310,45 @@ class TestPoissonBoundsMany:
         assert batched_modulus(SingularInner(make()), points, 1e-6) == expected
         assert batched_poisson(make(), points, 1e-6) is None
 
+    @pytest.mark.parametrize("name", ["atoms_with_tail", "cantor"])
+    def test_a_tol_per_point_is_each_points_scalar_call(self, name):
+        # one tol per point, the fine pass's call shape: each point gets
+        # the scalar bracket, and the reference's, at its own tol
+        if name == "cantor":
+            make = cantor
+            points = np.array([0.5 + 0.3j, 0.9 * cmath.exp(2j), -0.7j, 0.0])
+            tols = np.array([1e-4, 0.25, 1e-2, 1e-6])
+        else:
+            make = lambda: AtomicMeasure([(0.0, 1.0), (0.5, 0.25)], tail_mass=1e-13)  # noqa: E731
+            points = depth_points(10, per_depth=8)
+            tols = np.resize([0.25, 1e-3, 1e-6, 1e-9], len(points))
+        pairs = list(zip(points.tolist(), tols.tolist()))
+        got = [a.tobytes() for a in make().poisson_bounds_many(points, tols)]
+        for bounds in (make().poisson_bounds, lambda z, t: reference_poisson_bounds(make(), z, t)):
+            lo, hi = np.array([bounds(z, t) for z, t in pairs]).reshape(-1, 2).T
+            assert got == [lo.tobytes(), hi.tobytes()]
+        if name != "cantor":    # a float tol is that tol at every point
+            got, same = (make().poisson_bounds_many(points, t)
+                         for t in (1e-9, np.full(len(points), 1e-9)))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in same]
+
+    def test_a_tol_per_point_fails_at_the_first_point_over_its_own_tol(self):
+        # the tail 1e-9 meets the deep first point's tol 0.25, not the
+        # second point's tol 1e-12 (nor the fourth's); a float tol 1e-12
+        # would fail at the first point
+        sigma = AtomicMeasure([(0.0, 1.0)], tail_mass=1e-9)
+        points = np.array([(1.0 - 1e-6) * 1j, 0.5j, 0.5, (1.0 - 1e-7) * 1j])
+        tols = np.array([0.25, 1e-12, 1e-6, 1e-3])
+        errors = []
+        for call in (lambda: sigma.poisson_bounds_many(points, tols),
+                     lambda: [reference_poisson_bounds(sigma, z, t)
+                              for z, t in zip(points.tolist(), tols.tolist())]):
+            with pytest.raises(PrecisionExhausted) as err:
+                call()
+            errors.append((str(err.value), err.value.bracket))
+        assert errors[0] == errors[1]
+        assert errors[0][0].endswith("cannot meet tol 1e-12 at 1 - |z| = 0.5")
+
     def test_one_row_blocks_give_the_same_bits(self, monkeypatch):
         import onecomp.measures as measures
         monkeypatch.setattr(measures, "BLOCK_ELEMENTS", 7)
