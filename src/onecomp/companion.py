@@ -11,7 +11,9 @@ their shared endpoint angle.  Zeros are then marched
 along Gamma at pseudohyperbolic steps of 1/10, starting from the curve
 point of smallest modulus (ties to the smallest angle) and walking both
 ways, so every interior zero has exactly two neighbors at pseudohyperbolic
-distance 1/10 and the chain endpoints have one.
+distance 1/10 and the chain endpoints have one.  The march evaluates rho
+only where a fence cannot decide a step's test, and places the zeros that
+evaluating every point places, bit for bit.
 
 Verification of the result is numeric evidence on the placed prefix:
 separation and Carleson box constants, criterion scans of B and of
@@ -51,6 +53,7 @@ SECTOR_TOL = 1e-3          # relative tolerance of a quadrature's sector bound
 STEP = 0.1                 # pseudohyperbolic distance between marched zeros
 JOIN_TOL = 1e-9            # arcs whose endpoint angles differ less are joined
 RHO_TOL = 1e-8             # march bisection stops this close to the step
+RHO_ERR = 128 * 2.0 ** -53  # over 1 - |o|: error of a float rho from o (_march_next)
 
 
 @dataclass
@@ -276,18 +279,83 @@ class Placement:
     exhausted: bool                      # every component fully marched
 
 
+def _fenced_rho(comp: GammaComponent, t: float, origin: complex, direction: int):
+    """y -> rho(comp.point(y), origin) for y at or past t in the direction,
+    origin = comp.point(t); where a fence decides it (see _march_next), a
+    stand-in that decides the march's tests alike: 0.0 for rho < STEP -
+    RHO_TOL, 1.0 for rho > STEP + RHO_TOL."""
+    def exact(y: float) -> float:
+        return pseudo_distance(comp.point(y), origin)
+
+    i = bisect.bisect_right(comp.offsets, t, 0, len(comp.pieces)) - 1
+    piece, lo, hi = comp.pieces[i], comp.offsets[i], comp.offsets[i + 1]
+    rho_o = abs(origin)
+    err = RHO_ERR / (1.0 - rho_o)
+    if not (t < hi and 4.0 * err < STEP and (piece.kind == "radial" or piece.extent < 3.0)):
+        return exact
+    limits = []
+    for sign in (-1.0, 1.0):
+        s = STEP + sign * (RHO_TOL + 4.0 * err)
+        w = s * (1.0 - rho_o) * (1.0 + rho_o)
+        if piece.kind == "arc":
+            sine = 0.5 * w / (rho_o * math.sqrt(1.0 - s * s))
+            run = 2.0 * piece.radius * math.asin(min(1.0, sine))
+        else:
+            run = w / (1.0 + math.copysign(s * rho_o, direction * piece.extent))
+        y = t + direction * run
+        held = lo <= y < hi and sign * (exact(y) - STEP) > RHO_TOL + 2.0 * err
+        limits.append(direction * y if held else sign * math.inf)
+    inner, outer = limits
+
+    def rho(y: float) -> float:
+        if direction * y <= inner:
+            return 0.0
+        if direction * y >= outer and lo <= y < hi:
+            return 1.0
+        return exact(y)
+    return rho
+
+
 def _march_next(comp: GammaComponent, t: float, origin: complex,
                 direction: int) -> Optional[float]:
-    """First parameter beyond t (in the given direction) at rho == STEP."""
+    """First parameter beyond t (in the given direction) at rho == STEP,
+    for origin = comp.point(t): h-steps of 0.05 (1 - |origin|) pass STEP,
+    and bisection narrows to |rho - STEP| <= RHO_TOL.
+
+    rho is evaluated only where no fence decides a test, so the zeros are
+    those of evaluating every point, bit for bit.  Lemma: {z : rho(z, o) <
+    s} is a Euclidean disc centred on the ray through o.  On the circle
+    |z| = r, rho(r e^{i theta}, o)^2 = (A - 2c) / (B - 2c) with c = r |o|
+    cos(theta - arg o), A = r^2 + |o|^2 and B = 1 + r^2 |o|^2 > A, so rho
+    increases in |theta - arg o| on [0, pi].  So along a radial piece, and
+    along an arc piece over less than pi, the exact rho G at a point is at
+    most the larger of G at two points on either side of it.  The float rho
+    at CurvePiece.point, whose radius or angle is monotone in the parameter,
+    is G within E = RHO_ERR / (1 - |o|): the point's rounding, under 3 ulp,
+    times |d rho / dz| <= 2 / (1 - |o|), plus pseudo_distance's own, under
+    10 ulp / |1 - conj(o) z|.
+
+    Fences: on t's piece, radial or an arc under 3 radians (a Whitney arc is
+    a quarter circle at most), two points beyond t lie at rho = s = STEP -+
+    (RHO_TOL + 4E) by closed forms at r = |o|: the angle 2 asin(s (1 - r^2)
+    / (2 r sqrt(1 - s^2))) on an arc, the run s (1 - r^2) / (1 +- s r)
+    outward or inward on a ray.  A fence holds if it lies on the piece and
+    its evaluated rho clears STEP -+ (RHO_TOL + 2E).  G at t is at most E,
+    so every point from t to the inner fence then has rho < STEP - RHO_TOL,
+    and every point of the piece at or past the outer fence rho > STEP +
+    RHO_TOL.  All else is evaluated: points past the piece, fences that do
+    not hold, and every point where 4E reaches STEP.
+    """
     end = comp.length if direction > 0 else 0.0
     h = max(1e-15, 0.05 * (1.0 - abs(origin)))
+    rho_at = _fenced_rho(comp, t, origin, direction)
     t1 = t
     while True:
         t2 = t1 + direction * h
         past_end = (t2 >= end) if direction > 0 else (t2 <= end)
         if past_end:
             t2 = end
-        rho2 = pseudo_distance(comp.point(t2), origin)
+        rho2 = rho_at(t2)
         if rho2 >= STEP:
             break
         if past_end:
@@ -296,7 +364,7 @@ def _march_next(comp: GammaComponent, t: float, origin: complex,
     lo, hi = (t1, t2) if direction > 0 else (t2, t1)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        rho = pseudo_distance(comp.point(mid), origin)
+        rho = rho_at(mid)
         if abs(rho - STEP) <= RHO_TOL:
             return mid
         if (rho < STEP) == (direction > 0):

@@ -12,6 +12,10 @@ reference_modulus_bounds brackets |B| from one vector log sum and |S|
 from those Poisson brackets, the fine one at reference_fine_tol.  Each
 gives the kernel's bits, message and bracket at one point, by code that is
 not the kernel's.
+
+reference_march_next is the march step as it was before fences: it
+evaluates rho at every h-step and every bisection midpoint, so
+place_zeros run with it gives the placement the fenced march must match.
 """
 
 import cmath
@@ -19,7 +23,9 @@ import math
 
 import numpy as np
 
+from onecomp.companion import RHO_TOL, STEP
 from onecomp.errors import DomainError, PrecisionExhausted, TailBoundInsufficient
+from onecomp.geometry import pseudo_distance
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner
 from onecomp.measures import AtomicMeasure
 
@@ -108,6 +114,35 @@ def reference_modulus_bounds(f, z, tol: float) -> tuple:
         raise TailBoundInsufficient("certified tail %g exceeds budget %g at 1 - |z| = %g"
                                     % (bound, budget, depth))
     return (math.exp(s - bound), upper)
+
+
+def reference_march_next(comp, t: float, origin: complex, direction: int):
+    """First parameter beyond t (in the given direction) at rho == STEP."""
+    end = comp.length if direction > 0 else 0.0
+    h = max(1e-15, 0.05 * (1.0 - abs(origin)))
+    t1 = t
+    while True:
+        t2 = t1 + direction * h
+        past_end = (t2 >= end) if direction > 0 else (t2 <= end)
+        if past_end:
+            t2 = end
+        rho2 = pseudo_distance(comp.point(t2), origin)
+        if rho2 >= STEP:
+            break
+        if past_end:
+            return None
+        t1 = t2
+    lo, hi = (t1, t2) if direction > 0 else (t2, t1)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        rho = pseudo_distance(comp.point(mid), origin)
+        if abs(rho - STEP) <= RHO_TOL:
+            return mid
+        if (rho < STEP) == (direction > 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def brute_force_components(modulus_fn, eps, n=2048):

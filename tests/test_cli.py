@@ -823,16 +823,22 @@ class TestInputValidation:
 class TestConstructNorthStar:
     """What construct --horizon 2000 --depth 14 gives on each seeded family
     but cantor (which verifies, in about 10 s), as README lists it: a change
-    that flips one of these shows here."""
+    that flips one of these, or moves a placed zero, shows here.  The last
+    entry is the zero CSV's sha256, recorded with the march that evaluated
+    rho at every step and bisection point."""
 
     EXPECTED = {
-        "atom1": (0, True, "OneComponentEvidence"),
-        "atoms2": (0, True, "OneComponentEvidence"),
+        "atom1": (0, True, "OneComponentEvidence",
+                  "98a06e64dce7623fdab8badf0e1f28817aecd035a96c74adb38afe1b0b895bcd"),
+        "atoms2": (0, True, "OneComponentEvidence",
+                   "bbc801d95d882cb988d7118d218464b3638ee279eefcd48bee35110dbfc04ced"),
         # Theta is not one-component, and the B Theta scan says so at 2000
-        "example1": (0, False, "NotOneComponentEvidence"),
-        "radial_sparse": (0, False, "NotOneComponentEvidence"),
+        "example1": (0, False, "NotOneComponentEvidence",
+                     "c557e4ca7a066935a2c7d07388f0bd8cc94ba75976c22dac2d97dfc86217b261"),
+        "radial_sparse": (0, False, "NotOneComponentEvidence",
+                          "0da0201505296dec5e9725f59462e0e70e46bf2a4c1cb7d8257d0f34efda7275"),
         # the declared zero tail stops the radius walk
-        "radial_geometric": (3, None, None),
+        "radial_geometric": (3, None, None, None),
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -840,11 +846,12 @@ class TestConstructNorthStar:
         code, out, err = run_cli(["construct", "--inner", str(seeds / (name + ".json")),
                                   "--horizon", "2000", "--depth", "14"], capsys)
         if code:
-            assert (code, None, None) == self.EXPECTED[name]
+            assert (code, None, None, None) == self.EXPECTED[name]
             assert out == "" and err.count("\n") == 1 and "zeros_tail_blaschke_sum" in err
             return
         doc = json.loads(out)
-        assert (code, doc["verified"], doc["report_btheta"]["verdict"]) == self.EXPECTED[name]
+        assert (code, doc["verified"], doc["report_btheta"]["verdict"],
+                hashlib.sha256(doc["zeros_csv"].encode()).hexdigest()) == self.EXPECTED[name]
         assert doc["report_b"]["verdict"] == "OneComponentEvidence"
         assert len(load_zeros_csv(doc["zeros_csv"])) == 2000
 

@@ -1,17 +1,24 @@
 import bisect
 import math
 import cmath
+import random
 import re
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onecomp import families
+import conftest
+from conftest import reference_march_next
+from onecomp import companion, families
 from onecomp.classify import ONE_COMPONENT, criterion_scan
-from onecomp.companion import (GRID_MAX_K, SECTOR_TOL, SpotCheck, _spot_check_b,
+from onecomp.companion import (GRID_MAX_K, RHO_ERR, SECTOR_TOL, STEP, CurvePiece,
+                               GammaComponent, GammaCurve, SpotCheck, _spot_check_b,
                                build_gamma, choose_radii, construct_companion, place_zeros)
 from onecomp.errors import (DomainError, OnecompError, RadiusSearchExhausted,
                             TailBoundInsufficient)
@@ -516,6 +523,149 @@ class TestPlaceZeros:
             near = sorted(pseudo_distance(zs[i], zs[j])
                           for j in range(len(zs)) if j != i)[:2]
             assert all(abs(d - 0.1) < 1e-6 for d in near)
+
+
+def gamma_of(theta, depth: int) -> GammaCurve:
+    arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -depth))
+    return build_gamma(choose_radii(theta, arcs))
+
+
+def placed_by(march, gamma: GammaCurve, horizon: int):
+    """place_zeros with the given march step, and the number of rho
+    evaluations made, the march's and place_zeros' own."""
+    calls = [0]
+
+    def counted(z, w):
+        calls[0] += 1
+        return pseudo_distance(z, w)
+
+    with mock.patch.object(companion, "_march_next", march), \
+            mock.patch.object(companion, "pseudo_distance", counted), \
+            mock.patch.object(conftest, "pseudo_distance", counted):
+        placement = place_zeros(gamma, horizon)
+    return placement, calls[0]
+
+
+MARCH = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+# atom angles anywhere, and next to either side of the 0 = 2 pi cut
+ANGLES = st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, 1e-9),
+                   st.floats(TWO_PI - 1e-9, TWO_PI, exclude_max=True))
+
+
+class TestFencedMarch:
+    """The march evaluates rho only where no fence decides a test, so it
+    places what reference_march_next, which evaluates every point, places:
+    the same Placement, bit for bit, with far fewer evaluations."""
+
+    @staticmethod
+    def same(gamma: GammaCurve, horizon: int):
+        fenced, n_fenced = placed_by(companion._march_next, gamma, horizon)
+        reference, n_reference = placed_by(reference_march_next, gamma, horizon)
+        assert fenced == reference
+        return fenced, n_fenced, n_reference
+
+    @MARCH
+    @given(st.lists(st.tuples(ANGLES, st.floats(0.05, 2.0)), min_size=1, max_size=4,
+                    unique_by=lambda atom: atom[0]))
+    def test_random_atoms(self, atoms):
+        theta = InnerFunction(singular=SingularInner(AtomicMeasure(atoms)))
+        self.same(gamma_of(theta, 8), 300)
+
+    @MARCH
+    @given(st.lists(st.complex_numbers(max_magnitude=0.9), min_size=1, max_size=5))
+    def test_random_zero_sets(self, zeros):
+        self.same(gamma_of(families.finite_blaschke(zeros), 6), 300)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_atom1_turned_by_bench_seeds(self, seed):
+        # bench/inputs.py turns atom1 by 2 pi random.Random(seed).random();
+        # the open chain is marched both ways from its deepest zero
+        theta = InnerFunction(singular=SingularInner(
+            AtomicMeasure([(TWO_PI * random.Random(seed).random(), 1.0)])))
+        placement, _, _ = self.same(gamma_of(theta, 10), 500)
+        moduli = [abs(z) for z in placement.zeros]
+        assert 0 < moduli.index(min(moduli)) < len(moduli) - 1
+
+    @pytest.mark.parametrize("zeros", [[0.5], [0.5, 0.5j], [0.5, 0.5j, -0.5]])
+    def test_closed_chains(self, zeros):
+        gamma = gamma_of(families.finite_blaschke(zeros), 6)
+        assert [c.closed for c in gamma.components] == [True]
+        placement, _, _ = self.same(gamma, 500)
+        assert placement.exhausted
+
+    def test_atom1_evaluates_rho_at_most_6_times_per_zero(self):
+        # every point evaluated costs 25.5 per zero, and place_zeros adds 1
+        placement, n_fenced, n_reference = self.same(gamma_of(families.single_atom(), 10), 500)
+        assert n_fenced <= 6 * len(placement.zeros) and n_reference > 25 * len(placement.zeros)
+
+    def test_radial_pieces_outward_and_inward(self):
+        # out along a ray and back in along it: a closed component marches
+        # forward only, so its steps go both ways along a radial piece
+        gamma = GammaCurve([GammaComponent([CurvePiece("radial", 0.5, 1.0, 0.49),
+                                            CurvePiece("radial", 0.99, 1.0, -0.49)],
+                                           closed=True)])
+        placement, n_fenced, n_reference = self.same(gamma, 500)
+        assert placement.exhausted and n_fenced < n_reference / 4
+
+    def test_a_fence_decides_nothing_past_its_piece(self):
+        # the first arc ends just past the outer fence of the march from
+        # its start, at arclength 0.0191, and the second starts over at
+        # angle 0.002: the h-step that lands on it finds rho < STEP, so the
+        # march goes on along the second arc, which a fence held past the
+        # end of its piece would stop
+        r = 0.9
+        gamma = GammaCurve([GammaComponent([CurvePiece("arc", r, 0.0, 0.0195 / r),
+                                            CurvePiece("arc", r, 0.002, 0.05)])])
+        self.same(gamma, 2)
+
+    def test_every_point_evaluated_where_no_fence_can_hold(self):
+        # at 1 - |o| = 2^-44, 4 E = 4 RHO_ERR / (1 - |o|) is past STEP
+        gamma = GammaCurve([GammaComponent([CurvePiece("arc", 1.0 - 2.0 ** -44, 0.0, 1e-11)])])
+        placement, n_fenced, n_reference = self.same(gamma, 40)
+        assert len(placement.zeros) == 40 and n_fenced == n_reference
+
+
+def mp_rho(z, o) -> mpmath.mpf:
+    return abs(z - o) / abs(1 - mpmath.conj(z) * o)
+
+
+class TestFenceErrorOracle:
+    """The float rho at a piece's point of float coordinate q is the exact
+    rho at the exact point of q within E = RHO_ERR / (1 - |o|), checked at
+    50 digits on arcs and rays at 1 - 2^-k, o on the piece and off it, at
+    points with rho near STEP."""
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_float_rho_within_e(self, k):
+        rng = random.Random(k)
+        delta, near = 2.0 ** -k, []
+        with mpmath.workdps(50):
+            for _ in range(4):
+                beta = rng.uniform(0.0, TWO_PI)
+                arc = CurvePiece("arc", 1.0 - delta, beta, 1.0)
+                ray = rng.choice([CurvePiece("radial", 1.0 - 3.0 * delta, beta, 1.5 * delta),
+                                  CurvePiece("radial", 1.0 - 1.5 * delta, beta, -1.5 * delta)])
+                for piece in (arc, ray):
+                    t = piece.length * rng.uniform(0.3, 0.7)
+                    on = piece.point(t)
+                    off = ((1.0 - (1.0 - abs(on)) * rng.uniform(0.85, 1.15)) * on / abs(on)
+                           * cmath.exp(1j * delta * rng.uniform(-0.05, 0.05)))
+                    for o in (on, off):
+                        for _ in range(6):
+                            # rho is near STEP about 0.2 (1 - |o|) away
+                            s = t + (rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.25)
+                                     * (1.0 - abs(o)))
+                            # the exact point of the float radius or angle
+                            if piece.kind == "arc":
+                                z = piece.radius * mpmath.expj(piece.angle + s / piece.radius)
+                            else:
+                                u = piece.radius + math.copysign(s, piece.extent)
+                                z = u * mpmath.expj(beta)
+                            exact = mp_rho(z, mpmath.mpc(o.real, o.imag))
+                            if 0.05 < exact < 0.2:
+                                near.append(abs(pseudo_distance(piece.point(s), o) - exact)
+                                            * (1.0 - abs(o)) / RHO_ERR)
+        assert len(near) >= 60 and max(near) <= 1.0
 
 
 class TestConstructCompanion:

@@ -116,7 +116,8 @@ def test_every_singular_kind_defines_the_queries_of_a_scan():
     # SingularMeasure gives no lower_mass_arcs, mass_of_arc_bounds_many or
     # sector_bounds and only NotImplementedError for the others, so a kind
     # that SingularInner accepts without them fails mid-scan or mid-construct:
-    # a traceback, exit 1
+    # a traceback, exit 1.  Only the package's kinds count: a stub subclass
+    # that a test defines is not one SingularInner is meant to accept
     from onecomp.errors import DomainError
     from onecomp.inner import SingularInner
     from onecomp.measures import SingularMeasure
@@ -125,7 +126,7 @@ def test_every_singular_kind_defines_the_queries_of_a_scan():
     while kinds:
         kind = kinds.pop()
         kinds += kind.__subclasses__()
-        if kind is SingularMeasure:
+        if kind is SingularMeasure or not kind.__module__.startswith("onecomp."):
             continue
         try:
             SingularInner(kind.__new__(kind))
