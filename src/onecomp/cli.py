@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -189,7 +190,11 @@ def cmd_seed_examples(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the process: each
+    parse_args call fills a fresh namespace from the options' defaults, so
+    no value carries over from one main() call to the next."""
     parser = argparse.ArgumentParser(
         prog="onecomp",
         description="construct, evaluate, and classify inner functions on "

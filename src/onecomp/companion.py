@@ -317,10 +317,12 @@ def _fenced_rho(comp: GammaComponent, t: float, origin: complex, direction: int)
 
 
 def _march_next(comp: GammaComponent, t: float, origin: complex,
-                direction: int) -> Optional[float]:
+                direction: int) -> Optional[tuple[float, float]]:
     """First parameter beyond t (in the given direction) at rho == STEP,
-    for origin = comp.point(t): h-steps of 0.05 (1 - |origin|) pass STEP,
-    and bisection narrows to |rho - STEP| <= RHO_TOL.
+    for origin = comp.point(t), with the rho from origin of its point:
+    h-steps of 0.05 (1 - |origin|) pass STEP, and bisection narrows to
+    |rho - STEP| <= RHO_TOL.  That rho is the one the bisection's exit test
+    read; after 200 halvings with no exit it is evaluated at the midpoint.
 
     rho is evaluated only where no fence decides a test, so the zeros are
     those of evaluating every point, bit for bit.  Lemma: {z : rho(z, o) <
@@ -366,12 +368,13 @@ def _march_next(comp: GammaComponent, t: float, origin: complex,
         mid = 0.5 * (lo + hi)
         rho = rho_at(mid)
         if abs(rho - STEP) <= RHO_TOL:
-            return mid
+            return mid, rho
         if (rho < STEP) == (direction > 0):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid, pseudo_distance(comp.point(mid), origin)
 
 
 def place_zeros(gamma: GammaCurve, horizon: int = 2000) -> Placement:
@@ -398,24 +401,28 @@ def place_zeros(gamma: GammaCurve, horizon: int = 2000) -> Placement:
             break
         t0 = comp.min_modulus_param()
         z0 = comp.point(t0)
-        # per direction: parameter, last zero, zeros placed, alive
+        # per direction: parameter, last zero, zeros placed and the rho
+        # from the zero before each, alive
         t, last = {1: t0, -1: t0}, {1: z0, -1: z0}
         placed: dict[int, list[complex]] = {1: [], -1: []}
+        steps: dict[int, list[float]] = {1: [], -1: []}
         alive = {1: True, -1: not comp.closed}
         while 1 + len(placed[1]) + len(placed[-1]) < remaining \
                 and (alive[1] or alive[-1]):
             d = 1 if alive[1] and (not alive[-1] or abs(last[1]) <= abs(last[-1])) else -1
             nxt = _march_next(comp, t[d], last[d], d)
-            cand = None if nxt is None else comp.point(nxt)
+            cand = None if nxt is None else comp.point(nxt[0])
             if cand is None or (comp.closed and len(placed[d]) > 1
                                 and pseudo_distance(cand, z0) < STEP - RHO_TOL):
                 alive[d] = False
                 continue
-            t[d], last[d] = nxt, cand
+            t[d], last[d] = nxt[0], cand
             placed[d].append(cand)
+            steps[d].append(nxt[1])
         chain = placed[-1][::-1] + [z0] + placed[1]
         zeros.extend(chain)
-        rhos.extend(pseudo_distance(a, b) for a, b in zip(chain, chain[1:]))
+        # rho is symmetric to the bit, so each is the chain pair's in order
+        rhos.extend(steps[-1][::-1] + steps[1])
         remaining -= len(chain)
         if alive[1] or alive[-1]:
             exhausted = False

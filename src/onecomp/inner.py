@@ -26,7 +26,7 @@ import cmath
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +107,24 @@ def _tail_neg_log_bound(tail: float, depths: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = 4.0 * tail * (2.0 - depths) / depths
         return np.where(u >= 0.5, math.inf, u / (1.0 - u))
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integers start[k], ..., start[k] + count[k] - 1 of every k, in
+    order, as one array."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _row_blocks(count: np.ndarray) -> Iterator[slice]:
+    """Slices of consecutive rows whose counts add up to BLOCK_ELEMENTS at
+    most, or of one row where its count alone passes it."""
+    ends = np.cumsum(count)
+    s = 0
+    while s < len(count):
+        before = ends[s - 1] if s else 0
+        e = max(s + 1, int(np.searchsorted(ends, before + BLOCK_ELEMENTS, "right")))
+        yield slice(s, e)
+        s = e
 
 
 def _bounds(f, z, tol: float) -> Interval:
@@ -324,12 +342,13 @@ class SingularInner:
 class MuMeasure:
     """Zero masses (1-|z_n|) delta_{z_n} plus the boundary singular part.
 
-    Zero radii, angles in [0, 2 pi) and weights are stored as arrays once.
-    A square query masks the zeros within the square's angular half-window
-    of its center and at or above its base modulus, and sums their weights
-    exactly with math.fsum.  A square smaller than the declared zero tail,
-    which may hide unlisted zeros of that depth, raises instead of
-    silently undercounting.
+    Zero radii, angles in [0, 2 pi) and weights are stored as arrays once,
+    with the angles' sorted order.  A square query takes the zeros within
+    the square's angular half-window of its center and at or above its base
+    modulus, looked for in its angle window only (_squares_bounds), and
+    sums their weights exactly with math.fsum.  A square smaller than the
+    declared zero tail, which may hide unlisted zeros of that depth, raises
+    instead of silently undercounting.
     Many squares, such as every level of a scan, are answered by one
     batched call; a single square is a one-row batch.  The boundary part's
     masses are bracketed to MASS_TOL.
@@ -344,6 +363,10 @@ class MuMeasure:
         self._radii = np.abs(zs)
         self._angles = np.mod(np.angle(zs), TWO_PI)
         self._weights = np.array([wt for _, wt in self.zero_atoms], dtype=np.float64)
+        # the angles in increasing order, then once more 2 pi up
+        self._order = np.argsort(self._angles, kind="stable")
+        ring = self._angles[self._order]
+        self._ring = np.concatenate([ring, ring + TWO_PI])
 
     def of_square_bounds(self, square: SquareArrays) -> tuple[float, float]:
         """mu(Q) bracket of a one-row square, such as carleson_square(z)."""
@@ -394,32 +417,47 @@ class MuMeasure:
         first = np.floor((lo - 0.25 * w) / w).astype(np.int64)
         count = np.minimum(np.floor((hi + 0.25 * w) / w).astype(np.int64) - first + 1,
                            boxes)
-        # the box ranges [first, first + count) as one index array
-        k = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        k = np.unique(k % boxes)
+        k = np.unique(_ranges(first, count) % boxes)
         return np.stack([2 * k, 2 * k + 1], axis=1).ravel()
 
     def _squares_bounds(self, sq: SquareArrays) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) mu(Q) of every row of sq.
+
+        The zeros tested against a square are those of its angle window
+        [c - h - s, c + h + s] on the ring of sorted angles, two searchsorted
+        calls per square: c its center, h its half-window and s = 2^-30
+        (4 + |c|), a million times more than the rounding of the gap
+        expression below and of the window's ends, both under 2^-48 (4 +
+        |c|).  A window over more than a quarter turn each way, such as
+        Q(0)'s, is the whole circle.  Each candidate takes the float test of
+        the all-zeros mask, gap <= h and then radius >= base modulus, and a
+        square's zero mass is math.fsum of its selected weights, which is
+        exact and so does not depend on their order.
+        """
         short = np.flatnonzero(~sq.whole_disc & (sq.side < self.horizon))
         if short.size:
             raise TailBoundInsufficient(
                 "zeros_tail_blaschke_sum %g exceeds the square side %g"
                 % (self.horizon, sq.side[short[0]]))
         total = np.zeros(len(sq.side))
-        # a zero below every square's base modulus is in none of them
-        keep = self._radii >= sq.base_modulus.min(initial=math.inf)
-        if keep.any():
-            radii, angles = self._radii[keep], self._angles[keep]
-            weights = self._weights[keep]
-            step = max(1, BLOCK_ELEMENTS // radii.size)
-            for s in range(0, len(sq.side), step):
-                rows = slice(s, s + step)
-                gap = np.abs(np.mod(angles - sq.center_angle[rows, None] + math.pi,
+        n = self._radii.size
+        if n:
+            reach = sq.half_window + 2.0 ** -30 * (4.0 + np.abs(sq.center_angle))
+            start = np.mod(sq.center_angle - reach, TWO_PI)
+            whole = ~(reach < 0.5 * math.pi)
+            first = np.where(whole, 0, np.searchsorted(self._ring, start, "left"))
+            last = np.where(whole, n, np.searchsorted(self._ring, start + 2.0 * reach, "right"))
+            count = np.maximum(last - first, 0)
+            for rows in _row_blocks(count):
+                row = np.repeat(np.arange(rows.start, rows.stop), count[rows])
+                zero = self._order[_ranges(first[rows], count[rows]) % n]
+                gap = np.abs(np.mod(self._angles[zero] - sq.center_angle[row] + math.pi,
                                     TWO_PI) - math.pi)
-                inside = ((gap <= sq.half_window[rows, None])
-                          & (radii >= sq.base_modulus[rows, None]))
-                for i in np.flatnonzero(inside.any(axis=1)).tolist():
-                    total[s + i] = math.fsum(weights[inside[i]].tolist())
+                inside = (gap <= sq.half_window[row]) & (self._radii[zero] >= sq.base_modulus[row])
+                weights = self._weights[zero[inside]].tolist()
+                hit, at, size = np.unique(row[inside], return_index=True, return_counts=True)
+                for k, a, m in zip(hit.tolist(), at.tolist(), size.tolist()):
+                    total[k] = math.fsum(weights[a:a + m])
         # the unlisted zeros' weights sum to at most the declared tail
         if self.boundary is None:
             return (total, total + self.horizon)
@@ -561,19 +599,26 @@ def separation_constants(zeros: ZeroSequence) -> tuple[float, float]:
     for infinite families.  The box constant is the maximum over
     dyadic boxes Q_{n,k} (depths 2 up to the scale of the shallowest zero)
     of sum_{z_j in Q} (1 - |z_j|) / l(Q) with l(Q) the angular side.
+
+    The minimum rho is first taken over neighbours only (_near_separation).
+    Where that is not below 1/5, or no pair is near, a loop over every pair
+    in row blocks takes it; either way it is that loop's minimum, bit for
+    bit.
     """
     pts = np.array(zeros.zeros, dtype=np.complex128)
     if pts.size < 2:
         raise DomainError("separation needs at least two zeros")
-    delta = math.inf
-    chunk = max(1, BLOCK_ELEMENTS // pts.size)
-    for i in range(0, pts.size, chunk):
-        block = pts[i:i + chunk]
-        d = np.abs(block[:, None] - pts[None, :]) / \
-            np.abs(1.0 - np.conj(block)[:, None] * pts[None, :])
-        local = i + np.arange(block.size)
-        d[np.arange(block.size), local] = np.inf
-        delta = min(delta, float(d.min()))
+    delta = _near_separation(pts)
+    if not delta < 0.2:
+        delta = math.inf
+        chunk = max(1, BLOCK_ELEMENTS // pts.size)
+        for i in range(0, pts.size, chunk):
+            block = pts[i:i + chunk]
+            d = np.abs(block[:, None] - pts[None, :]) / \
+                np.abs(1.0 - np.conj(block)[:, None] * pts[None, :])
+            local = i + np.arange(block.size)
+            d[np.arange(block.size), local] = np.inf
+            delta = min(delta, float(d.min()))
 
     weights = 1.0 - np.abs(pts)
     min_gap = float(weights.min())
@@ -595,6 +640,76 @@ def separation_constants(zeros: ZeroSequence) -> tuple[float, float]:
         side = 2.0 * math.pi * 2.0 ** -n
         box_constant = max(box_constant, float(sums.max()) / side)
     return (delta, box_constant)
+
+
+def _near_separation(pts: np.ndarray) -> float:
+    """min rho(z, w) over the pairs of zeros that can have a float rho below
+    1/5, in both orders, by the all-pairs loop's float expression: inf if
+    there is no such pair, nan if a pair gives nan.
+
+    Lemma.  If rho = rho(z, w) < 1/5, then
+        |z - w|^2 = rho^2 / (1 - rho^2) (1 - |z|^2) (1 - |w|^2),
+    so the depths 1 - |z| and 1 - |w| are within a factor (1 + rho) / (1 -
+    rho) < 3/2 of each other, and |z - w| <= 0.5 max depth.  Put z in level
+    L, 2^-(L+1) < 1 - |z| <= 2^-L, and in the angle bin floor(2^(L+3) arg z
+    / 2 pi) of width pi 2^-(L+2) > 0.78 2^-L; levels 0 and 1 have one bin.
+    Then z and w lie in the same or adjacent levels, and in the shallower
+    one's grid, where max depth <= 2^-L and |z|, |w| >= 3/4 (L >= 2), their
+    angles differ by at most 2 asin(2^-L / 3) <= 0.668 2^-L: the same or
+    adjacent bins, across the cut at 2 pi too.
+
+    Rounding.  Where the larger depth is at least 2^-40, the float rho is
+    rho within a relative 2^-9: 1 - conj(z) w errs by under 2^-50 and is at
+    least 1 - |z| |w| >= max depth.  That keeps the factor under 2 and the
+    angle under 0.67 2^-L, as it does with the float depths and angles,
+    which err by under 2^-52 and 2^-48.  Levels from 40 on are one level,
+    binned as 40: there a float rho below 1/5 gives |z - w| < 0.51 2^-40,
+    from |1 - conj(z) w| <= 2 (1 - |z|) + |z - w|.  So every pair with a
+    float rho below 1/5 is a candidate, and a candidate minimum below 1/5 is
+    the minimum over all pairs.
+
+    Each zero has a home entry (its level, its bin) and a neighbour entry
+    (the level above, its bin there); each zero looks up its own bin and
+    the two next to it at its level.  A pair found at one level is taken
+    once (i < j), both orders evaluated.
+    """
+    mant, expo = np.frexp(1.0 - np.abs(pts))
+    level = np.clip(np.where(mant == 0.5, 1 - expo, -expo), 0, 40).astype(np.int64)
+    turns = np.mod(np.angle(pts), TWO_PI) / TWO_PI
+
+    def bins(grid, t):
+        n = np.where(grid >= 2, np.left_shift(1, grid + 3), 1)
+        return np.floor(t * n).astype(np.int64) % n, n
+
+    own = np.arange(pts.size)
+    home, n = bins(level, turns)
+    up = own[level >= 1]
+    above, _ = bins(level[up] - 1, turns[up])
+    owner = np.concatenate([own, up])
+    key = np.concatenate([(level << 44) | home, ((level[up] - 1) << 44) | above])
+    is_home = np.arange(owner.size) < pts.size
+    order = np.argsort(key, kind="stable")
+    key, owner, is_home = key[order], owner[order], is_home[order]
+
+    delta = math.inf
+    for step in (0, -1, 1):
+        ask = own if step == 0 else own[n > 1]
+        wanted = (level[ask] << 44) | ((home[ask] + step) % n[ask])
+        first = np.searchsorted(key, wanted, "left")
+        count = np.searchsorted(key, wanted, "right") - first
+        for rows in _row_blocks(count):
+            i = np.repeat(ask[rows], count[rows])
+            at = _ranges(first[rows], count[rows])
+            j = owner[at]
+            keep = ~is_home[at] | (i < j)
+            if keep.any():
+                z, w = pts[i[keep]], pts[j[keep]]
+                least = np.minimum((np.abs(z - w) / np.abs(1.0 - np.conj(z) * w)).min(),
+                                   (np.abs(w - z) / np.abs(1.0 - np.conj(w) * z)).min())
+                if least != least:
+                    return math.nan
+                delta = min(delta, float(least))
+    return delta
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ not the kernel's.
 reference_march_next is the march step as it was before fences: it
 evaluates rho at every h-step and every bisection midpoint, so
 place_zeros run with it gives the placement the fenced march must match.
+
+reference_separation_delta is the all-pairs minimum rho that
+separation_constants took before it looked at neighbours only: every
+pair in both orders, in row blocks of BLOCK_ELEMENTS entries.
 """
 
 import cmath
@@ -25,7 +29,7 @@ import numpy as np
 
 from onecomp.companion import RHO_TOL, STEP
 from onecomp.errors import DomainError, PrecisionExhausted, TailBoundInsufficient
-from onecomp.geometry import pseudo_distance
+from onecomp.geometry import BLOCK_ELEMENTS, pseudo_distance
 from onecomp.inner import BlaschkeProduct, InnerFunction, SingularInner
 from onecomp.measures import AtomicMeasure
 
@@ -117,7 +121,8 @@ def reference_modulus_bounds(f, z, tol: float) -> tuple:
 
 
 def reference_march_next(comp, t: float, origin: complex, direction: int):
-    """First parameter beyond t (in the given direction) at rho == STEP."""
+    """First parameter beyond t (in the given direction) at rho == STEP,
+    and the rho evaluated there."""
     end = comp.length if direction > 0 else 0.0
     h = max(1e-15, 0.05 * (1.0 - abs(origin)))
     t1 = t
@@ -137,12 +142,27 @@ def reference_march_next(comp, t: float, origin: complex, direction: int):
         mid = 0.5 * (lo + hi)
         rho = pseudo_distance(comp.point(mid), origin)
         if abs(rho - STEP) <= RHO_TOL:
-            return mid
+            return mid, rho
         if (rho < STEP) == (direction > 0):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid, pseudo_distance(comp.point(mid), origin)
+
+
+def reference_separation_delta(pts: np.ndarray) -> float:
+    """min rho(z_i, z_j) over every pair i != j of a complex array, the
+    rho matrix built in row blocks, as |z_i - z_j| / |1 - conj(z_i) z_j|."""
+    delta = math.inf
+    chunk = max(1, BLOCK_ELEMENTS // pts.size)
+    for i in range(0, pts.size, chunk):
+        block = pts[i:i + chunk]
+        d = np.abs(block[:, None] - pts[None, :]) / \
+            np.abs(1.0 - np.conj(block)[:, None] * pts[None, :])
+        d[np.arange(block.size), i + np.arange(block.size)] = np.inf
+        delta = min(delta, float(d.min()))
+    return delta
 
 
 def brute_force_components(modulus_fn, eps, n=2048):

@@ -714,6 +714,32 @@ class TestInputValidation:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and words in err
 
+    def test_one_parser_and_no_value_carried_between_calls(self, seeds, capsys, tmp_path,
+                                                           monkeypatch):
+        # the parser is built once per process; each call reads only its own
+        # options and the defaults
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda args, name, doc: emitted.append(args) or 0)
+        measure = tmp_path / "m.json"
+        measure.write_text(json.dumps({"kind": "atoms", "atoms": [{"theta": "0", "mass": "1"}]}))
+        atom1 = str(seeds / "atom1.json")
+        assert main(["eval", "--inner", atom1, "--at", "0.5,0.5", "--tol", "1e-6",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["measure", "--measure", str(measure), "--arc", "0,0.1"]) == 0
+        assert main(["eval", "--inner", atom1, "--at=-0.5,0"]) == 0
+        first, second, third = (vars(args) for args in emitted)
+        assert (first["at"], first["tol"], first["out"]) == ("0.5,0.5", "1e-6", str(tmp_path))
+        assert second["at"] is None and second["tol"] == "1e-9" and second["out"] is None
+        assert "inner" not in second and "measure" not in third
+        assert (third["at"], third["tol"], third["out"]) == ("-0.5,0", "1e-9", None)
+        assert cli.build_parser() is cli.build_parser()
+        # an argparse error after a call that answered: exit 2 in one line
+        code, out, err = run_cli(["classify", "--inner", atom1, "--bogus"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "unrecognized arguments: --bogus" in err
+        assert main(["measure", "--measure", str(measure), "--at", "0.5,0"]) == 0
+        assert vars(emitted[-1])["arc"] is None and vars(emitted[-1])["at"] == "0.5,0"
+
     def test_command_help_exits_zero(self, capsys):
         # help is argparse's exit, not an error: it still prints and exits 0
         with pytest.raises(SystemExit) as exc:

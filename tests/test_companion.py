@@ -531,19 +531,27 @@ def gamma_of(theta, depth: int) -> GammaCurve:
 
 
 def placed_by(march, gamma: GammaCurve, horizon: int):
-    """place_zeros with the given march step, and the number of rho
-    evaluations made, the march's and place_zeros' own."""
-    calls = [0]
+    """place_zeros with the given march step; the number of rho evaluations
+    made, the march's and place_zeros' own; and the march's steps, each as
+    (origin, zero, rho returned, evaluations the step made)."""
+    calls, steps = [0], []
 
     def counted(z, w):
         calls[0] += 1
         return pseudo_distance(z, w)
 
-    with mock.patch.object(companion, "_march_next", march), \
+    def step(comp, t, origin, direction):
+        before = calls[0]
+        out = march(comp, t, origin, direction)
+        if out is not None:
+            steps.append((origin, comp.point(out[0]), out[1], calls[0] - before))
+        return out
+
+    with mock.patch.object(companion, "_march_next", step), \
             mock.patch.object(companion, "pseudo_distance", counted), \
             mock.patch.object(conftest, "pseudo_distance", counted):
         placement = place_zeros(gamma, horizon)
-    return placement, calls[0]
+    return placement, calls[0], steps
 
 
 MARCH = settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -559,9 +567,13 @@ class TestFencedMarch:
 
     @staticmethod
     def same(gamma: GammaCurve, horizon: int):
-        fenced, n_fenced = placed_by(companion._march_next, gamma, horizon)
-        reference, n_reference = placed_by(reference_march_next, gamma, horizon)
+        fenced, n_fenced, steps = placed_by(companion._march_next, gamma, horizon)
+        reference, n_reference, _ = placed_by(reference_march_next, gamma, horizon)
         assert fenced == reference
+        # each step's rho is the one place_zeros evaluated for its chain
+        # pair before, (last zero, new zero) forward and the other way back
+        for origin, zero, rho, _ in steps:
+            assert rho == pseudo_distance(origin, zero) == pseudo_distance(zero, origin)
         return fenced, n_fenced, n_reference
 
     @MARCH
@@ -594,9 +606,33 @@ class TestFencedMarch:
         assert placement.exhausted
 
     def test_atom1_evaluates_rho_at_most_6_times_per_zero(self):
-        # every point evaluated costs 25.5 per zero, and place_zeros adds 1
+        # every point evaluated costs 24.5 per zero
         placement, n_fenced, n_reference = self.same(gamma_of(families.single_atom(), 10), 500)
-        assert n_fenced <= 6 * len(placement.zeros) and n_reference > 25 * len(placement.zeros)
+        assert n_fenced <= 6 * len(placement.zeros) and n_reference > 24 * len(placement.zeros)
+
+    def test_place_zeros_takes_each_chain_rho_from_the_march(self):
+        # an open chain: every evaluation is a march step's, one per zero
+        # fewer than when place_zeros evaluated each chain pair once more
+        gamma = gamma_of(families.single_atom(), 10)
+        assert [c.closed for c in gamma.components] == [False]
+        placement, calls, steps = placed_by(companion._march_next, gamma, 500)
+        assert calls == sum(n for *_, n in steps)
+        assert len(steps) == len(placement.zeros) - 1
+        assert sorted(placement.consecutive_rhos) == sorted(rho for _, _, rho, _ in steps)
+
+    def test_rho_after_200_halvings_is_evaluated_at_the_midpoint(self):
+        # with RHO_TOL = 0 no midpoint passes the exit test, so the march
+        # returns its last midpoint after 200 halvings
+        gamma = gamma_of(families.single_atom(), 8)
+        comp = gamma.components[0]
+        t = comp.min_modulus_param()
+        origin = comp.point(t)
+        with mock.patch.object(companion, "RHO_TOL", 0.0), \
+                mock.patch.object(conftest, "RHO_TOL", 0.0):
+            for direction in (1, -1):
+                mid, rho = companion._march_next(comp, t, origin, direction)
+                assert (mid, rho) == reference_march_next(comp, t, origin, direction)
+                assert rho == pseudo_distance(comp.point(mid), origin) != STEP
 
     def test_radial_pieces_outward_and_inward(self):
         # out along a ray and back in along it: a closed component marches

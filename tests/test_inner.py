@@ -5,9 +5,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecomp.classify import EVAL_TOL, criterion_scan
-from onecomp.companion import construct_companion
+from onecomp.companion import build_gamma, choose_radii, construct_companion, place_zeros
 from onecomp.errors import (DomainError, OnecompError, PrecisionExhausted,
                             TailBoundInsufficient)
 from onecomp.families import (cantor_inner, example1, finite_blaschke,
@@ -15,13 +17,14 @@ from onecomp.families import (cantor_inner, example1, finite_blaschke,
                               radial_sparse, single_atom, two_atoms)
 from onecomp.geometry import (TWO_PI, BoundaryArc, SquareArrays, angular_gap,
                               carleson_square, carleson_squares, level_points,
-                              pseudo_distance)
+                              pseudo_distance, whitney_arcs)
 from onecomp.inner import (BlaschkeProduct, InnerFunction, Interval, MuMeasure,
-                           SingularInner, ZeroSequence, dump_zeros_csv,
-                           load_zeros_csv, separation_constants)
+                           SingularInner, ZeroSequence, _near_separation,
+                           dump_zeros_csv, load_zeros_csv, separation_constants)
 from onecomp.measures import AtomicMeasure, CantorMeasure
 
-from conftest import reference_fine_tol, reference_modulus_bounds
+from conftest import (reference_fine_tol, reference_modulus_bounds,
+                      reference_separation_delta)
 
 
 class TestLogModulus:
@@ -1035,6 +1038,219 @@ class TestDiagnostics:
         finally:
             tracemalloc.stop()
         assert got == expected and peak < 2 ** 20
+
+
+NEIGHBOURS = settings(max_examples=80, derandomize=True, deadline=None, database=None)
+# zero angles anywhere, next to either side of the cut at 0 = 2 pi, and
+# -1e-17, whose np.mod(., 2 pi) rounds to 2 pi exactly
+ZERO_ANGLES = st.one_of(st.floats(0.0, TWO_PI), st.floats(-1e-9, 1e-9),
+                        st.floats(TWO_PI - 1e-9, TWO_PI), st.just(-1e-17))
+# depths 2^-k, from the origin to 2^-45
+DEPTH_EXPONENTS = st.one_of(st.floats(0.0, 45.0), st.integers(0, 45).map(float))
+
+
+def mobius(z: complex, u: complex) -> complex:
+    """The point w with (w - z) / (1 - conj(z) w) = u, so rho(z, w) = |u|."""
+    return (z + u) / (1.0 + z.conjugate() * u)
+
+
+@st.composite
+def clustered_zeros(draw, least: int, most: int) -> list:
+    """least to most zeros: seeds at depths 2^-k on ZERO_ANGLES, each with
+    up to two neighbours at rho 0.01 to 0.3, around the 1/5 of the lemma."""
+    zeros: list = []
+    while len(zeros) < least:
+        k, a = draw(DEPTH_EXPONENTS), draw(ZERO_ANGLES)
+        z = (1.0 - 2.0 ** -k) * cmath.exp(1j * a)
+        zeros.append(z)
+        for r, b in draw(st.lists(st.tuples(st.floats(0.01, 0.3), st.floats(0.0, TWO_PI)),
+                                  max_size=2)):
+            w = mobius(z, r * cmath.exp(1j * b))
+            if abs(w) < 1.0:
+                zeros.append(w)
+    return zeros[:most]
+
+
+@st.composite
+def mu_cases(draw):
+    """(MuMeasure, SquareArrays): clustered zeros, with or without an
+    atomic boundary part, and squares of every kind: Q(0), half-windows of
+    pi and more, centres next to the cut and far outside [-pi, pi], and
+    windows whose edge is a zero's float angle."""
+    zeros = draw(clustered_zeros(2, 30) | clustered_zeros(2, 2) | clustered_zeros(3, 3))
+    angles = np.mod(np.angle(np.array(zeros)), TWO_PI).tolist()
+    boundary = None
+    if draw(st.booleans()):
+        boundary = AtomicMeasure(draw(st.lists(st.tuples(ZERO_ANGLES.map(lambda a: a % TWO_PI),
+                                                         st.floats(0.01, 2.0)),
+                                               min_size=1, max_size=3,
+                                               unique_by=lambda atom: atom[0])))
+    horizon = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.05]))
+    rows = [(1.0, 0.0, math.pi, 0.0, True)]
+    # an arc of the boundary part has a half-width in (0, pi]
+    halves = st.one_of(st.floats(1e-12, 0.5), st.just(math.pi), st.floats(1.5, 1.6))
+    if boundary is None:
+        halves = halves | st.floats(0.0, 4.0)
+    for _ in range(draw(st.integers(1, 12))):
+        half = draw(halves)
+        kind = draw(st.sampled_from(["free", "edge", "far"]))
+        if kind == "edge":
+            center = draw(st.sampled_from(angles)) + draw(st.sampled_from([-half, half]))
+        elif kind == "far":
+            center = draw(st.floats(-100.0, 100.0))
+        else:
+            center = draw(ZERO_ANGLES | st.floats(-math.pi, math.pi))
+        base = draw(st.floats(0.0, 1.0, exclude_max=True))
+        side = draw(st.floats(0.0, 1.0))
+        rows.append((side, center, half, base, False))
+    rows = draw(st.permutations(rows))
+    square = SquareArrays(*(np.array(column) for column in zip(*rows)))
+    atoms = [(z, 1.0 - abs(z)) for z in zeros]
+    return MuMeasure(atoms, boundary, horizon), square
+
+
+def one_row(square: SquareArrays, i: int) -> SquareArrays:
+    return SquareArrays(*(column[i:i + 1] for column in square))
+
+
+def companion_zeros(theta: InnerFunction) -> np.ndarray:
+    """The 2000 zeros construct --horizon 2000 --depth 14 places."""
+    arcs = list(whitney_arcs(theta.singular_set(), min_length=TWO_PI * 2.0 ** -14))
+    return np.array(place_zeros(build_gamma(choose_radii(theta, arcs)), 2000).zeros)
+
+
+class TestNeighbourQueries:
+    """separation_constants' minimum rho from neighbours, and mu(Q)'s zero
+    masses from angle windows, against the all-pairs loop and the
+    per-square reference, bit for bit."""
+
+    @NEIGHBOURS
+    @given(clustered_zeros(2, 60))
+    def test_separation_matches_all_pairs(self, zeros):
+        pts = np.array(zeros)
+        assert separation_constants(ZeroSequence(zeros))[0] == reference_separation_delta(pts)
+
+    @NEIGHBOURS
+    @given(clustered_zeros(2, 2) | clustered_zeros(3, 3))
+    def test_separation_of_two_and_three_zeros(self, zeros):
+        pts = np.array(zeros)
+        assert separation_constants(ZeroSequence(zeros))[0] == reference_separation_delta(pts)
+
+    @pytest.mark.parametrize("zeros", [
+        radial_geometric_zeros().zeros[:20],                     # every pair rho > 1/3
+        [0.5, 1.0 - 2.0 ** -20],                                 # no pair near
+        [0.9, 0.9j, -0.9, -0.9j, 0.0],                           # one bin, rho >= 0.9
+        [(1.0 - 2.0 ** -30) * cmath.exp(1j * t) for t in (0.0, 1e-8, TWO_PI - 1e-8)],
+    ], ids=["radial", "far-levels", "shallow", "deep-across-the-cut"])
+    def test_all_pairs_loop_where_no_near_pair_is_below_a_fifth(self, zeros):
+        pts = np.array(zeros, dtype=np.complex128)
+        assert not _near_separation(pts) < 0.2
+        delta = separation_constants(ZeroSequence(zeros))[0]
+        assert delta == reference_separation_delta(pts) >= 0.2
+
+    @NEIGHBOURS
+    @given(mu_cases())
+    def test_square_bounds_match_per_square(self, case):
+        mu, square = case
+        expected, error = [], None
+        for i in range(len(square.side)):
+            try:
+                expected.append(reference_square_bounds(mu, one_row(square, i)))
+            except TailBoundInsufficient as exc:
+                error = error or str(exc)
+        if error is not None:
+            with pytest.raises(TailBoundInsufficient) as info:
+                mu._squares_bounds(square)
+            assert str(info.value) == error
+            return
+        lower, upper = mu._squares_bounds(square)
+        assert list(zip(lower.tolist(), upper.tolist())) == expected
+        assert [mu.of_square_bounds(one_row(square, i)) for i in range(len(square.side))] \
+            == expected
+
+    @pytest.mark.parametrize("family", [single_atom, radial_sparse],
+                             ids=["atom1", "radial_sparse"])
+    def test_2000_zero_companions(self, family):
+        theta = family()
+        pts = companion_zeros(theta)
+        assert separation_constants(ZeroSequence(pts.tolist()))[0] \
+            == _near_separation(pts) == reference_separation_delta(pts) < 0.2
+        product = InnerFunction(theta.unimodular,
+                                BlaschkeProduct(ZeroSequence(pts.tolist())), theta.singular)
+        mu = product.mu()
+        points, lower, _ = mu.positive_squares(range(2, 15))
+        points = np.concatenate([points, level_points(6), level_points(7)])
+        squares = carleson_squares(points)
+        expected = [reference_square_bounds(mu, one_row(squares, i))
+                    for i in range(len(points))]
+        got = mu._squares_bounds(squares)
+        assert list(zip(*(bound.tolist() for bound in got))) == expected
+        assert lower.tolist() == [lo for lo, _ in expected[:lower.size]]
+
+
+def mp_level(depth) -> int:
+    """L with 2^-(L+1) < depth <= 2^-L."""
+    level = int(mpmath.floor(-mpmath.log(depth, 2)))
+    while depth > mpmath.mpf(2) ** -level:
+        level -= 1
+    while depth <= mpmath.mpf(2) ** -(level + 1):
+        level += 1
+    return level
+
+
+def mp_bin(z, level: int) -> int:
+    """z's angle bin in the grid of a level: 2^(L+3) bins from L = 2 on."""
+    if level < 2:
+        return 0
+    n = 2 ** (level + 3)
+    turns = mpmath.arg(z) / (2 * mpmath.pi)
+    return int(mpmath.floor((turns % 1) * n)) % n
+
+
+class TestNeighbourLemma:
+    """At 50 digits: a pair of float zeros with rho < 1/5 lies in the same or
+    adjacent levels, and in the same or adjacent angle bins of the
+    shallower level, across the cut too; and _near_separation finds it."""
+
+    @pytest.mark.parametrize("k", range(2, 46))
+    def test_close_pairs_are_neighbours(self, k):
+        rng = np.random.default_rng(k)
+        close = 0
+        with mpmath.workdps(50):
+            for _ in range(60):
+                a = rng.choice([rng.uniform(0.0, TWO_PI), rng.uniform(-1e-12, 1e-12)])
+                z = (1.0 - 2.0 ** -(k + rng.uniform(0.0, 1.0))) * cmath.exp(1j * a)
+                rho = rng.choice([rng.uniform(0.17, 0.23), rng.uniform(0.0, 0.2)])
+                u = mpmath.mpf(rho) * mpmath.expj(rng.uniform(0.0, TWO_PI))
+                zm = mpmath.mpc(z)
+                w = complex(mobius(zm, u))
+                if not abs(w) < 1.0:
+                    continue
+                wm = mpmath.mpc(w)
+                if abs(zm - wm) / abs(1 - mpmath.conj(zm) * wm) >= mpmath.mpf(1) / 5:
+                    continue
+                close += 1
+                lz, lw = mp_level(1 - abs(zm)), mp_level(1 - abs(wm))
+                assert abs(lz - lw) <= 1
+                grid = min(lz, lw)
+                n = 2 ** (grid + 3) if grid >= 2 else 1
+                assert (mp_bin(zm, grid) - mp_bin(wm, grid)) % n in {0, 1, n - 1}
+                pts = np.array([z, w])
+                assert _near_separation(pts) == reference_separation_delta(pts)
+        assert close > 20
+
+    @pytest.mark.parametrize("level", range(2, 41))
+    def test_the_widest_close_pairs_are_found(self, level):
+        # two zeros at depth 2^-L, rho 0.1999 apart along the circle, are
+        # 0.408 2^-L apart in angle: two bins apart in a grid of 2^(L+4)
+        # bins, so the grid of 2^(L+3) is the finest that holds them
+        r, rho = 1.0 - 2.0 ** -level, 0.1999
+        theta = 2.0 * math.asin(rho * (1.0 - r * r) / (2.0 * r * math.sqrt(1.0 - rho * rho)))
+        fine = TWO_PI * 2.0 ** -(level + 4)
+        alpha = 5.98 * fine
+        assert math.floor((alpha + theta) / fine) == 7
+        pts = np.array([r * cmath.exp(1j * alpha), r * cmath.exp(1j * (alpha + theta))])
+        assert _near_separation(pts) == reference_separation_delta(pts) < 0.2
 
 
 class TestZerosCsv:
