@@ -279,86 +279,99 @@ class Placement:
     exhausted: bool                      # every component fully marched
 
 
-def _fenced_rho(comp: GammaComponent, t: float, origin: complex, direction: int):
-    """y -> rho(comp.point(y), origin) for y at or past t in the direction,
-    origin = comp.point(t); where a fence decides it (see _march_next), a
-    stand-in that decides the march's tests alike: 0.0 for rho < STEP -
-    RHO_TOL, 1.0 for rho > STEP + RHO_TOL."""
-    def exact(y: float) -> float:
-        return pseudo_distance(comp.point(y), origin)
-
+def _fences(comp: GammaComponent, t: float, rho_o: float,
+            direction: int) -> tuple[float, float, float, float]:
+    """The ends lo, hi of t's piece and the march's two fences from origin =
+    comp.point(t), |origin| = rho_o, scaled by the direction: rho < STEP -
+    RHO_TOL at every y past t with direction * y <= inner, and rho > STEP +
+    RHO_TOL at every y of the piece with direction * y >= outer (proved in
+    _march_next); -inf and inf where no fence applies."""
     i = bisect.bisect_right(comp.offsets, t, 0, len(comp.pieces)) - 1
     piece, lo, hi = comp.pieces[i], comp.offsets[i], comp.offsets[i + 1]
-    rho_o = abs(origin)
-    err = RHO_ERR / (1.0 - rho_o)
-    if not (t < hi and 4.0 * err < STEP and (piece.kind == "radial" or piece.extent < 3.0)):
-        return exact
+    margin = RHO_TOL + (4.0 * RHO_ERR + 2.0 ** -52 * t) / (1.0 - rho_o)
+    if not (t < hi and rho_o >= 0.25 and margin < STEP
+            and (piece.kind == "radial" or piece.extent < 3.0)):
+        return lo, hi, -math.inf, math.inf
     limits = []
     for sign in (-1.0, 1.0):
-        s = STEP + sign * (RHO_TOL + 4.0 * err)
+        s = STEP + sign * margin
         w = s * (1.0 - rho_o) * (1.0 + rho_o)
         if piece.kind == "arc":
-            sine = 0.5 * w / (rho_o * math.sqrt(1.0 - s * s))
-            run = 2.0 * piece.radius * math.asin(min(1.0, sine))
+            run = 2.0 * piece.radius * math.asin(0.5 * w / (rho_o * math.sqrt(1.0 - s * s)))
         else:
             run = w / (1.0 + math.copysign(s * rho_o, direction * piece.extent))
         y = t + direction * run
-        held = lo <= y < hi and sign * (exact(y) - STEP) > RHO_TOL + 2.0 * err
-        limits.append(direction * y if held else sign * math.inf)
-    inner, outer = limits
-
-    def rho(y: float) -> float:
-        if direction * y <= inner:
-            return 0.0
-        if direction * y >= outer and lo <= y < hi:
-            return 1.0
-        return exact(y)
-    return rho
+        limits.append(direction * y if lo <= y < hi else sign * math.inf)
+    return lo, hi, limits[0], limits[1]
 
 
 def _march_next(comp: GammaComponent, t: float, origin: complex,
-                direction: int) -> Optional[tuple[float, float]]:
+                direction: int) -> Optional[tuple[float, complex, float]]:
     """First parameter beyond t (in the given direction) at rho == STEP,
-    for origin = comp.point(t), with the rho from origin of its point:
-    h-steps of 0.05 (1 - |origin|) pass STEP, and bisection narrows to
-    |rho - STEP| <= RHO_TOL.  That rho is the one the bisection's exit test
-    read; after 200 halvings with no exit it is evaluated at the midpoint.
+    for origin = comp.point(t), with its point and that point's rho from
+    origin: h-steps of 0.05 (1 - |origin|) pass STEP, and bisection narrows
+    to |rho - STEP| <= RHO_TOL.  That rho is the one the bisection's exit
+    test read; after 200 halvings with no exit it is evaluated at the
+    midpoint.
 
-    rho is evaluated only where no fence decides a test, so the zeros are
-    those of evaluating every point, bit for bit.  Lemma: {z : rho(z, o) <
-    s} is a Euclidean disc centred on the ray through o.  On the circle
-    |z| = r, rho(r e^{i theta}, o)^2 = (A - 2c) / (B - 2c) with c = r |o|
-    cos(theta - arg o), A = r^2 + |o|^2 and B = 1 + r^2 |o|^2 > A, so rho
-    increases in |theta - arg o| on [0, pi].  So along a radial piece, and
-    along an arc piece over less than pi, the exact rho G at a point is at
-    most the larger of G at two points on either side of it.  The float rho
-    at CurvePiece.point, whose radius or angle is monotone in the parameter,
-    is G within E = RHO_ERR / (1 - |o|): the point's rounding, under 3 ulp,
-    times |d rho / dz| <= 2 / (1 - |o|), plus pseudo_distance's own, under
-    10 ulp / |1 - conj(o) z|.
+    A test at y is decided by comparing direction * y with the fences of
+    _fences, and rho is evaluated only between them, off t's piece, or
+    where no fence applies, so the zeros are those of evaluating every
+    point, bit for bit.  Lemma 1: {z : rho(z, o) < s} is a Euclidean disc
+    centred on the ray through o.  On the circle |z| = r, rho(r e^{i
+    theta}, o)^2 = (A - 2c) / (B - 2c) with c = r |o| cos(theta - arg o), A
+    = r^2 + |o|^2 and B = 1 + r^2 |o|^2 > A, so rho increases in |theta -
+    arg o| on [0, pi].  So along a radial piece, and along an arc piece
+    over less than pi, the exact rho G at a point is at most the larger of
+    G at two points on either side of it.  G is taken at the exact point of
+    the float radius or angle q(y) of CurvePiece.point, which is monotone in
+    y.  The float rho there is G within E = RHO_ERR / (1 - |o|): the
+    point's rounding, under 3 ulp, times |d rho / dz| <= 2 / (1 - |o|),
+    plus pseudo_distance's own, under 10 ulp / |1 - conj(o) z|.
 
-    Fences: on t's piece, radial or an arc under 3 radians (a Whitney arc is
-    a quarter circle at most), two points beyond t lie at rho = s = STEP -+
-    (RHO_TOL + 4E) by closed forms at r = |o|: the angle 2 asin(s (1 - r^2)
-    / (2 r sqrt(1 - s^2))) on an arc, the run s (1 - r^2) / (1 +- s r)
-    outward or inward on a ray.  A fence holds if it lies on the piece and
-    its evaluated rho clears STEP -+ (RHO_TOL + 2E).  G at t is at most E,
-    so every point from t to the inner fence then has rho < STEP - RHO_TOL,
-    and every point of the piece at or past the outer fence rho > STEP +
-    RHO_TOL.  All else is evaluated: points past the piece, fences that do
-    not hold, and every point where 4E reaches STEP.
+    Lemma 2: a fence is within eta = (96 + 2t) u / d of its target.  Let r
+    be the float |o| >= 1/4, d = 1 - r, u = 2^-53, and the margin m =
+    RHO_TOL + 4E + 2ut / d < STEP.  On t's piece, radial or an arc of
+    radius R under 3 radians (a Whitney arc is a quarter circle at most), a
+    fence is y = t + direction run, for run the closed form at r of the
+    float s = STEP -+ m: 2 R asin(s (1 - r^2) / (2 r sqrt(1 - s^2))) on an
+    arc, s (1 - r^2) / (1 +- s r) outward or inward on a ray; r >= 1/4 and
+    s < 0.2 keep the asin's argument under 0.4 and run under d / 2.  Where y lies on the piece, G(y) is s within eta.
+    Below rho = 0.21, |d rho / dz| and |d rho / do| are at most 2 / d, and
+    the Euclidean errors, in units of u, are:
+      - the closed form's roundings (sqrt, asin, the products), under 16
+        ulp of run <= d / 2: 8;
+      - y = t + direction run, rounded: |y| <= t + 0.5;
+      - q(y) and q(t), A + (x - off) / R for the piece's angle A and offset
+        off, or its radius +- (x - off), rounded: under 2 |A| + 6 l <= 30.7
+        for |A| <= 6.3 (build_gamma's angles lie in [0, 2 pi]) and a piece
+        length l < 3;
+      - the gap between o and its piece: o is the point of q(t) within 3
+        (the point's rounding), so r is R or q(t) within 4 and arg o is
+        q(t) or the ray's angle within 3: 7, and 1 from o to r e^{i arg o};
+    and s is its exact value STEP -+ m within u / 2.  So eta <= 2 (47.2 +
+    t) u / d + u / 2 <= (96 + 2t) u / d, and eta - 2ut / d < E = 128 u / d.
+    Then G < STEP - RHO_TOL - 3E at the inner fence and G <= 6u / d < E at
+    t, so every point between has float rho < STEP - RHO_TOL - 2E; G > STEP
+    + RHO_TOL + 3E at the outer fence, so every point of the piece past it
+    has float rho > STEP + RHO_TOL + 2E.  The margin's 2ut / d pays for
+    ulp(y) on a long component.  All else is evaluated: points past the
+    piece, fences off it, and every point where no fence applies.
     """
     end = comp.length if direction > 0 else 0.0
-    h = max(1e-15, 0.05 * (1.0 - abs(origin)))
-    rho_at = _fenced_rho(comp, t, origin, direction)
+    rho_o = abs(origin)
+    h = max(1e-15, 0.05 * (1.0 - rho_o))
+    piece_lo, piece_hi, inner, outer = _fences(comp, t, rho_o, direction)
     t1 = t
     while True:
         t2 = t1 + direction * h
         past_end = (t2 >= end) if direction > 0 else (t2 <= end)
         if past_end:
             t2 = end
-        rho2 = rho_at(t2)
-        if rho2 >= STEP:
+        x = direction * t2
+        # short of the inner fence rho < STEP; past the outer, on the piece, rho > STEP
+        if x > inner and (x >= outer and piece_lo <= t2 < piece_hi
+                          or pseudo_distance(comp.point(t2), origin) >= STEP):
             break
         if past_end:
             return None
@@ -366,15 +379,24 @@ def _march_next(comp: GammaComponent, t: float, origin: complex,
     lo, hi = (t1, t2) if direction > 0 else (t2, t1)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        rho = rho_at(mid)
-        if abs(rho - STEP) <= RHO_TOL:
-            return mid, rho
-        if (rho < STEP) == (direction > 0):
+        x = direction * mid
+        if x <= inner:
+            below = True
+        elif x >= outer and piece_lo <= mid < piece_hi:
+            below = False
+        else:
+            z = comp.point(mid)
+            rho = pseudo_distance(z, origin)
+            if abs(rho - STEP) <= RHO_TOL:
+                return mid, z, rho
+            below = rho < STEP
+        if below == (direction > 0):
             lo = mid
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return mid, pseudo_distance(comp.point(mid), origin)
+    z = comp.point(mid)
+    return mid, z, pseudo_distance(z, origin)
 
 
 def place_zeros(gamma: GammaCurve, horizon: int = 2000) -> Placement:
@@ -411,14 +433,13 @@ def place_zeros(gamma: GammaCurve, horizon: int = 2000) -> Placement:
                 and (alive[1] or alive[-1]):
             d = 1 if alive[1] and (not alive[-1] or abs(last[1]) <= abs(last[-1])) else -1
             nxt = _march_next(comp, t[d], last[d], d)
-            cand = None if nxt is None else comp.point(nxt[0])
-            if cand is None or (comp.closed and len(placed[d]) > 1
-                                and pseudo_distance(cand, z0) < STEP - RHO_TOL):
+            if nxt is None or (comp.closed and len(placed[d]) > 1
+                               and pseudo_distance(nxt[1], z0) < STEP - RHO_TOL):
                 alive[d] = False
                 continue
-            t[d], last[d] = nxt[0], cand
-            placed[d].append(cand)
-            steps[d].append(nxt[1])
+            t[d], last[d], rho = nxt
+            placed[d].append(last[d])
+            steps[d].append(rho)
         chain = placed[-1][::-1] + [z0] + placed[1]
         zeros.extend(chain)
         # rho is symmetric to the bit, so each is the chain pair's in order

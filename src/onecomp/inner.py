@@ -620,7 +620,8 @@ def separation_constants(zeros: ZeroSequence) -> tuple[float, float]:
             d[np.arange(block.size), local] = np.inf
             delta = min(delta, float(d.min()))
 
-    weights = 1.0 - np.abs(pts)
+    moduli = np.abs(pts)
+    weights = 1.0 - moduli
     min_gap = float(weights.min())
     if min_gap <= 0.0:
         raise DomainError("zeros must be interior")
@@ -629,14 +630,14 @@ def separation_constants(zeros: ZeroSequence) -> tuple[float, float]:
     box_constant = 0.0
     for n in range(2, max_depth + 1):
         inner = 1.0 - math.pi * 2.0 ** -n
-        sel = np.abs(pts) >= inner
+        sel = moduli >= inner
         if not np.any(sel):
             continue
         ks = np.floor(angles[sel] / (2.0 * math.pi * 2.0 ** -n)).astype(np.int64)
         ks = np.clip(ks, 0, (1 << n) - 1)
         # each box's weights added in zero order, over the occupied boxes
         # only: a deep zero's box number can pass 2^40
-        sums = np.bincount(np.searchsorted(np.unique(ks), ks), weights[sel])
+        sums = np.bincount(np.unique(ks, return_inverse=True)[1], weights[sel])
         side = 2.0 * math.pi * 2.0 ** -n
         box_constant = max(box_constant, float(sums.max()) / side)
     return (delta, box_constant)

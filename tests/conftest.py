@@ -122,7 +122,7 @@ def reference_modulus_bounds(f, z, tol: float) -> tuple:
 
 def reference_march_next(comp, t: float, origin: complex, direction: int):
     """First parameter beyond t (in the given direction) at rho == STEP,
-    and the rho evaluated there."""
+    its point, and the rho evaluated there."""
     end = comp.length if direction > 0 else 0.0
     h = max(1e-15, 0.05 * (1.0 - abs(origin)))
     t1 = t
@@ -140,15 +140,17 @@ def reference_march_next(comp, t: float, origin: complex, direction: int):
     lo, hi = (t1, t2) if direction > 0 else (t2, t1)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        rho = pseudo_distance(comp.point(mid), origin)
+        z = comp.point(mid)
+        rho = pseudo_distance(z, origin)
         if abs(rho - STEP) <= RHO_TOL:
-            return mid, rho
+            return mid, z, rho
         if (rho < STEP) == (direction > 0):
             lo = mid
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return mid, pseudo_distance(comp.point(mid), origin)
+    z = comp.point(mid)
+    return mid, z, pseudo_distance(z, origin)
 
 
 def reference_separation_delta(pts: np.ndarray) -> float:

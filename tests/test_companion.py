@@ -17,7 +17,7 @@ import conftest
 from conftest import reference_march_next
 from onecomp import companion, families
 from onecomp.classify import ONE_COMPONENT, criterion_scan
-from onecomp.companion import (GRID_MAX_K, RHO_ERR, SECTOR_TOL, STEP, CurvePiece,
+from onecomp.companion import (GRID_MAX_K, RHO_ERR, RHO_TOL, SECTOR_TOL, STEP, CurvePiece,
                                GammaComponent, GammaCurve, SpotCheck, _spot_check_b,
                                build_gamma, choose_radii, construct_companion, place_zeros)
 from onecomp.errors import (DomainError, OnecompError, RadiusSearchExhausted,
@@ -544,7 +544,7 @@ def placed_by(march, gamma: GammaCurve, horizon: int):
         before = calls[0]
         out = march(comp, t, origin, direction)
         if out is not None:
-            steps.append((origin, comp.point(out[0]), out[1], calls[0] - before))
+            steps.append((origin, out[1], out[2], calls[0] - before))
         return out
 
     with mock.patch.object(companion, "_march_next", step), \
@@ -605,10 +605,32 @@ class TestFencedMarch:
         placement, _, _ = self.same(gamma, 500)
         assert placement.exhausted
 
-    def test_atom1_evaluates_rho_at_most_6_times_per_zero(self):
+    def test_atom1_evaluates_rho_at_most_2_times_per_zero(self):
         # every point evaluated costs 24.5 per zero
         placement, n_fenced, n_reference = self.same(gamma_of(families.single_atom(), 10), 500)
-        assert n_fenced <= 6 * len(placement.zeros) and n_reference > 24 * len(placement.zeros)
+        assert n_fenced <= 2 * len(placement.zeros) and n_reference > 24 * len(placement.zeros)
+
+    def test_no_rho_is_evaluated_at_a_fence(self):
+        # the fences are certified by their closed form, so no evaluation
+        # lands on one, and they hold on almost every step
+        gamma = gamma_of(families.single_atom(), 10)
+        fences, evaluated, steps = set(), set(), [0]
+        march = companion._march_next
+
+        def step(comp, t, origin, direction):
+            limits = companion._fences(comp, t, abs(origin), direction)[2:]
+            fences.update(comp.point(direction * y) for y in limits if not math.isinf(y))
+            steps[0] += 1
+            return march(comp, t, origin, direction)
+
+        def recorded(z, w):
+            evaluated.add(z)
+            return pseudo_distance(z, w)
+
+        with mock.patch.object(companion, "_march_next", step), \
+                mock.patch.object(companion, "pseudo_distance", recorded):
+            place_zeros(gamma, 500)
+        assert len(fences) >= 1.9 * steps[0] and not fences & evaluated
 
     def test_place_zeros_takes_each_chain_rho_from_the_march(self):
         # an open chain: every evaluation is a march step's, one per zero
@@ -630,9 +652,9 @@ class TestFencedMarch:
         with mock.patch.object(companion, "RHO_TOL", 0.0), \
                 mock.patch.object(conftest, "RHO_TOL", 0.0):
             for direction in (1, -1):
-                mid, rho = companion._march_next(comp, t, origin, direction)
-                assert (mid, rho) == reference_march_next(comp, t, origin, direction)
-                assert rho == pseudo_distance(comp.point(mid), origin) != STEP
+                mid, z, rho = companion._march_next(comp, t, origin, direction)
+                assert (mid, z, rho) == reference_march_next(comp, t, origin, direction)
+                assert z == comp.point(mid) and rho == pseudo_distance(z, origin) != STEP
 
     def test_radial_pieces_outward_and_inward(self):
         # out along a ray and back in along it: a closed component marches
@@ -653,6 +675,15 @@ class TestFencedMarch:
         gamma = GammaCurve([GammaComponent([CurvePiece("arc", r, 0.0, 0.0195 / r),
                                             CurvePiece("arc", r, 0.002, 0.05)])])
         self.same(gamma, 2)
+
+    def test_small_circles(self):
+        # at radius 0.04 no point of the circle is a step from another, and
+        # an arc fence's asin would have no argument; at 0.2 one can be
+        pieces = [[CurvePiece("arc", r, j * TWO_PI / 3, TWO_PI / 3) for j in range(3)]
+                  for r in (0.04, 0.2)]
+        placement, _, _ = self.same(GammaCurve([GammaComponent(p, closed=True)
+                                                for p in pieces]), 100)
+        assert placement.exhausted and len(placement.zeros) > 2
 
     def test_every_point_evaluated_where_no_fence_can_hold(self):
         # at 1 - |o| = 2^-44, 4 E = 4 RHO_ERR / (1 - |o|) is past STEP
@@ -702,6 +733,62 @@ class TestFenceErrorOracle:
                                 near.append(abs(pseudo_distance(piece.point(s), o) - exact)
                                             * (1.0 - abs(o)) / RHO_ERR)
         assert len(near) >= 60 and max(near) <= 1.0
+
+
+U = 2.0 ** -53
+
+
+def mp_point(comp: GammaComponent, y: float) -> mpmath.mpc:
+    """The exact point of the float radius or angle comp.point(y) rounds."""
+    y = min(max(y, 0.0), comp.length)
+    i = bisect.bisect_right(comp.offsets, y, 0, len(comp.pieces)) - 1
+    piece, x = comp.pieces[i], y - comp.offsets[i]
+    if piece.kind == "arc":
+        return piece.radius * mpmath.expj(piece.angle + x / piece.radius)
+    return (piece.radius + math.copysign(x, piece.extent)) * mpmath.expj(piece.angle)
+
+
+class TestFenceOracle:
+    """Each fence _fences places is within eta = (96 + 2t) u / d of its
+    target s = STEP -+ (RHO_TOL + 4E + 2ut / d), u = 2^-53 and d = 1 - |o|,
+    in the exact rho at the exact point of its float coordinate, and eta -
+    2ut / d < E (_march_next's Lemma 2), checked at 50 digits: origins on
+    arcs up to 2.9 radians and on rays at 1 - |o| from 2^-2 to 2^-40, where
+    4E reaches STEP; both directions; piece angles next to 0 and 2 pi; t
+    past a lead-in piece of length 0, up to 6 (the longest Gamma component
+    of the seeded families is 5.71, radial_geometric at depth 10) and up
+    to 1024."""
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_fence_within_eta_of_its_target(self, k):
+        rng = random.Random(k)
+        delta, placed, skipped = 2.0 ** -k, 0, 0
+        assert 96 * U < RHO_ERR
+        with mpmath.workdps(50):
+            for beta in (rng.uniform(0.0, 1e-9), rng.uniform(TWO_PI - 1e-9, TWO_PI),
+                         rng.uniform(0.0, TWO_PI)):
+                for piece in (CurvePiece("arc", 1.0 - delta, beta, rng.uniform(0.5, 2.9)),
+                              CurvePiece("radial", 1.0 - 2.0 * delta, beta, 1.5 * delta),
+                              CurvePiece("radial", 1.0 - 0.5 * delta, beta, -1.5 * delta)):
+                    for lead in (0.0, rng.uniform(0.0, 6.0), 2.0 ** rng.randint(3, 10)):
+                        # a lead-in piece only shifts the parameter
+                        comp = GammaComponent(([CurvePiece("radial", 0.0, 0.0, lead)]
+                                               if lead else []) + [piece])
+                        t = lead + piece.length * rng.uniform(0.05, 0.95)
+                        origin = comp.point(t)
+                        d = 1 - mpmath.mpf(abs(origin))
+                        for direction in (1, -1):
+                            limits = companion._fences(comp, t, abs(origin), direction)[2:]
+                            for sign, limit in zip((-1, 1), limits):
+                                if math.isinf(limit):
+                                    skipped += 1
+                                    continue
+                                s = STEP + sign * (RHO_TOL + (4 * RHO_ERR + 2 * U * t) / d)
+                                g = mp_rho(mp_point(comp, direction * limit),
+                                           mpmath.mpc(origin.real, origin.imag))
+                                assert abs(g - s) <= (96 + 2 * t) * U / d
+                                placed += 1
+        assert placed >= 40 and placed >= skipped
 
 
 class TestConstructCompanion:
