@@ -198,10 +198,10 @@ def _log_abs_blaschke_radial_many(zeros: ZeroSequence, vertex_angle: float,
     the scalar order, math.log per entry (np.log can differ in the last
     bit), and each row is a running sum in zero order.
     """
-    ws = zeros.zeros
-    u = np.array([1.0 - abs(w) for w in ws])
-    psi = [cmath.phase(w) - vertex_angle for w in ws]
-    mod_w = np.array([abs(w) for w in ws])
+    ws = zeros.as_array()
+    mod_w = np.hypot(ws.real, ws.imag)      # abs()'s bits
+    u = 1.0 - mod_w
+    psi = [cmath.phase(w) - vertex_angle for w in ws.tolist()]
     versin = np.array([2.0 * math.sin(0.5 * p) ** 2 for p in psi])  # 1 - cos(psi)
     sin_psi = np.array([math.sin(p) for p in psi])
     totals = np.empty(len(depths))
@@ -329,12 +329,13 @@ def sawtooth_test(theta: InnerFunction,
     support = sigma.support()
     region = SawtoothRegion(support)
     if theta.blaschke is not None:
-        zeros = [w for w in theta.blaschke.zeros.zeros if w != 0]
-        outside = np.flatnonzero(~region.contains(np.array(zeros, dtype=np.complex128)))
+        zeros = theta.blaschke.zeros.as_array()
+        zeros = zeros[zeros != 0]
+        outside = np.flatnonzero(~region.contains(zeros))
         if outside.size:
             raise HypothesisViolated(
                 "hypothesis violated: zero %r lies outside the sawtooth "
-                "region" % (zeros[outside[0]],))
+                "region" % (complex(zeros[outside[0]]),))
 
     per_level = max(24, 4096 // max(1, len(r_levels)))
 

@@ -523,11 +523,10 @@ def construct_companion(theta: InnerFunction, horizon: int = 2000,
     delta, box_constant = separation_constants(zseq)
 
     companion = InnerFunction(blaschke=BlaschkeProduct(zseq))
-    merged = list(placement.zeros)
-    merged_tail = 0.0
+    merged, merged_tail = zseq.as_array(), 0.0
     if theta.blaschke is not None:
         # B Theta's zeros: the placed ones, theta's listed ones and its tail
-        merged.extend(theta.blaschke.zeros.zeros)
+        merged = np.concatenate([merged, theta.blaschke.zeros.as_array()])
         merged_tail = theta.blaschke.zeros.tail_blaschke_sum
     product = InnerFunction(
         theta.unimodular,

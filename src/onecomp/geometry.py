@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,9 +40,10 @@ def wrap_angle(a: float) -> float:
 
 
 def angle_mod(a: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
+    """Reduce an angle to [0, 2*pi); one that rounds up to 2*pi is 0.0."""
     a = math.fmod(a, TWO_PI)
-    return a + TWO_PI if a < 0.0 else a
+    a = a + TWO_PI if a < 0.0 else a
+    return 0.0 if a == TWO_PI else a
 
 
 def angular_gap(a: float, b: float) -> float:
@@ -255,17 +257,20 @@ class PointSupport(BoundarySupport):
             lo = min(lo, h.chord_distance_to_point(p))
         return lo
 
+    @cached_property
+    def _unit_points(self) -> np.ndarray:
+        return np.array([cmath.exp(1j * a) for a in self._known()], dtype=np.complex128)
+
     def known_chord_distances(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
         """The least |p - e^{i a}| over the known angles a at each point
         p = re + i im, the upper end of the chord distance to this set: a
         point x known-angle matrix in row blocks of about BLOCK_ELEMENTS,
-        with e^{i a} taken once per angle by cmath.exp and |.| by np.hypot,
-        which matches abs(complex)."""
-        known = self._known()
+        with e^{i a} taken once per angle by cmath.exp (_unit_points) and
+        |.| by np.hypot, which matches abs(complex)."""
+        xi = self._unit_points
         hi = np.full(len(re), math.inf)
-        if not known:
+        if not xi.size:
             return hi
-        xi = np.array([cmath.exp(1j * a) for a in known])
         step = max(1, BLOCK_ELEMENTS // xi.size)
         for s in range(0, len(re), step):
             rows = slice(s, s + step)

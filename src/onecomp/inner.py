@@ -3,7 +3,8 @@
 Modulus computations route through log space: log|Theta(z)| is reported as a
 certified interval combining the listed Blaschke factors, a rigorous bound
 for the declared tail, and Poisson-integral brackets for the singular part.
-A zero sequence is a finite list plus that tail.  The tail bound uses
+A zero sequence is a finite array of listed zeros, validated and stored
+once, plus that tail; the kernels read the array.  The tail bound uses
 
     -sum_tail log rho <= sum_tail (1 - rho^2) / rho^2,
     1 - rho(z, w)^2 = (1-|z|^2)(1-|w|^2) / |1 - conj(w) z|^2
@@ -55,37 +56,35 @@ MASS_TOL = 1e-9  # tolerance of the boundary part of every mu(Q) bracket
 
 
 class ZeroSequence:
-    """A finite zero list and a declared tail: the Blaschke sum of every
-    zero not listed, 0 for a finite product."""
+    """The listed zeros, one complex128 array checked to lie in the open
+    disc and made once, and a declared tail: the Blaschke sum of every zero
+    not listed, 0 for a finite product."""
 
     def __init__(self, zeros: Sequence[complex] = (),
                  tail_blaschke_sum: float = 0.0,
                  accumulation_angles: Sequence[float] = ()):
-        self._zeros: list[complex] = []
-        for z in zeros:
-            z = complex(z)
-            if not abs(z) < 1.0:
-                raise DomainError("zeros must lie in the open disc")
-            self._zeros.append(z)
+        arr = np.array(zeros, dtype=np.complex128)
+        if not (np.hypot(arr.real, arr.imag) < 1.0).all():
+            raise DomainError("zeros must lie in the open disc")
         if tail_blaschke_sum < 0.0:
             raise BlaschkeConditionError("tail Blaschke sum must be nonnegative")
         self._tail = float(tail_blaschke_sum)
         self.accumulation_angles = tuple(float(a) for a in accumulation_angles)
-        self._arr = np.array(self._zeros, dtype=np.complex128)
+        self._arr = arr
 
     def materialize_count(self, count: int) -> None:
         """No-op: every zero is listed when the sequence is built."""
 
     @property
     def zeros(self) -> list[complex]:
-        return list(self._zeros)
+        return self._arr.tolist()
 
     @property
     def tail_blaschke_sum(self) -> float:
         return self._tail
 
     def __len__(self) -> int:
-        return len(self._zeros)
+        return self._arr.size
 
     def as_array(self) -> np.ndarray:
         return self._arr
@@ -125,6 +124,11 @@ def _row_blocks(count: np.ndarray) -> Iterator[slice]:
         e = max(s + 1, int(np.searchsorted(ends, before + BLOCK_ELEMENTS, "right")))
         yield slice(s, e)
         s = e
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each entry: np.exp can differ in the last bit."""
+    return np.array(list(map(math.exp, x.tolist())))
 
 
 def _bounds(f, z, tol: float) -> Interval:
@@ -214,8 +218,7 @@ class BlaschkeProduct:
         if not (moduli < 1.0).all():
             raise DomainError("modulus bounds require |z| < 1")
         sums = self._log_sums(points)
-        # math.exp per entry: np.exp can differ in the last bit
-        upper = np.array(list(map(math.exp, sums.tolist())))
+        upper = _exp(sums)
         # a zero, or a product below tol / 2, is bracketed by (0, upper)
         small = (sums == -math.inf) | (upper <= 0.5 * tol)
         with np.errstate(over="ignore", divide="ignore"):
@@ -225,7 +228,7 @@ class BlaschkeProduct:
         if self.zeros.tail_blaschke_sum == 0.0:     # every bound is 0
             lower = upper.copy()
         else:
-            lower = np.array(list(map(math.exp, (sums - bound).tolist())))
+            lower = _exp(sums - bound)
         lower[small] = 0.0
         return Interval(lower, upper)
 
@@ -320,18 +323,15 @@ class SingularInner:
 
     def _modulus_bounds_many(self, points: np.ndarray, tol: float) -> Interval:
         plo, phi = self.sigma.poisson_bounds_many(points, 0.25)
-        # math.exp per entry: np.exp can differ in the last bit
-        lower = np.array(list(map(math.exp, (-phi).tolist())))
-        upper = np.array(list(map(math.exp, (-plo).tolist())))
+        lower, upper = _exp(-phi), _exp(-plo)
         fine = np.flatnonzero(~(upper - lower <= tol))     # a NaN width too
         if fine.size:
             # a NaN P_lo keeps NaN through np.minimum, and np.fmax then
             # gives 1e-14, as Python's min and max do
-            scale = np.array(list(map(math.exp, np.minimum(plo[fine], 60.0).tolist())))
+            scale = _exp(np.minimum(plo[fine], 60.0))
             tols = np.minimum(0.25, np.fmax(1e-14, 0.5 * tol * scale))
             plo, phi = self.sigma.poisson_bounds_many(points[fine], tols)
-            lower[fine] = list(map(math.exp, (-phi).tolist()))
-            upper[fine] = list(map(math.exp, (-plo).tolist()))
+            lower[fine], upper[fine] = _exp(-phi), _exp(-plo)
         return Interval(lower, upper)
 
     def evaluate(self, z: complex, tol: float = 1e-9) -> complex:
@@ -342,27 +342,27 @@ class SingularInner:
 class MuMeasure:
     """Zero masses (1-|z_n|) delta_{z_n} plus the boundary singular part.
 
-    Zero radii, angles in [0, 2 pi) and weights are stored as arrays once,
-    with the angles' sorted order.  A square query takes the zeros within
-    the square's angular half-window of its center and at or above its base
-    modulus, looked for in its angle window only (_squares_bounds), and
-    sums their weights exactly with math.fsum.  A square smaller than the
-    declared zero tail, which may hide unlisted zeros of that depth, raises
-    instead of silently undercounting.
-    Many squares, such as every level of a scan, are answered by one
-    batched call; a single square is a one-row batch.  The boundary part's
-    masses are bracketed to MASS_TOL.
+    Zero radii, angles in [0, 2 pi) and weights 1 - |z| (np.hypot, abs()'s
+    bits) are arrays taken once from the ZeroSequence, with the angles'
+    sorted order; its declared tail bounds the unlisted zeros' weights.  A
+    square query takes the zeros within the square's angular half-window of
+    its center and at or above its base modulus, looked for in its angle
+    window only (_squares_bounds), and sums their weights exactly with
+    math.fsum.  A square smaller than the declared zero tail, which may
+    hide unlisted zeros of that depth, raises instead of silently
+    undercounting.  Many squares, such as every level of a scan, are
+    answered by one batched call; a single square is a one-row batch.  The
+    boundary part's masses are bracketed to MASS_TOL.
     """
 
-    zero_atoms: list[tuple[complex, float]]
+    zeros: ZeroSequence
     boundary: Optional[SingularMeasure]
-    horizon: float = 0.0
 
     def __post_init__(self):
-        zs = np.array([z for z, _ in self.zero_atoms], dtype=np.complex128)
+        zs = self.zeros.as_array()
         self._radii = np.abs(zs)
         self._angles = np.mod(np.angle(zs), TWO_PI)
-        self._weights = np.array([wt for _, wt in self.zero_atoms], dtype=np.float64)
+        self._weights = 1.0 - np.hypot(zs.real, zs.imag)
         # the angles in increasing order, then once more 2 pi up
         self._order = np.argsort(self._angles, kind="stable")
         ring = self._angles[self._order]
@@ -434,11 +434,12 @@ class MuMeasure:
         square's zero mass is math.fsum of its selected weights, which is
         exact and so does not depend on their order.
         """
-        short = np.flatnonzero(~sq.whole_disc & (sq.side < self.horizon))
+        horizon = self.zeros.tail_blaschke_sum
+        short = np.flatnonzero(~sq.whole_disc & (sq.side < horizon))
         if short.size:
             raise TailBoundInsufficient(
                 "zeros_tail_blaschke_sum %g exceeds the square side %g"
-                % (self.horizon, sq.side[short[0]]))
+                % (horizon, sq.side[short[0]]))
         total = np.zeros(len(sq.side))
         n = self._radii.size
         if n:
@@ -460,10 +461,10 @@ class MuMeasure:
                     total[k] = math.fsum(weights[a:a + m])
         # the unlisted zeros' weights sum to at most the declared tail
         if self.boundary is None:
-            return (total, total + self.horizon)
+            return (total, total + horizon)
         blo, bhi = self.boundary.mass_of_arc_bounds_many(
             sq.center_angle, sq.half_window, tol=MASS_TOL)
-        return (total + blo, total + bhi + self.horizon)
+        return (total + blo, total + bhi + horizon)
 
 
 class InnerFunction:
@@ -543,16 +544,10 @@ class InnerFunction:
         return val
 
     def mu(self) -> MuMeasure:
-        """The measure mu(Theta); its horizon is the declared zero tail,
-        which bounds 1 - |z| of every unlisted zero."""
-        atoms: list[tuple[complex, float]] = []
-        horizon = 0.0
-        if self.blaschke is not None:
-            zs = self.blaschke.zeros
-            atoms = [(z, 1.0 - abs(z)) for z in zs.zeros]
-            horizon = zs.tail_blaschke_sum
+        """The measure mu(Theta) of the zero sequence and sigma."""
+        zeros = self.blaschke.zeros if self.blaschke is not None else ZeroSequence()
         boundary = self.singular.sigma if self.singular is not None else None
-        return MuMeasure(atoms, boundary, horizon)
+        return MuMeasure(zeros, boundary)
 
     def singular_set(self) -> BoundarySupport:
         """Declared singular set: zero accumulation plus supp sigma."""
@@ -605,7 +600,7 @@ def separation_constants(zeros: ZeroSequence) -> tuple[float, float]:
     in row blocks takes it; either way it is that loop's minimum, bit for
     bit.
     """
-    pts = np.array(zeros.zeros, dtype=np.complex128)
+    pts = zeros.as_array()
     if pts.size < 2:
         raise DomainError("separation needs at least two zeros")
     delta = _near_separation(pts)

@@ -2,9 +2,9 @@
 
 Three variants are provided:
 
-- ``AtomicMeasure``: a finite list of point masses plus a declared tail
-  mass for the atoms not listed; integral outputs carry the tail's
-  contribution as a certified error interval.
+- ``AtomicMeasure``: finitely many point masses, stored as arrays once,
+  plus a declared tail mass for the atoms not listed; integral outputs
+  carry the tail's contribution as a certified error interval.
 - ``CantorMeasure``: symmetric Cantor measure built from a strictly
   decreasing sequence ``delta_n`` (delta_0 = 2 pi).  Generation n consists of
   2^n intervals of length 2^{-n} delta_n, each carrying mass exactly 2^{-n};
@@ -65,13 +65,16 @@ SECTOR_WIDEN = 1.0 + 2.0 ** -40
 SECTOR_SLACK = 2.0 ** -40
 
 
-def _sector_gaps(angles: np.ndarray, centers: np.ndarray, reach) -> np.ndarray:
-    """max(0, |angle - center| - reach - SECTOR_SLACK), the circular distance
-    reduced as geometry.angular_gap does, for each center (a row) and angle
-    (a column); ``reach`` broadcasts against that matrix."""
+def _angular_gaps(angles: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|angle - center| reduced as geometry.angular_gap does (fmod, then one
+    wrap into (-pi, pi]), for each center (a row) and angle (a column)."""
     a = np.fmod(angles - centers[:, None], TWO_PI)
-    d = np.abs(np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a)))
-    return np.maximum(d - reach - SECTOR_SLACK, 0.0)
+    return np.abs(np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a)))
+
+
+def _sector_gaps(angles: np.ndarray, centers: np.ndarray, reach) -> np.ndarray:
+    """max(0, _angular_gaps - reach - SECTOR_SLACK); ``reach`` broadcasts."""
+    return np.maximum(_angular_gaps(angles, centers) - reach - SECTOR_SLACK, 0.0)
 
 
 def _sector_kernel(gap: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
@@ -238,15 +241,15 @@ class AtomicMeasure(SingularMeasure):
     ``tail_mass`` bounds the total mass of the atoms not listed, 0 for a
     finite sum.  ``tail_hull`` optionally locates all of them inside known
     arcs, and ``accumulation`` declares limit angles, so the closed support
-    of an infinite sum can be queried.
+    of an infinite sum can be queried.  Angles in [0, 2 pi), masses, points
+    e^{i t} (cmath.exp) and hull arcs are arrays made once, at build time.
     """
 
     def __init__(self, atoms: Sequence[tuple[float, float]],
                  tail_mass: float = 0.0,
                  tail_hull: Sequence[BoundaryArc] = (),
                  accumulation: Sequence[float] = ()):
-        self._atoms: list[tuple[float, float]] = []
-        seen = set()
+        pairs, seen = [], set()
         for theta, mass in atoms:
             if mass <= 0.0:
                 raise DomainError("atom masses must be positive")
@@ -254,15 +257,18 @@ class AtomicMeasure(SingularMeasure):
             if key in seen:
                 raise DomainError("atom angles must be distinct")
             seen.add(key)
-            self._atoms.append((key, float(mass)))
+            pairs.append((key, float(mass)))
         if tail_mass < 0.0:
             raise DomainError("tail mass bound must be nonnegative")
         self._tail = float(tail_mass)
+        self._thetas, self._masses = np.array(pairs, dtype=np.float64).reshape(-1, 2).T.copy()
+        self._xi = np.array([cmath.exp(1j * t) for t, _ in pairs], dtype=np.complex128)
         # the masses scaled by a power of two, so their sum cannot overflow
-        scaled = [m / _MAX_MASS for _, m in self._atoms] + [self._tail / _MAX_MASS]
-        if not math.fsum(scaled) <= 1.0:
+        if not math.fsum((self._masses / _MAX_MASS).tolist() + [self._tail / _MAX_MASS]) <= 1.0:
             raise DomainError("atom masses plus tail mass exceed the bound 2^960")
         self._hull = tuple(tail_hull)
+        self._hull_arcs = np.array([(h.center_angle, h.half_width)
+                                    for h in self._hull], dtype=np.float64).reshape(-1, 2).T
         self._accumulation = tuple(float(a) for a in accumulation)
 
     @property
@@ -271,44 +277,38 @@ class AtomicMeasure(SingularMeasure):
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
-        return list(self._atoms)
+        return list(zip(self._thetas.tolist(), self._masses.tolist()))
 
     # -- queries --
 
     def total_mass(self) -> float:
-        return math.fsum(m for _, m in self._atoms) + self._tail
+        return math.fsum(self._masses.tolist()) + self._tail
 
     def support(self) -> BoundarySupport:
-        return PointSupport.of([t for t, _ in self._atoms],
+        return PointSupport.of(self._thetas.tolist(),
                                accumulation=self._accumulation, hull=self._hull)
 
     def lower_mass_arcs(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
         # the tail counts only toward upper ends: listed atoms alone
-        thetas = np.array([t for t, _ in self._atoms], dtype=np.float64)
-        return thetas, thetas
+        return self._thetas, self._thetas
 
     def mass_of_arc_bounds(self, arc: BoundaryArc, tol: float = 1e-12) -> tuple[float, float]:
         return _arc_bounds(self, arc, tol)
 
     def mass_of_arc_bounds_many(self, centers: np.ndarray, half_widths: np.ndarray,
                                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-        """An arc x atom matrix, in row blocks of about BLOCK_ELEMENTS.
-
-        The gap is geometry.angular_gap elementwise (fmod, then one wrap into
-        (-pi, pi]).  The selected masses are added as a running sum in atom
-        order, the order of a per-atom loop; np.sum would add pairwise.
+        """An arc x atom matrix of _angular_gaps, in row blocks of about
+        BLOCK_ELEMENTS.  The selected masses are added as a running sum in
+        atom order, the order of a per-atom loop; np.sum would add pairwise.
         """
         total = np.zeros(len(centers))
-        if self._atoms:
-            thetas, masses = np.array(self._atoms).T
-            step = max(1, BLOCK_ELEMENTS // thetas.size)
+        if self._thetas.size:
+            step = max(1, BLOCK_ELEMENTS // self._thetas.size)
             for s in range(0, len(centers), step):
                 half = half_widths[s:s + step, None]
-                a = np.fmod(thetas - centers[s:s + step, None], TWO_PI)
-                gap = np.abs(np.where(a > math.pi, a - TWO_PI,
-                                      np.where(a <= -math.pi, a + TWO_PI, a)))
+                gap = _angular_gaps(self._thetas, centers[s:s + step])
                 inside = (gap <= half) | (half >= math.pi)
-                total[s:s + step] = np.cumsum(np.where(inside, masses, 0.0), axis=1)[:, -1]
+                total[s:s + step] = np.cumsum(np.where(inside, self._masses, 0.0), axis=1)[:, -1]
         return total, total + self._tail
 
     def poisson_bounds(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
@@ -325,10 +325,10 @@ class AtomicMeasure(SingularMeasure):
         point or raises at the first failing point: DomainError for a point
         outside the disc, then PrecisionExhausted, with the point's
         bracket, where the tail cannot meet the point's tol (a float, or an
-        array of one per point).  e^{i t} is taken once per
-        atom by cmath.exp, |.| by np.hypot and |.| ** 2 by np.float_power,
-        which match abs(complex) and float ** 2; np.abs on complex128 and
-        squaring by multiplication differ from them in the last bit."""
+        array of one per point).  |.| is np.hypot and |.| ** 2 is
+        np.float_power, which match abs(complex) and float ** 2; np.abs on
+        complex128 and squaring by multiplication differ from them in the
+        last bit."""
         moduli = np.hypot(points.real, points.imag)
         outside = np.flatnonzero(~(moduli < 1.0))
         if outside.size:
@@ -336,8 +336,7 @@ class AtomicMeasure(SingularMeasure):
                               % (moduli[outside[0]].item(),))
         one_minus_r2 = 1.0 - np.float_power(moduli, 2.0)
         lower = np.empty(len(points))
-        masses = np.array([m for _, m in self._atoms], dtype=np.float64)
-        xi = np.array([cmath.exp(1j * t) for t, _ in self._atoms], dtype=np.complex128)
+        xi = self._xi
         step = max(1, BLOCK_ELEMENTS // max(1, xi.size))
         for s in range(0, len(points), step):
             # |z - e^{it}| from the parts of z - e^{it}, then the terms in place
@@ -345,7 +344,7 @@ class AtomicMeasure(SingularMeasure):
             np.hypot(terms, points.imag[s:s + step, None] - xi.imag, out=terms)
             np.float_power(terms, 2.0, out=terms)
             np.divide(one_minus_r2[s:s + step, None], terms, out=terms)
-            terms *= masses
+            terms *= self._masses
             lower[s:s + step] = _fsum_rows(terms)
         slack = self._tail * ((1.0 + moduli) / (1.0 - moduli))
         short = np.flatnonzero(slack > tol)
@@ -365,18 +364,17 @@ class AtomicMeasure(SingularMeasure):
         needed.  An arc x atom x depth range array, in row blocks of about
         BLOCK_ELEMENTS."""
         total = np.zeros((len(centers), len(x_lo)))
-        if self._atoms:
-            thetas, masses = np.array(self._atoms).T
-            step = max(1, BLOCK_ELEMENTS // (thetas.size * len(x_lo)))
+        if self._thetas.size:
+            step = max(1, BLOCK_ELEMENTS // (self._thetas.size * len(x_lo)))
             for s in range(0, len(centers), step):
                 rows = slice(s, s + step)
-                gap = _sector_gaps(thetas, centers[rows], half_widths[rows, None])
+                gap = _sector_gaps(self._thetas, centers[rows], half_widths[rows, None])
                 kernel = _sector_kernel(gap[:, :, None], x_lo, x_hi)
-                total[rows] = (kernel * masses[:, None]).sum(axis=1)
+                total[rows] = (kernel * self._masses[:, None]).sum(axis=1)
         if self._tail:
             gap = np.zeros(len(centers))
             if self._hull:
-                hull = np.array([(h.center_angle, h.half_width) for h in self._hull]).T
+                hull = self._hull_arcs
                 gap = _sector_gaps(hull[0], centers, half_widths[:, None] + hull[1]).min(axis=1)
             total += self._tail * _sector_kernel(gap[:, None], x_lo, x_hi)
         return total * SECTOR_WIDEN
@@ -387,7 +385,7 @@ class AtomicMeasure(SingularMeasure):
         if self._tail * max_kernel > tol:
             raise PrecisionExhausted(
                 "atomic tail bound %g cannot meet tol %g" % (self._tail, tol))
-        terms = [(m, _herglotz_kernel(z, t)) for t, m in self._atoms]
+        terms = [(m, _herglotz_kernel(z, t)) for t, m in self.atoms]
         re = math.fsum(m * k.real for m, k in terms)
         im = math.fsum(m * k.imag for m, k in terms)
         return complex(re, im)

@@ -6,7 +6,7 @@ import pytest
 
 from onecomp.errors import DomainError
 from onecomp.geometry import (TWO_PI, BoundaryArc, PointSupport,
-                              SawtoothRegion, StolzAngle, _sawtooth_decision,
+                              SawtoothRegion, StolzAngle, _sawtooth_decision, angle_mod,
                               carleson_square, level_points, mobius_shift,
                               pseudo_distance, whitney_arcs)
 from onecomp.measures import CantorMeasure, CantorSupport
@@ -237,3 +237,15 @@ class TestBoundaryArc:
         arc = BoundaryArc(0.0, 0.5)
         inside = 0.9 * cmath.exp(0.2j)
         assert arc.chord_distance_to_point(inside) == pytest.approx(0.1)
+
+
+class TestAngleMod:
+    @pytest.mark.parametrize("a", [-1e-20, -2.0 ** -60, -4e-16, -0.0, 0.0, -TWO_PI,
+                                   TWO_PI, -1.0, 1.0, 7.0, -7.0, 1e6, -1e6])
+    def test_result_lies_in_zero_to_two_pi(self, a):
+        assert 0.0 <= angle_mod(a) < TWO_PI
+
+    def test_a_tiny_negative_angle_is_zero(self):
+        # -1e-20 + 2 pi rounds to 2 pi, which is 0 on the circle
+        assert angle_mod(-1e-20) == 0.0
+        assert angle_mod(-1.0) == TWO_PI - 1.0

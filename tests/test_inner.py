@@ -257,7 +257,7 @@ class TestMu:
             mu = finite_blaschke(zeros).mu()
             positive = 0
             for square in squares:
-                expected = math.fsum(wt for z, wt in mu.zero_atoms
+                expected = math.fsum(1.0 - abs(z) for z in mu.zeros.zeros
                                      if member(square, z))
                 assert mu.of_square_bounds(square) == (expected, expected)
                 positive += expected > 0.0
@@ -277,19 +277,20 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
     boundary masses are bracketed to 1e-9, and the upper end adds the
     declared zero tail."""
     side, center, half, base, whole = square_row(square)
-    if not whole and side < mu.horizon:
+    horizon = mu.zeros.tail_blaschke_sum
+    if not whole and side < horizon:
         raise TailBoundInsufficient("zeros_tail_blaschke_sum %g exceeds the square side %g"
-                                    % (mu.horizon, side))
+                                    % (horizon, side))
     total = 0.0
-    if mu.zero_atoms:
-        zs = np.array([z for z, _ in mu.zero_atoms], dtype=np.complex128)
+    if mu.zeros.zeros:
+        zs = np.array(mu.zeros.zeros, dtype=np.complex128)
         radii, angles = np.abs(zs), np.mod(np.angle(zs), TWO_PI)
-        weights = np.array([wt for _, wt in mu.zero_atoms])
+        weights = np.array([1.0 - abs(z) for z in mu.zeros.zeros])
         gap = np.abs(np.mod(angles - center + math.pi, TWO_PI) - math.pi)
         inside = (gap <= half) & (radii >= base)
         total = math.fsum(weights[inside].tolist())
     if mu.boundary is None:
-        return (total, total + mu.horizon)
+        return (total, total + horizon)
     arc = BoundaryArc(center, half)
     if isinstance(mu.boundary, AtomicMeasure):
         atomic = 0.0
@@ -300,7 +301,7 @@ def reference_square_bounds(mu: MuMeasure, square: SquareArrays):
         blo, bhi = atomic, atomic + mu.boundary.tail_mass
     else:
         blo, bhi = mu.boundary.mass_of_arc_bounds(arc, tol=1e-9)
-    return (total + blo, total + bhi + mu.horizon)
+    return (total + blo, total + bhi + horizon)
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +359,7 @@ class TestLevelKernel:
     def test_horizon_exceeded_at_the_same_first_square(self):
         partial = ZeroSequence(radial_geometric_zeros().zeros[:6], tail_blaschke_sum=2.0 ** -6)
         mu = InnerFunction(blaschke=BlaschkeProduct(partial)).mu()
-        assert mu.horizon > 0.0
+        assert mu.zeros.tail_blaschke_sum > 0.0
         for level in range(2, 13):
             points = level_points(level)
             try:
@@ -1105,8 +1106,7 @@ def mu_cases(draw):
         rows.append((side, center, half, base, False))
     rows = draw(st.permutations(rows))
     square = SquareArrays(*(np.array(column) for column in zip(*rows)))
-    atoms = [(z, 1.0 - abs(z)) for z in zeros]
-    return MuMeasure(atoms, boundary, horizon), square
+    return MuMeasure(ZeroSequence(zeros, tail_blaschke_sum=horizon), boundary), square
 
 
 def one_row(square: SquareArrays, i: int) -> SquareArrays:
@@ -1286,3 +1286,76 @@ class TestZeroSequence:
         for query in (sigma.poisson_bounds, sigma.herglotz_integral):
             with pytest.raises(DomainError):
                 query(nan)
+
+
+def _bits(value) -> list:
+    """The bytes of every array or number in a nest of tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return [b for v in value for b in _bits(v)]
+    return [np.asarray(value).tobytes()]
+
+
+class TestSharedArrays:
+    """The arrays a zero sequence, an atomic measure or mu builds once are
+    shared by every call: a second call gives the first call's bits and
+    leaves the stored arrays' bytes as they were."""
+
+    CENTERS = np.array([0.4, 3.1, -1.0, 9.0, 5.0])
+    HALVES = np.array([0.2, 1.0, 0.05, math.pi, 0.3])
+    X_LO, X_HI = np.array([0.01, 0.1]), np.array([0.1, 0.5])
+    POINTS = np.array([0.3 + 0.1j, -0.5j, 0.9 * cmath.exp(0.5j), 0.0, 0.99 * cmath.exp(3.0j)])
+
+    @staticmethod
+    def _stored(*owners) -> list:
+        return [getattr(owner, name).tobytes() for owner, names in owners for name in names]
+
+    def _twice(self, calls, *owners):
+        before = self._stored(*owners)
+        for i, call in enumerate(calls):
+            first = _bits(call())
+            assert _bits(call()) == first, i
+            assert self._stored(*owners) == before, i
+
+    @staticmethod
+    def _sigma() -> AtomicMeasure:
+        return AtomicMeasure([(0.5, 1.0), (3.0, 0.25), (-0.3, 2.0)], tail_mass=1e-12,
+                             tail_hull=[BoundaryArc(5.0, 0.1)], accumulation=[5.0])
+
+    SIGMA = ("_thetas", "_masses", "_xi", "_hull_arcs")
+
+    def test_atomic_measure_kernels(self):
+        sigma = self._sigma()
+        support = sigma.support()
+        self._twice([
+            lambda: sigma.lower_mass_arcs(0.1),
+            lambda: sigma.mass_of_arc_bounds_many(self.CENTERS, self.HALVES),
+            lambda: sigma.mass_of_arc_bounds(BoundaryArc(0.5, 0.1)),
+            lambda: sigma.poisson_bounds_many(self.POINTS, 1e-3),
+            lambda: sigma.poisson_bounds(0.5j, 1e-3),
+            lambda: sigma.sector_bounds(self.CENTERS, self.HALVES, self.X_LO, self.X_HI, 1e-3),
+            lambda: sigma.herglotz_integral(0.3 + 0.1j, 1e-3),
+            lambda: sigma.total_mass(), lambda: sigma.atoms,
+            lambda: support.known_chord_distances(self.POINTS.real, self.POINTS.imag),
+        ], (sigma, self.SIGMA), (support, ("_unit_points",)))
+
+    def test_blaschke_product_queries(self):
+        zeros = ZeroSequence([0.5, -0.3j, 0.9 * cmath.exp(2.0j), 0.0], tail_blaschke_sum=1e-12)
+        b = BlaschkeProduct(zeros)
+        self._twice([
+            lambda: b.modulus_bounds(self.POINTS[:3], 1e-6),
+            lambda: b.modulus_bounds(0.2 + 0.2j, 1e-6),
+            lambda: b.log_modulus(0.1j, 1e-6), lambda: b.evaluate(0.1j, 1e-6),
+            lambda: b.sector_bounds(self.CENTERS, self.HALVES, self.X_LO, self.X_HI),
+            lambda: separation_constants(zeros), lambda: zeros.zeros,
+        ], (zeros, ("_arr",)))
+
+    def test_mu_queries(self):
+        zeros = ZeroSequence([0.5, 0.9 * cmath.exp(0.5j), 0.99 * cmath.exp(-0.3j), 0.0])
+        sigma = self._sigma()
+        mu = InnerFunction(blaschke=BlaschkeProduct(zeros), singular=SingularInner(sigma)).mu()
+        self._twice([
+            lambda: mu.positive_squares(range(2, 9)), lambda: mu.lower_masses(self.POINTS),
+            lambda: mu.of_square_bounds(carleson_square(0.9 * cmath.exp(0.5j))),
+            lambda: mu._squares_bounds(carleson_squares(self.POINTS)),
+        ], (zeros, ("_arr",)), (sigma, self.SIGMA),
+            (mu, ("_radii", "_angles", "_weights", "_order", "_ring")))

@@ -4,6 +4,7 @@ import pytest
 
 from onecomp.errors import DomainError
 from onecomp.families import example1_measure, finite_blaschke, single_atom
+from onecomp.inner import InnerFunction, SingularInner
 from onecomp.measures import AtomicMeasure, CantorMeasure, CdfMeasure
 from onecomp.serialize import (dumps, inner_from_json, inner_to_json,
                                measure_from_json, measure_to_json)
@@ -15,6 +16,18 @@ class TestMeasureRoundTrip:
         back = measure_from_json(measure_to_json(sigma))
         assert back.atoms == sigma.atoms
         assert back.tail_mass == 0.0
+
+    def test_atoms_on_one_angle_are_rejected(self):
+        # -1e-20 and 0 are one point of the circle
+        with pytest.raises(DomainError, match="distinct"):
+            AtomicMeasure([(-1e-20, 1.0), (0.0, 1.0)])
+
+    def test_an_atom_just_below_zero_reads_back(self):
+        sigma = AtomicMeasure([(-1e-20, 1.0), (1.0, 0.5)])
+        doc = inner_to_json(InnerFunction(singular=SingularInner(sigma)))
+        assert [a["theta"] for a in doc["measure"]["atoms"]] == ["0", "1"]
+        back = inner_from_json(doc).singular.sigma
+        assert back.atoms == sigma.atoms == [(0.0, 1.0), (1.0, 0.5)]
 
     def test_atomic_with_truncation_metadata(self):
         sigma = example1_measure()
